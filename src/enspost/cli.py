@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     DataError,
     EnspostError,
+    InvalidInput,
     NumericError,
 )
 from .models import MODEL_KINDS, SEASONAL_KINDS, FittedModel
@@ -119,6 +120,19 @@ def _canonical_models(raw) -> list[str]:
     return out
 
 
+def _parse_number(kind, key: str, value: str):
+    """int(value) or float(value); a malformed value is a ConfigError."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _parse_leads(value) -> list[int]:
+    return [_parse_number(int, "lead", v.strip()) for v in str(value).split(",") if v.strip()]
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
@@ -126,13 +140,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not hasattr(cfg, key) and key != "lead":
             raise ConfigError(f"unknown config key {key!r}")
         if key in _INT_KEYS:
-            setattr(cfg, key, int(value))
+            setattr(cfg, key, _parse_number(int, key, value))
         elif key in _FLOAT_KEYS:
-            setattr(cfg, key, float(value))
+            setattr(cfg, key, _parse_number(float, key, value))
         elif key in ("models",):
             cfg.models = _canonical_models(value)
         elif key in ("leads", "lead"):
-            cfg.leads = [int(v) for v in value.split(",") if v.strip()]
+            cfg.leads = _parse_leads(value)
         elif key == "stations":
             cfg.stations = [v.strip() for v in value.split(",") if v.strip()]
         else:
@@ -147,7 +161,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "models", None):
         cfg.models = _canonical_models(args.models)
     if getattr(args, "lead", None):
-        cfg.leads = [int(v) for v in str(args.lead).split(",") if v.strip()]
+        cfg.leads = _parse_leads(args.lead)
     if getattr(args, "stations", None):
         cfg.stations = [v.strip() for v in str(args.stations).split(",") if v.strip()]
     validate_config(cfg)
@@ -247,7 +261,10 @@ def discover_cases(cfg: RunConfig) -> list[tuple[str, int, Path]]:
         station, _, lead_part = stem.rpartition("_")
         if not station or not lead_part.endswith("h"):
             raise DataError(f"cannot parse station/lead from file name {path.name}")
-        lead = int(lead_part[:-1])
+        try:
+            lead = int(lead_part[:-1])
+        except ValueError:
+            raise DataError(f"cannot parse the lead time from file name {path.name}") from None
         if cfg.stations is not None and station not in cfg.stations:
             continue
         if cfg.leads and lead not in cfg.leads:
@@ -352,12 +369,15 @@ def load_predictions(path) -> dict:
         header = next(reader, None)
         if header != ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]:
             raise DataError(f"unexpected predictions header {header}")
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            key = (row[0], row[1], int(row[2]))
-            grouped.setdefault(key, []).append((np.datetime64(row[3], "D"),
-                                                float(row[4]), float(row[5])))
+            try:
+                key = (row[0], row[1], int(row[2]))
+                entry = (np.datetime64(row[3], "D"), float(row[4]), float(row[5]))
+            except (ValueError, IndexError):
+                raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
+            grouped.setdefault(key, []).append(entry)
     out = {}
     for key, entries in grouped.items():
         entries.sort(key=lambda e: e[0])
@@ -404,7 +424,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             if np.any(idx >= series.n_days) or not np.array_equal(series.dates[idx], dates):
                 raise AlignmentError(f"predicted dates missing from data for ({station}, {lead}h)")
             y = series.obs[idx]
-            sample = score_cases(mu, sigma, y, level)
+            try:
+                sample = score_cases(mu, sigma, y, level)
+            except InvalidInput as exc:
+                raise InvalidInput(f"predictions of {kind} ({station}, {lead}h): {exc}") from None
             table.add_sample(kind, station, lead, sample, dates=dates)
             pit_by_model[kind].append(sample.pit)
         # raw-ensemble reference row on the same dates

@@ -7,6 +7,10 @@ ensemble xtilde_i(t) = x_i(t) + predicted residual yields the location
 candidate sigma_1 is the root mean of the member innovation variances.
 The convex weight between them is picked by CRPS minimization over the
 following 30-day window.  Everything re-estimates per prediction date.
+
+Each date works on the (window, members) error matrix in one pass: the
+AR kernels of ``timeseries`` fit, score and run every member's column at
+once, and only the rows the date needs are formed.
 """
 
 from __future__ import annotations
@@ -16,10 +20,16 @@ import logging
 import numpy as np
 
 from ..data import StationSeries
-from ..errors import DegenerateSeries, InsufficientHistory, InvalidInput
+from ..errors import InsufficientHistory, InvalidInput
 from ..optimize import golden_section
 from ..scoring import crps_normal_series
-from ..timeseries import ARCoeffs, ar_innovation_variance, ar_multistep, fit_ar_yule_walker
+from ..timeseries import (
+    ARFits,
+    ar_innovation_variance,
+    ar_multistep,
+    ar_teacher_forced,
+    fit_ar_yule_walker,
+)
 from .base import FittedModel, PredictionContext, register
 
 logger = logging.getLogger(__name__)
@@ -28,20 +38,14 @@ MAX_MEMBER_AR_ORDER = 5
 _SIGMA_FLOOR = 1e-8
 
 
-def _fit_member_ar(errors: np.ndarray, member: int) -> ARCoeffs:
-    try:
-        return fit_ar_yule_walker(errors, MAX_MEMBER_AR_ORDER)
-    except DegenerateSeries:
-        logger.warning("member %d error series degenerate; using mean-only adjustment", member + 1)
-        return ARCoeffs(p=0, eta=float(np.mean(errors)), tau=())
-
-
-def _one_step_preds(ar: ARCoeffs, errors: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Teacher-forced one-step predictions of the error series at positions idx."""
-    out = np.full(idx.size, ar.eta)
-    for j, t in enumerate(ar.tau, start=1):
-        out += t * (errors[idx - j] - ar.eta)
-    return out
+def _fit_members(errors: np.ndarray) -> ARFits:
+    """AR fits of the (n, members) error columns; a constant column gets the
+    mean-only adjustment."""
+    fits = fit_ar_yule_walker(errors, MAX_MEMBER_AR_ORDER, mean_fallback=True)
+    for member in np.flatnonzero(fits.degenerate):
+        logger.warning("member %d error series degenerate; using mean-only adjustment",
+                       member + 1)
+    return fits
 
 
 def _estimate_at(series: StationSeries, h: int, ar_window: int, weight_window: int):
@@ -50,24 +54,19 @@ def _estimate_at(series: StationSeries, h: int, ar_window: int, weight_window: i
     if h < ar_window + weight_window:
         raise InsufficientHistory(
             f"AR-EMOS needs {ar_window + weight_window} observable days, got {h}")
-    obs = series.obs[:h]
-    if np.any(~np.isfinite(obs[h - ar_window - weight_window:])):
+    rows = slice(h - ar_window - weight_window, h)
+    obs = series.obs[rows]
+    if np.any(~np.isfinite(obs)):
         raise InvalidInput("AR-EMOS training windows contain missing observations")
-    errors = series.obs[:h, None] - series.members[:h]  # (h, m)
-    m = series.n_members
-    ar_slice = slice(h - ar_window - weight_window, h - weight_window)
-    fits = [_fit_member_ar(errors[ar_slice, i], i) for i in range(m)]
-    gamma_sq = np.array([
-        ar_innovation_variance(errors[ar_slice, i], fits[i]) for i in range(m)])
-    sigma1 = float(np.sqrt(np.mean(gamma_sq)))
+    members = series.members[rows]
+    errors = obs[:, None] - members  # (ar_window + weight_window, m)
+    fits = _fit_members(errors[:ar_window])
+    sigma1 = float(np.sqrt(np.mean(ar_innovation_variance(errors[:ar_window], fits))))
 
-    w_idx = np.arange(h - weight_window, h)
-    adjusted = np.empty((weight_window, m))
-    for i in range(m):
-        adjusted[:, i] = series.members[w_idx, i] + _one_step_preds(fits[i], errors[:, i], w_idx)
+    adjusted = members[ar_window:] + ar_teacher_forced(fits, errors, ar_window)
     mu_w = adjusted.mean(axis=1)
     sigma2_w = adjusted.std(axis=1, ddof=1)
-    y_w = series.obs[w_idx]
+    y_w = obs[ar_window:]
 
     def weight_objective(w):
         sigma = np.maximum(w * sigma1 + (1.0 - w) * sigma2_w, _SIGMA_FLOOR)
@@ -77,19 +76,17 @@ def _estimate_at(series: StationSeries, h: int, ar_window: int, weight_window: i
     return fits, sigma1, weight
 
 
-def _adjusted_ensemble(series: StationSeries, fits, h: int, i: int) -> np.ndarray:
+def _adjusted_ensemble(series: StationSeries, fits: ARFits, h: int, i: int) -> np.ndarray:
     """AR-adjusted members for prediction index i; residuals of the k
-    unobservable days are bridged by the multi-step recursion."""
-    steps = i - h + 1
-    errors = series.obs[:h, None] - series.members[:h]
-    adjusted = np.empty(series.n_members)
-    for mi, ar in enumerate(fits):
-        hist = errors[:, mi]
-        if hist.size < ar.p:
-            hist = np.concatenate([np.full(ar.p - hist.size, ar.eta), hist])
-        r_hat = ar.eta if ar.p == 0 else float(ar_multistep(ar, hist, steps)[-1])
-        adjusted[mi] = series.members[i, mi] + r_hat
-    return adjusted
+    unobservable days are bridged by the multi-step recursion from the last
+    p observed errors (padded with eta when fewer than p exist)."""
+    p = fits.max_p
+    lo = max(h - p, 0)
+    hist = series.obs[lo:h, None] - series.members[lo:h]
+    if hist.shape[0] < p:
+        pad = np.broadcast_to(fits.eta, (p - hist.shape[0], fits.eta.size))
+        hist = np.vstack([pad, hist])
+    return series.members[i] + ar_multistep(fits, hist, i - h + 1)[-1]
 
 
 def ar_emos_fit(series: StationSeries, ar_window: int = 90, weight_window: int = 30) -> FittedModel:
@@ -99,7 +96,7 @@ def ar_emos_fit(series: StationSeries, ar_window: int = 90, weight_window: int =
     fits, sigma1, weight = _estimate_at(series, series.n_days, ar_window, weight_window)
     return FittedModel(
         kind="AR-EMOS",
-        members_ar=fits,
+        members_ar=fits.members(),
         weight=weight,
         meta={
             "origin": str(series.dates[0]),

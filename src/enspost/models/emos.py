@@ -3,7 +3,9 @@
 mu = a0 + a1 * xbar, log sigma = b0 + b1 * log s, re-estimated for every
 prediction date by CRPS minimization over the trailing window of
 observable days.  A tiny ridge penalty protects the fit when log s is
-(near-)constant inside a window, where b1 is unidentified.
+(near-)constant inside a window, where b1 is unidentified.  The BFGS fit
+uses the exact gradient: the closed-form CRPS derivatives in mu and sigma,
+chain-ruled through the two linear predictors.
 """
 
 from __future__ import annotations
@@ -13,11 +15,37 @@ import numpy as np
 from ..data import StationSeries
 from ..errors import InsufficientHistory, InvalidInput
 from ..optimize import OptimizeSettings, minimize
-from ..scoring import crps_normal_series
+from ..scoring import crps_normal_gradient, crps_normal_series
 from .base import FittedModel, PredictionContext, register
 
 _RIDGE = 1e-8
 _NEAR_CONSTANT_SD = 1e-3
+
+
+def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
+    """Mean CRPS of theta = (a0, a1, b0, b1) on one window, plus the ridge
+    term, and its gradient; returns (objective, gradient)."""
+    ridge = _RIDGE if float(np.std(log_s)) < _NEAR_CONSTANT_SD else 0.0
+    loc_design = np.column_stack([np.ones_like(xbar), xbar])
+    scale_design = np.column_stack([np.ones_like(log_s), log_s])
+
+    def objective(theta):
+        mu = theta[0] + theta[1] * xbar
+        sigma = np.exp(theta[2] + theta[3] * log_s)
+        with np.errstate(all="ignore"):
+            crps = float(np.mean(crps_normal_series(mu, sigma, y)))
+        return crps + ridge * float(theta @ theta)
+
+    def gradient(theta):
+        mu = theta[0] + theta[1] * xbar
+        sigma = np.exp(theta[2] + theta[3] * log_s)
+        with np.errstate(all="ignore"):
+            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y)
+            # d sigma / d (b0, b1) = sigma * (1, log s)
+            g = np.concatenate([d_mu @ loc_design, (d_sigma * sigma) @ scale_design])
+        return g / y.size + 2.0 * ridge * theta
+
+    return objective, gradient
 
 
 def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
@@ -31,16 +59,9 @@ def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
         ab, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid_sd = float(np.std(y - design @ ab, ddof=1))
         init = np.array([ab[0], ab[1], np.log(max(resid_sd, 1e-6)), 0.0])
-    ridge = _RIDGE if float(np.std(log_s)) < _NEAR_CONSTANT_SD else 0.0
-
-    def objective(theta):
-        mu = theta[0] + theta[1] * xbar
-        sigma = np.exp(theta[2] + theta[3] * log_s)
-        with np.errstate(all="ignore"):
-            crps = float(np.mean(crps_normal_series(mu, sigma, y)))
-        return crps + ridge * float(theta @ theta)
-
-    return minimize(objective, init, settings or OptimizeSettings(max_iterations=200)).x
+    objective, gradient = _window_objective(xbar, log_s, y)
+    return minimize(objective, init, settings or OptimizeSettings(max_iterations=200),
+                    grad=gradient).x
 
 
 def emos_fit(series: StationSeries, window_days: int = 30,

@@ -1,11 +1,12 @@
 """Unconstrained quasi-Newton (BFGS) minimization of mean-score objectives.
 
-The minimizer is deliberately small: central-difference gradients, an
-Armijo backtracking line search, the standard inverse-Hessian BFGS update
-with a curvature guard, and Nocedal's scaling of the initial Hessian after
-the first step.  It only ever *accepts* points that decrease the objective,
-so the returned value is guaranteed <= the starting value, and it returns
-the best point seen so far even when the search breaks down.
+The minimizer is deliberately small: the caller's analytic gradient or
+else central differences, an Armijo backtracking line search, the standard
+inverse-Hessian BFGS update with a curvature guard, and Nocedal's scaling
+of the initial Hessian after the first step.  It only ever *accepts*
+points that decrease the objective, so the returned value is guaranteed
+<= the starting value, and it returns the best point seen so far even when
+the search breaks down.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     ------
     InvalidStart
         If the objective is not finite at ``init``.
+    NumericalFailure
+        If a gradient is not finite (analytic) or cannot be differenced.
     """
     cfg = settings or OptimizeSettings()
     x = np.array(init, dtype=float).ravel()
@@ -113,9 +116,13 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
         raise InvalidStart(f"objective not finite at the starting point ({f0})")
 
     def gradient(v):
-        if grad is not None:
-            return np.asarray(grad(v), dtype=float)
-        return numeric_gradient(fun, v, _scaled_steps(v, cfg.fd_step))
+        if grad is None:
+            return numeric_gradient(fun, v, _scaled_steps(v, cfg.fd_step))
+        g = np.asarray(grad(v), dtype=float)
+        if not np.all(np.isfinite(g)):
+            i = int(np.flatnonzero(~np.isfinite(g))[0])
+            raise NumericalFailure(f"non-finite analytic gradient in component {i}")
+        return g
 
     g = gradient(x)
     h_inv = np.eye(n)

@@ -38,8 +38,19 @@ class GaussianParams:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidInput(f"invalid Gaussian parameters mu={self.mu}, sigma={self.sigma}")
+        check_gaussian_params(self.mu, self.sigma)
+
+
+def check_gaussian_params(mu, sigma) -> None:
+    """Raise InvalidInput unless every mu is finite and every sigma finite and > 0."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        where = "" if bad.ndim == 0 else f" at case {i} of {bad.size}"
+        raise InvalidInput(f"invalid Gaussian parameters mu={mu.flat[i]}, "
+                           f"sigma={sigma.flat[i]}{where}")
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +68,13 @@ def crps_normal_series(mu, sigma, y):
     y = np.asarray(y, dtype=float)
     z = (y - mu) / sigma
     return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _norm_pdf(z) - _INV_SQRT_PI)
+
+
+def crps_normal_gradient(mu, sigma, y):
+    """Closed-form partial derivatives (dCRPS/dmu, dCRPS/dsigma) of
+    ``crps_normal_series``: 1 - 2 Phi(z) and 2 phi(z) - 1/sqrt(pi)."""
+    z = (np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)) / np.asarray(sigma, dtype=float)
+    return 1.0 - 2.0 * ndtr(z), 2.0 * _norm_pdf(z) - _INV_SQRT_PI
 
 
 def crps_normal(g: GaussianParams, y: float) -> float:
@@ -226,12 +244,17 @@ class ScoreSummary:
 
 
 def score_cases(mu, sigma, y, level: float) -> ScoreSample:
-    """Score a batch of Gaussian forecasts against observations."""
+    """Score a batch of Gaussian forecasts against observations.
+
+    Raises InvalidInput when any mu is non-finite or any sigma is not a
+    finite positive number.
+    """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (mu.shape == sigma.shape == y.shape):
         raise InvalidInput("mu, sigma, y must share one shape")
+    check_gaussian_params(mu, sigma)
     if not (0.0 < level < 1.0):
         raise InvalidLevel(f"interval level must lie in (0, 1), got {level}")
     q = ndtri(1.0 - (1.0 - level) / 2.0)

@@ -5,12 +5,19 @@ autocovariances, the Levinson-Durbin recursion for every order up to
 ``max_order``, and AIC on the innovation-variance sequence to pick the
 order.  The process mean is handled explicitly (eta), so the AR equation
 reads  x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
+
+The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
+``ar_teacher_forced``, ``ar_multistep``, ``is_stationary``) work on m
+series at once, given as the columns of an (n, m) array with time running
+down the rows, and on their fits as one ``ARFits``.  A 1-D series with an
+``ARCoeffs`` is the m = 1 case and returns scalars or 1-D arrays.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -41,6 +48,40 @@ class ARCoeffs:
 
 
 @dataclass(frozen=True)
+class ARFits:
+    """AR fits of m series side by side; column i is an AR(p[i]) model.
+
+    ``tau`` is (m, max p) with the lags beyond p[i] set to zero, so every
+    column runs through one recursion: a zero lag adds exactly 0.
+    ``degenerate`` marks the columns that ``fit_ar_yule_walker`` gave the
+    mean-only AR(0) fit because they were constant.
+    """
+
+    p: np.ndarray           # (m,) int
+    eta: np.ndarray         # (m,)
+    tau: np.ndarray         # (m, max p)
+    degenerate: np.ndarray  # (m,) bool
+
+    @classmethod
+    def stack(cls, fits: Sequence[ARCoeffs]) -> ARFits:
+        p = np.array([ar.p for ar in fits], dtype=int)
+        tau = np.zeros((p.size, int(p.max(initial=0))))
+        for row, ar in zip(tau, fits):
+            row[:ar.p] = ar.tau
+        return cls(p, np.array([ar.eta for ar in fits], dtype=float), tau,
+                   np.zeros(p.size, dtype=bool))
+
+    @property
+    def max_p(self) -> int:
+        return self.tau.shape[1]
+
+    def members(self) -> list[ARCoeffs]:
+        """One ARCoeffs per column."""
+        return [ARCoeffs(p=int(p), eta=float(eta), tau=tuple(float(t) for t in row[:p]))
+                for p, eta, row in zip(self.p, self.eta, self.tau)]
+
+
+@dataclass(frozen=True)
 class GARCHCoeffs:
     """GARCH(1,1) coefficients, all non-negative."""
 
@@ -54,19 +95,38 @@ class GARCHCoeffs:
             raise InvalidInput(f"GARCH coefficients must be finite and >= 0, got {vals}")
 
 
-def _centered(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < 2:
+def _as_columns(ar, x):
+    """(fits, (n, m) array, single) for the AR kernels: an ARCoeffs takes a
+    1-D series and is the m = 1 case (single True), an ARFits takes one
+    column per fit."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(ar, ARCoeffs):
+        return ARFits.stack([ar]), x.reshape(-1, 1), True
+    if x.ndim != 2 or x.shape[1] != ar.p.size:
+        raise InvalidInput(f"{ar.p.size} AR fits need an (n, {ar.p.size}) array, "
+                           f"got shape {x.shape}")
+    return ar, x, False
+
+
+def _centered_columns(x: np.ndarray):
+    """Column-centred copy of an (n, m) array and the mask of its constant
+    columns."""
+    if x.shape[0] < 2:
         raise DegenerateSeries("need at least 2 observations")
-    mean = x.mean()
+    mean = x.mean(axis=0)
     c = x - mean
     if not np.all(np.isfinite(c)):
         raise InvalidInput("series contains non-finite values")
     # relative floor catches constant series despite summation rounding
-    floor = x.size * (1e-12 * (1.0 + abs(mean))) ** 2
-    if float(c @ c) <= floor:
+    floor = x.shape[0] * (1e-12 * (1.0 + np.abs(mean))) ** 2
+    return c, np.einsum("ij,ij->j", c, c) <= floor
+
+
+def _centered(x) -> np.ndarray:
+    c, constant = _centered_columns(np.asarray(x, dtype=float).reshape(-1, 1))
+    if constant[0]:
         raise DegenerateSeries("constant series has no autocorrelation structure")
-    return c
+    return c[:, 0]
 
 
 def acf(x, max_lag: int) -> np.ndarray:
@@ -84,74 +144,127 @@ def acf(x, max_lag: int) -> np.ndarray:
 
 
 def _levinson_durbin(gamma: np.ndarray):
-    """All-order Yule-Walker solutions from autocovariances gamma_0..gamma_p.
+    """All-order Yule-Walker solutions from autocovariances gamma_0..gamma_p,
+    one column of ``gamma`` per series.
 
-    Returns (coeffs, variances): coeffs[k] is the tau vector of the order-k
-    model, variances[k] the corresponding innovation-variance estimate
-    (variances[0] = gamma_0).
+    Returns (coeffs, variances): coeffs[k] is the (k, m) array of order-k
+    tau vectors, variances[k] the corresponding innovation-variance
+    estimates (variances[0] = gamma_0).
     """
-    max_order = gamma.size - 1
-    coeffs = [np.empty(0)]
+    coeffs = [np.empty((0, gamma.shape[1]))]
     variances = [gamma[0]]
-    phi = np.empty(0)
+    phi = coeffs[0]
     v = gamma[0]
-    for k in range(1, max_order + 1):
-        acc = gamma[k] - (phi @ gamma[k - 1:0:-1] if k > 1 else 0.0)
-        kappa = acc / v
-        phi_new = np.empty(k)
-        phi_new[k - 1] = kappa
-        if k > 1:
-            phi_new[: k - 1] = phi - kappa * phi[::-1]
+    for k in range(1, gamma.shape[0]):
+        kappa = (gamma[k] - np.einsum("jm,jm->m", phi, gamma[k - 1:0:-1])) / v
+        phi = np.vstack([phi - kappa * phi[::-1], kappa])
         v = v * (1.0 - kappa * kappa)
-        phi = phi_new
-        coeffs.append(phi.copy())
+        coeffs.append(phi)
         variances.append(v)
     return coeffs, np.asarray(variances)
 
 
-def fit_ar_yule_walker(x, max_order: int | None = None) -> ARCoeffs:
-    """Fit an AR(p) model with the order chosen by AIC over 0..max_order.
+def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = False):
+    """Fit AR(p) models with the order chosen by AIC over 0..max_order.
 
-    eta is the sample mean; tau comes from the Levinson-Durbin recursion at
-    the selected order.  Default max_order = min(20, floor(10 log10 n)),
-    additionally capped at n - 2.
+    ``x`` is one series (returns an ARCoeffs) or the columns of an (n, m)
+    array (returns an ARFits).  eta is the sample mean; tau comes from the
+    Levinson-Durbin recursion at the selected order.  Default max_order =
+    min(20, floor(10 log10 n)), additionally capped at n - 2.
+
+    A constant series raises DegenerateSeries, unless ``mean_fallback``
+    is set: then it gets the AR(0) fit at its mean and is flagged in
+    ``ARFits.degenerate``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
+    x = np.asarray(x, dtype=float)
+    single = x.ndim != 2
+    cols = x.reshape(-1, 1) if single else x
+    n = cols.shape[0]
     if max_order is None:
         max_order = min(20, int(np.floor(10.0 * np.log10(max(n, 2)))))
     max_order = max(0, min(max_order, n - 2))
     if n <= max_order + 1:
         raise InvalidInput(f"series of length {n} too short for max_order {max_order}")
-    c = _centered(x)
-    gamma = np.array([float(c @ c)] + [float(c[k:] @ c[:-k]) for k in range(1, max_order + 1)]) / n
+    c, degenerate = _centered_columns(cols)
+    if degenerate.any() and not mean_fallback:
+        where = "" if single else f" (columns {np.flatnonzero(degenerate).tolist()})"
+        raise DegenerateSeries(f"constant series has no autocorrelation structure{where}")
+    gamma = np.array([np.einsum("ij,ij->j", c[k:], c[:n - k])
+                      for k in range(max_order + 1)]) / n
+    gamma[:, degenerate] = 0.0
+    gamma[0, degenerate] = 1.0  # white noise: Levinson-Durbin picks order 0
     coeffs, variances = _levinson_durbin(gamma)
-    variances = np.maximum(variances, 1e-300)
-    aic = n * np.log(variances) + 2.0 * np.arange(max_order + 1)
-    p = int(np.argmin(aic))
-    return ARCoeffs(p=p, eta=float(x.mean()), tau=tuple(float(t) for t in coeffs[p]))
+    aic = n * np.log(np.maximum(variances, 1e-300)) + 2.0 * np.arange(max_order + 1)[:, None]
+    p = np.argmin(aic, axis=0)
+    tau = np.zeros((p.size, int(p.max())))
+    for order in np.unique(p[p > 0]):
+        tau[p == order, :order] = coeffs[order][:, p == order].T
+    fits = ARFits(p, cols.mean(axis=0), tau, degenerate)
+    return fits.members()[0] if single else fits
 
 
-def ar_innovation_variance(x, ar: ARCoeffs) -> float:
-    """Mean squared one-step prediction error of ``ar`` on the series itself."""
-    x = np.asarray(x, dtype=float).ravel()
-    if ar.p == 0:
-        return float(np.mean(np.square(x - ar.eta)))
-    if x.size <= ar.p:
-        raise HistoryTooShort(f"series of length {x.size} cannot score an AR({ar.p})")
-    pred = np.full(x.size - ar.p, ar.eta)
-    for j, t in enumerate(ar.tau, start=1):
-        pred += t * (x[ar.p - j: x.size - j] - ar.eta)
-    return float(np.mean(np.square(x[ar.p:] - pred)))
+def _teacher_forced(fits: ARFits, x: np.ndarray, start: int) -> np.ndarray:
+    """Rows start.. of eta + sum_j tau_j (x[t-j] - eta); lags before row 0
+    are left out."""
+    pred = np.repeat(fits.eta[None, :], x.shape[0] - start, axis=0)
+    for j in range(1, fits.max_p + 1):
+        first = max(start, j)
+        pred[first - start:] += fits.tau[:, j - 1] * (x[first - j: x.shape[0] - j] - fits.eta)
+    return pred
 
 
-def is_stationary(tau) -> bool:
-    """True when all roots of 1 - tau_1 z - ... - tau_p z^p lie outside the unit circle."""
-    tau = np.asarray(tau, dtype=float).ravel()
-    if tau.size == 0:
-        return True
-    roots = np.roots(np.concatenate([-tau[::-1], [1.0]]))
-    return bool(np.all(np.abs(roots) > 1.0))
+def ar_teacher_forced(ar, x, start: int) -> np.ndarray:
+    """Teacher-forced one-step predictions of rows start..n-1 of ``x``, each
+    from the observed rows before it; needs start >= p."""
+    fits, cols, single = _as_columns(ar, x)
+    if start < fits.max_p:
+        raise HistoryTooShort(f"AR({fits.max_p}) predictions need start >= {fits.max_p}, "
+                              f"got {start}")
+    pred = _teacher_forced(fits, cols, start)
+    return pred[:, 0] if single else pred
+
+
+def ar_innovation_variance(x, ar):
+    """Mean squared one-step prediction error of each fit on its own series,
+    over the rows t >= p that have p predecessors."""
+    fits, cols, single = _as_columns(ar, x)
+    n = cols.shape[0]
+    if np.any((fits.p > 0) & (n <= fits.p)):
+        raise HistoryTooShort(f"series of length {n} cannot score an AR({fits.max_p})")
+    sq = np.square(cols - _teacher_forced(fits, cols, 0))
+    sq[np.arange(n)[:, None] < fits.p] = 0.0
+    out = sq.sum(axis=0) / (n - fits.p)
+    return float(out[0]) if single else out
+
+
+def is_stationary(tau):
+    """True when all roots of 1 - tau_1 z - ... - tau_p z^p lie outside the unit circle.
+
+    ``tau`` is one lag vector (returns a bool) or an (m, p) stack of them
+    (returns an (m,) bool array).  The roots' reciprocals are the
+    eigenvalues of the companion matrix, so it checks those lie inside.
+    """
+    tau = np.asarray(tau, dtype=float)
+    single = tau.ndim != 2
+    stack = tau.reshape(1, -1) if single else tau
+    m, p = stack.shape
+    if p == 0:
+        out = np.ones(m, dtype=bool)
+    else:
+        companion = np.zeros((m, p, p))
+        companion[:, 0, :] = stack
+        companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+        out = np.all(np.abs(np.linalg.eigvals(companion)) < 1.0, axis=1)
+    return bool(out[0]) if single else out
+
+
+def _ar_next(fits: ARFits, window: np.ndarray) -> np.ndarray:
+    """eta + sum_j tau_j (window[-j] - eta) per column; ``window`` holds the
+    last max p rows, newest last."""
+    acc = fits.eta.copy()
+    for j in range(1, fits.max_p + 1):
+        acc += fits.tau[:, j - 1] * (window[-j] - fits.eta)
+    return acc
 
 
 def ar_one_step(ar: ARCoeffs, history) -> float:
@@ -159,32 +272,36 @@ def ar_one_step(ar: ARCoeffs, history) -> float:
 
     ``history`` is ordered oldest to newest and must provide at least p values.
     """
-    hist = np.asarray(history, dtype=float).ravel()
-    if hist.size < ar.p:
-        raise HistoryTooShort(f"AR({ar.p}) needs {ar.p} past values, got {hist.size}")
-    acc = ar.eta
-    for j, t in enumerate(ar.tau, start=1):
-        acc += t * (hist[-j] - ar.eta)
-    return float(acc)
+    fits, hist, _ = _as_columns(ar, history)
+    if hist.shape[0] < ar.p:
+        raise HistoryTooShort(f"AR({ar.p}) needs {ar.p} past values, got {hist.shape[0]}")
+    return float(_ar_next(fits, hist[hist.shape[0] - ar.p:])[0])
 
 
-def ar_multistep(ar: ARCoeffs, history, steps: int) -> np.ndarray:
+def ar_multistep(ar, history, steps: int) -> np.ndarray:
     """Iterated AR predictions, appending each prediction to the history.
 
     Used whenever the lead time leaves the most recent residuals
-    unobserved.  Emits a warning for nonstationary tau, where the recursion
-    can diverge.
+    unobserved.  Only the last p rows of ``history`` are read.  Returns
+    (steps,) for one series and (steps, m) for m columns.  Emits one
+    warning when any tau is nonstationary, where the recursion can diverge.
     """
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
-    if not is_stationary(ar.tau):
-        warnings.warn("multi-step prediction with nonstationary AR coefficients", stacklevel=2)
-    hist = list(np.asarray(history, dtype=float).ravel())
-    out = np.empty(steps)
+    fits, hist, single = _as_columns(ar, history)
+    p = fits.max_p
+    if hist.shape[0] < p:
+        raise HistoryTooShort(f"AR({p}) needs {p} past values, got {hist.shape[0]}")
+    stationary = is_stationary(fits.tau)
+    if not np.all(stationary):
+        where = "" if single else f" (columns {np.flatnonzero(~stationary).tolist()})"
+        warnings.warn(f"multi-step prediction with nonstationary AR coefficients{where}",
+                      stacklevel=2)
+    buf = np.empty((p + steps, fits.p.size))
+    buf[:p] = hist[hist.shape[0] - p:]
     for i in range(steps):
-        out[i] = ar_one_step(ar, hist)
-        hist.append(out[i])
-    return out
+        buf[p + i] = _ar_next(fits, buf[i:p + i])
+    return buf[p:, 0] if single else buf[p:]
 
 
 # ---------------------------------------------------------------------------

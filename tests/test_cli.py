@@ -151,3 +151,71 @@ def test_disjoint_ranges_enforced(tmp_path):
     assert run("fit", "--data", tmp_path, "--out", tmp_path / "f",
                "--train-start", "2015-01-01", "--train-end", "2016-01-01",
                "--valid-start", "2015-06-01", "--valid-end", "2016-06-01") == 2
+
+
+def _assert_one_error_line(capsys, kind):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error[") == 1
+    assert err.startswith(f"error[{kind}]:")
+
+
+@pytest.mark.parametrize("cfg_text, flags", [
+    (None, ("--lead", "abc")),
+    (None, ("--lead", "24,x")),
+    ("seed = abc\n", ()),
+    ("n_days = 1.5\n", ()),
+    ("ens_bias = high\n", ()),
+    ("leads = 24,abc\n", ()),
+])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, cfg_text, flags):
+    args = ["simulate", "--out", tmp_path / "sim", *flags]
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        args += ["--config", cfg]
+    assert run(*args) == 2
+    _assert_one_error_line(capsys, "config")
+    assert not (tmp_path / "sim").exists()
+
+
+def test_station_file_with_bad_lead_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "station_S01_xxh.csv").write_text("date,obs\n")
+    assert run("fit", "--data", data, "--out", tmp_path / "fits",
+               "--train-start", "2015-01-01", "--train-end", "2016-01-01") == 3
+    _assert_one_error_line(capsys, "data")
+
+
+def _edited_predictions(pipeline, tmp_path, column, value):
+    """A copy of the shared run's predictions.csv with one field of its
+    first data row replaced."""
+    with open(pipeline / "preds" / "predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    target = tmp_path / "predictions.csv"
+    with open(target, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return target
+
+
+@pytest.mark.parametrize("column, value", [
+    ("lead_time_h", "24h"), ("mu", "abc"), ("sigma", ""), ("date", "2017-13-45")])
+def test_unparsable_prediction_row_is_data_error(pipeline, tmp_path, capsys, column, value):
+    preds = _edited_predictions(pipeline, tmp_path, column, value)
+    ver = tmp_path / "ver"
+    assert run("verify", "--data", pipeline / "data", "--predictions", preds,
+               "--out", ver, "--lead", "24") == 3
+    _assert_one_error_line(capsys, "data")
+    assert not any(ver.iterdir())
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan"])
+def test_invalid_predictive_sigma_is_data_error(pipeline, tmp_path, capsys, sigma):
+    preds = _edited_predictions(pipeline, tmp_path, "sigma", sigma)
+    ver = tmp_path / "ver"
+    assert run("verify", "--data", pipeline / "data", "--predictions", preds,
+               "--out", ver, "--lead", "24") == 3
+    _assert_one_error_line(capsys, "data")
+    assert not any(ver.iterdir())  # rejected before any output is written

@@ -7,13 +7,14 @@ from enspost import models
 from enspost.data import StationSeries, SyntheticConfig, generate_synthetic, time_index
 from enspost.errors import InsufficientHistory, InvalidInput
 from enspost.models import FittedModel
+from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _estimate_at
-from enspost.models.emos import emos_fit_window
+from enspost.models.emos import _RIDGE, _window_objective, emos_fit_window
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
 from enspost.optimize import numeric_gradient
 from enspost.scoring import crps_ensemble, crps_normal_series
 from enspost.seasonal import SeasonalCoeffs, seasonal_design
-from enspost.timeseries import ARCoeffs, GARCHCoeffs, ljung_box
+from enspost.timeseries import ARCoeffs, ARFits, GARCHCoeffs, ljung_box
 
 from conftest import make_series
 
@@ -80,6 +81,24 @@ def test_emos_predict_positive_sigma_and_insufficient_history(rng):
         models.predict(model, series, [series.dates[10]])
 
 
+@pytest.mark.parametrize("sd_spread, ridge", [(0.4, 0.0), (1e-6, _RIDGE)])
+def test_emos_window_gradient_matches_finite_differences(rng, sd_spread, ridge):
+    # sd_spread 1e-6: log s is near-constant, so the ridge term is on
+    n = 30
+    xbar = 10 + 3 * rng.standard_normal(n)
+    log_s = np.log(1.3 + sd_spread * rng.random(n))
+    y = xbar + rng.standard_normal(n)
+    objective, gradient = _window_objective(xbar, log_s, y)
+    for _ in range(10):
+        # |theta_i| >= 1 keeps the ridge part 2e-8 theta above the 5e-9 tolerance
+        theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
+        crps = np.mean(crps_normal_series(theta[0] + theta[1] * xbar,
+                                          np.exp(theta[2] + theta[3] * log_s), y))
+        assert objective(theta) == pytest.approx(crps + ridge * theta @ theta, abs=1e-15)
+        numeric = numeric_gradient(objective, theta, 1e-6 * (1 + np.abs(theta)))
+        assert np.all(np.abs(gradient(theta) - numeric) <= 5e-9)
+
+
 # ---------------------------------------------------------------------------
 # AR-EMOS
 # ---------------------------------------------------------------------------
@@ -117,6 +136,52 @@ def test_ar_emos_degenerate_member_falls_back(rng, caplog):
     fits, _, _ = _estimate_at(series, n, 90, 30)
     adjusted = _adjusted_ensemble(series, fits, n - 1, n - 1)
     assert np.allclose(adjusted, y[n - 1], atol=1e-10)
+
+
+def test_ar_emos_degenerate_column_warning_names_member(rng, caplog):
+    n = 150
+    y = rng.normal(size=n)
+    members = y[:, None] + rng.standard_normal((n, 4))
+    members[:, 2] = y + 0.5  # member 3's errors are constant
+    series = make_series(y, members=members)
+    with caplog.at_level("WARNING"):
+        fits, _, _ = _estimate_at(series, n, 90, 30)
+    assert "member 3 error series degenerate" in caplog.text
+    assert caplog.text.count("degenerate") == 1
+    assert fits.degenerate.tolist() == [False, False, True, False]
+    assert fits.p[2] == 0 and fits.eta[2] == pytest.approx(-0.5)
+
+
+def test_ar_emos_short_history_padded_with_eta(rng):
+    n = 12
+    series = make_series(rng.normal(size=n), rng=rng, m=3)
+    member_fits = [ARCoeffs(0, 0.3, ()), ARCoeffs(1, -0.1, (0.5,)),
+                   ARCoeffs(4, 0.2, (0.3, -0.2, 0.1, 0.05))]
+    h, i = 2, 5  # two observed errors, four unobservable days
+    got = _adjusted_ensemble(series, ARFits.stack(member_fits), h, i)
+    for mi, ar in enumerate(member_fits):
+        work = [ar.eta] * max(ar.p - h, 0) + list(series.obs[:h] - series.members[:h, mi])
+        for _ in range(i - h + 1):
+            work.append(ar.eta + sum(t * (work[-j] - ar.eta)
+                                     for j, t in enumerate(ar.tau, start=1)))
+        assert got[mi] == pytest.approx(series.members[i, mi] + work[-1], abs=1e-12)
+
+
+def test_ar_emos_fits_all_members_once_per_date(rng, monkeypatch):
+    n = 200
+    series = make_series(rng.normal(size=n), rng=rng, m=6)
+    model = models.fit("AR-EMOS", series.window(end=series.dates[149]))
+    calls = []
+    real = ar_emos.fit_ar_yule_walker
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ar_emos, "fit_ar_yule_walker", counting)
+    dates = series.dates[150:162]
+    models.predict(model, series, dates)
+    assert calls == [(90, 6)] * dates.size
 
 
 def test_ar_emos_beats_raw_on_ar1_member_errors(rng):

@@ -120,3 +120,9 @@ def test_settings_validation():
         OptimizeSettings(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizeSettings(gradient_tolerance=-1.0)
+
+
+def test_nonfinite_analytic_gradient_raises():
+    with pytest.raises(NumericalFailure, match="component 1"):
+        minimize(lambda x: float(x @ x), np.ones(2),
+                 grad=lambda x: np.array([2.0 * x[0], np.nan]))

@@ -4,6 +4,7 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import chisquare, kstest
 
 from enspost.errors import EmptyInput, InvalidInput, InvalidLevel, InvalidReference
+from enspost.optimize import numeric_gradient
 from enspost.scoring import (
     GaussianParams,
     ScoreSample,
@@ -11,6 +12,8 @@ from enspost.scoring import (
     crps_ensemble,
     crps_integral,
     crps_normal,
+    crps_normal_gradient,
+    crps_normal_series,
     crpss,
     logs_normal,
     m_member_level,
@@ -273,3 +276,23 @@ def test_gaussian_params_validation():
         GaussianParams(0.0, 0.0)
     with pytest.raises(InvalidInput):
         GaussianParams(np.nan, 1.0)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    (0.0, -1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, 0.0)])
+def test_score_cases_rejects_invalid_parameters(mu, sigma):
+    with pytest.raises(InvalidInput, match="case 1 of 3"):
+        score_cases([0.0, mu, 1.0], [1.0, sigma, 2.0], [0.5, 0.5, 0.5], level=0.9)
+
+
+def test_crps_gradient_matches_finite_differences():
+    rng = np.random.default_rng(77)
+    worst = 0.0
+    for _ in range(50):
+        mu, sigma, y = rng.normal(), rng.uniform(0.3, 3.0), rng.normal(scale=2.0)
+        analytic = crps_normal_gradient(mu, sigma, y)
+        numeric = numeric_gradient(lambda v: float(crps_normal_series(v[0], v[1], y)),
+                                   np.array([mu, sigma]), 1e-6 * (1 + np.abs([mu, sigma])))
+        for num, ana in zip(numeric, analytic):
+            worst = max(worst, abs(num - ana) / max(abs(ana), 1e-2))
+    assert worst <= 1e-5

@@ -4,11 +4,13 @@ import pytest
 from enspost.errors import DegenerateSeries, HistoryTooShort, InvalidInput
 from enspost.timeseries import (
     ARCoeffs,
+    ARFits,
     GARCHCoeffs,
     acf,
     ar_innovation_variance,
     ar_multistep,
     ar_one_step,
+    ar_teacher_forced,
     chi2_sf,
     fit_ar_yule_walker,
     fit_garch,
@@ -110,6 +112,118 @@ def test_levinson_durbin_ar1_equals_rho1(rng):
 def test_fit_ar_degenerate_rejected():
     with pytest.raises(DegenerateSeries):
         fit_ar_yule_walker(np.ones(500))
+
+
+# ---------------------------------------------------------------------------
+# column (n, m) kernels against a per-column reference loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_yule_walker(x, max_order):
+    """Scalar Levinson-Durbin with AIC order selection, one series."""
+    n = x.size
+    c = x - x.mean()
+    gamma = [float(np.dot(c[k:], c[:n - k])) / n for k in range(max_order + 1)]
+    best_aic, best = n * np.log(gamma[0]), ()
+    phi, v = [], gamma[0]
+    for k in range(1, max_order + 1):
+        kappa = (gamma[k] - sum(phi[j] * gamma[k - 1 - j] for j in range(k - 1))) / v
+        phi = [phi[j] - kappa * phi[k - 2 - j] for j in range(k - 1)] + [kappa]
+        v *= 1.0 - kappa * kappa
+        aic = n * np.log(v) + 2.0 * k
+        if aic < best_aic:
+            best_aic, best = aic, tuple(phi)
+    return len(best), float(x.mean()), best
+
+
+def _reference_innovation_variance(x, ar):
+    if ar.p == 0:
+        return float(np.mean((x - ar.eta) ** 2))
+    pred = [ar.eta + sum(ar.tau[j - 1] * (x[t - j] - ar.eta) for j in range(1, ar.p + 1))
+            for t in range(ar.p, x.size)]
+    return float(np.mean((x[ar.p:] - np.array(pred)) ** 2))
+
+
+def _reference_multistep(ar, history, steps):
+    work = list(history)
+    for _ in range(steps):
+        acc = ar.eta
+        for j, t in enumerate(ar.tau, start=1):
+            acc += t * (work[-j] - ar.eta)
+        work.append(acc)
+    return np.array(work[len(history):])
+
+
+MIXED_FITS = [ARCoeffs(0, 0.4, ()), ARCoeffs(1, -0.2, (0.6,)),
+              ARCoeffs(3, 1.1, (0.4, -0.2, 0.1)), ARCoeffs(2, 0.0, (0.5, 0.3))]
+
+
+def test_yule_walker_columns_match_reference_loop():
+    rng = np.random.default_rng(31)
+    n = 90
+    cols = [rng.normal(size=n), simulate_ar(0.8, n, rng, eta=1.0),
+            simulate_ar([0.6, -0.5], n, rng), simulate_ar([0.3, 0.2, 0.45], n, rng),
+            np.full(n, 2.5)]
+    x = np.column_stack(cols)
+    with pytest.raises(DegenerateSeries, match="columns \\[4\\]"):
+        fit_ar_yule_walker(x, 5)
+    fits = fit_ar_yule_walker(x, 5, mean_fallback=True)
+    assert fits.degenerate.tolist() == [False, False, False, False, True]
+    for i, col in enumerate(cols[:4]):
+        p, eta, tau = _reference_yule_walker(col, 5)
+        got = fits.members()[i]
+        assert got.p == p
+        assert got.eta == pytest.approx(eta, rel=1e-12)
+        assert got.tau == pytest.approx(tau, rel=1e-10)
+        # the 1-D call is the m = 1 case of the same kernel
+        single = fit_ar_yule_walker(col, 5)
+        assert single.p == got.p and single.eta == pytest.approx(got.eta, rel=1e-12)
+        assert single.tau == pytest.approx(got.tau, rel=1e-12)
+    assert 0 in fits.p[:4] and len(set(fits.p.tolist())) >= 3  # mixed orders
+    assert fits.p[4] == 0 and fits.eta[4] == pytest.approx(2.5)
+
+
+def test_innovation_variance_and_teacher_forcing_columns_match_reference(rng):
+    fits = ARFits.stack(MIXED_FITS)
+    x = rng.normal(size=(40, len(MIXED_FITS)))
+    got = ar_innovation_variance(x, fits)
+    pred = ar_teacher_forced(fits, x, 30)
+    for i, ar in enumerate(MIXED_FITS):
+        assert got[i] == pytest.approx(_reference_innovation_variance(x[:, i], ar), rel=1e-12)
+        assert ar_innovation_variance(x[:, i], ar) == pytest.approx(got[i], rel=1e-12)
+        expected = [ar_one_step(ar, x[:t, i]) for t in range(30, 40)]
+        assert np.array_equal(pred[:, i], expected)
+    with pytest.raises(HistoryTooShort):
+        ar_teacher_forced(fits, x, 2)
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_multistep_columns_match_reference_loop(rng, steps):
+    fits = ARFits.stack(MIXED_FITS)
+    history = rng.normal(size=(7, len(MIXED_FITS)))
+    got = ar_multistep(fits, history, steps)
+    assert got.shape == (steps, len(MIXED_FITS))
+    for i, ar in enumerate(MIXED_FITS):
+        assert np.array_equal(got[:, i], _reference_multistep(ar, history[:, i], steps))
+    # only the last max-p rows are read
+    assert np.array_equal(ar_multistep(fits, history[-3:], steps), got)
+    with pytest.raises(HistoryTooShort):
+        ar_multistep(fits, history[-2:], steps)
+
+
+def test_is_stationary_stack_matches_roots(rng):
+    stack = rng.uniform(-0.9, 0.9, size=(200, 3))
+    expected = [bool(np.all(np.abs(np.roots(np.r_[-row[::-1], 1.0])) > 1.0)) for row in stack]
+    assert is_stationary(stack).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_multistep_columns_warn_once_naming_nonstationary_columns():
+    fits = ARFits.stack([ARCoeffs(1, 0.0, (0.5,)), ARCoeffs(1, 0.0, (1.2,)),
+                         ARCoeffs(0, 0.0, ())])
+    with pytest.warns(UserWarning, match="columns \\[1\\]") as record:
+        ar_multistep(fits, np.ones((1, 3)), 3)
+    assert len(record) == 1
 
 
 # ---------------------------------------------------------------------------
