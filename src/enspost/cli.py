@@ -33,7 +33,7 @@ from .errors import (
     InvalidInput,
     NumericError,
 )
-from .models import MODEL_KINDS, SEASONAL_KINDS, FittedModel
+from .models import MODEL_KINDS, SEASONAL_KINDS, FittedModel, training_residuals
 from .optimize import OptimizeSettings
 from .scoring import crps_ensemble, m_member_level, score_cases
 from .seasonal import SeasonalCoeffs
@@ -495,30 +495,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     print(f"verify: wrote scores, DM matrix and PIT summary to {out}")
     return 0
-
-
-def training_residuals(model: FittedModel, train_series) -> np.ndarray:
-    """Standardized one-step training innovations of a static fit,
-    recomputed from the stored coefficients."""
-    from .models.semos import _evaluate  # local import avoids a cycle
-    from .data import time_index
-    from .seasonal import seasonal_design
-
-    if model.kind not in SEASONAL_KINDS:
-        raise DataError(f"{model.kind} does not expose training residuals")
-    t = time_index(train_series.dates, model.meta["origin"])
-    x_loc = seasonal_design(t, train_series.ens_mean)
-    x_scale = seasonal_design(t, train_series.ens_sd)
-    pieces = [model.loc, model.scale]
-    p = 0
-    if model.ar is not None:
-        p = model.ar.p
-        pieces.append(np.array([model.ar.eta, *model.ar.tau]))
-    if model.garch is not None:
-        pieces.append(np.sqrt([model.garch.omega0, model.garch.omega1, model.garch.omega2]))
-    theta = np.concatenate(pieces)
-    mu, sigma, start = _evaluate(model.kind, theta, p, x_loc, x_scale, train_series.obs)
-    return (train_series.obs[start:] - mu) / sigma
 
 
 # ---------------------------------------------------------------------------

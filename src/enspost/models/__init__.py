@@ -12,14 +12,11 @@ from .emos import emos_fit, emos_fit_window, emos_predict
 from .ar_emos import ar_emos_fit, ar_emos_predict
 from .semos import (
     dar_garch_semos_fit,
-    dar_garch_semos_predict,
     dar_semos_fit,
-    dar_semos_predict,
     empirical_sd_by_day_of_year,
     sar_semos_fit,
-    sar_semos_predict,
     semos_fit,
-    semos_predict,
+    training_residuals,
 )
 
 __all__ = [
@@ -35,12 +32,9 @@ __all__ = [
     "ar_emos_fit",
     "ar_emos_predict",
     "semos_fit",
-    "semos_predict",
     "dar_semos_fit",
-    "dar_semos_predict",
     "dar_garch_semos_fit",
-    "dar_garch_semos_predict",
     "sar_semos_fit",
-    "sar_semos_predict",
     "empirical_sd_by_day_of_year",
+    "training_residuals",
 ]

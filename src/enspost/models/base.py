@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data import StationSeries, lead_time_offset, time_index
 from ..errors import InvalidInput
-from ..seasonal import SeasonalCoeffs
+from ..seasonal import N_COEFFS, SeasonalCoeffs
 from ..timeseries import ARCoeffs, GARCHCoeffs
 
 MODEL_KINDS = ("EMOS", "AR-EMOS", "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
@@ -117,8 +117,20 @@ class FittedModel:
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a fit file; a truncated or malformed one raises InvalidInput
+        naming the file."""
+        try:
+            with open(path) as fh:
+                model = cls.from_dict(json.load(fh))
+            if "origin" not in model.meta:
+                raise ValueError("meta lacks the origin date")
+            if model.kind in SEASONAL_KINDS and not (
+                    np.shape(model.loc) == np.shape(model.scale) == (N_COEFFS,)):
+                raise ValueError(f"seasonal loc and scale need {N_COEFFS} coefficients each")
+        except (InvalidInput, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise InvalidInput(f"malformed fitted model {path}: "
+                               f"{type(exc).__name__}: {exc}") from exc
+        return model
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,14 @@ residual recursion stacked on top:
 
 During fitting the AR recursions are teacher forced (observed residual
 histories); the first p training days carry no prediction and are dropped
-from the objective.  During prediction, residuals of the k most recent
-days (lead-time offset) are unobservable and are bridged with the
-multi-step AR recursion; the GARCH recursion bridges them with its
-conditional-expectation update.
+from the objective.  The BFGS fit uses the exact gradient of the mean
+training CRPS: the reverse-mode adjoint of the same forward pass that
+computes (mu, sigma), through the teacher-forced AR, the GARCH variance
+path and the seasonal predictors.
+
+During prediction, residuals of the k most recent days (lead-time offset)
+are unobservable and are bridged with the multi-step AR recursion; the
+GARCH recursion bridges them with its conditional-expectation update.
 """
 
 from __future__ import annotations
@@ -25,15 +29,24 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..data import StationSeries, day_of_year, time_index
 from ..errors import DegenerateSeries, InsufficientHistory, InvalidInput, NumericalFailure
 from ..optimize import OptimizeSettings, minimize
-from ..scoring import crps_normal_series
+from ..scoring import crps_normal_gradient, crps_normal_series
 from ..seasonal import N_COEFFS, seasonal_design
-from ..timeseries import ARCoeffs, GARCHCoeffs, ar_multistep, fit_ar_yule_walker, fit_garch
-from .base import FittedModel, PredictionContext, register
+from ..timeseries import (
+    ARCoeffs,
+    GARCHCoeffs,
+    ar_multistep,
+    ar_teacher_forced,
+    ar_teacher_forced_adjoint,
+    fit_ar_yule_walker,
+    fit_garch,
+    garch_path,
+    garch_path_adjoint,
+)
+from .base import SEASONAL_KINDS, FittedModel, PredictionContext, register
 
 logger = logging.getLogger(__name__)
 
@@ -87,16 +100,6 @@ def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     return out
 
 
-def _teacher_forced_ar(values: np.ndarray, eta: float, tau: np.ndarray) -> np.ndarray:
-    """One-step AR predictions for indices p..n-1 using observed history."""
-    p = tau.size
-    n = values.size
-    pred = np.full(n - p, eta)
-    for j in range(1, p + 1):
-        pred += tau[j - 1] * (values[p - j: n - j] - eta)
-    return pred
-
-
 def _garch_path(w: np.ndarray, rho_sq: np.ndarray) -> np.ndarray:
     """GARCH variance path sigma_G^2 aligned with rho_sq.
 
@@ -108,12 +111,20 @@ def _garch_path(w: np.ndarray, rho_sq: np.ndarray) -> np.ndarray:
     init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
     if not init > 0:
         init = 1.0
-    out = np.empty(rho_sq.size)
-    out[0] = init
-    if rho_sq.size > 1:
-        drive = w[0] + w[2] * rho_sq[:-1]
-        out[1:] = lfilter([1.0], [1.0, -w[1]], drive, zi=np.array([w[1] * init]))[0]
-    return out
+    return garch_path(w, rho_sq, init)
+
+
+def _garch_path_adjoint(w, rho_sq, path, d_path) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse-mode derivative of ``_garch_path``: (d_w, d_rho_sq) from the
+    adjoint ``d_path`` of its output ``path``, including the start value's
+    floored denominator; the init <= 0 -> 1.0 branch has zero derivative."""
+    d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, path, d_path)
+    denom = 1.0 - w[1] - w[2]
+    if w[0] > 0:  # path[0] = omega0 / max(denom, 1e-3)
+        d_w[0] += d_init / max(denom, 1e-3)
+        if denom > 1e-3:
+            d_w[1:] += d_init * path[0] / denom
+    return d_w, d_rho_sq
 
 
 def _ar_forecast(ar: ARCoeffs, history: np.ndarray, steps: int) -> float:
@@ -127,53 +138,132 @@ def _ar_forecast(ar: ARCoeffs, history: np.ndarray, steps: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# training evaluation (one code path used by objective, residuals and CRPS)
+# theta layout and training evaluation (one forward pass used by objective,
+# gradient, residuals and CRPS)
 # ---------------------------------------------------------------------------
+
+
+def _pack(loc, scale, ar: ARCoeffs | None = None,
+          garch: GARCHCoeffs | None = None) -> np.ndarray:
+    """theta = (loc, scale, eta, tau, sqrt omega), the vector the joint fit
+    optimizes; GARCH coefficients are carried as square roots so they stay
+    non-negative."""
+    pieces = [loc, scale]
+    if ar is not None:
+        pieces.append(np.array([ar.eta, *ar.tau]))
+    if garch is not None:
+        pieces.append(np.sqrt([garch.omega0, garch.omega1, garch.omega2]))
+    return np.concatenate(pieces)
+
+
+def _unpack(theta: np.ndarray, p: int):
+    """(loc, scale, ar, root_w) of theta: ar is None when theta carries no AR
+    block, root_w holds the GARCH square roots (empty without GARCH)."""
+    ar = None
+    if theta.size > 2 * N_COEFFS:
+        ar = ARCoeffs(p=p, eta=float(theta[2 * N_COEFFS]),
+                      tau=tuple(theta[2 * N_COEFFS + 1: 2 * N_COEFFS + 1 + p].tolist()))
+    return theta[:N_COEFFS], theta[N_COEFFS:2 * N_COEFFS], ar, theta[2 * N_COEFFS + 1 + p:]
 
 
 def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
               x_scale: np.ndarray, y: np.ndarray):
     """Per-day (mu, sigma) of the model over the training period.
 
-    Returns (mu, sigma, start) where start = p is the first day carrying a
-    prediction.  GARCH coefficients inside theta are square roots.
+    Returns (mu, sigma, start, pullback): start = p is the first day
+    carrying a prediction, and pullback(d_mu, d_sigma) maps the adjoints of
+    mu and sigma to the gradient in theta, in reverse mode through this
+    same pass.
     """
-    c_loc = theta[:N_COEFFS]
-    c_scale = theta[N_COEFFS:2 * N_COEFFS]
-    mu_s = x_loc @ c_loc
-    sigma_s = np.exp(x_scale @ c_scale)
+    loc, scale, ar, root_w = _unpack(theta, p)
+    mu_s = x_loc @ loc
+    sigma_s = np.exp(x_scale @ scale)
+
+    def seasonal_pullback(d_mu_s, d_sigma_s, *tail):
+        # d sigma_s / d scale = sigma_s * x_scale
+        return np.concatenate([d_mu_s @ x_loc, (d_sigma_s * sigma_s) @ x_scale, *tail])
 
     if kind == "SEMOS":
-        return mu_s, sigma_s, 0
+        return mu_s, sigma_s, 0, seasonal_pullback
 
-    eta = theta[2 * N_COEFFS]
-    tau = theta[2 * N_COEFFS + 1: 2 * N_COEFFS + 1 + p]
+    def padded(d):
+        # an adjoint on days p.. as one on every training day
+        return np.concatenate([np.zeros(p), d])
 
     if kind == "SAR-SEMOS":
         z = (y - mu_s) / sigma_s
-        z_pred = _teacher_forced_ar(z, eta, tau)
-        return mu_s[p:] + sigma_s[p:] * z_pred, sigma_s[p:], p
+        z_pred = ar_teacher_forced(ar, z, p)
+
+        def sar_pullback(d_mu, d_sigma):
+            # mu = mu_s + sigma_s z_pred, z = (y - mu_s) / sigma_s
+            d_z, d_eta, d_tau = ar_teacher_forced_adjoint(ar, z, p, d_mu * sigma_s[p:])
+            return seasonal_pullback(padded(d_mu) - d_z / sigma_s,
+                                     padded(d_mu * z_pred + d_sigma) - d_z * z / sigma_s,
+                                     [d_eta], d_tau)
+
+        return mu_s[p:] + sigma_s[p:] * z_pred, sigma_s[p:], p, sar_pullback
 
     r = y - mu_s
-    r_pred = _teacher_forced_ar(r, eta, tau)
+    r_pred = ar_teacher_forced(ar, r, p)
     mu = mu_s[p:] + r_pred
+
+    def dar_pullback(d_mu, d_sigma_s, *tail):
+        # mu = mu_s + r_pred, r = y - mu_s; d_sigma_s covers days p..
+        d_r, d_eta, d_tau = ar_teacher_forced_adjoint(ar, r, p, d_mu)
+        return seasonal_pullback(padded(d_mu) - d_r, padded(d_sigma_s), [d_eta], d_tau, *tail)
+
     if kind == "DAR-SEMOS":
-        return mu, sigma_s[p:], p
+        return mu, sigma_s[p:], p, dar_pullback
 
     # DAR-GARCH-SEMOS
-    w = np.square(theta[2 * N_COEFFS + 1 + p:])
+    w = np.square(root_w)
     eps = r[p:] - r_pred
     rho_sq = np.square(eps / sigma_s[p:])
     sig_g2 = _garch_path(w, rho_sq)
-    return mu, sigma_s[p:] * np.sqrt(sig_g2), p
+    sig_g = np.sqrt(sig_g2)
+
+    def garch_pullback(d_mu, d_sigma):
+        # sigma = sigma_s sig_g; sig_g^2 is driven by rho^2 = eps^2 / sigma_s^2,
+        # where eps = y - mu; w = root_w^2
+        d_w, d_rho_sq = _garch_path_adjoint(w, rho_sq, sig_g2,
+                                            d_sigma * sigma_s[p:] / (2.0 * sig_g))
+        d_eps = 2.0 * d_rho_sq * eps / np.square(sigma_s[p:])
+        return dar_pullback(d_mu - d_eps, d_sigma * sig_g - 2.0 * d_rho_sq * rho_sq / sigma_s[p:],
+                            2.0 * root_w * d_w)
+
+    return mu, sigma_s[p:] * sig_g, p, garch_pullback
 
 
 def _objective(kind: str, p: int, x_loc, x_scale, y):
+    """Mean training CRPS as a function of theta."""
     def fun(theta):
-        mu, sigma, start = _evaluate(kind, theta, p, x_loc, x_scale, y)
+        mu, sigma, start, _ = _evaluate(kind, theta, p, x_loc, x_scale, y)
         with np.errstate(all="ignore"):
             return float(np.mean(crps_normal_series(mu, sigma, y[start:])))
     return fun
+
+
+def _gradient(kind: str, p: int, x_loc, x_scale, y):
+    """Exact gradient of ``_objective``: the closed-form CRPS partials in
+    (mu, sigma), pulled back through the same forward pass."""
+    def grad(theta):
+        mu, sigma, start, pullback = _evaluate(kind, theta, p, x_loc, x_scale, y)
+        with np.errstate(all="ignore"):
+            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[start:])
+            return pullback(d_mu, d_sigma) / mu.size
+    return grad
+
+
+def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
+    """Standardized one-step training innovations (y - mu) / sigma of a
+    seasonal fit on ``series``, recomputed from its stored coefficients."""
+    if model.kind not in SEASONAL_KINDS:
+        raise InvalidInput(f"{model.kind} does not expose training residuals")
+    x_loc, x_scale = _designs(series, model.meta["origin"])
+    p = 0 if model.ar is None else model.ar.p
+    theta = _pack(model.loc, model.scale, model.ar, model.garch)
+    mu, sigma, start, _ = _evaluate(model.kind, theta, p, x_loc, x_scale, series.obs)
+    return (series.obs[start:] - mu) / sigma
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +292,7 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
         scale0 = _ols(x_scale, np.log(s_hat))
     if kind == "DAR-GARCH-SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
-        eps0 = ols_resid[ar0.p:] - _teacher_forced_ar(ols_resid, ar0.eta, np.asarray(ar0.tau))
+        eps0 = ols_resid[ar0.p:] - ar_teacher_forced(ar0, ols_resid, ar0.p)
         rho0 = eps0 / sigma_s0[ar0.p:]
         try:
             garch0 = fit_garch(rho0)
@@ -214,32 +304,19 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
         ar0 = fit_ar_yule_walker((y - x_loc @ loc0) / sigma_s0, max_ar_order)
 
     p = 0 if ar0 is None else ar0.p
-    pieces = [loc0, scale0]
-    if kind != "SEMOS":
-        pieces.append(np.array([ar0.eta, *ar0.tau]))
-    if kind == "DAR-GARCH-SEMOS":
-        pieces.append(np.sqrt([garch0.omega0, garch0.omega1, garch0.omega2]))
-    theta0 = np.concatenate(pieces)
-
+    theta0 = _pack(loc0, scale0, ar0, garch0)
     fun = _objective(kind, p, x_loc, x_scale, y)
-    result = minimize(fun, theta0, settings or OptimizeSettings())
-    theta = result.x
+    result = minimize(fun, theta0, settings or OptimizeSettings(),
+                      grad=_gradient(kind, p, x_loc, x_scale, y))
 
-    ar = None if kind == "SEMOS" else ARCoeffs(
-        p=p, eta=float(theta[2 * N_COEFFS]),
-        tau=tuple(float(v) for v in theta[2 * N_COEFFS + 1: 2 * N_COEFFS + 1 + p]))
-    garch = None
-    if kind == "DAR-GARCH-SEMOS":
-        w = np.square(theta[2 * N_COEFFS + 1 + p:])
-        garch = GARCHCoeffs(float(w[0]), float(w[1]), float(w[2]))
-
-    mu, sigma, start = _evaluate(kind, theta, p, x_loc, x_scale, y)
-    model = FittedModel(
+    loc, scale, ar, root_w = _unpack(result.x, p)
+    mu, sigma, start, _ = _evaluate(kind, result.x, p, x_loc, x_scale, y)
+    return FittedModel(
         kind=kind,
-        loc=theta[:N_COEFFS].copy(),
-        scale=theta[N_COEFFS: 2 * N_COEFFS].copy(),
+        loc=loc.copy(),
+        scale=scale.copy(),
         ar=ar,
-        garch=garch,
+        garch=GARCHCoeffs(*np.square(root_w).tolist()) if root_w.size else None,
         meta={
             "origin": str(origin),
             "lead_time_h": series.lead_time_h,
@@ -251,10 +328,11 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
             "train_crps": float(result.value),
             "init_crps": float(fun(theta0)),
             "iterations": int(result.iterations),
+            "n_evals": int(result.n_evals),
+            "grad_norm": float(result.grad_norm),
         },
         train_residuals=(y[start:] - mu) / sigma,
     )
-    return model
 
 
 def semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
@@ -332,7 +410,6 @@ def _predict_family(model: FittedModel, series: StationSeries, dates):
         return mu_s[ctx.indices].copy(), sigma_s[ctx.indices].copy()
 
     ar = model.ar
-    tau = np.asarray(ar.tau, dtype=float)
     obs = series.obs
     mu_out = np.empty(ctx.indices.size)
     sigma_out = np.empty(ctx.indices.size)
@@ -357,7 +434,7 @@ def _predict_family(model: FittedModel, series: StationSeries, dates):
             p = ar.p
             n_obs = max(h - p, 0)
             if n_obs > 0:
-                eps = r[p: p + n_obs] - _teacher_forced_ar(r[:h], ar.eta, tau)[:n_obs]
+                eps = r[p: p + n_obs] - ar_teacher_forced(ar, r[:h], p)[:n_obs]
                 rho_sq = np.square(eps / sigma_s[p: p + n_obs])
             else:
                 rho_sq = np.empty(0)
@@ -365,23 +442,7 @@ def _predict_family(model: FittedModel, series: StationSeries, dates):
     return mu_out, sigma_out
 
 
-def semos_predict(model, series, dates):
-    return _predict_family(model, series, dates)
-
-
-def dar_semos_predict(model, series, dates):
-    return _predict_family(model, series, dates)
-
-
-def dar_garch_semos_predict(model, series, dates):
-    return _predict_family(model, series, dates)
-
-
-def sar_semos_predict(model, series, dates):
-    return _predict_family(model, series, dates)
-
-
-register("SEMOS", semos_fit, semos_predict)
-register("DAR-SEMOS", dar_semos_fit, dar_semos_predict)
-register("DAR-GARCH-SEMOS", dar_garch_semos_fit, dar_garch_semos_predict)
-register("SAR-SEMOS", sar_semos_fit, sar_semos_predict)
+register("SEMOS", semos_fit, _predict_family)
+register("DAR-SEMOS", dar_semos_fit, _predict_family)
+register("DAR-GARCH-SEMOS", dar_garch_semos_fit, _predict_family)
+register("SAR-SEMOS", sar_semos_fit, _predict_family)

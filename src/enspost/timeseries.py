@@ -224,6 +224,26 @@ def ar_teacher_forced(ar, x, start: int) -> np.ndarray:
     return pred[:, 0] if single else pred
 
 
+def ar_teacher_forced_adjoint(ar: ARCoeffs, x, start: int, d_pred):
+    """Reverse-mode derivative of ``ar_teacher_forced(ar, x, start)`` for one
+    series: from the adjoint ``d_pred`` of its n - start outputs, the
+    adjoints (d_x, d_eta, d_tau) of its inputs.
+
+    d_x is the correlation of d_pred with tau, d_tau_j = sum_t d_pred[t]
+    (x[t-j] - eta) and d_eta = (1 - sum tau) sum d_pred.
+    """
+    x = np.asarray(x, dtype=float)
+    d_pred = np.asarray(d_pred, dtype=float)
+    n = x.size
+    d_x = np.zeros(n)
+    d_tau = np.empty(ar.p)
+    for j, tau_j in enumerate(ar.tau, start=1):
+        lagged = slice(start - j, n - j)
+        d_x[lagged] += tau_j * d_pred
+        d_tau[j - 1] = d_pred @ (x[lagged] - ar.eta)
+    return d_x, (1.0 - sum(ar.tau)) * float(d_pred.sum()), d_tau
+
+
 def ar_innovation_variance(x, ar):
     """Mean squared one-step prediction error of each fit on its own series,
     over the rows t >= p that have p predecessors."""
@@ -321,6 +341,40 @@ def garch_init_variance(g: GARCHCoeffs) -> float:
     return 1.0
 
 
+def garch_path(w, rho_sq, init: float) -> np.ndarray:
+    """GARCH(1,1) variance path aligned with ``rho_sq``, w = (omega0,
+    omega1, omega2):
+
+        out[0] = init
+        out[i] = omega0 + omega1 * out[i-1] + omega2 * rho_sq[i-1]
+
+    so the last rho_sq does not enter the path.
+    """
+    out = np.empty(rho_sq.size)
+    out[0] = init
+    if rho_sq.size > 1:
+        drive = w[0] + w[2] * rho_sq[:-1]
+        # IIR recursion out[i] = drive[i-1] + omega1 * out[i-1], seeded at init
+        out[1:] = lfilter([1.0], [1.0, -w[1]], drive, zi=np.array([w[1] * init]))[0]
+    return out
+
+
+def garch_path_adjoint(w, rho_sq, path, d_path):
+    """Reverse-mode derivative of ``garch_path``: from the adjoint ``d_path``
+    of its output ``path``, the adjoints (d_w, d_rho_sq, d_init).
+
+    The adjoint of the IIR recursion is the same filter run backwards in
+    time: lam[i] = d_path[i] + omega1 * lam[i+1] is the total derivative by
+    path[i].
+    """
+    lam = lfilter([1.0], [1.0, -w[1]], d_path[::-1])[::-1]
+    ahead = lam[1:]
+    d_w = np.array([ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]])
+    d_rho_sq = np.zeros(rho_sq.size)
+    d_rho_sq[:-1] = w[2] * ahead
+    return d_w, d_rho_sq, float(lam[0])
+
+
 def garch_filter(g: GARCHCoeffs, rho_sq, init_var: float) -> np.ndarray:
     """Forward GARCH(1,1) variance recursion.
 
@@ -338,10 +392,28 @@ def garch_filter(g: GARCHCoeffs, rho_sq, init_var: float) -> np.ndarray:
         raise InvalidInput(f"init_var must be positive, got {init_var}")
     if rho_sq.size and (rho_sq.min() < 0 or not np.all(np.isfinite(rho_sq))):
         raise InvalidInput("squared innovations must be finite and >= 0")
-    drive = g.omega0 + g.omega2 * rho_sq
-    # IIR recursion out[i] = drive[i] + omega1 * out[i-1], seeded at init_var
-    out = lfilter([1.0], [1.0, -g.omega1], drive, zi=np.array([g.omega1 * init_var]))[0]
-    return out
+    w = (g.omega0, g.omega1, g.omega2)
+    return garch_path(w, np.append(rho_sq, 0.0), init_var)[1:]
+
+
+def _garch_likelihood(rho_sq: np.ndarray, var: float):
+    """Gaussian negative log-likelihood of a GARCH(1,1) variance path started
+    at ``var``, in theta = sqrt(omega), and its exact gradient; returns
+    (nll, gradient)."""
+
+    def nll(theta):
+        sig2 = garch_path(np.square(theta), rho_sq, var)
+        if sig2.min() <= 0 or not np.all(np.isfinite(sig2)):
+            return np.inf
+        return 0.5 * float(np.sum(np.log(sig2) + rho_sq / sig2))
+
+    def gradient(theta):
+        w = np.square(theta)
+        sig2 = garch_path(w, rho_sq, var)
+        d_w, _, _ = garch_path_adjoint(w, rho_sq, sig2, 0.5 * (1.0 - rho_sq / sig2) / sig2)
+        return 2.0 * theta * d_w
+
+    return nll, gradient
 
 
 def fit_garch(rho, settings: OptimizeSettings | None = None) -> GARCHCoeffs:
@@ -349,7 +421,8 @@ def fit_garch(rho, settings: OptimizeSettings | None = None) -> GARCHCoeffs:
 
     Coefficients are carried as unconstrained square roots during the
     optimization to keep them non-negative.  The recursion is started at
-    the sample variance of ``rho``.
+    the sample variance of ``rho``.  The BFGS fit uses the exact gradient,
+    the reverse-time adjoint of the variance recursion.
 
     Raises
     ------
@@ -362,21 +435,10 @@ def fit_garch(rho, settings: OptimizeSettings | None = None) -> GARCHCoeffs:
     var = float(np.var(rho))
     if rho.size < 20 or var <= 1e-12:
         raise DegenerateSeries("series too short or too flat for a GARCH fit")
-    rho_sq = np.square(rho)
-
-    def nll(theta):
-        w0, w1, w2 = np.square(theta)
-        sig2 = np.empty(rho.size)
-        sig2[0] = var
-        if rho.size > 1:
-            drive = w0 + w2 * rho_sq[:-1]
-            sig2[1:] = lfilter([1.0], [1.0, -w1], drive, zi=np.array([w1 * var]))[0]
-        if sig2.min() <= 0 or not np.all(np.isfinite(sig2)):
-            return np.inf
-        return 0.5 * float(np.sum(np.log(sig2) + rho_sq / sig2))
-
+    nll, gradient = _garch_likelihood(np.square(rho), var)
     theta0 = np.sqrt([0.1 * var, 0.7, 0.15])
-    result = minimize(nll, theta0, settings or OptimizeSettings(max_iterations=200))
+    result = minimize(nll, theta0, settings or OptimizeSettings(max_iterations=200),
+                      grad=gradient)
     if not np.isfinite(result.value):
         raise NumericalFailure("GARCH likelihood not finite at any tried point")
     w0, w1, w2 = np.square(result.x)

@@ -219,3 +219,38 @@ def test_invalid_predictive_sigma_is_data_error(pipeline, tmp_path, capsys, sigm
                "--out", ver, "--lead", "24") == 3
     _assert_one_error_line(capsys, "data")
     assert not any(ver.iterdir())  # rejected before any output is written
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _drop_origin(path):
+    doc = json.loads(path.read_text())
+    del doc["meta"]["origin"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("predict", _truncate), ("verify", _truncate), ("verify", _drop_origin)])
+def test_malformed_fit_file_is_data_error(pipeline, tmp_path, capsys, command, damage):
+    fits = tmp_path / "fits"
+    fits.mkdir()
+    for path in (pipeline / "fits").iterdir():
+        (fits / path.name).write_bytes(path.read_bytes())
+    damaged = fits / "fit_SEMOS_S01_24h.json"
+    damage(damaged)
+    if command == "predict":
+        args = ("predict", "--data", pipeline / "data", "--models-dir", fits,
+                "--out", tmp_path / "out", "--models", "semos", "--lead", "24",
+                "--valid-start", "2017-07-01", "--valid-end", "2017-09-26")
+    else:
+        args = ("verify", "--data", pipeline / "data", "--models-dir", fits,
+                "--predictions", pipeline / "preds" / "predictions.csv",
+                "--out", tmp_path / "out", "--lead", "24",
+                "--train-start", "2015-01-01", "--train-end", "2017-06-30")
+    assert run(*args) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error[") == 1
+    assert err.startswith("error[data]:") and str(damaged) in err

@@ -11,10 +11,13 @@ from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _estimate_at
 from enspost.models.emos import _RIDGE, _window_objective, emos_fit_window
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
+from enspost.models.semos import _gradient, training_residuals
+from enspost import optimize
 from enspost.optimize import numeric_gradient
 from enspost.scoring import crps_ensemble, crps_normal_series
 from enspost.seasonal import SeasonalCoeffs, seasonal_design
 from enspost.timeseries import ARCoeffs, ARFits, GARCHCoeffs, ljung_box
+from enspost.timeseries import fit_garch
 
 from conftest import make_series
 
@@ -477,6 +480,83 @@ def test_objective_gradient_fd_self_consistency(kind, dar_world, rng):
         g2 = numeric_gradient(fun, theta, h / 2)
         scale = np.maximum(np.abs(g1), 1e-6)
         assert np.all(np.abs(g1 - g2) / scale < 1e-4)
+
+
+def _random_theta(kind, p, rng, root_w=None):
+    """theta in the seasonal fit layout (loc, scale, eta, tau, sqrt omega)."""
+    pieces = [np.array([5.0, 0.9]), rng.normal(scale=0.2, size=8),
+              np.array([0.0, 0.3]), rng.normal(scale=0.05, size=8)]
+    if kind != "SEMOS":
+        pieces.append(np.r_[rng.normal(scale=0.3), rng.uniform(-0.3, 0.3, size=p)])
+    if kind == "DAR-GARCH-SEMOS":
+        pieces.append(np.sqrt(rng.uniform([0.05, 0.3, 0.05], [0.5, 0.6, 0.3]))
+                      if root_w is None else np.asarray(root_w, dtype=float))
+    return np.concatenate(pieces)
+
+
+def _assert_exact_gradient(kind, p, theta, dar_world):
+    _, series, _ = dar_world
+    t = time_index(series.dates, series.dates[0])
+    args = (kind, p, seasonal_design(t, series.ens_mean), seasonal_design(t, series.ens_sd),
+            series.obs)
+    exact = _gradient(*args)(theta)
+    numeric = numeric_gradient(_objective(*args), theta, 1e-6 * (1 + np.abs(theta)))
+    assert exact.shape == theta.shape
+    np.testing.assert_allclose(exact, numeric, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind, p", [("SEMOS", 0)] + [
+    (kind, p) for kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS") for p in (0, 1, 3)])
+def test_exact_gradient_matches_finite_differences(kind, p, dar_world, rng):
+    for _ in range(3):
+        _assert_exact_gradient(kind, p, _random_theta(kind, p, rng), dar_world)
+
+
+@pytest.mark.parametrize("root_w", [
+    # omega1 + omega2 = 1.05: the start value's denominator sits on its floor
+    [0.6, np.sqrt(0.7), np.sqrt(0.35)],
+    # omega0 = 0: the start value falls back to 1.0
+    [0.0, np.sqrt(0.6), np.sqrt(0.2)],
+])
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_exact_gradient_garch_start_branches(root_w, p, dar_world, rng):
+    theta = _random_theta("DAR-GARCH-SEMOS", p, rng, root_w)
+    _assert_exact_gradient("DAR-GARCH-SEMOS", p, theta, dar_world)
+
+
+def test_fits_use_no_finite_differences(dar_world, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite-difference gradient in a production fit")
+
+    monkeypatch.setattr(optimize, "numeric_gradient", forbidden)
+    _, series, _ = dar_world
+    for kind in models.SEASONAL_KINDS:
+        model = models.fit(kind, series)
+        assert model.meta["converged"]
+    fit_garch(rng.standard_normal(500) * np.sqrt(rng.uniform(0.5, 2.0, size=500)))
+
+
+def test_seasonal_fit_meta_records_effort(dar_world):
+    _, series, _ = dar_world
+    model = models.fit("DAR-GARCH-SEMOS", series)
+    meta = model.meta
+    assert isinstance(meta["n_evals"], int) and meta["n_evals"] >= meta["iterations"]
+    assert 0.0 <= meta["grad_norm"] <= 1e-6
+    assert FittedModel.from_dict(json.loads(json.dumps(model.to_dict()))).meta == meta
+
+
+@pytest.mark.parametrize("kind", ["SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_training_residuals_recomputed_from_stored_coefficients(kind, dar_world):
+    _, series, _ = dar_world
+    model = models.fit(kind, series)
+    stored = FittedModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    np.testing.assert_array_equal(training_residuals(stored, series), model.train_residuals)
+
+
+def test_training_residuals_need_a_seasonal_model(dar_world):
+    _, series, _ = dar_world
+    with pytest.raises(InvalidInput):
+        training_residuals(models.fit("EMOS", series), series)
 
 
 # ---------------------------------------------------------------------------

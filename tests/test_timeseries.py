@@ -19,6 +19,8 @@ from enspost.timeseries import (
     is_stationary,
     ljung_box,
 )
+from enspost.timeseries import _garch_likelihood, ar_teacher_forced_adjoint
+from enspost.optimize import numeric_gradient
 
 
 def simulate_ar(tau, n, rng, eta=0.0, sd=1.0, burn=200):
@@ -373,6 +375,34 @@ def test_fit_garch_recovers_persistence(rng):
 def test_fit_garch_degenerate_rejected():
     with pytest.raises(DegenerateSeries):
         fit_garch(np.zeros(100))
+
+
+def test_fit_garch_likelihood_gradient_matches_finite_differences(rng):
+    rho = rng.standard_normal(800) * np.sqrt(rng.uniform(0.5, 2.0, size=800))
+    nll, gradient = _garch_likelihood(np.square(rho), float(np.var(rho)))
+    for _ in range(5):
+        theta = np.sqrt(rng.uniform([0.05, 0.2, 0.05], [0.5, 0.7, 0.3]))
+        numeric = numeric_gradient(nll, theta, 1e-6 * (1 + np.abs(theta)))
+        np.testing.assert_allclose(gradient(theta), numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_ar_teacher_forced_adjoint_is_the_transpose(rng):
+    # the predictions are affine in (x, eta, tau): the adjoint of a weighted
+    # sum of them is its exact gradient, here checked by differencing
+    ar = ARCoeffs(3, 0.4, (0.5, -0.2, 0.1))
+    x = rng.normal(size=40)
+    start = 5
+    weights = rng.normal(size=x.size - start)
+
+    def weighted(v):
+        fit = ARCoeffs(3, float(v[0]), tuple(v[1:4]))
+        return float(weights @ ar_teacher_forced(fit, v[4:], start))
+
+    d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, start, weights)
+    v = np.concatenate([[ar.eta], ar.tau, x])
+    numeric = numeric_gradient(weighted, v, 1e-6)
+    np.testing.assert_allclose(np.concatenate([[d_eta], d_tau, d_x]), numeric,
+                               rtol=1e-7, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
