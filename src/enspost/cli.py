@@ -290,9 +290,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     if not (cfg.train_start and cfg.train_end):
         raise ConfigError("fit needs --train-start and --train-end")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     settings = cfg.settings()
     warning_count = 0
+    fits = []
     for station, lead, path in discover_cases(cfg):
         series = _load_case(path, station, lead)
         in_range = ((series.dates >= np.datetime64(cfg.train_start, "D"))
@@ -305,7 +305,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 fitted = model_api.fit(kind, train, settings=settings)
             else:
                 fitted = model_api.fit(kind, train)
-            fitted.save(_fit_path(out, kind, station, lead))
+            fits.append((_fit_path(out, kind, station, lead), fitted))
             converged = fitted.meta.get("converged", True)
             if not converged:
                 warning_count += 1
@@ -314,6 +314,10 @@ def cmd_fit(cfg: RunConfig) -> int:
             crps = fitted.meta.get("train_crps")
             crps_text = "" if crps is None else f" train CRPS {crps:.4f}"
             print(f"fit: {kind} ({station}, {lead}h) converged={converged}{crps_text}")
+    # every case fitted: only now does --out appear
+    out.mkdir(parents=True, exist_ok=True)
+    for target, fitted in fits:
+        fitted.save(target)
     if warning_count:
         print(f"fit: {warning_count} fit(s) flagged non-converged", file=sys.stderr)
     return 0
@@ -336,7 +340,6 @@ def cmd_predict(cfg: RunConfig) -> int:
     if not cfg.models_dir:
         raise ConfigError("predict needs --models-dir")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     models_dir = Path(cfg.models_dir)
     rows = []
     for station, lead, path in discover_cases(cfg):
@@ -351,6 +354,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             for d, m_v, s_v in zip(dates, mu, sigma):
                 rows.append((kind, station, lead, str(d), m_v, s_v))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    out.mkdir(parents=True, exist_ok=True)
     target = out / "predictions.csv"
     with open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -394,7 +398,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not cfg.predictions:
         raise ConfigError("verify needs --predictions")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     predictions = load_predictions(cfg.predictions)
     if not predictions:
         raise DataError("predictions file is empty")
@@ -446,28 +449,15 @@ def cmd_verify(cfg: RunConfig) -> int:
             "coverage": float(100.0 * np.mean((lo <= y) & (y <= hi))),
         })
 
-    table.to_csv(out / "scores.csv")
-    with open(out / "scores_raw_ensemble.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "station_id", "lead_time_h", "n", "mean_crps",
-                         "mean_logs", "rmse", "mean_width", "coverage_pct"])
-        for row in raw_rows:
-            writer.writerow(["raw-ensemble", row["station"], row["lead"], row["n"],
-                             _FLOAT_FMT % row["crps"], "", _FLOAT_FMT % row["rmse"],
-                             _FLOAT_FMT % row["width"], _FLOAT_FMT % row["coverage"]])
-
     matrix = significance_matrix(table, alpha=0.05)
-    matrix.to_csv(out / "dm_matrix.csv")
-
-    with open(out / "pit_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "pit_variance"] + [f"bin{i + 1}" for i in range(10)])
-        for kind in kinds:
-            pit = np.concatenate(pit_by_model[kind])
-            counts, variance = pit_histogram(pit, bins=10)
-            writer.writerow([kind, pit.size, _FLOAT_FMT % variance] + list(counts))
+    pit_rows = []
+    for kind in kinds:
+        pit = np.concatenate(pit_by_model[kind])
+        counts, variance = pit_histogram(pit, bins=10)
+        pit_rows.append([kind, pit.size, _FLOAT_FMT % variance] + list(counts))
 
     # residual dependence needs refitted training residuals
+    dependence = None
     if cfg.models_dir and cfg.train_start and cfg.train_end:
         residuals = {}
         for kind in kinds:
@@ -486,12 +476,30 @@ def cmd_verify(cfg: RunConfig) -> int:
                 residuals[kind] = per_station
         if residuals:
             dependence = residual_dependence_table(residuals, lags=(1, 5, 10), alpha=0.05)
-            with open(out / "residual_dependence.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["method", "lag", "pct_plain", "pct_squared"])
-                for kind in dependence:
-                    for lag, (pct_plain, pct_sq) in sorted(dependence[kind].items()):
-                        writer.writerow([kind, lag, _FLOAT_FMT % pct_plain, _FLOAT_FMT % pct_sq])
+
+    # every input read and scored: only now does --out appear
+    out.mkdir(parents=True, exist_ok=True)
+    table.to_csv(out / "scores.csv")
+    with open(out / "scores_raw_ensemble.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "station_id", "lead_time_h", "n", "mean_crps",
+                         "mean_logs", "rmse", "mean_width", "coverage_pct"])
+        for row in raw_rows:
+            writer.writerow(["raw-ensemble", row["station"], row["lead"], row["n"],
+                             _FLOAT_FMT % row["crps"], "", _FLOAT_FMT % row["rmse"],
+                             _FLOAT_FMT % row["width"], _FLOAT_FMT % row["coverage"]])
+    matrix.to_csv(out / "dm_matrix.csv")
+    with open(out / "pit_summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "n", "pit_variance"] + [f"bin{i + 1}" for i in range(10)])
+        writer.writerows(pit_rows)
+    if dependence is not None:
+        with open(out / "residual_dependence.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["method", "lag", "pct_plain", "pct_squared"])
+            for kind in dependence:
+                for lag, (pct_plain, pct_sq) in sorted(dependence[kind].items()):
+                    writer.writerow([kind, lag, _FLOAT_FMT % pct_plain, _FLOAT_FMT % pct_sq])
 
     print(f"verify: wrote scores, DM matrix and PIT summary to {out}")
     return 0

@@ -3,9 +3,10 @@
 mu = a0 + a1 * xbar, log sigma = b0 + b1 * log s, re-estimated for every
 prediction date by CRPS minimization over the trailing window of
 observable days.  A tiny ridge penalty protects the fit when log s is
-(near-)constant inside a window, where b1 is unidentified.  The BFGS fit
-uses the exact gradient: the closed-form CRPS derivatives in mu and sigma,
-chain-ruled through the two linear predictors.
+(near-)constant inside a window, where b1 is unidentified.  The window fit
+is a Newton solve with the exact gradient and Hessian: the closed-form
+first and second CRPS derivatives in mu and sigma, chain-ruled through the
+two linear predictors.
 """
 
 from __future__ import annotations
@@ -14,18 +15,26 @@ import numpy as np
 
 from ..data import StationSeries
 from ..errors import InsufficientHistory, InvalidInput
-from ..optimize import OptimizeSettings, minimize
-from ..scoring import crps_normal_gradient, crps_normal_series
+from ..optimize import OptimizeSettings, OptResult, minimize
+from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
 from .base import FittedModel, PredictionContext, register
 
 _RIDGE = 1e-8
 _NEAR_CONSTANT_SD = 1e-3
+# Newton converges quadratically, so a gradient tolerance below minimize's
+# 1e-6 costs well under one extra step per window.  At 1e-6 a window whose
+# Hessian has an eigenvalue near 1e-3 can stop ~1e-11 above the optimum.
+_WINDOW_SETTINGS = OptimizeSettings(max_iterations=200, gradient_tolerance=1e-8)
+
+
+def _ridge(log_s: np.ndarray) -> float:
+    return _RIDGE if float(np.std(log_s)) < _NEAR_CONSTANT_SD else 0.0
 
 
 def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     """Mean CRPS of theta = (a0, a1, b0, b1) on one window, plus the ridge
     term, and its gradient; returns (objective, gradient)."""
-    ridge = _RIDGE if float(np.std(log_s)) < _NEAR_CONSTANT_SD else 0.0
+    ridge = _ridge(log_s)
     loc_design = np.column_stack([np.ones_like(xbar), xbar])
     scale_design = np.column_stack([np.ones_like(log_s), log_s])
 
@@ -48,9 +57,39 @@ def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     return objective, gradient
 
 
-def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
-                    init=None) -> np.ndarray:
-    """CRPS-fit (a0, a1, b0, b1) on one window; returns the coefficient vector."""
+def _window_hessian(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
+    """Exact 4 x 4 Hessian of ``_window_objective``'s objective.
+
+    With u = (1, xbar) and v = (1, log s), the blocks are mean(h_mm u u'),
+    mean(h_ms sigma u v') and mean((h_ss sigma^2 + dCRPS/dsigma sigma) v v'):
+    sigma = exp(b' v) is itself curved in (b0, b1).  The ridge adds 2 ridge I.
+    """
+    ridge = _ridge(log_s)
+    loc_design = np.column_stack([np.ones_like(xbar), xbar])
+    scale_design = np.column_stack([np.ones_like(log_s), log_s])
+
+    def hessian(theta):
+        mu = theta[0] + theta[1] * xbar
+        sigma = np.exp(theta[2] + theta[3] * log_s)
+        with np.errstate(all="ignore"):
+            _, d_sigma = crps_normal_gradient(mu, sigma, y)
+            h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y)
+            w_ss = (h_ss * sigma + d_sigma) * sigma
+            hess = np.empty((4, 4))
+            hess[:2, :2] = (loc_design.T * h_mm) @ loc_design
+            hess[:2, 2:] = (loc_design.T * (h_ms * sigma)) @ scale_design
+            hess[2:, :2] = hess[:2, 2:].T
+            hess[2:, 2:] = (scale_design.T * w_ss) @ scale_design
+        hess /= y.size
+        hess[np.diag_indices(4)] += 2.0 * ridge
+        return hess
+
+    return hessian
+
+
+def _fit_window_result(xbar, s, y, settings: OptimizeSettings | None = None,
+                       init=None) -> OptResult:
+    """Newton CRPS fit of (a0, a1, b0, b1) on one window; the OptResult."""
     xbar = np.asarray(xbar, dtype=float)
     log_s = np.log(np.maximum(np.asarray(s, dtype=float), 1e-12))
     y = np.asarray(y, dtype=float)
@@ -60,8 +99,14 @@ def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
         resid_sd = float(np.std(y - design @ ab, ddof=1))
         init = np.array([ab[0], ab[1], np.log(max(resid_sd, 1e-6)), 0.0])
     objective, gradient = _window_objective(xbar, log_s, y)
-    return minimize(objective, init, settings or OptimizeSettings(max_iterations=200),
-                    grad=gradient).x
+    return minimize(objective, init, settings or _WINDOW_SETTINGS,
+                    grad=gradient, hess=_window_hessian(xbar, log_s, y))
+
+
+def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
+                    init=None) -> np.ndarray:
+    """CRPS-fit (a0, a1, b0, b1) on one window; returns the coefficient vector."""
+    return _fit_window_result(xbar, s, y, settings, init).x
 
 
 def emos_fit(series: StationSeries, window_days: int = 30,
@@ -77,12 +122,12 @@ def emos_fit(series: StationSeries, window_days: int = 30,
         raise InsufficientHistory(
             f"EMOS needs >= {window_days + 1} training days, got {series.n_days}")
     sl = slice(series.n_days - window_days, series.n_days)
-    coeffs = emos_fit_window(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
-                             settings)
+    result = _fit_window_result(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
+                                settings)
     return FittedModel(
         kind="EMOS",
-        loc=coeffs[:2].copy(),
-        scale=coeffs[2:].copy(),
+        loc=result.x[:2].copy(),
+        scale=result.x[2:].copy(),
         meta={
             "origin": str(series.dates[0]),
             "lead_time_h": series.lead_time_h,
@@ -91,7 +136,10 @@ def emos_fit(series: StationSeries, window_days: int = 30,
             "train_end": str(series.dates[-1]),
             "n_train": series.n_days,
             "window_days": int(window_days),
-            "converged": True,
+            "converged": bool(result.converged),
+            "iterations": int(result.iterations),
+            "n_evals": int(result.n_evals),
+            "grad_norm": float(result.grad_norm),
         },
     )
 
@@ -106,7 +154,6 @@ def emos_predict(model: FittedModel, series: StationSeries, dates):
     """
     ctx = PredictionContext.build(model, series, dates)
     window = int(model.meta.get("window_days", 30))
-    settings = OptimizeSettings(max_iterations=200)
     order = np.argsort(ctx.indices, kind="stable")
     mu_out = np.empty(ctx.indices.size)
     sigma_out = np.empty(ctx.indices.size)
@@ -121,7 +168,7 @@ def emos_predict(model: FittedModel, series: StationSeries, dates):
         if np.any(~np.isfinite(series.obs[sl])):
             raise InvalidInput(f"window before {series.dates[i]} contains missing observations")
         coeffs = emos_fit_window(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
-                                 settings, init=coeffs)
+                                 init=coeffs)
         mu_out[out_i] = coeffs[0] + coeffs[1] * series.ens_mean[i]
         sigma_out[out_i] = np.exp(coeffs[2] + coeffs[3] * np.log(max(series.ens_sd[i], 1e-12)))
     return mu_out, sigma_out

@@ -1,9 +1,14 @@
-"""Unconstrained quasi-Newton (BFGS) minimization of mean-score objectives.
+"""Unconstrained quasi-Newton (BFGS) or exact Newton minimization of
+mean-score objectives.
 
 The minimizer is deliberately small: the caller's analytic gradient or
-else central differences, an Armijo backtracking line search, the standard
-inverse-Hessian BFGS update with a curvature guard, and Nocedal's scaling
-of the initial Hessian after the first step.  It only ever *accepts*
+else central differences, an Armijo backtracking line search, and a search
+direction from either the standard inverse-Hessian BFGS update (with a
+curvature guard and Nocedal's scaling of the initial Hessian after the
+first step) or, when the caller supplies the exact Hessian, the Newton step
+from its eigendecomposition, with negative eigenvalues made positive
+(a modified Newton step, Nocedal & Wright ch. 3.4) and steepest descent on
+any iteration where that Hessian is not finite.  It only ever *accepts*
 points that decrease the objective, so the returned value is guaranteed
 <= the starting value, and it returns the best point seen so far even when
 the search breaks down.
@@ -73,8 +78,44 @@ def _scaled_steps(x: np.ndarray, base: float) -> np.ndarray:
     return base * (1.0 + np.abs(x))
 
 
-def minimize(objective, init, settings: OptimizeSettings | None = None, grad=None) -> OptResult:
-    """BFGS minimization with Armijo backtracking.
+def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Modified Newton step -|h|^{-1} g, steepest descent -g when h is not finite.
+
+    |h| is h with each eigenvalue replaced by its absolute value, floored
+    at 1e-10 of the largest: the plain Newton step wherever h is positive
+    definite, and still a descent direction that keeps h's scaling where it
+    is indefinite (steepest descent there can need hundreds of steps on an
+    ill-conditioned problem).
+    """
+    if not np.all(np.isfinite(h)):
+        return -g
+    lam, q = np.linalg.eigh(h)
+    lam = np.abs(lam)
+    top = float(lam.max())
+    if top == 0.0:
+        return -g
+    return -(q @ ((q.T @ g) / np.maximum(lam, 1e-10 * top)))
+
+
+def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, yk: np.ndarray,
+                 first: bool) -> np.ndarray:
+    """Inverse-Hessian BFGS update, skipped when the curvature s'y is not
+    clearly positive; the first accepted step rescales the identity."""
+    sy = float(step @ yk)
+    if sy <= 1e-12 * np.linalg.norm(step) * np.linalg.norm(yk):
+        return h_inv
+    n = step.size
+    if first:
+        h_inv = (sy / float(yk @ yk)) * np.eye(n)
+    rho = 1.0 / sy
+    a = np.eye(n) - rho * np.outer(step, yk)
+    return a @ h_inv @ a.T + rho * np.outer(step, step)
+
+
+def minimize(objective, init, settings: OptimizeSettings | None = None, grad=None,
+             hess=None) -> OptResult:
+    """BFGS minimization, or exact Newton when ``hess`` is given, with
+    Armijo backtracking.
 
     Parameters
     ----------
@@ -86,6 +127,11 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     grad : callable, optional
         Analytic gradient; defaults to central finite differences with
         per-component steps fd_step * (1 + |x_i|).
+    hess : callable, optional
+        Exact Hessian, an (n, n) symmetric array.  When given, each
+        direction is the Newton step (modified where the Hessian is not
+        positive definite, steepest descent where it is not finite) and no
+        BFGS approximation is kept.
 
     Returns
     -------
@@ -125,7 +171,7 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
         return g
 
     g = gradient(x)
-    h_inv = np.eye(n)
+    h_inv = np.eye(n) if hess is None else None
     fx = f0
     converged = False
     iterations = 0
@@ -136,11 +182,15 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
             converged = True
             break
 
-        direction = -h_inv @ g
+        if hess is None:
+            direction = -h_inv @ g
+        else:
+            direction = _newton_direction(np.asarray(hess(x), dtype=float), g)
         slope = float(direction @ g)
         if not np.isfinite(slope) or slope >= 0:
             # broken curvature model: restart from steepest descent
-            h_inv = np.eye(n)
+            if hess is None:
+                h_inv = np.eye(n)
             direction = -g
             slope = float(direction @ g)
 
@@ -161,14 +211,8 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
 
         step = x_new - x
         g_new = gradient(x_new)
-        yk = g_new - g
-        sy = float(step @ yk)
-        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(yk):
-            if iterations == 1:
-                h_inv = (sy / float(yk @ yk)) * np.eye(n)
-            rho = 1.0 / sy
-            a = np.eye(n) - rho * np.outer(step, yk)
-            h_inv = a @ h_inv @ a.T + rho * np.outer(step, step)
+        if hess is None:
+            h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
 
         x, fx, g = x_new, f_new, g_new
         if float(np.max(np.abs(step))) <= cfg.step_tolerance:

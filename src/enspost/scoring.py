@@ -77,6 +77,15 @@ def crps_normal_gradient(mu, sigma, y):
     return 1.0 - 2.0 * ndtr(z), 2.0 * _norm_pdf(z) - _INV_SQRT_PI
 
 
+def crps_normal_hessian(mu, sigma, y):
+    """Closed-form second partials (d2/dmu2, d2/dmu dsigma, d2/dsigma2) of
+    ``crps_normal_series``: (2 phi(z) / sigma) * (1, z, z^2)."""
+    sigma = np.asarray(sigma, dtype=float)
+    z = (np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)) / sigma
+    h = 2.0 * _norm_pdf(z) / sigma
+    return h, h * z, h * np.square(z)
+
+
 def crps_normal(g: GaussianParams, y: float) -> float:
     """Closed-form CRPS of a single Gaussian forecast; always >= 0."""
     return float(crps_normal_series(g.mu, g.sigma, y))

@@ -208,7 +208,7 @@ def test_unparsable_prediction_row_is_data_error(pipeline, tmp_path, capsys, col
     assert run("verify", "--data", pipeline / "data", "--predictions", preds,
                "--out", ver, "--lead", "24") == 3
     _assert_one_error_line(capsys, "data")
-    assert not any(ver.iterdir())
+    assert not ver.exists()
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan"])
@@ -218,7 +218,30 @@ def test_invalid_predictive_sigma_is_data_error(pipeline, tmp_path, capsys, sigm
     assert run("verify", "--data", pipeline / "data", "--predictions", preds,
                "--out", ver, "--lead", "24") == 3
     _assert_one_error_line(capsys, "data")
-    assert not any(ver.iterdir())  # rejected before any output is written
+    assert not ver.exists()  # rejected before any output is written
+
+
+def test_fit_failing_on_a_later_model_leaves_no_out_dir(pipeline, tmp_path, capsys):
+    # EMOS fits on 40 days, SEMOS then rejects the short history
+    out = tmp_path / "fits"
+    assert run("fit", "--data", pipeline / "data", "--out", out, "--models", "emos,semos",
+               "--lead", "24", "--train-start", "2017-05-22", "--train-end", "2017-06-30") == 3
+    _assert_one_error_line(capsys, "data")
+    assert not out.exists()
+
+
+def test_predict_failing_on_a_later_model_leaves_no_out_dir(pipeline, tmp_path, capsys):
+    # EMOS predicts, then the SEMOS fit file is missing
+    fits = tmp_path / "fits"
+    fits.mkdir()
+    emos_fit = pipeline / "fits" / "fit_EMOS_S01_24h.json"
+    (fits / emos_fit.name).write_bytes(emos_fit.read_bytes())
+    out = tmp_path / "preds"
+    assert run("predict", "--data", pipeline / "data", "--models-dir", fits, "--out", out,
+               "--models", "emos,semos", "--lead", "24",
+               "--valid-start", "2017-07-01", "--valid-end", "2017-07-10") == 3
+    _assert_one_error_line(capsys, "data")
+    assert not out.exists()
 
 
 def _truncate(path):

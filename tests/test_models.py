@@ -3,17 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from enspost import models
+from enspost import cli, models
 from enspost.data import StationSeries, SyntheticConfig, generate_synthetic, time_index
 from enspost.errors import InsufficientHistory, InvalidInput
 from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _estimate_at
-from enspost.models.emos import _RIDGE, _window_objective, emos_fit_window
+from enspost.models import emos
+from enspost.models.emos import _RIDGE, _window_hessian, _window_objective, emos_fit_window
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
 from enspost.models.semos import _gradient, training_residuals
 from enspost import optimize
-from enspost.optimize import numeric_gradient
+from enspost.optimize import OptimizeSettings, minimize, numeric_gradient
 from enspost.scoring import crps_ensemble, crps_normal_series
 from enspost.seasonal import SeasonalCoeffs, seasonal_design
 from enspost.timeseries import ARCoeffs, ARFits, GARCHCoeffs, ljung_box
@@ -100,6 +101,70 @@ def test_emos_window_gradient_matches_finite_differences(rng, sd_spread, ridge):
         assert objective(theta) == pytest.approx(crps + ridge * theta @ theta, abs=1e-15)
         numeric = numeric_gradient(objective, theta, 1e-6 * (1 + np.abs(theta)))
         assert np.all(np.abs(gradient(theta) - numeric) <= 5e-9)
+
+
+@pytest.mark.parametrize("sd_spread, ridge", [(0.4, 0.0), (1e-6, _RIDGE)])
+def test_emos_window_hessian_matches_finite_differences(rng, sd_spread, ridge, monkeypatch):
+    n = 30
+    xbar = 10 + 3 * rng.standard_normal(n)
+    log_s = np.log(1.3 + sd_spread * rng.random(n))
+    y = xbar + rng.standard_normal(n)
+    _, gradient = _window_objective(xbar, log_s, y)
+    hessian = _window_hessian(xbar, log_s, y)
+    monkeypatch.setattr(emos, "_RIDGE", 0.0)
+    hessian_no_ridge = _window_hessian(xbar, log_s, y)
+    for _ in range(10):
+        theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
+        steps = 1e-6 * (1 + np.abs(theta))
+        numeric = np.column_stack([numeric_gradient(lambda t: gradient(t)[j], theta, steps)
+                                   for j in range(4)])
+        exact = hessian(theta)
+        assert np.allclose(exact, exact.T, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(exact - numeric) <= 1e-6 * (1 + np.abs(exact)))
+        # the ridge's 2 ridge I is below that tolerance, so check it on its own
+        assert np.allclose(exact - hessian_no_ridge(theta), 2.0 * ridge * np.eye(4),
+                           rtol=0.0, atol=1e-14)
+
+
+def test_emos_rolling_newton_fits_match_bfgs(monkeypatch):
+    # The sar world's validation year at seed 23: one of its windows has a
+    # Hessian that stays indefinite for many steps, where a steepest-descent
+    # fallback ran out of iterations 0.016 above the optimum.  Each rolling
+    # Newton fit is checked against a BFGS fit from the same start.
+    cfg = cli.RunConfig(leads=[24], n_days=2192, m_members=50, seed=23, dgp="sar")
+    series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, 0))
+    dates = series.dates[-366:]
+    model = models.fit("EMOS", series.window(end=dates[0] - 1))
+    pairs = []
+
+    def newton_and_bfgs(objective, init, settings=None, grad=None, hess=None):
+        newton = minimize(objective, init, settings, grad=grad, hess=hess)
+        pairs.append((newton, minimize(objective, init, OptimizeSettings(max_iterations=200),
+                                       grad=grad)))
+        return newton
+
+    monkeypatch.setattr(emos, "minimize", newton_and_bfgs)
+    mu, sigma = models.predict(model, series, dates)
+    assert len(pairs) == dates.size
+    xbar, log_s = series.ens_mean[-366:], np.log(series.ens_sd[-366:])
+    for k, (newton, bfgs) in enumerate(pairs):
+        assert newton.converged and bfgs.converged
+        assert newton.value <= bfgs.value + 1e-12
+        a0, a1, b0, b1 = bfgs.x
+        assert mu[k] == pytest.approx(a0 + a1 * xbar[k], rel=1e-4)
+        assert sigma[k] == pytest.approx(np.exp(b0 + b1 * log_s[k]), rel=1e-4)
+
+
+def test_emos_fit_meta_records_the_optimizer_result(rng):
+    series = make_series(rng.normal(size=120), rng=rng)
+    model = models.fit("EMOS", series)
+    assert model.meta["converged"] is True
+    assert model.meta["iterations"] >= 1 and model.meta["n_evals"] >= 1
+    assert model.meta["grad_norm"] <= 1e-8
+    capped = models.fit("EMOS", series, settings=OptimizeSettings(max_iterations=1))
+    assert capped.meta["converged"] is False
+    assert capped.meta["iterations"] == 1
+    assert capped.meta["grad_norm"] > 1e-6
 
 
 # ---------------------------------------------------------------------------

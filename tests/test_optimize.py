@@ -126,3 +126,64 @@ def test_nonfinite_analytic_gradient_raises():
     with pytest.raises(NumericalFailure, match="component 1"):
         minimize(lambda x: float(x @ x), np.ones(2),
                  grad=lambda x: np.array([2.0 * x[0], np.nan]))
+
+
+def test_newton_converges_in_one_step_on_convex_quadratic(rng):
+    a = rng.normal(size=(5, 5))
+    h = a @ a.T + 5 * np.eye(5)
+    b = rng.normal(size=5)
+    result = minimize(lambda x: float(0.5 * x @ h @ x + b @ x), np.zeros(5),
+                      grad=lambda x: h @ x + b, hess=lambda x: h)
+    assert result.converged
+    assert result.iterations == 2  # one Newton step, then the gradient test
+    assert result.n_evals == 2  # the start and the accepted full step
+    assert np.allclose(result.x, np.linalg.solve(h, -b), atol=1e-10)
+
+
+def _recording(objective):
+    """The objective, plus the list of every value it returned."""
+    values = []
+
+    def f(x):
+        values.append(objective(x))
+        return values[-1]
+
+    return f, values
+
+
+def test_newton_with_indefinite_hessian_still_descends():
+    # the supplied matrix has a negative eigenvalue; the modified step uses
+    # its absolute eigenvalues, here the identity, so each step is -grad
+    c = np.array([1.0, -2.0])
+    f, values = _recording(lambda x: float(np.sum((x - c) ** 2)))
+    accepted = []
+    result = minimize(f, np.array([4.0, 3.0]), grad=lambda x: 2.0 * (x - c),
+                      hess=lambda x: (accepted.append(values[-1]), np.diag([1.0, -1.0]))[1])
+    assert result.converged
+    assert np.allclose(result.x, c, atol=1e-6)
+    assert all(b < a for a, b in zip(accepted, accepted[1:]))
+    assert result.value <= f(np.array([4.0, 3.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_newton_with_non_finite_hessian_takes_steepest_descent(bad):
+    # one iteration from x0 with a non-finite Hessian: the accepted step is
+    # a multiple of -grad, not a Newton step (which would land on c at once)
+    c = np.array([1.0, -2.0, 0.5])
+    weights = np.array([1.0, 4.0, 9.0])
+    x0 = np.zeros(3)
+    result = minimize(lambda x: float(np.sum(weights * (x - c) ** 2)), x0,
+                      OptimizeSettings(max_iterations=1),
+                      grad=lambda x: 2.0 * weights * (x - c),
+                      hess=lambda x: np.full((3, 3), bad))
+    step = result.x - x0
+    g0 = -2.0 * weights * c
+    assert np.allclose(np.cross(step, g0), 0.0, atol=1e-12)
+    assert float(step @ g0) < 0
+    assert not result.converged
+
+
+def test_newton_keeps_nonfinite_gradient_failure():
+    with pytest.raises(NumericalFailure, match="component 1"):
+        minimize(lambda x: float(x @ x), np.ones(2),
+                 grad=lambda x: np.array([2.0 * x[0], np.nan]), hess=lambda x: 2 * np.eye(2))

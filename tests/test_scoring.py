@@ -13,6 +13,7 @@ from enspost.scoring import (
     crps_integral,
     crps_normal,
     crps_normal_gradient,
+    crps_normal_hessian,
     crps_normal_series,
     crpss,
     logs_normal,
@@ -296,3 +297,19 @@ def test_crps_gradient_matches_finite_differences():
         for num, ana in zip(numeric, analytic):
             worst = max(worst, abs(num - ana) / max(abs(ana), 1e-2))
     assert worst <= 1e-5
+
+
+def test_crps_hessian_matches_finite_differences_of_gradient():
+    rng = np.random.default_rng(78)
+    worst = 0.0
+    for _ in range(50):
+        mu, sigma, y = rng.normal(), rng.uniform(0.3, 3.0), rng.normal(scale=2.0)
+        h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y)
+        analytic = np.array([[h_mm, h_ms], [h_ms, h_ss]])
+        x = np.array([mu, sigma])
+        steps = 1e-6 * (1 + np.abs(x))
+        numeric = np.column_stack([
+            numeric_gradient(lambda v: float(crps_normal_gradient(v[0], v[1], y)[j]), x, steps)
+            for j in range(2)])
+        worst = max(worst, float(np.max(np.abs(numeric - analytic) / (1 + np.abs(analytic)))))
+    assert worst <= 1e-6
