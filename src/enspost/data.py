@@ -26,8 +26,8 @@ from .errors import (
     InvalidEnsemble,
     ParseError,
 )
-from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_location, seasonal_logscale
-from .timeseries import ARCoeffs, GARCHCoeffs, is_stationary
+from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_design
+from .timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, is_stationary
 
 LEAD_TIMES_H = (24, 48, 72, 96, 120)
 
@@ -409,16 +409,6 @@ def _simulate_ar(eta: float, tau: np.ndarray, innovations: np.ndarray) -> np.nda
     return x
 
 
-def _ar_teacher_pred(eta: float, tau: np.ndarray, x: np.ndarray, start: int) -> np.ndarray:
-    """One-step AR predictions for x[start:], using the actual past values."""
-    p = tau.size
-    out = np.full(x.size - start, eta)
-    for j in range(1, p + 1):
-        past = np.where(np.arange(start, x.size) - j >= 0, x[start - j: x.size - j], eta)
-        out += tau[j - 1] * (past - eta)
-    return out
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTruth]:
     """Draw one synthetic station series plus its exact conditional truth.
 
@@ -444,15 +434,15 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     # observation process driven by the distortion-corrected realized statistics
     xbar_eff = members.mean(axis=1) - cfg.ens_bias
     s_eff = members.std(axis=1, ddof=1) / cfg.ens_dispersion
-    mu_s = seasonal_location(cfg.loc, t, xbar_eff)
-    sigma_s = np.exp(seasonal_logscale(cfg.scale, t, s_eff))
+    mu_s = seasonal_design(t, xbar_eff) @ cfg.loc.as_vector()
+    sigma_s = np.exp(seasonal_design(t, s_eff) @ cfg.scale.as_vector())
     tau = np.asarray(cfg.ar.tau, dtype=float)
     eta = cfg.ar.eta
     z = rng.standard_normal(n + _BURN)
 
     if cfg.standardized_ar:
         z_path = _simulate_ar(eta, tau, z)
-        z_pred = _ar_teacher_pred(eta, tau, z_path, _BURN)
+        z_pred = ar_teacher_forced(cfg.ar, z_path, _BURN)
         z_path = z_path[_BURN:]
         y = mu_s + sigma_s * z_path
         truth = SyntheticTruth(mu=mu_s + sigma_s * z_pred, sigma=sigma_s.copy(),
@@ -475,7 +465,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
         # innovation scale during burn-in is frozen at the first day's sigma_S
         scale_path = np.concatenate([np.full(_BURN, sigma_s[0]), sigma_s])
         r_path = _simulate_ar(eta, tau, scale_path * rho_path)
-        r_pred = _ar_teacher_pred(eta, tau, r_path, _BURN)
+        r_pred = ar_teacher_forced(cfg.ar, r_path, _BURN)
         r = r_path[_BURN:]
         y = mu_s + r
         truth = SyntheticTruth(mu=mu_s + r_pred, sigma=sigma_s * sig_g,

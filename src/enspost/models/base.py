@@ -17,7 +17,7 @@ import numpy as np
 
 from ..data import StationSeries, lead_time_offset, time_index
 from ..errors import InvalidInput
-from ..seasonal import N_COEFFS, SeasonalCoeffs
+from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
 
 MODEL_KINDS = ("EMOS", "AR-EMOS", "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
@@ -53,14 +53,6 @@ class FittedModel:
             raise InvalidInput(f"unknown model kind {self.kind!r}")
         if self.weight is not None and not (0.0 <= self.weight <= 1.0):
             raise InvalidInput(f"AR-EMOS weight must lie in [0, 1], got {self.weight}")
-
-    # -- coefficient views -------------------------------------------------
-
-    def loc_coeffs(self) -> SeasonalCoeffs:
-        return SeasonalCoeffs.from_vector(self.loc)
-
-    def scale_coeffs(self) -> SeasonalCoeffs:
-        return SeasonalCoeffs.from_vector(self.scale)
 
     # -- serialization -----------------------------------------------------
 
@@ -168,10 +160,10 @@ class PredictionContext:
             indices=indices.astype(int),
         )
 
-    def history_end(self, i: int) -> int:
+    def history_end(self, i):
         """Index of the last observation observable when forecasting index i
-        (exclusive slice end)."""
-        return max(i - self.k, 0)
+        (exclusive slice end); ``i`` may be an array of indices."""
+        return np.maximum(i - self.k, 0)
 
 
 # registry filled by the model modules ---------------------------------------

@@ -21,7 +21,11 @@ path and the seasonal predictors.
 
 During prediction, residuals of the k most recent days (lead-time offset)
 are unobservable and are bridged with the multi-step AR recursion; the
-GARCH recursion bridges them with its conditional-expectation update.
+GARCH recursion bridges them with its conditional-expectation update.  All
+requested dates are computed in one pass: one multi-step AR recursion with
+a column per date, and for DAR-GARCH-SEMOS one GARCH path over the
+observable series.  sigma stays the one-step sigma_S (times the bridged
+GARCH factor): the AR bridge moves the mean only.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from ..scoring import crps_normal_gradient, crps_normal_series
 from ..seasonal import N_COEFFS, seasonal_design
 from ..timeseries import (
     ARCoeffs,
+    ARFits,
     GARCHCoeffs,
     ar_multistep,
     ar_teacher_forced,
@@ -129,16 +134,6 @@ def _garch_path_adjoint(w, rho_sq, path, d_path) -> tuple[np.ndarray, np.ndarray
         if denom > 1e-3:
             d_w[1:] += d_init * path[0] / denom
     return d_w, d_rho_sq
-
-
-def _ar_forecast(ar: ARCoeffs, history: np.ndarray, steps: int) -> float:
-    """Last value of the multi-step recursion; short histories are padded
-    with eta (the unconditional mean)."""
-    if history.size < ar.p:
-        history = np.concatenate([np.full(ar.p - history.size, ar.eta), history])
-    if ar.p == 0:
-        return ar.eta
-    return float(ar_multistep(ar, history, steps)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -380,70 +375,63 @@ def _seasonal_parts(model: FittedModel, series: StationSeries, ctx: PredictionCo
     return x_loc @ model.loc, np.exp(x_scale @ model.scale)
 
 
-def _garch_sigma_factor(model: FittedModel, rho_sq_obs: np.ndarray, p: int,
-                        target: int) -> float:
-    """sigma_G at index ``target`` given observable squared innovations
-    rho_sq_obs (absolute indices p..p+len-1 of the series).
+def _ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Multi-step AR forecast of ``x`` for every date at once: column d runs
+    the recursion from the p values before h[d] (padded with eta when fewer
+    exist) and yields its value ``steps[d]`` steps ahead."""
+    rows = h + np.arange(-ar.p, 0)[:, None]  # (p, dates)
+    history = np.where(rows >= 0, x[np.maximum(rows, 0)], ar.eta)
+    paths = ar_multistep(ARFits.stack([ar] * h.size), history, int(steps.max(initial=1)))
+    return paths[steps - 1, np.arange(h.size)]
 
-    Beyond the observable range the recursion replaces the unknown rho^2 by
-    its conditional expectation sigma_G^2 (standard multi-step variance
-    forecast).
+
+def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, r: np.ndarray, sigma_s: np.ndarray,
+                        h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """sigma_G of each prediction index i, whose observable history ends
+    before h (exclusive).
+
+    One teacher-forced AR pass and one GARCH path run over the observable
+    series.  Each date starts from the variance one step after its last
+    observable innovation (the unconditional start when it has none) and
+    is bridged over the remaining days by the conditional-expectation
+    update, which replaces the unknown rho^2 by sigma_G^2 (standard
+    multi-step variance forecast).
     """
-    g = model.garch
     w = np.array([g.omega0, g.omega1, g.omega2])
-    if rho_sq_obs.size:
-        path = _garch_path(w, rho_sq_obs)
-        last_idx = p + path.size - 1      # absolute index of path[-1]
+    p = ar.p
+    var = np.full(h.size, _garch_path(w, np.zeros(1))[0])
+    steps_left = np.maximum(i - p, 0)
+    n = int(h.max(initial=0))
+    if n > p:
+        rho_sq = np.square((r[p:n] - ar_teacher_forced(ar, r[:n], p)) / sigma_s[p:n])
+        path = _garch_path(w, rho_sq)
+        seen = h > p
+        last = h[seen] - 1 - p  # path index of each date's last observable day
         # one step ahead still sees the last observable rho^2
-        var = w[0] + w[1] * path[-1] + w[2] * rho_sq_obs[-1]
-        steps_left = target - last_idx - 1
-    else:
-        var = _garch_path(w, np.zeros(1))[0]  # unconditional start
-        steps_left = target - p
-    for _ in range(max(steps_left, 0)):
-        var = w[0] + (w[1] + w[2]) * var
-    return float(np.sqrt(var))
+        var[seen] = w[0] + w[1] * path[last] + w[2] * rho_sq[last]
+        steps_left[seen] = (i - h)[seen]
+    for step in range(int(steps_left.max(initial=0))):
+        var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
+    return np.sqrt(var)
 
 
 def _predict_family(model: FittedModel, series: StationSeries, dates):
     ctx = PredictionContext.build(model, series, dates)
     mu_s, sigma_s = _seasonal_parts(model, series, ctx)
-    kind = model.kind
+    i = ctx.indices
+    if model.kind == "SEMOS":
+        return mu_s[i], sigma_s[i]
 
-    if kind == "SEMOS":
-        return mu_s[ctx.indices].copy(), sigma_s[ctx.indices].copy()
+    h = ctx.history_end(i)
+    if model.kind == "SAR-SEMOS":
+        z_hat = _ar_bridge(model.ar, (series.obs - mu_s) / sigma_s, h, i - h + 1)
+        return mu_s[i] + sigma_s[i] * z_hat, sigma_s[i]
 
-    ar = model.ar
-    obs = series.obs
-    mu_out = np.empty(ctx.indices.size)
-    sigma_out = np.empty(ctx.indices.size)
-
-    if kind == "SAR-SEMOS":
-        z = (obs - mu_s) / sigma_s
-        for out_i, i in enumerate(ctx.indices):
-            h = ctx.history_end(i)
-            z_hat = _ar_forecast(ar, z[:h], i - h + 1)
-            mu_out[out_i] = mu_s[i] + sigma_s[i] * z_hat
-            sigma_out[out_i] = sigma_s[i]
-        return mu_out, sigma_out
-
-    r = obs - mu_s
-    for out_i, i in enumerate(ctx.indices):
-        h = ctx.history_end(i)
-        r_hat = _ar_forecast(ar, r[:h], i - h + 1)
-        mu_out[out_i] = mu_s[i] + r_hat
-        if kind == "DAR-SEMOS":
-            sigma_out[out_i] = sigma_s[i]
-        else:
-            p = ar.p
-            n_obs = max(h - p, 0)
-            if n_obs > 0:
-                eps = r[p: p + n_obs] - ar_teacher_forced(ar, r[:h], p)[:n_obs]
-                rho_sq = np.square(eps / sigma_s[p: p + n_obs])
-            else:
-                rho_sq = np.empty(0)
-            sigma_out[out_i] = sigma_s[i] * _garch_sigma_factor(model, rho_sq, p, i)
-    return mu_out, sigma_out
+    r = series.obs - mu_s
+    mu = mu_s[i] + _ar_bridge(model.ar, r, h, i - h + 1)
+    if model.kind == "DAR-SEMOS":
+        return mu, sigma_s[i]
+    return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, r, sigma_s, h, i)
 
 
 register("SEMOS", semos_fit, _predict_family)

@@ -1,4 +1,4 @@
-"""Fourier seasonal basis and the seasonal location / log-scale predictors.
+"""Fourier seasonal basis and the design matrix of the seasonal predictors.
 
 The seasonal cycle is modeled by a truncated Fourier series with two
 harmonics on a 365.25-day period, evaluated on a running day index (t = 1
@@ -9,7 +9,8 @@ slope on an ensemble statistic:
     location:  a0 + f0(t) + (a1 + f1(t)) * xbar(t)
     log-scale: b0 + g0(t) + (b1 + g1(t)) * s(t)
 
-where f_i / g_i are 4-term Fourier polynomials.
+where f_i / g_i are 4-term Fourier polynomials.  Both are evaluated as
+``seasonal_design(t, covariate) @ coeffs``, by the models and the generator.
 """
 
 from __future__ import annotations
@@ -99,22 +100,3 @@ def seasonal_design(t, covariate) -> np.ndarray:
         [np.ones_like(t), cov, feats, feats * cov[:, None]]
     )
 
-
-def seasonal_location(coeffs: SeasonalCoeffs, t, xbar):
-    """Seasonal location predictor ``a0 + f0(t) + (a1 + f1(t)) * xbar``."""
-    feats = fourier_features(t)
-    f0 = feats @ np.asarray(coeffs.fourier_intercept)
-    f1 = feats @ np.asarray(coeffs.fourier_slope)
-    return coeffs.intercept + f0 + (coeffs.slope + f1) * np.asarray(xbar, dtype=float)
-
-
-def seasonal_logscale(coeffs: SeasonalCoeffs, t, s):
-    """Seasonal log-scale predictor ``b0 + g0(t) + (b1 + g1(t)) * s``.
-
-    Note the raw ensemble standard deviation ``s`` enters (not log s);
-    exponentiating the result always yields a strictly positive scale.
-    """
-    feats = fourier_features(t)
-    g0 = feats @ np.asarray(coeffs.fourier_intercept)
-    g1 = feats @ np.asarray(coeffs.fourier_slope)
-    return coeffs.intercept + g0 + (coeffs.slope + g1) * np.asarray(s, dtype=float)

@@ -1,4 +1,4 @@
-"""AR(p) estimation and prediction, GARCH(1,1) filtering, ACF and Ljung-Box.
+"""AR(p) estimation and prediction, GARCH(1,1) variance paths, ACF and Ljung-Box.
 
 AR fitting follows the classical Yule-Walker route: biased sample
 autocovariances, the Levinson-Durbin recursion for every order up to
@@ -11,6 +11,9 @@ The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
 series at once, given as the columns of an (n, m) array with time running
 down the rows, and on their fits as one ``ARFits``.  A 1-D series with an
 ``ARCoeffs`` is the m = 1 case and returns scalars or 1-D arrays.
+
+``garch_path`` is the one GARCH(1,1) variance recursion (with its adjoint
+``garch_path_adjoint``); the seasonal models and ``fit_garch`` share it.
 """
 
 from __future__ import annotations
@@ -287,24 +290,14 @@ def _ar_next(fits: ARFits, window: np.ndarray) -> np.ndarray:
     return acc
 
 
-def ar_one_step(ar: ARCoeffs, history) -> float:
-    """One-step AR prediction eta + sum_j tau_j (history[-j] - eta).
-
-    ``history`` is ordered oldest to newest and must provide at least p values.
-    """
-    fits, hist, _ = _as_columns(ar, history)
-    if hist.shape[0] < ar.p:
-        raise HistoryTooShort(f"AR({ar.p}) needs {ar.p} past values, got {hist.shape[0]}")
-    return float(_ar_next(fits, hist[hist.shape[0] - ar.p:])[0])
-
-
 def ar_multistep(ar, history, steps: int) -> np.ndarray:
     """Iterated AR predictions, appending each prediction to the history.
 
     Used whenever the lead time leaves the most recent residuals
     unobserved.  Only the last p rows of ``history`` are read.  Returns
     (steps,) for one series and (steps, m) for m columns.  Emits one
-    warning when any tau is nonstationary, where the recursion can diverge.
+    warning when any tau is nonstationary, where the recursion can diverge;
+    it names the nonstationary columns unless every column is.
     """
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
@@ -314,7 +307,8 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
         raise HistoryTooShort(f"AR({p}) needs {p} past values, got {hist.shape[0]}")
     stationary = is_stationary(fits.tau)
     if not np.all(stationary):
-        where = "" if single else f" (columns {np.flatnonzero(~stationary).tolist()})"
+        where = ("" if single or not np.any(stationary)
+                 else f" (columns {np.flatnonzero(~stationary).tolist()})")
         warnings.warn(f"multi-step prediction with nonstationary AR coefficients{where}",
                       stacklevel=2)
     buf = np.empty((p + steps, fits.p.size))
@@ -327,18 +321,6 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # GARCH(1,1)
 # ---------------------------------------------------------------------------
-
-
-def garch_init_variance(g: GARCHCoeffs) -> float:
-    """Starting variance for the GARCH recursion.
-
-    The unconditional variance omega0 / (1 - omega1 - omega2) when the
-    persistence is stationary, else 1.0.
-    """
-    persistence = g.omega1 + g.omega2
-    if persistence < 1.0:
-        return g.omega0 / (1.0 - persistence) if g.omega0 > 0 else 1.0
-    return 1.0
 
 
 def garch_path(w, rho_sq, init: float) -> np.ndarray:
@@ -373,27 +355,6 @@ def garch_path_adjoint(w, rho_sq, path, d_path):
     d_rho_sq = np.zeros(rho_sq.size)
     d_rho_sq[:-1] = w[2] * ahead
     return d_w, d_rho_sq, float(lam[0])
-
-
-def garch_filter(g: GARCHCoeffs, rho_sq, init_var: float) -> np.ndarray:
-    """Forward GARCH(1,1) variance recursion.
-
-    Element i of the output is sigma^2 one step after seeing ``rho_sq[i]``:
-
-        out[0] = omega0 + omega1 * init_var + omega2 * rho_sq[0]
-        out[i] = omega0 + omega1 * out[i-1] + omega2 * rho_sq[i]
-
-    so the caller passes the *lagged* squared innovations rho^2(t-1) to get
-    sigma^2(t).  Output is strictly positive whenever omega0 > 0 or the
-    carried variance stays positive.
-    """
-    rho_sq = np.asarray(rho_sq, dtype=float).ravel()
-    if init_var <= 0 or not np.isfinite(init_var):
-        raise InvalidInput(f"init_var must be positive, got {init_var}")
-    if rho_sq.size and (rho_sq.min() < 0 or not np.all(np.isfinite(rho_sq))):
-        raise InvalidInput("squared innovations must be finite and >= 0")
-    w = (g.omega0, g.omega1, g.omega2)
-    return garch_path(w, np.append(rho_sq, 0.0), init_var)[1:]
 
 
 def _garch_likelihood(rho_sq: np.ndarray, var: float):

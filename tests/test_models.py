@@ -1,10 +1,17 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from enspost import cli, models
-from enspost.data import StationSeries, SyntheticConfig, generate_synthetic, time_index
+from enspost.data import (
+    StationSeries,
+    SyntheticConfig,
+    generate_synthetic,
+    lead_time_offset,
+    time_index,
+)
 from enspost.errors import InsufficientHistory, InvalidInput
 from enspost.models import FittedModel
 from enspost.models import ar_emos
@@ -442,6 +449,113 @@ def test_no_look_ahead_all_kinds(lead):
         a = models.predict(model, series, [date])
         b = models.predict(model, corrupted, [date])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]), kind
+
+
+# ---------------------------------------------------------------------------
+# one-pass seasonal prediction against a per-date reference
+# ---------------------------------------------------------------------------
+
+_FIXED_AR = {0: ARCoeffs(0, 0.3, ()), 1: ARCoeffs(1, 0.2, (0.6,)),
+             3: ARCoeffs(3, -0.1, (0.5, -0.2, 0.1))}
+_FIXED_GARCH = GARCHCoeffs(0.2, 0.6, 0.25)
+
+
+def _fixed_model(semos_clones, kind, p, lead):
+    """(model, series) for a seasonal AR kind with fixed coefficients at a
+    lead time; loc/scale come from the SEMOS fit of the clones."""
+    series, base, _ = semos_clones
+    series = StationSeries.build(series.station_id, lead, series.dates, series.obs,
+                                 series.members)
+    model = FittedModel(kind=kind, loc=base.loc.copy(), scale=base.scale.copy(),
+                        ar=_FIXED_AR[p],
+                        garch=_FIXED_GARCH if kind == "DAR-GARCH-SEMOS" else None,
+                        meta={**base.meta, "lead_time_h": lead})
+    return model, series
+
+
+def _per_date_reference(model, series, dates):
+    """(mu, sigma) one date at a time: the eta-padded residual history, the
+    AR recursion by hand and, for DAR-GARCH-SEMOS, the GARCH variance run
+    to the last observable day and bridged by scalar steps."""
+    t = time_index(series.dates, model.meta["origin"])
+    mu_s = seasonal_design(t, series.ens_mean) @ model.loc
+    sigma_s = np.exp(seasonal_design(t, series.ens_sd) @ model.scale)
+    ar, g = model.ar, model.garch
+    sar = model.kind == "SAR-SEMOS"
+    x = (series.obs - mu_s) / sigma_s if sar else series.obs - mu_s
+    k = lead_time_offset(series.lead_time_h)
+
+    def one_step(window):
+        acc = ar.eta
+        for j in range(1, ar.p + 1):
+            acc += ar.tau[j - 1] * (window[-j] - ar.eta)
+        return acc
+
+    mu, sigma = [], []
+    for date in dates:
+        i = series.index_of(date)
+        h = max(i - k, 0)
+        window = [ar.eta] * max(ar.p - h, 0) + list(x[max(h - ar.p, 0):h])
+        for _ in range(i - h + 1):
+            window.append(one_step(window))
+        if sar:
+            mu.append(mu_s[i] + sigma_s[i] * window[-1])
+        else:
+            mu.append(mu_s[i] + window[-1])
+        if model.kind != "DAR-GARCH-SEMOS":
+            sigma.append(sigma_s[i])
+            continue
+        w0, w1, w2 = g.omega0, g.omega1, g.omega2
+        var = w0 / max(1.0 - w1 - w2, 1e-3)
+        steps = max(i - ar.p, 0)
+        if h > ar.p:
+            for day in range(ar.p, h):
+                if day > ar.p:  # the path's recursion, in the kernel's summation order
+                    var = (w0 + w2 * rho_sq) + w1 * var
+                eps = (x[day] - one_step(x[:day])) / sigma_s[day]
+                rho_sq = eps * eps
+            var = w0 + w1 * var + w2 * rho_sq
+            steps = i - h
+        for _ in range(steps):
+            var = w0 + (w1 + w2) * var
+        sigma.append(sigma_s[i] * np.sqrt(var))
+    return np.array(mu), np.array(sigma)
+
+
+@pytest.mark.parametrize("lead", [24, 72, 120])
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_one_pass_prediction_matches_per_date_reference(kind, p, lead, semos_clones):
+    model, series = _fixed_model(semos_clones, kind, p, lead)
+    # the first days have i < k and h < p: padded histories, no GARCH path yet
+    dates = np.concatenate([series.dates[:12], series.dates[730:790]])
+    mu, sigma = models.predict(model, series, dates)
+    ref_mu, ref_sigma = _per_date_reference(model, series, dates)
+    assert np.array_equal(mu, ref_mu) and np.array_equal(sigma, ref_sigma)
+
+
+@pytest.mark.parametrize("kind", ["DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_one_pass_prediction_reads_no_later_observations(kind, semos_clones):
+    model, series = _fixed_model(semos_clones, kind, 3, 72)
+    i = 760
+    h = i - lead_time_offset(72)
+    dates = series.dates[730:790]  # dates after i may read the corrupted days
+    mu, sigma = models.predict(model, series, dates)
+    mu_c, sigma_c = models.predict(model, _corrupt_after(series, h, 1e3), dates)
+    upto = i - 730 + 1
+    assert np.array_equal(mu[:upto], mu_c[:upto]) and np.array_equal(sigma[:upto], sigma_c[:upto])
+    assert not np.array_equal(mu, mu_c)
+
+
+def test_nonstationary_ar_warns_once_per_predict(semos_clones):
+    series, _, clone = semos_clones
+    model = clone("DAR-SEMOS", ar=ARCoeffs(1, 0.0, (1.2,)))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        models.predict(model, series, series.dates[730:740])
+    user = [w for w in record if issubclass(w.category, UserWarning)]
+    assert len(user) == 1
+    assert "nonstationary" in str(user[0].message) and "columns" not in str(user[0].message)
 
 
 def test_lead_mismatch_rejected(sar_world):

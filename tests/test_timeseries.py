@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enspost.errors import DegenerateSeries, HistoryTooShort, InvalidInput
+from enspost.errors import DegenerateSeries, HistoryTooShort
 from enspost.timeseries import (
     ARCoeffs,
     ARFits,
@@ -9,13 +9,11 @@ from enspost.timeseries import (
     acf,
     ar_innovation_variance,
     ar_multistep,
-    ar_one_step,
     ar_teacher_forced,
     chi2_sf,
     fit_ar_yule_walker,
     fit_garch,
-    garch_filter,
-    garch_init_variance,
+    garch_path,
     is_stationary,
     ljung_box,
 )
@@ -193,7 +191,7 @@ def test_innovation_variance_and_teacher_forcing_columns_match_reference(rng):
     for i, ar in enumerate(MIXED_FITS):
         assert got[i] == pytest.approx(_reference_innovation_variance(x[:, i], ar), rel=1e-12)
         assert ar_innovation_variance(x[:, i], ar) == pytest.approx(got[i], rel=1e-12)
-        expected = [ar_one_step(ar, x[:t, i]) for t in range(30, 40)]
+        expected = [ar_multistep(ar, x[:t, i], 1)[0] for t in range(30, 40)]
         assert np.array_equal(pred[:, i], expected)
     with pytest.raises(HistoryTooShort):
         ar_teacher_forced(fits, x, 2)
@@ -233,14 +231,17 @@ def test_multistep_columns_warn_once_naming_nonstationary_columns():
 # ---------------------------------------------------------------------------
 
 
+# one-step prediction is the first step of the multi-step recursion
+
+
 def test_ar_one_step_direct():
     ar = ARCoeffs(p=1, eta=0.0, tau=(0.5,))
-    assert ar_one_step(ar, [1.0]) == pytest.approx(0.5)
+    assert ar_multistep(ar, [1.0], 1)[0] == pytest.approx(0.5)
 
 
 def test_ar_one_step_mean_reversion_limit():
     ar = ARCoeffs(p=2, eta=3.0, tau=(0.0, 0.0))
-    assert ar_one_step(ar, [9.0, -4.0]) == pytest.approx(3.0)
+    assert ar_multistep(ar, [9.0, -4.0], 1)[0] == pytest.approx(3.0)
 
 
 def test_ar_one_step_formula_oracle(rng):
@@ -248,12 +249,12 @@ def test_ar_one_step_formula_oracle(rng):
     ar = ARCoeffs(p=2, eta=float(eta), tau=(t1, t2))
     hist = rng.normal(size=5)
     expected = eta + t1 * (hist[-1] - eta) + t2 * (hist[-2] - eta)
-    assert ar_one_step(ar, hist) == pytest.approx(expected, abs=1e-12)
+    assert ar_multistep(ar, hist, 1)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_ar_one_step_history_too_short():
     with pytest.raises(HistoryTooShort):
-        ar_one_step(ARCoeffs(p=3, eta=0.0, tau=(0.1, 0.1, 0.1)), [1.0, 2.0])
+        ar_multistep(ARCoeffs(p=3, eta=0.0, tau=(0.1, 0.1, 0.1)), [1.0, 2.0], 1)
 
 
 def test_ar_multistep_geometric_decay():
@@ -264,7 +265,9 @@ def test_ar_multistep_geometric_decay():
 def test_ar_multistep_first_equals_one_step(rng):
     ar = ARCoeffs(p=2, eta=0.3, tau=(0.4, 0.2))
     hist = rng.normal(size=4)
-    assert ar_multistep(ar, hist, 1)[0] == pytest.approx(ar_one_step(ar, hist))
+    # the teacher-forced prediction of the row after ``hist``
+    one_step = ar_teacher_forced(ar, np.append(hist, 0.0), hist.size)[0]
+    assert ar_multistep(ar, hist, 1)[0] == pytest.approx(one_step)
 
 
 def test_ar_multistep_matches_hand_recursion(rng):
@@ -309,16 +312,18 @@ def test_is_stationary():
 # ---------------------------------------------------------------------------
 
 
+# garch_path(w, rho_sq, init)[i] is the variance after seeing rho_sq[i - 1]
+
+
 def test_garch_filter_direct_substitution():
-    g = GARCHCoeffs(0.1, 0.5, 0.3)
-    out = garch_filter(g, [1.0], init_var=1.0)
-    assert out[0] == pytest.approx(0.9)
+    out = garch_path((0.1, 0.5, 0.3), np.array([1.0, 0.0]), 1.0)
+    assert out[1] == pytest.approx(0.9)
 
 
 def test_garch_filter_no_persistence():
-    g = GARCHCoeffs(0.7, 0.0, 0.0)
-    out = garch_filter(g, np.abs(np.random.default_rng(0).normal(size=50)), init_var=2.0)
-    assert np.allclose(out, 0.7)
+    rho_sq = np.abs(np.random.default_rng(0).normal(size=50))
+    out = garch_path((0.7, 0.0, 0.0), np.append(rho_sq, 0.0), 2.0)
+    assert np.allclose(out[1:], 0.7)
 
 
 def test_garch_filter_long_run_mean(rng):
@@ -327,33 +332,20 @@ def test_garch_filter_long_run_mean(rng):
     z = rng.standard_normal(n)
     sig2 = np.empty(n)
     rho = np.empty(n)
-    sig2[0] = garch_init_variance(g)
+    sig2[0] = g.omega0 / (1.0 - g.omega1 - g.omega2)  # unconditional variance, 2.0
     rho[0] = np.sqrt(sig2[0]) * z[0]
     for t in range(1, n):
         sig2[t] = g.omega0 + g.omega1 * sig2[t - 1] + g.omega2 * rho[t - 1] ** 2
         rho[t] = np.sqrt(sig2[t]) * z[t]
-    filtered = garch_filter(g, np.square(rho[:-1]), init_var=garch_init_variance(g))
+    filtered = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho), sig2[0])[1:]
     assert np.mean(filtered) == pytest.approx(2.0, rel=0.10)
     assert np.allclose(filtered, sig2[1:], atol=1e-10)
 
 
 def test_garch_filter_positivity(rng):
-    g = GARCHCoeffs(0.05, 0.6, 0.3)
-    out = garch_filter(g, np.square(rng.normal(size=500)), init_var=0.5)
-    assert np.all(out > 0)
-
-
-def test_garch_filter_invalid_inputs():
-    g = GARCHCoeffs(0.1, 0.5, 0.3)
-    with pytest.raises(InvalidInput):
-        garch_filter(g, [-1.0], init_var=1.0)
-    with pytest.raises(InvalidInput):
-        garch_filter(g, [1.0], init_var=0.0)
-
-
-def test_garch_init_variance():
-    assert garch_init_variance(GARCHCoeffs(0.2, 0.7, 0.2)) == pytest.approx(2.0)
-    assert garch_init_variance(GARCHCoeffs(0.2, 0.8, 0.2)) == pytest.approx(1.0)
+    rho_sq = np.square(rng.normal(size=500))
+    out = garch_path((0.05, 0.6, 0.3), np.append(rho_sq, 0.0), 0.5)
+    assert np.all(out[1:] > 0)
 
 
 def test_fit_garch_recovers_persistence(rng):
@@ -362,7 +354,7 @@ def test_fit_garch_recovers_persistence(rng):
     z = rng.standard_normal(n)
     sig2 = np.empty(n)
     rho = np.empty(n)
-    sig2[0] = garch_init_variance(g)
+    sig2[0] = g.omega0 / (1.0 - g.omega1 - g.omega2)
     rho[0] = np.sqrt(sig2[0]) * z[0]
     for t in range(1, n):
         sig2[t] = g.omega0 + g.omega1 * sig2[t - 1] + g.omega2 * rho[t - 1] ** 2
