@@ -175,13 +175,17 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"dgp must be one of {_DGP_KINDS}, got {cfg.dgp!r}")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
-    for name in ("train_start", "train_end", "valid_start", "valid_end"):
+    if cfg.n_stations < 1:
+        raise ConfigError("n_stations must be >= 1")
+    for name in ("train_start", "train_end", "valid_start", "valid_end", "start_date"):
         value = getattr(cfg, name)
         if value is not None:
             try:
-                np.datetime64(value, "D")
+                parsed = np.datetime64(value, "D")
             except ValueError:
-                raise ConfigError(f"{name} is not an ISO date: {value!r}") from None
+                parsed = np.datetime64("NaT")
+            if np.isnat(parsed):
+                raise ConfigError(f"{name} is not an ISO date: {value!r}")
     if cfg.train_start and cfg.train_end and cfg.train_start > cfg.train_end:
         raise ConfigError("train_start must not be after train_end")
     if cfg.valid_start and cfg.valid_end and cfg.valid_start > cfg.valid_end:
@@ -228,17 +232,19 @@ def _station_path(out: Path, station_id: str, lead: int) -> Path:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("simulate needs --out")
+    syns = [synthetic_config(cfg, si, li)
+            for si in range(cfg.n_stations) for li in range(len(cfg.leads))]
+    for syn in syns:  # an invalid one is an error[config] before --out appears
+        syn.validate()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    for si in range(cfg.n_stations):
-        for li in range(len(cfg.leads)):
-            syn = synthetic_config(cfg, si, li)
-            series, truth = generate_synthetic(syn)
-            write_station_csv(series, _station_path(out, syn.station_id, syn.lead_time_h))
-            write_truth_csv(series.dates, truth,
-                            out / f"truth_{syn.station_id}_{syn.lead_time_h}h.csv")
-            print(f"simulate: wrote {syn.station_id} lead {syn.lead_time_h}h "
-                  f"({series.n_days} days, {series.n_members} members)")
+    for syn in syns:
+        series, truth = generate_synthetic(syn)
+        write_station_csv(series, _station_path(out, syn.station_id, syn.lead_time_h))
+        write_truth_csv(series.dates, truth,
+                        out / f"truth_{syn.station_id}_{syn.lead_time_h}h.csv")
+        print(f"simulate: wrote {syn.station_id} lead {syn.lead_time_h}h "
+              f"({series.n_days} days, {series.n_members} members)")
     return 0
 
 

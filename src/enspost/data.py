@@ -32,6 +32,7 @@ from .timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, is_stationary
 LEAD_TIMES_H = (24, 48, 72, 96, 120)
 
 _DAY = np.timedelta64(1, "D")
+_FLOAT_FMT = "%.9f"
 
 
 def lead_time_offset(lead_time_h: int) -> int:
@@ -204,12 +205,11 @@ def impute_missing(obs, half_window: int = 4, decay: float = 0.5, max_gap: int =
     return out
 
 
-def impute_series(series: StationSeries, half_window: int = 4, decay: float = 0.5,
-                  max_gap: int = 3) -> StationSeries:
+def impute_series(series: StationSeries) -> StationSeries:
     """Return a copy of ``series`` with missing observations imputed."""
     if series.is_complete():
         return series
-    obs = impute_missing(series.obs, half_window=half_window, decay=decay, max_gap=max_gap)
+    obs = impute_missing(series.obs)
     return StationSeries.build(series.station_id, series.lead_time_h,
                                series.dates, obs, series.members)
 
@@ -219,12 +219,12 @@ def impute_series(series: StationSeries, half_window: int = 4, decay: float = 0.
 # ---------------------------------------------------------------------------
 
 
-def write_station_csv(series: StationSeries, path, float_fmt: str = "%.9f") -> None:
+def write_station_csv(series: StationSeries, path) -> None:
     """Write one series in the canonical CSV schema.
 
     Header ``station_id,date,lead_time_h,obs,m1,...,m{M}``; empty obs field
-    marks a missing observation.  Nine decimals by default so a write/read
-    round trip preserves values to 1e-9.
+    marks a missing observation.  Nine decimals, so a write/read round
+    trip preserves values to 1e-9.
     """
     m = series.n_members
     with open(path, "w", newline="") as fh:
@@ -232,10 +232,10 @@ def write_station_csv(series: StationSeries, path, float_fmt: str = "%.9f") -> N
         writer.writerow(["station_id", "date", "lead_time_h", "obs"]
                         + [f"m{i + 1}" for i in range(m)])
         for i in range(series.n_days):
-            obs = "" if np.isnan(series.obs[i]) else float_fmt % series.obs[i]
+            obs = "" if np.isnan(series.obs[i]) else _FLOAT_FMT % series.obs[i]
             writer.writerow(
                 [series.station_id, str(series.dates[i]), series.lead_time_h, obs]
-                + [float_fmt % v for v in series.members[i]]
+                + [_FLOAT_FMT % v for v in series.members[i]]
             )
 
 
@@ -280,7 +280,10 @@ def load_station_csv(path, station_id: str | None = None,
             if len(row) != 4 + m:
                 raise ParseError(f"row {row_no}: expected {4 + m} fields, got {len(row)}")
             sid, date_text, lead_text = row[0], row[1], row[2]
-            lead = int(_parse_float(lead_text, row_no, "lead_time_h"))
+            lead = _parse_float(lead_text, row_no, "lead_time_h")
+            if lead != int(lead):
+                raise ParseError(f"row {row_no}: non-integral lead_time_h value {lead_text!r}")
+            lead = int(lead)
             if station_id is not None and sid != station_id:
                 continue
             if lead_time_h is not None and lead != int(lead_time_h):
@@ -477,12 +480,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     return series, truth
 
 
-def write_truth_csv(dates, truth: SyntheticTruth, path, float_fmt: str = "%.9f") -> None:
+def write_truth_csv(dates, truth: SyntheticTruth, path) -> None:
     """Sidecar with the exact conditional truth, one row per date."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "mu", "sigma", "mu_seasonal", "sigma_seasonal"])
         for i, d in enumerate(np.asarray(dates, dtype="datetime64[D]")):
             writer.writerow([str(d),
-                             float_fmt % truth.mu[i], float_fmt % truth.sigma[i],
-                             float_fmt % truth.mu_seasonal[i], float_fmt % truth.sigma_seasonal[i]])
+                             _FLOAT_FMT % truth.mu[i], _FLOAT_FMT % truth.sigma[i],
+                             _FLOAT_FMT % truth.mu_seasonal[i], _FLOAT_FMT % truth.sigma_seasonal[i]])

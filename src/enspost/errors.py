@@ -13,6 +13,10 @@ class ConfigError(EnspostError):
     """Invalid run configuration (bad key, inconsistent date ranges, ...)."""
 
 
+class InvalidConfig(ConfigError):
+    """Synthetic-generation config violates its invariants."""
+
+
 class DataError(EnspostError):
     """Base class for input-data problems."""
 
@@ -33,10 +37,6 @@ class ImputationFailure(DataError):
 
 class ParseError(DataError):
     """CSV schema violation; message carries the offending row number."""
-
-
-class InvalidConfig(DataError):
-    """Synthetic-generation config violates its invariants."""
 
 
 class InvalidInput(DataError):

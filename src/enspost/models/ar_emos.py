@@ -7,6 +7,7 @@ ensemble xtilde_i(t) = x_i(t) + predicted residual yields the location
 candidate sigma_1 is the root mean of the member innovation variances.
 The convex weight between them is picked by CRPS minimization over the
 following 30-day window.  Everything re-estimates per prediction date.
+Both window lengths are fixed, as in Moeller & Gross (2016).
 
 Each date works on the (window, members) error matrix in one pass: the
 AR kernels of ``timeseries`` fit, score and run every member's column at
@@ -35,6 +36,8 @@ from .base import FittedModel, PredictionContext, register
 logger = logging.getLogger(__name__)
 
 MAX_MEMBER_AR_ORDER = 5
+AR_WINDOW = 90
+WEIGHT_WINDOW = 30
 _SIGMA_FLOOR = 1e-8
 
 
@@ -79,21 +82,17 @@ def _estimate_at(series: StationSeries, h: int, ar_window: int, weight_window: i
 def _adjusted_ensemble(series: StationSeries, fits: ARFits, h: int, i: int) -> np.ndarray:
     """AR-adjusted members for prediction index i; residuals of the k
     unobservable days are bridged by the multi-step recursion from the last
-    p observed errors (padded with eta when fewer than p exist)."""
+    p observed errors (``_estimate_at`` ensures h >= 120 > p)."""
     p = fits.max_p
-    lo = max(h - p, 0)
-    hist = series.obs[lo:h, None] - series.members[lo:h]
-    if hist.shape[0] < p:
-        pad = np.broadcast_to(fits.eta, (p - hist.shape[0], fits.eta.size))
-        hist = np.vstack([pad, hist])
+    hist = series.obs[h - p:h, None] - series.members[h - p:h]
     return series.members[i] + ar_multistep(fits, hist, i - h + 1)[-1]
 
 
-def ar_emos_fit(series: StationSeries, ar_window: int = 90, weight_window: int = 30) -> FittedModel:
+def ar_emos_fit(series: StationSeries) -> FittedModel:
     """Validate history and record the member AR fits at the training end."""
     if not series.is_complete():
         raise InvalidInput("training series has missing observations; impute first")
-    fits, sigma1, weight = _estimate_at(series, series.n_days, ar_window, weight_window)
+    fits, sigma1, weight = _estimate_at(series, series.n_days, AR_WINDOW, WEIGHT_WINDOW)
     return FittedModel(
         kind="AR-EMOS",
         members_ar=fits.members(),
@@ -105,8 +104,8 @@ def ar_emos_fit(series: StationSeries, ar_window: int = 90, weight_window: int =
             "train_start": str(series.dates[0]),
             "train_end": str(series.dates[-1]),
             "n_train": series.n_days,
-            "ar_window": int(ar_window),
-            "weight_window": int(weight_window),
+            "ar_window": AR_WINDOW,
+            "weight_window": WEIGHT_WINDOW,
             "sigma1": sigma1,
             "converged": True,
         },
@@ -114,15 +113,14 @@ def ar_emos_fit(series: StationSeries, ar_window: int = 90, weight_window: int =
 
 
 def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
-    """Per-date rolling AR-EMOS prediction."""
+    """Per-date rolling AR-EMOS prediction on AR_WINDOW and WEIGHT_WINDOW,
+    whatever window lengths the fit file records."""
     ctx = PredictionContext.build(model, series, dates)
-    ar_window = int(model.meta.get("ar_window", 90))
-    weight_window = int(model.meta.get("weight_window", 30))
     mu_out = np.empty(ctx.indices.size)
     sigma_out = np.empty(ctx.indices.size)
     for out_i, i in enumerate(ctx.indices):
         h = ctx.history_end(i)
-        fits, sigma1, weight = _estimate_at(series, h, ar_window, weight_window)
+        fits, sigma1, weight = _estimate_at(series, h, AR_WINDOW, WEIGHT_WINDOW)
         adjusted = _adjusted_ensemble(series, fits, h, int(i))
         sigma2 = float(adjusted.std(ddof=1))
         mu_out[out_i] = float(adjusted.mean())

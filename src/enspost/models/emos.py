@@ -1,12 +1,12 @@
 """Rolling-window EMOS benchmark.
 
 mu = a0 + a1 * xbar, log sigma = b0 + b1 * log s, re-estimated for every
-prediction date by CRPS minimization over the trailing window of
-observable days.  A tiny ridge penalty protects the fit when log s is
-(near-)constant inside a window, where b1 is unidentified.  The window fit
-is a Newton solve with the exact gradient and Hessian: the closed-form
-first and second CRPS derivatives in mu and sigma, chain-ruled through the
-two linear predictors.
+prediction date by CRPS minimization over the trailing 30-day window of
+observable days (Gneiting et al. 2005).  A tiny ridge penalty protects the
+fit when log s is (near-)constant inside a window, where b1 is
+unidentified.  The window fit is a Newton solve with the exact gradient
+and Hessian: the closed-form first and second CRPS derivatives in mu and
+sigma, chain-ruled through the two linear predictors.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from ..optimize import OptimizeSettings, OptResult, minimize
 from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
 from .base import FittedModel, PredictionContext, register
 
+WINDOW_DAYS = 30
 _RIDGE = 1e-8
 _NEAR_CONSTANT_SD = 1e-3
 # Newton converges quadratically, so a gradient tolerance below minimize's
@@ -103,14 +104,12 @@ def _fit_window_result(xbar, s, y, settings: OptimizeSettings | None = None,
                     grad=gradient, hess=_window_hessian(xbar, log_s, y))
 
 
-def emos_fit_window(xbar, s, y, settings: OptimizeSettings | None = None,
-                    init=None) -> np.ndarray:
+def emos_fit_window(xbar, s, y, init=None) -> np.ndarray:
     """CRPS-fit (a0, a1, b0, b1) on one window; returns the coefficient vector."""
-    return _fit_window_result(xbar, s, y, settings, init).x
+    return _fit_window_result(xbar, s, y, init=init).x
 
 
-def emos_fit(series: StationSeries, window_days: int = 30,
-             settings: OptimizeSettings | None = None) -> FittedModel:
+def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
     """Validate the training series and fit the final training window.
 
     The stored coefficients describe the window ending at the training
@@ -118,10 +117,10 @@ def emos_fit(series: StationSeries, window_days: int = 30,
     """
     if not series.is_complete():
         raise InvalidInput("training series has missing observations; impute first")
-    if series.n_days < window_days + 1:
+    if series.n_days < WINDOW_DAYS + 1:
         raise InsufficientHistory(
-            f"EMOS needs >= {window_days + 1} training days, got {series.n_days}")
-    sl = slice(series.n_days - window_days, series.n_days)
+            f"EMOS needs >= {WINDOW_DAYS + 1} training days, got {series.n_days}")
+    sl = slice(series.n_days - WINDOW_DAYS, series.n_days)
     result = _fit_window_result(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
                                 settings)
     return FittedModel(
@@ -135,7 +134,7 @@ def emos_fit(series: StationSeries, window_days: int = 30,
             "train_start": str(series.dates[0]),
             "train_end": str(series.dates[-1]),
             "n_train": series.n_days,
-            "window_days": int(window_days),
+            "window_days": WINDOW_DAYS,
             "converged": bool(result.converged),
             "iterations": int(result.iterations),
             "n_evals": int(result.n_evals),
@@ -147,13 +146,12 @@ def emos_fit(series: StationSeries, window_days: int = 30,
 def emos_predict(model: FittedModel, series: StationSeries, dates):
     """Per-date prediction with rolling window re-estimation.
 
-    Each window covers the ``window_days`` most recent observable days
-    (ending k + 1 days before the prediction date for lead-time offset k).
-    Windows are processed in date order and warm-start from the previous
-    window's coefficients.
+    Each window covers the ``WINDOW_DAYS`` most recent observable days
+    (ending k + 1 days before the prediction date for lead-time offset k),
+    whatever window length the fit file records.  Windows are processed in
+    date order and warm-start from the previous window's coefficients.
     """
     ctx = PredictionContext.build(model, series, dates)
-    window = int(model.meta.get("window_days", 30))
     order = np.argsort(ctx.indices, kind="stable")
     mu_out = np.empty(ctx.indices.size)
     sigma_out = np.empty(ctx.indices.size)
@@ -161,10 +159,10 @@ def emos_predict(model: FittedModel, series: StationSeries, dates):
     for out_i in order:
         i = int(ctx.indices[out_i])
         h = ctx.history_end(i)
-        if h < window:
+        if h < WINDOW_DAYS:
             raise InsufficientHistory(
-                f"date {series.dates[i]} has only {h} observable days, needs {window}")
-        sl = slice(h - window, h)
+                f"date {series.dates[i]} has only {h} observable days, needs {WINDOW_DAYS}")
+        sl = slice(h - WINDOW_DAYS, h)
         if np.any(~np.isfinite(series.obs[sl])):
             raise InvalidInput(f"window before {series.dates[i]} contains missing observations")
         coeffs = emos_fit_window(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],

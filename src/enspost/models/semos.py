@@ -270,8 +270,7 @@ def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | None,
-                max_ar_order: int | None, sd_window_half_width: int) -> FittedModel:
+def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | None) -> FittedModel:
     _check_training_series(series)
     origin = series.dates[0]
     x_loc, x_scale = _designs(series, origin)
@@ -283,11 +282,11 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
     ar0 = None
     garch0 = None
     if kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS"):
-        ar0 = fit_ar_yule_walker(ols_resid, max_ar_order)
+        ar0 = fit_ar_yule_walker(ols_resid)
     if kind in ("SEMOS", "DAR-SEMOS"):
         scale0 = _scale_identity_init()
     else:
-        s_hat = empirical_sd_by_day_of_year(series.dates, y, sd_window_half_width)
+        s_hat = empirical_sd_by_day_of_year(series.dates, y)
         scale0 = _ols(x_scale, np.log(s_hat))
     if kind == "DAR-GARCH-SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
@@ -300,7 +299,7 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
             logger.warning("GARCH initialization failed (%s); falling back to %s", exc, garch0)
     if kind == "SAR-SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
-        ar0 = fit_ar_yule_walker((y - x_loc @ loc0) / sigma_s0, max_ar_order)
+        ar0 = fit_ar_yule_walker((y - x_loc @ loc0) / sigma_s0)
 
     p = 0 if ar0 is None else ar0.p
     theta0 = _pack(loc0, scale0, ar0, garch0)
@@ -336,32 +335,29 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
 
 def semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
     """Fit SEMOS: 20 seasonal coefficients, jointly CRPS-minimized."""
-    return _fit_family("SEMOS", series, settings, None, 15)
+    return _fit_family("SEMOS", series, settings)
 
 
-def dar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None,
-                  max_ar_order: int | None = None) -> FittedModel:
+def dar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
     """Fit DAR-SEMOS: SEMOS plus AR(p) on the deseasonalized errors.
 
-    The AR order is chosen once from the OLS residuals and stays fixed
-    during the joint optimization.
+    The AR order is chosen once by AIC from the OLS residuals and stays
+    fixed during the joint optimization.
     """
-    return _fit_family("DAR-SEMOS", series, settings, max_ar_order, 15)
+    return _fit_family("DAR-SEMOS", series, settings)
 
 
-def dar_garch_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None,
-                        max_ar_order: int | None = None,
-                        sd_window_half_width: int = 15) -> FittedModel:
+def dar_garch_semos_fit(series: StationSeries,
+                        settings: OptimizeSettings | None = None) -> FittedModel:
     """Fit DAR-GARCH-SEMOS: DAR-SEMOS with a multiplicative GARCH(1,1)
     variance factor."""
-    return _fit_family("DAR-GARCH-SEMOS", series, settings, max_ar_order, sd_window_half_width)
+    return _fit_family("DAR-GARCH-SEMOS", series, settings)
 
 
-def sar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None,
-                  max_ar_order: int | None = None,
-                  sd_window_half_width: int = 15) -> FittedModel:
-    """Fit SAR-SEMOS: SEMOS plus AR(p) on the standardized errors."""
-    return _fit_family("SAR-SEMOS", series, settings, max_ar_order, sd_window_half_width)
+def sar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
+    """Fit SAR-SEMOS: SEMOS plus AR(p) on the standardized errors, the
+    order chosen once by AIC."""
+    return _fit_family("SAR-SEMOS", series, settings)
 
 
 # ---------------------------------------------------------------------------

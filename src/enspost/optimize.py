@@ -22,23 +22,24 @@ import numpy as np
 
 from .errors import InvalidStart, NumericalFailure
 
+_STEP_TOLERANCE = 1e-10
+_FD_STEP = 1e-6
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 40
+_GOLDEN_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizeSettings:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
-    step_tolerance: float = 1e-10
-    fd_step: float = 1e-6
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("gradient_tolerance", "step_tolerance", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.gradient_tolerance <= 0:
+            raise ValueError("gradient_tolerance must be > 0")
 
 
 @dataclass
@@ -72,10 +73,6 @@ def numeric_gradient(f, x, h=1e-6) -> np.ndarray:
             raise NumericalFailure(f"non-finite objective while differencing component {i}")
         grad[i] = (fp - fm) / (2.0 * h[i])
     return grad
-
-
-def _scaled_steps(x: np.ndarray, base: float) -> np.ndarray:
-    return base * (1.0 + np.abs(x))
 
 
 def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -126,7 +123,7 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     settings : OptimizeSettings, optional
     grad : callable, optional
         Analytic gradient; defaults to central finite differences with
-        per-component steps fd_step * (1 + |x_i|).
+        per-component steps 1e-6 * (1 + |x_i|).
     hess : callable, optional
         Exact Hessian, an (n, n) symmetric array.  When given, each
         direction is the Newton step (modified where the Hessian is not
@@ -163,7 +160,7 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
 
     def gradient(v):
         if grad is None:
-            return numeric_gradient(fun, v, _scaled_steps(v, cfg.fd_step))
+            return numeric_gradient(fun, v, _FD_STEP * (1.0 + np.abs(v)))
         g = np.asarray(grad(v), dtype=float)
         if not np.all(np.isfinite(g)):
             i = int(np.flatnonzero(~np.isfinite(g))[0])
@@ -198,13 +195,13 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
         alpha = 1.0
         x_new = None
         f_new = np.inf
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = x + alpha * direction
             f_trial = fun(trial)
-            if np.isfinite(f_trial) and f_trial <= fx + cfg.armijo_c1 * alpha * slope:
+            if np.isfinite(f_trial) and f_trial <= fx + _ARMIJO_C1 * alpha * slope:
                 x_new, f_new = trial, f_trial
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= _BACKTRACK_FACTOR
         if x_new is None:
             # no acceptable decrease along this direction; stop with best-so-far
             break
@@ -215,7 +212,7 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
             h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
 
         x, fx, g = x_new, f_new, g_new
-        if float(np.max(np.abs(step))) <= cfg.step_tolerance:
+        if float(np.max(np.abs(step))) <= _STEP_TOLERANCE:
             converged = True
             break
 
@@ -229,8 +226,9 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     )
 
 
-def golden_section(objective, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Derivative-free minimization of a unimodal scalar function on [lo, hi]."""
+def golden_section(objective, lo: float, hi: float) -> float:
+    """Derivative-free minimization of a unimodal scalar function on [lo, hi],
+    to a bracket width of 1e-6."""
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise NumericalFailure("invalid golden-section bracket")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -238,7 +236,7 @@ def golden_section(objective, lo: float, hi: float, tol: float = 1e-6) -> float:
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOLERANCE:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

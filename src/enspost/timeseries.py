@@ -377,7 +377,7 @@ def _garch_likelihood(rho_sq: np.ndarray, var: float):
     return nll, gradient
 
 
-def fit_garch(rho, settings: OptimizeSettings | None = None) -> GARCHCoeffs:
+def fit_garch(rho) -> GARCHCoeffs:
     """GARCH(1,1) fit by Gaussian quasi-maximum-likelihood.
 
     Coefficients are carried as unconstrained square roots during the
@@ -398,8 +398,7 @@ def fit_garch(rho, settings: OptimizeSettings | None = None) -> GARCHCoeffs:
         raise DegenerateSeries("series too short or too flat for a GARCH fit")
     nll, gradient = _garch_likelihood(np.square(rho), var)
     theta0 = np.sqrt([0.1 * var, 0.7, 0.15])
-    result = minimize(nll, theta0, settings or OptimizeSettings(max_iterations=200),
-                      grad=gradient)
+    result = minimize(nll, theta0, OptimizeSettings(max_iterations=200), grad=gradient)
     if not np.isfinite(result.value):
         raise NumericalFailure("GARCH likelihood not finite at any tried point")
     w0, w1, w2 = np.square(result.x)

@@ -277,3 +277,40 @@ def test_malformed_fit_file_is_data_error(pipeline, tmp_path, capsys, command, d
     assert "Traceback" not in err
     assert err.count("error[") == 1
     assert err.startswith("error[data]:") and str(damaged) in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--start-date", "notadate"),
+    ("--start-date", "NaT"),
+    ("--n-stations", "0"),
+    ("--n-days", "1"),
+    ("--ens-dispersion", "-1"),
+], ids=["start_date", "start_date_nat", "n_stations", "n_days", "ens_dispersion"])
+def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
+    out = tmp_path / "sim"
+    assert run("simulate", "--out", out, "--n-days", 150, *flags) == 2
+    _assert_one_error_line(capsys, "config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("fit_AR-EMOS_S01_24h.json", "ar_window", "x"),
+    ("fit_EMOS_S01_24h.json", "window_days", 0),
+])
+def test_predict_ignores_window_lengths_in_fit_files(pipeline, tmp_path, name, key, value):
+    # the rolling window lengths are fixed by the models; a fit file only records them
+    fits, edited = tmp_path / "fits", tmp_path / "edited"
+    assert run("fit", "--data", pipeline / "data", "--out", fits, "--models", "emos,ar-emos",
+               "--lead", "24", "--train-start", "2015-01-01", "--train-end", "2017-06-30") == 0
+    edited.mkdir()
+    for path in fits.iterdir():
+        (edited / path.name).write_bytes(path.read_bytes())
+    doc = json.loads((fits / name).read_text())
+    doc["meta"][key] = value
+    (edited / name).write_text(json.dumps(doc))
+    for models_dir in (fits, edited):
+        assert run("predict", "--data", pipeline / "data", "--models-dir", models_dir,
+                   "--out", tmp_path / f"preds_{models_dir.name}", "--models", "emos,ar-emos",
+                   "--lead", "24", "--valid-start", "2017-07-01", "--valid-end", "2017-07-20") == 0
+    assert (tmp_path / "preds_edited" / "predictions.csv").read_bytes() == \
+        (tmp_path / "preds_fits" / "predictions.csv").read_bytes()

@@ -175,6 +175,17 @@ def test_load_duplicate_date_names_row(tmp_path):
         load_station_csv(path)
 
 
+@pytest.mark.parametrize("lead", ["24.5", "24.9"])
+def test_load_non_integral_lead_time_names_row(tmp_path, lead):
+    path = tmp_path / "s.csv"
+    path.write_text(
+        "station_id,date,lead_time_h,obs,m1,m2\n"
+        "A,2015-01-01,24,1.5,1.0,2.0\n"
+        f"A,2015-01-02,{lead},1.6,1.0,2.0\n")
+    with pytest.raises(ParseError, match="row 3"):
+        load_station_csv(path, lead_time_h=24)
+
+
 def test_load_bad_header(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("station,when,lead,obs,m1\nA,2015-01-01,24,1,2\n")

@@ -232,7 +232,7 @@ def test_ar_emos_short_history_padded_with_eta(rng):
     series = make_series(rng.normal(size=n), rng=rng, m=3)
     member_fits = [ARCoeffs(0, 0.3, ()), ARCoeffs(1, -0.1, (0.5,)),
                    ARCoeffs(4, 0.2, (0.3, -0.2, 0.1, 0.05))]
-    h, i = 2, 5  # two observed errors, four unobservable days
+    h, i = 4, 5  # four observed errors (the largest p), two bridged days
     got = _adjusted_ensemble(series, ARFits.stack(member_fits), h, i)
     for mi, ar in enumerate(member_fits):
         work = [ar.eta] * max(ar.p - h, 0) + list(series.obs[:h] - series.members[:h, mi])
