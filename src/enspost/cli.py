@@ -232,6 +232,8 @@ def _station_path(out: Path, station_id: str, lead: int) -> Path:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out:
         raise ConfigError("simulate needs --out")
+    if not cfg.leads:  # fit, predict and verify read no leads as every lead
+        raise ConfigError("simulate needs at least one lead time")
     syns = [synthetic_config(cfg, si, li)
             for si in range(cfg.n_stations) for li in range(len(cfg.leads))]
     for syn in syns:  # an invalid one is an error[config] before --out appears

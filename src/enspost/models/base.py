@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..data import StationSeries, lead_time_offset, time_index
-from ..errors import InvalidInput
+from ..errors import InsufficientHistory, InvalidInput
 from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
 
@@ -164,6 +164,27 @@ class PredictionContext:
         """Index of the last observation observable when forecasting index i
         (exclusive slice end); ``i`` may be an array of indices."""
         return np.maximum(i - self.k, 0)
+
+    def window_ends(self, length: int) -> np.ndarray:
+        """History ends of the prediction dates, once every date has a
+        window of ``length`` observable days before it, all observed.
+
+        Raises InsufficientHistory, else InvalidInput, naming the earliest
+        date whose window is short or has a missing observation.
+        """
+        ends = self.history_end(self.indices)
+        dates = self.series.dates
+        short = ends < length
+        if np.any(short):
+            i = int(self.indices[short].min())
+            raise InsufficientHistory(f"date {dates[i]} has only {self.history_end(i)} "
+                                      f"observable days, needs {length}")
+        missing = np.concatenate([[0], np.cumsum(~np.isfinite(self.series.obs))])
+        gappy = missing[ends] > missing[ends - length]
+        if np.any(gappy):
+            raise InvalidInput(f"window before {dates[self.indices[gappy].min()]} "
+                               "contains missing observations")
+        return ends
 
 
 # registry filled by the model modules ---------------------------------------

@@ -7,15 +7,22 @@ fit when log s is (near-)constant inside a window, where b1 is
 unidentified.  The window fit is a Newton solve with the exact gradient
 and Hessian: the closed-form first and second CRPS derivatives in mu and
 sigma, chain-ruled through the two linear predictors.
+
+Prediction fits every date's window in one batched solve
+(``optimize.minimize_newton``): the windows are the rows of (dates, 30)
+arrays, each starts from its own least-squares fit, and the training fit
+is the one-window case.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..data import StationSeries
 from ..errors import InsufficientHistory, InvalidInput
-from ..optimize import OptimizeSettings, OptResult, minimize
+# ``minimize`` stays importable here: perfbench's tracer wraps this name
+from ..optimize import OptimizeSettings, OptResult, minimize, minimize_newton  # noqa: F401
 from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
 from .base import FittedModel, PredictionContext, register
 
@@ -28,85 +35,101 @@ _NEAR_CONSTANT_SD = 1e-3
 _WINDOW_SETTINGS = OptimizeSettings(max_iterations=200, gradient_tolerance=1e-8)
 
 
-def _ridge(log_s: np.ndarray) -> float:
-    return _RIDGE if float(np.std(log_s)) < _NEAR_CONSTANT_SD else 0.0
+def _ridge(log_s: np.ndarray) -> np.ndarray:
+    return np.where(np.std(log_s, axis=-1) < _NEAR_CONSTANT_SD, _RIDGE, 0.0)
+
+
+def _sums(weight: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Window sums of weight * (1, a), (..., 2)."""
+    return np.stack([weight.sum(axis=-1), (weight * a).sum(axis=-1)], axis=-1)
+
+
+def _predictors(theta: np.ndarray, xbar: np.ndarray, log_s: np.ndarray):
+    mu = theta[..., 0:1] + theta[..., 1:2] * xbar
+    sigma = np.exp(theta[..., 2:3] + theta[..., 3:4] * log_s)
+    return mu, sigma
 
 
 def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
-    """Mean CRPS of theta = (a0, a1, b0, b1) on one window, plus the ridge
-    term, and its gradient; returns (objective, gradient)."""
+    """Mean CRPS of theta = (a0, a1, b0, b1) on each window, plus the ridge
+    term, and its gradient; returns (objective, gradient).
+
+    The windows are the rows of (D, window) arrays, or one 1-D window.
+    Both callables take theta, (len(rows), 4) or (4,), and optionally
+    ``rows``, the windows theta belongs to (all by default).
+    """
     ridge = _ridge(log_s)
-    loc_design = np.column_stack([np.ones_like(xbar), xbar])
-    scale_design = np.column_stack([np.ones_like(log_s), log_s])
 
-    def objective(theta):
-        mu = theta[0] + theta[1] * xbar
-        sigma = np.exp(theta[2] + theta[3] * log_s)
+    def objective(theta, rows=...):
+        mu, sigma = _predictors(theta, xbar[rows], log_s[rows])
         with np.errstate(all="ignore"):
-            crps = float(np.mean(crps_normal_series(mu, sigma, y)))
-        return crps + ridge * float(theta @ theta)
+            crps = np.mean(crps_normal_series(mu, sigma, y[rows]), axis=-1)
+        return crps + ridge[rows] * np.sum(theta * theta, axis=-1)
 
-    def gradient(theta):
-        mu = theta[0] + theta[1] * xbar
-        sigma = np.exp(theta[2] + theta[3] * log_s)
+    def gradient(theta, rows=...):
+        x, ls = xbar[rows], log_s[rows]
+        mu, sigma = _predictors(theta, x, ls)
         with np.errstate(all="ignore"):
-            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y)
+            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
             # d sigma / d (b0, b1) = sigma * (1, log s)
-            g = np.concatenate([d_mu @ loc_design, (d_sigma * sigma) @ scale_design])
-        return g / y.size + 2.0 * ridge * theta
+            g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
+        return g / y.shape[-1] + 2.0 * ridge[rows][..., None] * theta
 
     return objective, gradient
 
 
 def _window_hessian(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
-    """Exact 4 x 4 Hessian of ``_window_objective``'s objective.
+    """Exact 4 x 4 Hessian of ``_window_objective``'s objective, per window.
 
     With u = (1, xbar) and v = (1, log s), the blocks are mean(h_mm u u'),
     mean(h_ms sigma u v') and mean((h_ss sigma^2 + dCRPS/dsigma sigma) v v'):
     sigma = exp(b' v) is itself curved in (b0, b1).  The ridge adds 2 ridge I.
     """
     ridge = _ridge(log_s)
-    loc_design = np.column_stack([np.ones_like(xbar), xbar])
-    scale_design = np.column_stack([np.ones_like(log_s), log_s])
 
-    def hessian(theta):
-        mu = theta[0] + theta[1] * xbar
-        sigma = np.exp(theta[2] + theta[3] * log_s)
+    def block(weight, a, b):
+        """Window sums of weight * (1, a)(1, b)', (..., 2, 2)."""
+        return np.stack([_sums(weight, b), _sums(weight * a, b)], axis=-2)
+
+    def hessian(theta, rows=...):
+        x, ls = xbar[rows], log_s[rows]
+        mu, sigma = _predictors(theta, x, ls)
         with np.errstate(all="ignore"):
-            _, d_sigma = crps_normal_gradient(mu, sigma, y)
-            h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y)
+            _, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
+            h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y[rows])
             w_ss = (h_ss * sigma + d_sigma) * sigma
-            hess = np.empty((4, 4))
-            hess[:2, :2] = (loc_design.T * h_mm) @ loc_design
-            hess[:2, 2:] = (loc_design.T * (h_ms * sigma)) @ scale_design
-            hess[2:, :2] = hess[:2, 2:].T
-            hess[2:, 2:] = (scale_design.T * w_ss) @ scale_design
-        hess /= y.size
-        hess[np.diag_indices(4)] += 2.0 * ridge
+            hess = np.empty(theta.shape + (4,))
+            hess[..., :2, :2] = block(h_mm, x, x)
+            hess[..., :2, 2:] = block(h_ms * sigma, x, ls)
+            hess[..., 2:, :2] = np.swapaxes(hess[..., :2, 2:], -1, -2)
+            hess[..., 2:, 2:] = block(w_ss, ls, ls)
+        hess /= y.shape[-1]
+        hess[..., np.arange(4), np.arange(4)] += 2.0 * ridge[rows][..., None]
         return hess
 
     return hessian
 
 
-def _fit_window_result(xbar, s, y, settings: OptimizeSettings | None = None,
-                       init=None) -> OptResult:
-    """Newton CRPS fit of (a0, a1, b0, b1) on one window; the OptResult."""
-    xbar = np.asarray(xbar, dtype=float)
-    log_s = np.log(np.maximum(np.asarray(s, dtype=float), 1e-12))
-    y = np.asarray(y, dtype=float)
-    if init is None:
-        design = np.column_stack([np.ones_like(xbar), xbar])
-        ab, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid_sd = float(np.std(y - design @ ab, ddof=1))
-        init = np.array([ab[0], ab[1], np.log(max(resid_sd, 1e-6)), 0.0])
+def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptResult:
+    """Newton CRPS fits of (a0, a1, b0, b1) on the rows of (D, window)
+    arrays, each started from its least-squares line and the log of its
+    residual sd; one OptResult entry per window."""
+    xbar, y = np.atleast_2d(xbar, y)
+    log_s = np.log(np.maximum(np.atleast_2d(s), 1e-12))
+    xc = xbar - xbar.mean(axis=1, keepdims=True)
+    sxx = np.einsum("dw,dw->d", xc, xc)
+    a1 = np.einsum("dw,dw->d", xc, y) / np.where(sxx > 0, sxx, 1.0)
+    a0 = y.mean(axis=1) - a1 * xbar.mean(axis=1)
+    resid_sd = np.std(y - (a0[:, None] + a1[:, None] * xbar), axis=1, ddof=1)
+    init = np.column_stack([a0, a1, np.log(np.maximum(resid_sd, 1e-6)), np.zeros_like(a0)])
     objective, gradient = _window_objective(xbar, log_s, y)
-    return minimize(objective, init, settings or _WINDOW_SETTINGS,
-                    grad=gradient, hess=_window_hessian(xbar, log_s, y))
+    return minimize_newton(objective, gradient, _window_hessian(xbar, log_s, y), init,
+                           settings or _WINDOW_SETTINGS)
 
 
-def emos_fit_window(xbar, s, y, init=None) -> np.ndarray:
+def emos_fit_window(xbar, s, y) -> np.ndarray:
     """CRPS-fit (a0, a1, b0, b1) on one window; returns the coefficient vector."""
-    return _fit_window_result(xbar, s, y, init=init).x
+    return _fit_windows(xbar, s, y).x[0]
 
 
 def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
@@ -121,8 +144,8 @@ def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) ->
         raise InsufficientHistory(
             f"EMOS needs >= {WINDOW_DAYS + 1} training days, got {series.n_days}")
     sl = slice(series.n_days - WINDOW_DAYS, series.n_days)
-    result = _fit_window_result(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
-                                settings)
+    result = _fit_windows(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
+                          settings).problem(0)
     return FittedModel(
         kind="EMOS",
         loc=result.x[:2].copy(),
@@ -144,32 +167,23 @@ def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) ->
 
 
 def emos_predict(model: FittedModel, series: StationSeries, dates):
-    """Per-date prediction with rolling window re-estimation.
+    """Prediction with rolling window re-estimation, one batched solve.
 
-    Each window covers the ``WINDOW_DAYS`` most recent observable days
-    (ending k + 1 days before the prediction date for lead-time offset k),
-    whatever window length the fit file records.  Windows are processed in
-    date order and warm-start from the previous window's coefficients.
+    Each date's window covers the ``WINDOW_DAYS`` most recent observable
+    days (ending k + 1 days before the date for lead-time offset k),
+    whatever window length the fit file records.  Every window is fitted
+    on its own, from its own start, so a date's coefficients do not depend
+    on which other dates are requested.
     """
     ctx = PredictionContext.build(model, series, dates)
-    order = np.argsort(ctx.indices, kind="stable")
-    mu_out = np.empty(ctx.indices.size)
-    sigma_out = np.empty(ctx.indices.size)
-    coeffs = None
-    for out_i in order:
-        i = int(ctx.indices[out_i])
-        h = ctx.history_end(i)
-        if h < WINDOW_DAYS:
-            raise InsufficientHistory(
-                f"date {series.dates[i]} has only {h} observable days, needs {WINDOW_DAYS}")
-        sl = slice(h - WINDOW_DAYS, h)
-        if np.any(~np.isfinite(series.obs[sl])):
-            raise InvalidInput(f"window before {series.dates[i]} contains missing observations")
-        coeffs = emos_fit_window(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
-                                 init=coeffs)
-        mu_out[out_i] = coeffs[0] + coeffs[1] * series.ens_mean[i]
-        sigma_out[out_i] = np.exp(coeffs[2] + coeffs[3] * np.log(max(series.ens_sd[i], 1e-12)))
-    return mu_out, sigma_out
+    starts = ctx.window_ends(WINDOW_DAYS) - WINDOW_DAYS
+    xbar, s, y = (sliding_window_view(v, WINDOW_DAYS)[starts]
+                  for v in (series.ens_mean, series.ens_sd, series.obs))
+    coeffs = _fit_windows(xbar, s, y).x
+    i = ctx.indices
+    mu = coeffs[:, 0] + coeffs[:, 1] * series.ens_mean[i]
+    sigma = np.exp(coeffs[:, 2] + coeffs[:, 3] * np.log(np.maximum(series.ens_sd[i], 1e-12)))
+    return mu, sigma
 
 
 register("EMOS", emos_fit, emos_predict)

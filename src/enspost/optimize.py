@@ -3,15 +3,20 @@ mean-score objectives.
 
 The minimizer is deliberately small: the caller's analytic gradient or
 else central differences, an Armijo backtracking line search, and a search
-direction from either the standard inverse-Hessian BFGS update (with a
-curvature guard and Nocedal's scaling of the initial Hessian after the
-first step) or, when the caller supplies the exact Hessian, the Newton step
-from its eigendecomposition, with negative eigenvalues made positive
-(a modified Newton step, Nocedal & Wright ch. 3.4) and steepest descent on
-any iteration where that Hessian is not finite.  It only ever *accepts*
-points that decrease the objective, so the returned value is guaranteed
-<= the starting value, and it returns the best point seen so far even when
-the search breaks down.
+direction from the standard inverse-Hessian BFGS update (with a curvature
+guard and Nocedal's scaling of the initial Hessian after the first step).
+It only ever *accepts* points that decrease the objective, so the returned
+value is guaranteed <= the starting value, and it returns the best point
+seen so far even when the search breaks down.
+
+``minimize_newton`` solves many small problems of one shape at once, given
+their exact Hessians: each direction is the Newton step from the
+eigendecomposition of that problem's Hessian, with negative eigenvalues
+made positive (a modified Newton step, Nocedal & Wright ch. 3.4) and
+steepest descent on any iteration where that Hessian is not finite.  Every
+problem has its own Armijo search and convergence tests; a problem that
+has converged or stopped drops out of the batch.  ``golden_section`` is
+kept as a derivative-free oracle for one-dimensional searches.
 """
 
 from __future__ import annotations
@@ -44,12 +49,22 @@ class OptimizeSettings:
 
 @dataclass
 class OptResult:
+    """Result of one minimization; ``minimize_newton`` fills every field
+    with one entry per problem (``x`` is then (D, n))."""
+
     x: np.ndarray
     value: float
     grad_norm: float
     iterations: int
     converged: bool
     n_evals: int = 0
+
+    def problem(self, i: int) -> OptResult:
+        """Problem i of a ``minimize_newton`` result."""
+        return OptResult(x=self.x[i], value=float(self.value[i]),
+                         grad_norm=float(self.grad_norm[i]),
+                         iterations=int(self.iterations[i]),
+                         converged=bool(self.converged[i]), n_evals=int(self.n_evals[i]))
 
 
 def numeric_gradient(f, x, h=1e-6) -> np.ndarray:
@@ -75,8 +90,9 @@ def numeric_gradient(f, x, h=1e-6) -> np.ndarray:
     return grad
 
 
-def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Modified Newton step -|h|^{-1} g, steepest descent -g when h is not finite.
+def _newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Modified Newton steps -|h|^{-1} g for a (D, n, n) stack of Hessians
+    and (D, n) gradients; steepest descent -g where h is not finite.
 
     |h| is h with each eigenvalue replaced by its absolute value, floored
     at 1e-10 of the largest: the plain Newton step wherever h is positive
@@ -84,14 +100,16 @@ def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     is indefinite (steepest descent there can need hundreds of steps on an
     ill-conditioned problem).
     """
-    if not np.all(np.isfinite(h)):
-        return -g
-    lam, q = np.linalg.eigh(h)
-    lam = np.abs(lam)
-    top = float(lam.max())
-    if top == 0.0:
-        return -g
-    return -(q @ ((q.T @ g) / np.maximum(lam, 1e-10 * top)))
+    direction = -g
+    finite = np.all(np.isfinite(h), axis=(1, 2))
+    if np.any(finite):
+        lam, q = np.linalg.eigh(h[finite])
+        lam = np.abs(lam)
+        top = lam.max(axis=1, keepdims=True)
+        coords = np.einsum("dji,dj->di", q, g[finite]) / np.maximum(lam, 1e-10 * top)
+        nonzero = top[:, 0] > 0.0
+        direction[np.flatnonzero(finite)[nonzero]] = -np.einsum("dij,dj->di", q, coords)[nonzero]
+    return direction
 
 
 def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, yk: np.ndarray,
@@ -109,10 +127,19 @@ def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, yk: np.ndarray,
     return a @ h_inv @ a.T + rho * np.outer(step, step)
 
 
-def minimize(objective, init, settings: OptimizeSettings | None = None, grad=None,
-             hess=None) -> OptResult:
-    """BFGS minimization, or exact Newton when ``hess`` is given, with
-    Armijo backtracking.
+def _checked_gradient(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        i = int(np.flatnonzero(~np.isfinite(g))[0])
+        where = f" of problem {i // g.shape[-1]}" if g.ndim > 1 and g.shape[0] > 1 else ""
+        raise NumericalFailure(f"non-finite analytic gradient in component "
+                               f"{i % g.shape[-1]}{where}")
+    return g
+
+
+def minimize(objective, init, settings: OptimizeSettings | None = None,
+             grad=None) -> OptResult:
+    """BFGS minimization with Armijo backtracking.
 
     Parameters
     ----------
@@ -124,11 +151,6 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     grad : callable, optional
         Analytic gradient; defaults to central finite differences with
         per-component steps 1e-6 * (1 + |x_i|).
-    hess : callable, optional
-        Exact Hessian, an (n, n) symmetric array.  When given, each
-        direction is the Newton step (modified where the Hessian is not
-        positive definite, steepest descent where it is not finite) and no
-        BFGS approximation is kept.
 
     Returns
     -------
@@ -161,14 +183,10 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
     def gradient(v):
         if grad is None:
             return numeric_gradient(fun, v, _FD_STEP * (1.0 + np.abs(v)))
-        g = np.asarray(grad(v), dtype=float)
-        if not np.all(np.isfinite(g)):
-            i = int(np.flatnonzero(~np.isfinite(g))[0])
-            raise NumericalFailure(f"non-finite analytic gradient in component {i}")
-        return g
+        return _checked_gradient(grad(v))
 
     g = gradient(x)
-    h_inv = np.eye(n) if hess is None else None
+    h_inv = np.eye(n)
     fx = f0
     converged = False
     iterations = 0
@@ -179,15 +197,11 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
             converged = True
             break
 
-        if hess is None:
-            direction = -h_inv @ g
-        else:
-            direction = _newton_direction(np.asarray(hess(x), dtype=float), g)
+        direction = -h_inv @ g
         slope = float(direction @ g)
         if not np.isfinite(slope) or slope >= 0:
             # broken curvature model: restart from steepest descent
-            if hess is None:
-                h_inv = np.eye(n)
+            h_inv = np.eye(n)
             direction = -g
             slope = float(direction @ g)
 
@@ -208,8 +222,7 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
 
         step = x_new - x
         g_new = gradient(x_new)
-        if hess is None:
-            h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
+        h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
 
         x, fx, g = x_new, f_new, g_new
         if float(np.max(np.abs(step))) <= _STEP_TOLERANCE:
@@ -220,6 +233,96 @@ def minimize(objective, init, settings: OptimizeSettings | None = None, grad=Non
         x=x,
         value=fx,
         grad_norm=float(np.max(np.abs(g))) if n else 0.0,
+        iterations=iterations,
+        converged=converged,
+        n_evals=evals,
+    )
+
+
+def minimize_newton(objective, gradient, hessian, init,
+                    settings: OptimizeSettings | None = None) -> OptResult:
+    """Modified Newton minimization of D independent problems at once.
+
+    Each callable takes ``(x, rows)``: the (len(rows), n) points of the
+    problems numbered ``rows`` (an index array into 0..D-1), and returns
+    their objectives (len(rows),), gradients (len(rows), n) or Hessians
+    (len(rows), n, n).  ``init`` is (D, n).  Every problem runs the
+    iteration of ``minimize`` on its own: a modified Newton direction, an
+    Armijo search that halves its step, and the gradient and step
+    tolerances; it leaves the batch once it has converged or its search
+    found no decrease.
+
+    Returns an OptResult with one entry per problem in every field.
+
+    Raises
+    ------
+    InvalidStart
+        If an objective is not finite at its starting point.
+    NumericalFailure
+        If a gradient is not finite.
+    """
+    cfg = settings or OptimizeSettings()
+    x = np.array(init, dtype=float)
+    d = x.shape[0]
+    active = np.arange(d)
+    fx = np.asarray(objective(x, active), dtype=float)
+    if not np.all(np.isfinite(fx)):
+        i = int(np.flatnonzero(~np.isfinite(fx))[0])
+        where = f" of problem {i}" if d > 1 else ""
+        raise InvalidStart(f"objective not finite at the starting point{where} ({fx[i]})")
+    g = _checked_gradient(gradient(x, active))
+    evals = np.ones(d, dtype=int)
+    iterations = np.zeros(d, dtype=int)
+    converged = np.zeros(d, dtype=bool)
+
+    for it in range(1, cfg.max_iterations + 1):
+        iterations[active] = it
+        flat = np.max(np.abs(g[active]), axis=1, initial=0.0) <= cfg.gradient_tolerance
+        converged[active[flat]] = True
+        active = active[~flat]
+        if active.size == 0:
+            break
+
+        xa, ga = x[active], g[active]
+        direction = _newton_directions(np.asarray(hessian(xa, active), dtype=float), ga)
+        slope = np.einsum("di,di->d", direction, ga)
+        broken = ~np.isfinite(slope) | (slope >= 0)
+        direction[broken] = -ga[broken]
+        slope[broken] = -np.einsum("di,di->d", ga[broken], ga[broken])
+
+        # Armijo backtracking per problem; non-finite trial values just
+        # shorten the step
+        alpha = np.ones(active.size)
+        accepted = np.zeros(active.size, dtype=bool)
+        x_new, f_new = xa.copy(), fx[active]
+        for _ in range(_MAX_BACKTRACKS):
+            search = np.flatnonzero(~accepted)
+            if search.size == 0:
+                break
+            trial = xa[search] + alpha[search, None] * direction[search]
+            f_trial = np.asarray(objective(trial, active[search]), dtype=float)
+            evals[active[search]] += 1
+            ok = np.isfinite(f_trial) & (
+                f_trial <= fx[active[search]] + _ARMIJO_C1 * alpha[search] * slope[search])
+            x_new[search[ok]], f_new[search[ok]] = trial[ok], f_trial[ok]
+            accepted[search[ok]] = True
+            alpha[search[~ok]] *= _BACKTRACK_FACTOR
+        # no acceptable decrease along its direction: the problem stops with
+        # its best-so-far point
+        moved = active[accepted]
+        step = x_new[accepted] - xa[accepted]
+        x[moved], fx[moved] = x_new[accepted], f_new[accepted]
+        g[moved] = _checked_gradient(gradient(x[moved], moved))
+        small = np.max(np.abs(step), axis=1, initial=0.0) <= _STEP_TOLERANCE
+        converged[moved[small]] = True
+        active = moved[~small]
+        if active.size == 0:
+            break
+
+    return OptResult(
+        x=x,
+        value=fx,
+        grad_norm=np.max(np.abs(g), axis=1, initial=0.0),
         iterations=iterations,
         converged=converged,
         n_evals=evals,

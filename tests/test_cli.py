@@ -293,6 +293,13 @@ def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_simulate_without_leads_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run("simulate", "--out", out, "--n-days", 150, "--lead", ",") == 2
+    _assert_one_error_line(capsys, "config")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("fit_AR-EMOS_S01_24h.json", "ar_window", "x"),
     ("fit_EMOS_S01_24h.json", "window_days", 0),

@@ -15,17 +15,24 @@ from enspost.data import (
 from enspost.errors import InsufficientHistory, InvalidInput
 from enspost.models import FittedModel
 from enspost.models import ar_emos
-from enspost.models.ar_emos import _adjusted_ensemble, _estimate_at
+from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
 from enspost.models import emos
 from enspost.models.emos import _RIDGE, _window_hessian, _window_objective, emos_fit_window
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
 from enspost.models.semos import _gradient, training_residuals
 from enspost import optimize
-from enspost.optimize import OptimizeSettings, minimize, numeric_gradient
+from enspost.optimize import OptimizeSettings, golden_section, minimize, minimize_newton
+from enspost.optimize import numeric_gradient
 from enspost.scoring import crps_ensemble, crps_normal_series
 from enspost.seasonal import SeasonalCoeffs, seasonal_design
 from enspost.timeseries import ARCoeffs, ARFits, GARCHCoeffs, ljung_box
-from enspost.timeseries import fit_garch
+from enspost.timeseries import (
+    ar_innovation_variance,
+    ar_multistep,
+    ar_teacher_forced,
+    fit_ar_yule_walker,
+    fit_garch,
+)
 
 from conftest import make_series
 
@@ -136,27 +143,29 @@ def test_emos_window_hessian_matches_finite_differences(rng, sd_spread, ridge, m
 def test_emos_rolling_newton_fits_match_bfgs(monkeypatch):
     # The sar world's validation year at seed 23: one of its windows has a
     # Hessian that stays indefinite for many steps, where a steepest-descent
-    # fallback ran out of iterations 0.016 above the optimum.  Each rolling
-    # Newton fit is checked against a BFGS fit from the same start.
+    # fallback ran out of iterations 0.016 above the optimum.  Each window of
+    # the batched Newton solve is checked against a BFGS fit from its start.
     cfg = cli.RunConfig(leads=[24], n_days=2192, m_members=50, seed=23, dgp="sar")
     series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, 0))
     dates = series.dates[-366:]
     model = models.fit("EMOS", series.window(end=dates[0] - 1))
-    pairs = []
+    solves = []
 
-    def newton_and_bfgs(objective, init, settings=None, grad=None, hess=None):
-        newton = minimize(objective, init, settings, grad=grad, hess=hess)
-        pairs.append((newton, minimize(objective, init, OptimizeSettings(max_iterations=200),
-                                       grad=grad)))
-        return newton
+    def recording(objective, gradient, hessian, init, settings=None):
+        solves.append((objective, gradient, init,
+                       minimize_newton(objective, gradient, hessian, init, settings)))
+        return solves[-1][-1]
 
-    monkeypatch.setattr(emos, "minimize", newton_and_bfgs)
+    monkeypatch.setattr(emos, "minimize_newton", recording)
     mu, sigma = models.predict(model, series, dates)
-    assert len(pairs) == dates.size
+    [(objective, gradient, init, newton)] = solves
+    assert newton.x.shape == (dates.size, 4) and np.all(newton.converged)
     xbar, log_s = series.ens_mean[-366:], np.log(series.ens_sd[-366:])
-    for k, (newton, bfgs) in enumerate(pairs):
-        assert newton.converged and bfgs.converged
-        assert newton.value <= bfgs.value + 1e-12
+    for k in range(dates.size):
+        bfgs = minimize(lambda t: objective(t, k), init[k],
+                        OptimizeSettings(max_iterations=200), grad=lambda t: gradient(t, k))
+        assert bfgs.converged
+        assert newton.value[k] <= bfgs.value + 1e-12
         a0, a1, b0, b1 = bfgs.x
         assert mu[k] == pytest.approx(a0 + a1 * xbar[k], rel=1e-4)
         assert sigma[k] == pytest.approx(np.exp(b0 + b1 * log_s[k]), rel=1e-4)
@@ -185,8 +194,9 @@ def test_ar_emos_weight_endpoints(rng):
     members = common[:, None] + rng.standard_normal((n, 10))
     y = common + rng.standard_normal(n)
     series = make_series(y, members=members)
-    fits, sigma1, _ = _estimate_at(series, n, 90, 30)
-    adjusted = _adjusted_ensemble(series, fits, n - 1, n - 1)
+    est = _estimate(series, np.array([n]))
+    sigma1 = float(est.sigma1[0])
+    adjusted, _ = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
     sigma2 = float(adjusted.std(ddof=1))
     for w, expected in ((1.0, sigma1), (0.0, sigma2)):
         assert w * sigma1 + (1 - w) * sigma2 == pytest.approx(expected)
@@ -208,8 +218,8 @@ def test_ar_emos_degenerate_member_falls_back(rng, caplog):
     assert "degenerate" in caplog.text
     assert all(ar.p == 0 for ar in model.members_ar)
     # mean-error adjustment recenters every member onto the observation
-    fits, _, _ = _estimate_at(series, n, 90, 30)
-    adjusted = _adjusted_ensemble(series, fits, n - 1, n - 1)
+    est = _estimate(series, np.array([n]))
+    adjusted, _ = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
     assert np.allclose(adjusted, y[n - 1], atol=1e-10)
 
 
@@ -220,7 +230,7 @@ def test_ar_emos_degenerate_column_warning_names_member(rng, caplog):
     members[:, 2] = y + 0.5  # member 3's errors are constant
     series = make_series(y, members=members)
     with caplog.at_level("WARNING"):
-        fits, _, _ = _estimate_at(series, n, 90, 30)
+        fits = _estimate(series, np.array([n])).fits
     assert "member 3 error series degenerate" in caplog.text
     assert caplog.text.count("degenerate") == 1
     assert fits.degenerate.tolist() == [False, False, True, False]
@@ -233,13 +243,15 @@ def test_ar_emos_short_history_padded_with_eta(rng):
     member_fits = [ARCoeffs(0, 0.3, ()), ARCoeffs(1, -0.1, (0.5,)),
                    ARCoeffs(4, 0.2, (0.3, -0.2, 0.1, 0.05))]
     h, i = 4, 5  # four observed errors (the largest p), two bridged days
-    got = _adjusted_ensemble(series, ARFits.stack(member_fits), h, i)
+    history = series.obs[:h, None] - series.members[:h]
+    got, _ = _adjusted_ensemble(series, ARFits.stack(member_fits), history, np.array([i]),
+                                i - h + 1)
     for mi, ar in enumerate(member_fits):
         work = [ar.eta] * max(ar.p - h, 0) + list(series.obs[:h] - series.members[:h, mi])
         for _ in range(i - h + 1):
             work.append(ar.eta + sum(t * (work[-j] - ar.eta)
                                      for j, t in enumerate(ar.tau, start=1)))
-        assert got[mi] == pytest.approx(series.members[i, mi] + work[-1], abs=1e-12)
+        assert got[0, mi] == pytest.approx(series.members[i, mi] + work[-1], abs=1e-12)
 
 
 def test_ar_emos_fits_all_members_once_per_date(rng, monkeypatch):
@@ -256,7 +268,9 @@ def test_ar_emos_fits_all_members_once_per_date(rng, monkeypatch):
     monkeypatch.setattr(ar_emos, "fit_ar_yule_walker", counting)
     dates = series.dates[150:162]
     models.predict(model, series, dates)
-    assert calls == [(90, 6)] * dates.size
+    # every date's six member columns are fitted once, on the 90-day AR window
+    assert all(rows == 90 for rows, _ in calls)
+    assert sum(columns for _, columns in calls) == dates.size * 6
 
 
 def test_ar_emos_beats_raw_on_ar1_member_errors(rng):
@@ -278,6 +292,176 @@ def test_ar_emos_beats_raw_on_ar1_member_errors(rng):
     raw_crps = float(np.mean([
         crps_ensemble(series.members[i], series.obs[i]) for i in range(n - n_valid, n)]))
     assert adj_crps < raw_crps
+
+
+def test_ar_emos_fit_meta_records_the_weight_solve(rng, monkeypatch):
+    series = make_series(rng.normal(size=200), rng=rng)
+    model = models.fit("AR-EMOS", series)
+    assert model.meta["converged"] is True and model.meta["iterations"] >= 1
+    monkeypatch.setattr(ar_emos, "_WEIGHT_MAX_ITERATIONS", 1)
+    capped = models.fit("AR-EMOS", series)
+    assert capped.meta["converged"] is False and capped.meta["iterations"] == 1
+
+
+def test_ar_emos_nonstationary_members_warn_once_per_predict(rng, monkeypatch):
+    series = make_series(rng.normal(size=200), rng=rng, m=4)
+    model = models.fit("AR-EMOS", series.window(end=series.dates[149]))
+    real = ar_emos.fit_ar_yule_walker
+
+    def explosive(*args, **kwargs):
+        fits = real(*args, **kwargs)
+        return ARFits(np.ones_like(fits.p), fits.eta, np.full((fits.p.size, 1), 1.2),
+                      fits.degenerate)
+
+    monkeypatch.setattr(ar_emos, "fit_ar_yule_walker", explosive)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        models.predict(model, series, series.dates[150:170])  # more than one block
+    user = [w for w in record if issubclass(w.category, UserWarning)]
+    assert len(user) == 1 and "nonstationary" in str(user[0].message)
+
+
+@pytest.mark.parametrize("case", ["interior", "at_zero", "at_one"])
+def test_ar_emos_weight_solve_matches_golden_section(rng, case):
+    n_dates = 20
+    mu = rng.normal(size=(n_dates, 30))
+    y = mu + rng.normal(size=(n_dates, 30))
+    sigma2 = rng.uniform(0.6, 1.6, size=(n_dates, 30))
+    sigma1 = rng.uniform(0.5, 1.8, size=n_dates)
+    # both candidates too wide (the errors have sd 1): the narrower one wins
+    if case == "at_zero":
+        sigma1, sigma2 = sigma1 + 8.0, sigma2 + 2.0
+    elif case == "at_one":
+        sigma1, sigma2 = sigma1 + 2.0, sigma2 + 8.0
+    weights, converged, iterations = _crps_weights(sigma1, mu, sigma2, y)
+    assert np.all(converged) and np.all((0.0 <= weights) & (weights <= 1.0))
+    for d in range(n_dates):
+        def f(w):
+            return float(np.mean(crps_normal_series(
+                mu[d], np.maximum(w * sigma1[d] + (1 - w) * sigma2[d], 1e-8), y[d])))
+        assert f(weights[d]) <= f(golden_section(f, 0.0, 1.0)) + 1e-12
+    if case != "interior":
+        assert np.all(weights == {"at_zero": 0.0, "at_one": 1.0}[case])
+
+
+# ---------------------------------------------------------------------------
+# batched rolling re-estimation against a per-date reference
+# ---------------------------------------------------------------------------
+
+
+def _emos_per_date_reference(series, indices, k):
+    """Per-date EMOS: the dates in order, each window's Newton fit started
+    from the previous window's coefficients."""
+    mu, sigma = np.empty(indices.size), np.empty(indices.size)
+    coeffs = None
+    for out in np.argsort(indices, kind="stable"):
+        i = indices[out]
+        sl = slice(i - k - emos.WINDOW_DAYS, i - k)
+        xbar, log_s, y = series.ens_mean[sl], np.log(series.ens_sd[sl]), series.obs[sl]
+        if coeffs is None:
+            ab = np.linalg.lstsq(np.column_stack([np.ones_like(xbar), xbar]), y, rcond=None)[0]
+            coeffs = np.array([*ab, np.log(np.std(y - ab[0] - ab[1] * xbar, ddof=1)), 0.0])
+        window = (xbar[None], log_s[None], y[None])
+        coeffs = minimize_newton(*_window_objective(*window), _window_hessian(*window),
+                                 coeffs[None], emos._WINDOW_SETTINGS).x[0]
+        mu[out] = coeffs[0] + coeffs[1] * series.ens_mean[i]
+        sigma[out] = np.exp(coeffs[2] + coeffs[3] * np.log(series.ens_sd[i]))
+    return mu, sigma
+
+
+def _ar_emos_per_date_reference(series, indices, k):
+    """Per-date AR-EMOS with a golden-section weight search; also each
+    date's weight objective and golden-section weight."""
+    mu, sigma, searches = [], [], []
+    for i in indices:
+        h = i - k
+        obs, members = series.obs[h - 120:h], series.members[h - 120:h]
+        errors = obs[:, None] - members
+        fits = fit_ar_yule_walker(errors[:90], ar_emos.MAX_MEMBER_AR_ORDER, mean_fallback=True)
+        sigma1 = np.sqrt(np.mean(ar_innovation_variance(errors[:90], fits)))
+        adjusted = members[90:] + ar_teacher_forced(fits, errors, 90)
+
+        def objective(w, mu_w=adjusted.mean(axis=1), sigma2_w=adjusted.std(axis=1, ddof=1),
+                      y_w=obs[90:], sigma1=sigma1):
+            sigma_w = np.maximum(w * sigma1 + (1 - w) * sigma2_w, 1e-8)
+            return float(np.mean(crps_normal_series(mu_w, sigma_w, y_w)))
+
+        weight = golden_section(objective, 0.0, 1.0)
+        ensemble = series.members[i] + ar_multistep(fits, errors, k + 1)[-1]
+        mu.append(ensemble.mean())
+        sigma.append(max(weight * sigma1 + (1 - weight) * ensemble.std(ddof=1), 1e-8))
+        searches.append((objective, weight))
+    return np.array(mu), np.array(sigma), searches
+
+
+def _rolling_world(seed, lead, n_days=700):
+    cfg = cli.RunConfig(leads=[lead], n_days=n_days, seed=seed, dgp="sar")
+    series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, 0))
+    return series
+
+
+@pytest.mark.parametrize("lead", [24, 72, 120])
+@pytest.mark.parametrize("seed", [3, 12, 23])
+def test_batched_rolling_prediction_matches_per_date_reference(seed, lead):
+    series = _rolling_world(seed, lead)
+    k = lead_time_offset(lead)
+    pick = np.random.default_rng(seed).choice(np.arange(550, 700), 30, replace=False)
+    # unsorted, with duplicates; 37 dates are not a whole number of blocks
+    indices = np.concatenate([pick, pick[:7]])
+    assert indices.size % ar_emos._BLOCK_DATES != 0
+    dates = series.dates[indices]
+
+    model = models.fit("EMOS", series.window(end=series.dates[500]))
+    mu, sigma = models.predict(model, series, dates)
+    ref_mu, ref_sigma = _emos_per_date_reference(series, indices, k)
+    assert np.allclose(mu, ref_mu, rtol=1e-6, atol=0.0)
+    assert np.allclose(sigma, ref_sigma, rtol=1e-6, atol=0.0)
+
+    model = models.fit("AR-EMOS", series.window(end=series.dates[500]))
+    mu, sigma = models.predict(model, series, dates)
+    ref_mu, ref_sigma, searches = _ar_emos_per_date_reference(series, indices, k)
+    assert np.allclose(mu, ref_mu, rtol=1e-12, atol=0.0)
+    assert np.allclose(sigma, ref_sigma, rtol=1e-6, atol=0.0)
+    est = _estimate(series, indices - k)
+    weights, converged, _ = _crps_weights(est.sigma1, *est.window)
+    assert np.all(converged)
+    for w, (objective, golden) in zip(weights, searches):
+        assert objective(w) <= objective(golden) + 1e-12
+
+
+@pytest.mark.parametrize("lead", [24, 120])
+@pytest.mark.parametrize("kind", ["EMOS", "AR-EMOS"])
+def test_batched_rolling_prediction_reads_no_later_observations(kind, lead):
+    series = _rolling_world(12, lead)
+    model = models.fit(kind, series.window(end=series.dates[500]))
+    i = 600
+    dates = series.dates[560:640]  # dates after i read the corrupted days
+    mu, sigma = models.predict(model, series, dates)
+    mu_c, sigma_c = models.predict(
+        model, _corrupt_after(series, i - lead_time_offset(lead), 1e3), dates)
+    upto = i - 560 + 1
+    assert np.array_equal(mu[:upto], mu_c[:upto]) and np.array_equal(sigma[:upto], sigma_c[:upto])
+    assert not np.array_equal(mu, mu_c)
+
+
+@pytest.mark.parametrize("kind, span", [("EMOS", 30), ("AR-EMOS", 120)])
+def test_rolling_window_errors_name_the_first_bad_date(rng, kind, span):
+    obs = rng.normal(size=400)
+    series = make_series(obs, rng=rng)
+    model = models.fit(kind, series.window(end=series.dates[250]))
+    too_early = series.dates[[360, span - 1, span - 5]]
+    with pytest.raises(InsufficientHistory, match=(
+            f"^date {series.dates[span - 5]} has only {span - 5} observable days, "
+            f"needs {span}$")):
+        models.predict(model, series, too_early)
+    obs[300] = np.nan
+    gappy = StationSeries.build(series.station_id, series.lead_time_h, series.dates, obs,
+                                series.members)
+    # the windows of days 301 to 300 + span hold day 300
+    dates = series.dates[[399, 320, 290, 310, 301]]
+    with pytest.raises(InvalidInput, match=(
+            f"^window before {series.dates[301]} contains missing observations$")):
+        models.predict(model, gappy, dates)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr
 
 from enspost.errors import InvalidStart, NumericalFailure
-from enspost.optimize import OptimizeSettings, golden_section, minimize, numeric_gradient
+from enspost.optimize import (
+    OptimizeSettings,
+    golden_section,
+    minimize,
+    minimize_newton,
+    numeric_gradient,
+)
 from enspost.scoring import GaussianParams, crps_normal
 
 
@@ -128,12 +134,20 @@ def test_nonfinite_analytic_gradient_raises():
                  grad=lambda x: np.array([2.0 * x[0], np.nan]))
 
 
+def _newton(objective, init, settings=None, grad=None, hess=None):
+    """``minimize_newton`` on one problem given by single-point callables."""
+    return minimize_newton(lambda x, rows: np.array([objective(x[0])]),
+                           lambda x, rows: np.asarray(grad(x[0]))[None],
+                           lambda x, rows: np.asarray(hess(x[0]))[None],
+                           np.asarray(init, dtype=float)[None], settings).problem(0)
+
+
 def test_newton_converges_in_one_step_on_convex_quadratic(rng):
     a = rng.normal(size=(5, 5))
     h = a @ a.T + 5 * np.eye(5)
     b = rng.normal(size=5)
-    result = minimize(lambda x: float(0.5 * x @ h @ x + b @ x), np.zeros(5),
-                      grad=lambda x: h @ x + b, hess=lambda x: h)
+    result = _newton(lambda x: float(0.5 * x @ h @ x + b @ x), np.zeros(5),
+                     grad=lambda x: h @ x + b, hess=lambda x: h)
     assert result.converged
     assert result.iterations == 2  # one Newton step, then the gradient test
     assert result.n_evals == 2  # the start and the accepted full step
@@ -157,8 +171,8 @@ def test_newton_with_indefinite_hessian_still_descends():
     c = np.array([1.0, -2.0])
     f, values = _recording(lambda x: float(np.sum((x - c) ** 2)))
     accepted = []
-    result = minimize(f, np.array([4.0, 3.0]), grad=lambda x: 2.0 * (x - c),
-                      hess=lambda x: (accepted.append(values[-1]), np.diag([1.0, -1.0]))[1])
+    result = _newton(f, np.array([4.0, 3.0]), grad=lambda x: 2.0 * (x - c),
+                     hess=lambda x: (accepted.append(values[-1]), np.diag([1.0, -1.0]))[1])
     assert result.converged
     assert np.allclose(result.x, c, atol=1e-6)
     assert all(b < a for a, b in zip(accepted, accepted[1:]))
@@ -172,10 +186,10 @@ def test_newton_with_non_finite_hessian_takes_steepest_descent(bad):
     c = np.array([1.0, -2.0, 0.5])
     weights = np.array([1.0, 4.0, 9.0])
     x0 = np.zeros(3)
-    result = minimize(lambda x: float(np.sum(weights * (x - c) ** 2)), x0,
-                      OptimizeSettings(max_iterations=1),
-                      grad=lambda x: 2.0 * weights * (x - c),
-                      hess=lambda x: np.full((3, 3), bad))
+    result = _newton(lambda x: float(np.sum(weights * (x - c) ** 2)), x0,
+                     OptimizeSettings(max_iterations=1),
+                     grad=lambda x: 2.0 * weights * (x - c),
+                     hess=lambda x: np.full((3, 3), bad))
     step = result.x - x0
     g0 = -2.0 * weights * c
     assert np.allclose(np.cross(step, g0), 0.0, atol=1e-12)
@@ -185,5 +199,33 @@ def test_newton_with_non_finite_hessian_takes_steepest_descent(bad):
 
 def test_newton_keeps_nonfinite_gradient_failure():
     with pytest.raises(NumericalFailure, match="component 1"):
-        minimize(lambda x: float(x @ x), np.ones(2),
-                 grad=lambda x: np.array([2.0 * x[0], np.nan]), hess=lambda x: 2 * np.eye(2))
+        _newton(lambda x: float(x @ x), np.ones(2),
+                grad=lambda x: np.array([2.0 * x[0], np.nan]), hess=lambda x: 2 * np.eye(2))
+
+
+def test_newton_batch_solves_each_problem_as_if_alone(rng):
+    # quartic bowls of different curvature and starts: the problems stop
+    # after different numbers of iterations, some at the cap, and each
+    # result is bit-identical to solving that problem on its own
+    n_problems = 6
+    centre = rng.normal(size=(n_problems, 3))
+    scale = rng.uniform(0.1, 10.0, size=(n_problems, 3))
+    init = centre + rng.normal(scale=3.0, size=(n_problems, 3))
+
+    def problem(chosen):
+        c, s = centre[chosen], scale[chosen]
+        return (lambda x, rows: np.sum(s[rows] * (x - c[rows]) ** 4 + (x - c[rows]) ** 2,
+                                       axis=-1),
+                lambda x, rows: 4 * s[rows] * (x - c[rows]) ** 3 + 2 * (x - c[rows]),
+                lambda x, rows: (12 * s[rows] * (x - c[rows]) ** 2 + 2)[..., None] * np.eye(3))
+
+    settings = OptimizeSettings(max_iterations=12, gradient_tolerance=1e-10)
+    batch = minimize_newton(*problem(np.arange(n_problems)), init, settings)
+    assert 0 < np.sum(batch.converged) < n_problems
+    assert len(set(batch.iterations.tolist())) > 1
+    for i in range(n_problems):
+        alone = minimize_newton(*problem(np.array([i])), init[i:i + 1], settings).problem(0)
+        got = batch.problem(i)
+        assert np.array_equal(got.x, alone.x) and got.value == alone.value
+        assert (got.iterations, got.n_evals, got.converged) == (
+            alone.iterations, alone.n_evals, alone.converged)
