@@ -39,6 +39,7 @@ from .scoring import crps_ensemble, m_member_level, score_cases
 from .seasonal import SeasonalCoeffs
 from .timeseries import ARCoeffs, GARCHCoeffs
 from .verify import (
+    ScoreRow,
     ScoreTable,
     pit_histogram,
     residual_dependence_table,
@@ -83,7 +84,6 @@ class RunConfig:
 
 _INT_KEYS = {"seed", "max_iter", "n_days", "n_stations", "m_members"}
 _FLOAT_KEYS = {"ens_bias", "ens_dispersion"}
-_LIST_KEYS = {"models", "leads", "stations"}
 
 
 def parse_config_file(path) -> dict:
@@ -374,7 +374,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def load_predictions(path) -> dict:
-    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}."""
+    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}; a
+    repeated (model, station, lead, date) row is a DataError."""
     grouped = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -386,16 +387,18 @@ def load_predictions(path) -> dict:
                 continue
             try:
                 key = (row[0], row[1], int(row[2]))
-                entry = (np.datetime64(row[3], "D"), float(row[4]), float(row[5]))
+                date = np.datetime64(row[3], "D")
+                entry = (float(row[4]), float(row[5]))
             except (ValueError, IndexError):
                 raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
-            grouped.setdefault(key, []).append(entry)
+            by_date = grouped.setdefault(key, {})
+            if date in by_date:
+                raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
+            by_date[date] = entry
     out = {}
-    for key, entries in grouped.items():
-        entries.sort(key=lambda e: e[0])
-        dates = np.array([e[0] for e in entries], dtype="datetime64[D]")
-        mu = np.array([e[1] for e in entries])
-        sigma = np.array([e[2] for e in entries])
+    for key, by_date in grouped.items():
+        dates = np.array(sorted(by_date), dtype="datetime64[D]")
+        mu, sigma = np.array([by_date[d] for d in dates]).T.copy()
         out[key] = (dates, mu, sigma)
     return out
 
@@ -418,8 +421,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     cells = sorted({(key[1], key[2]) for key in predictions})
 
     table = ScoreTable()
+    raw_table = ScoreTable()
     pit_by_model = {kind: [] for kind in kinds}
-    raw_rows = []
     series_cache = {}
     for station, lead in cells:
         if (station, lead) not in cases:
@@ -449,13 +452,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         raw_crps = np.array([crps_ensemble(members[i], y[i]) for i in range(y.size)])
         lo = members.min(axis=1)
         hi = members.max(axis=1)
-        raw_rows.append({
-            "station": station, "lead": lead, "n": y.size,
-            "crps": float(raw_crps.mean()),
-            "rmse": float(np.sqrt(np.mean((series.ens_mean[idx] - y) ** 2))),
-            "width": float(np.mean(hi - lo)),
-            "coverage": float(100.0 * np.mean((lo <= y) & (y <= hi))),
-        })
+        raw_table.rows.append(ScoreRow(
+            method="raw-ensemble", station_id=station, lead_time_h=lead, n=y.size,
+            mean_crps=float(raw_crps.mean()), mean_logs=None,
+            rmse=float(np.sqrt(np.mean((series.ens_mean[idx] - y) ** 2))),
+            mean_width=float(np.mean(hi - lo)),
+            coverage_pct=float(100.0 * np.mean((lo <= y) & (y <= hi)))))
 
     matrix = significance_matrix(table, alpha=0.05)
     pit_rows = []
@@ -488,14 +490,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # every input read and scored: only now does --out appear
     out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "scores.csv")
-    with open(out / "scores_raw_ensemble.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "station_id", "lead_time_h", "n", "mean_crps",
-                         "mean_logs", "rmse", "mean_width", "coverage_pct"])
-        for row in raw_rows:
-            writer.writerow(["raw-ensemble", row["station"], row["lead"], row["n"],
-                             _FLOAT_FMT % row["crps"], "", _FLOAT_FMT % row["rmse"],
-                             _FLOAT_FMT % row["width"], _FLOAT_FMT % row["coverage"]])
+    raw_table.to_csv(out / "scores_raw_ensemble.csv")
     matrix.to_csv(out / "dm_matrix.csv")
     with open(out / "pit_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,13 +13,13 @@ Prediction works through the dates in blocks of ``_BLOCK_DATES``.  A block
 is one (120, dates x members) matrix of error columns: one call of each AR
 kernel of ``timeseries`` fits, scores and runs every (date, member) column
 at once.  Then one vectorised Newton solve picks every date's weight.  The
-training fit is the one-date case.
+training fit is the one-date case.  Yule-Walker fits are stationary by
+construction, so the multi-step bridge needs no stationarity check.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -140,26 +140,15 @@ def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
 
 
 def _adjusted_ensemble(series: StationSeries, fits: ARFits, history: np.ndarray,
-                       indices: np.ndarray, steps: int):
-    """AR-adjusted members (dates, m) for the prediction indices, and
-    whether a member fit was nonstationary.
+                       indices: np.ndarray, steps: int) -> np.ndarray:
+    """AR-adjusted members (dates, m) for the prediction indices.
 
     The residuals of the steps - 1 unobservable days and the date itself
     are bridged by the multi-step recursion from the last p rows of
-    ``history``, the error columns up to each date's history end.  The
-    recursion's nonstationary warning is held back so that one prediction
-    call warns once.
+    ``history``, the error columns up to each date's history end.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bridge = ar_multistep(fits, history, steps)[-1]
-    nonstationary = False
-    for w in caught:
-        if issubclass(w.category, UserWarning) and "nonstationary" in str(w.message):
-            nonstationary = True
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return series.members[indices] + bridge.reshape(indices.size, -1), nonstationary
+    bridge = ar_multistep(fits, history, steps)[-1]
+    return series.members[indices] + bridge.reshape(indices.size, -1)
 
 
 def ar_emos_fit(series: StationSeries) -> FittedModel:
@@ -195,28 +184,22 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
     window lengths the fit file records, batched over blocks of dates.
 
     Every date is estimated on its own windows, so its (mu, sigma) do not
-    depend on which other dates are requested.  Warns once when some
-    member AR fit is nonstationary.
+    depend on which other dates are requested.
     """
     ctx = PredictionContext.build(model, series, dates)
     ends = ctx.window_ends(_SPAN)
     mu, sigma1, sigma2 = np.empty((3, ends.size))
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
-    nonstationary = False
     for start in range(0, ends.size, _BLOCK_DATES):
         block = slice(start, start + _BLOCK_DATES)
         est = _estimate(series, ends[block])
         # h >= 120 > k, so every date is k + 1 steps past its history end
-        adjusted, flagged = _adjusted_ensemble(series, est.fits, est.errors,
-                                               ctx.indices[block], ctx.k + 1)
-        nonstationary |= flagged
+        adjusted = _adjusted_ensemble(series, est.fits, est.errors, ctx.indices[block],
+                                      ctx.k + 1)
         mu[block] = adjusted.mean(axis=1)
         sigma2[block] = adjusted.std(axis=1, ddof=1)
         sigma1[block] = est.sigma1
         window[:, block] = est.window
-    if nonstationary:
-        warnings.warn("AR-EMOS multi-step prediction with nonstationary member AR "
-                      "coefficients", stacklevel=2)
     weight, _, _ = _crps_weights(sigma1, *window)
     return mu, np.maximum(weight * sigma1 + (1.0 - weight) * sigma2, _SIGMA_FLOOR)
 

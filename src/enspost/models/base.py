@@ -119,6 +119,10 @@ class FittedModel:
             if model.kind in SEASONAL_KINDS and not (
                     np.shape(model.loc) == np.shape(model.scale) == (N_COEFFS,)):
                 raise ValueError(f"seasonal loc and scale need {N_COEFFS} coefficients each")
+            if model.kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS") and model.ar is None:
+                raise ValueError(f"{model.kind} needs an ar block")
+            if model.kind == "DAR-GARCH-SEMOS" and model.garch is None:
+                raise ValueError(f"{model.kind} needs a garch block")
         except (InvalidInput, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInput(f"malformed fitted model {path}: "
                                f"{type(exc).__name__}: {exc}") from exc

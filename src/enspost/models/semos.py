@@ -25,12 +25,15 @@ GARCH recursion bridges them with its conditional-expectation update.  All
 requested dates are computed in one pass: one multi-step AR recursion with
 a column per date, and for DAR-GARCH-SEMOS one GARCH path over the
 observable series.  sigma stays the one-step sigma_S (times the bridged
-GARCH factor): the AR bridge moves the mean only.
+GARCH factor): the AR bridge moves the mean only.  The jointly CRPS-fitted
+tau is not held stationary, so a predict call whose tau is nonstationary,
+where the bridge can diverge, warns once.
 """
 
 from __future__ import annotations
 
 import logging
+import warnings
 
 import numpy as np
 from scipy.linalg import lstsq
@@ -51,6 +54,7 @@ from ..timeseries import (
     fit_garch,
     garch_path,
     garch_path_adjoint,
+    is_stationary,
 )
 from .base import SEASONAL_KINDS, FittedModel, PredictionContext, register
 
@@ -418,6 +422,9 @@ def _predict_family(model: FittedModel, series: StationSeries, dates):
     if model.kind == "SEMOS":
         return mu_s[i], sigma_s[i]
 
+    if not is_stationary(model.ar.tau):
+        warnings.warn("multi-step prediction with nonstationary AR coefficients",
+                      stacklevel=2)
     h = ctx.history_end(i)
     if model.kind == "SAR-SEMOS":
         z_hat = _ar_bridge(model.ar, (series.obs - mu_s) / sigma_s, h, i - h + 1)

@@ -7,10 +7,15 @@ order.  The process mean is handled explicitly (eta), so the AR equation
 reads  x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
 
 The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
-``ar_teacher_forced``, ``ar_multistep``, ``is_stationary``) work on m
-series at once, given as the columns of an (n, m) array with time running
-down the rows, and on their fits as one ``ARFits``.  A 1-D series with an
-``ARCoeffs`` is the m = 1 case and returns scalars or 1-D arrays.
+``ar_teacher_forced``, ``ar_multistep``) work on m series at once, given
+as the columns of an (n, m) array with time running down the rows, and on
+their fits as one ``ARFits``.  A 1-D series with an ``ARCoeffs`` is the
+m = 1 case and returns scalars or 1-D arrays.
+
+The kernels do not check stationarity.  Yule-Walker fits from biased
+autocovariances are stationary by construction; a caller whose
+coefficients come from elsewhere (a CRPS fit, a fit file) checks its one
+lag vector with ``is_stationary``.
 
 ``garch_path`` is the one GARCH(1,1) variance recursion (with its adjoint
 ``garch_path_adjoint``); the seasonal models and ``fit_garch`` share it.
@@ -18,7 +23,6 @@ down the rows, and on their fits as one ``ARFits``.  A 1-D series with an
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -260,25 +264,18 @@ def ar_innovation_variance(x, ar):
     return float(out[0]) if single else out
 
 
-def is_stationary(tau):
+def is_stationary(tau) -> bool:
     """True when all roots of 1 - tau_1 z - ... - tau_p z^p lie outside the unit circle.
 
-    ``tau`` is one lag vector (returns a bool) or an (m, p) stack of them
-    (returns an (m,) bool array).  The roots' reciprocals are the
-    eigenvalues of the companion matrix, so it checks those lie inside.
+    The roots' reciprocals are the eigenvalues of the companion matrix, so
+    it checks those lie inside.
     """
-    tau = np.asarray(tau, dtype=float)
-    single = tau.ndim != 2
-    stack = tau.reshape(1, -1) if single else tau
-    m, p = stack.shape
-    if p == 0:
-        out = np.ones(m, dtype=bool)
-    else:
-        companion = np.zeros((m, p, p))
-        companion[:, 0, :] = stack
-        companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-        out = np.all(np.abs(np.linalg.eigvals(companion)) < 1.0, axis=1)
-    return bool(out[0]) if single else out
+    tau = np.asarray(tau, dtype=float).ravel()
+    if tau.size == 0:
+        return True
+    companion = np.eye(tau.size, k=-1)
+    companion[0] = tau
+    return bool(np.all(np.abs(np.linalg.eigvals(companion)) < 1.0))
 
 
 def _ar_next(fits: ARFits, window: np.ndarray) -> np.ndarray:
@@ -295,9 +292,8 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
 
     Used whenever the lead time leaves the most recent residuals
     unobserved.  Only the last p rows of ``history`` are read.  Returns
-    (steps,) for one series and (steps, m) for m columns.  Emits one
-    warning when any tau is nonstationary, where the recursion can diverge;
-    it names the nonstationary columns unless every column is.
+    (steps,) for one series and (steps, m) for m columns.  Nonstationary
+    coefficients are run as given, so the recursion may diverge.
     """
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
@@ -305,12 +301,6 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
     p = fits.max_p
     if hist.shape[0] < p:
         raise HistoryTooShort(f"AR({p}) needs {p} past values, got {hist.shape[0]}")
-    stationary = is_stationary(fits.tau)
-    if not np.all(stationary):
-        where = ("" if single or not np.any(stationary)
-                 else f" (columns {np.flatnonzero(~stationary).tolist()})")
-        warnings.warn(f"multi-step prediction with nonstationary AR coefficients{where}",
-                      stacklevel=2)
     buf = np.empty((p + steps, fits.p.size))
     buf[:p] = hist[hist.shape[0] - p:]
     for i in range(steps):

@@ -188,16 +188,24 @@ def test_station_file_with_bad_lead_is_data_error(tmp_path, capsys):
     _assert_one_error_line(capsys, "data")
 
 
-def _edited_predictions(pipeline, tmp_path, column, value):
-    """A copy of the shared run's predictions.csv with one field of its
-    first data row replaced."""
+def _prediction_rows(pipeline):
     with open(pipeline / "preds" / "predictions.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][rows[0].index(column)] = value
+        return list(csv.reader(fh))
+
+
+def _write_predictions(tmp_path, rows):
     target = tmp_path / "predictions.csv"
     with open(target, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return target
+
+
+def _edited_predictions(pipeline, tmp_path, column, value):
+    """A copy of the shared run's predictions.csv with one field of its
+    first data row replaced."""
+    rows = _prediction_rows(pipeline)
+    rows[1][rows[0].index(column)] = value
+    return _write_predictions(tmp_path, rows)
 
 
 @pytest.mark.parametrize("column, value", [
@@ -208,6 +216,18 @@ def test_unparsable_prediction_row_is_data_error(pipeline, tmp_path, capsys, col
     assert run("verify", "--data", pipeline / "data", "--predictions", preds,
                "--out", ver, "--lead", "24") == 3
     _assert_one_error_line(capsys, "data")
+    assert not ver.exists()
+
+
+def test_repeated_prediction_row_is_data_error(pipeline, tmp_path, capsys):
+    rows = _prediction_rows(pipeline)
+    preds = _write_predictions(tmp_path, rows + [rows[1]])
+    ver = tmp_path / "ver"
+    assert run("verify", "--data", pipeline / "data", "--predictions", preds,
+               "--out", ver, "--lead", "24") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") == 1
+    assert err.startswith(f"error[data]: {preds}:{len(rows) + 1}:")
     assert not ver.exists()
 
 
@@ -277,6 +297,38 @@ def test_malformed_fit_file_is_data_error(pipeline, tmp_path, capsys, command, d
     assert "Traceback" not in err
     assert err.count("error[") == 1
     assert err.startswith("error[data]:") and str(damaged) in err
+
+
+@pytest.mark.parametrize("kind, block", [
+    ("DAR-SEMOS", "ar"), ("SAR-SEMOS", "ar"), ("DAR-GARCH-SEMOS", "garch")])
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_fit_file_missing_a_block_is_data_error(pipeline, tmp_path, capsys, command, kind,
+                                                 block):
+    # the SAR-SEMOS fit relabelled: its loc, scale and ar serve every seasonal AR kind
+    doc = json.loads((pipeline / "fits" / "fit_SAR-SEMOS_S01_24h.json").read_text())
+    doc["kind"] = kind
+    doc[block] = None
+    fits = tmp_path / "fits"
+    fits.mkdir()
+    damaged = fits / f"fit_{kind}_S01_24h.json"
+    damaged.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "predict":
+        args = ("predict", "--data", pipeline / "data", "--models-dir", fits,
+                "--out", out, "--models", kind, "--lead", "24",
+                "--valid-start", "2017-07-01", "--valid-end", "2017-09-26")
+    else:
+        rows = _prediction_rows(pipeline)
+        preds = _write_predictions(tmp_path, [rows[0]] + [[kind, *row[1:]] for row in rows[1:]
+                                                          if row[0] == "SAR-SEMOS"])
+        args = ("verify", "--data", pipeline / "data", "--models-dir", fits,
+                "--predictions", preds, "--out", out, "--lead", "24",
+                "--train-start", "2015-01-01", "--train-end", "2017-06-30")
+    assert run(*args) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") == 1
+    assert err.startswith("error[data]:") and str(damaged) in err and f"{block} block" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -196,7 +196,7 @@ def test_ar_emos_weight_endpoints(rng):
     series = make_series(y, members=members)
     est = _estimate(series, np.array([n]))
     sigma1 = float(est.sigma1[0])
-    adjusted, _ = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
+    adjusted = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
     sigma2 = float(adjusted.std(ddof=1))
     for w, expected in ((1.0, sigma1), (0.0, sigma2)):
         assert w * sigma1 + (1 - w) * sigma2 == pytest.approx(expected)
@@ -219,7 +219,7 @@ def test_ar_emos_degenerate_member_falls_back(rng, caplog):
     assert all(ar.p == 0 for ar in model.members_ar)
     # mean-error adjustment recenters every member onto the observation
     est = _estimate(series, np.array([n]))
-    adjusted, _ = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
+    adjusted = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
     assert np.allclose(adjusted, y[n - 1], atol=1e-10)
 
 
@@ -244,8 +244,8 @@ def test_ar_emos_short_history_padded_with_eta(rng):
                    ARCoeffs(4, 0.2, (0.3, -0.2, 0.1, 0.05))]
     h, i = 4, 5  # four observed errors (the largest p), two bridged days
     history = series.obs[:h, None] - series.members[:h]
-    got, _ = _adjusted_ensemble(series, ARFits.stack(member_fits), history, np.array([i]),
-                                i - h + 1)
+    got = _adjusted_ensemble(series, ARFits.stack(member_fits), history, np.array([i]),
+                             i - h + 1)
     for mi, ar in enumerate(member_fits):
         work = [ar.eta] * max(ar.p - h, 0) + list(series.obs[:h] - series.members[:h, mi])
         for _ in range(i - h + 1):
@@ -303,22 +303,17 @@ def test_ar_emos_fit_meta_records_the_weight_solve(rng, monkeypatch):
     assert capped.meta["converged"] is False and capped.meta["iterations"] == 1
 
 
-def test_ar_emos_nonstationary_members_warn_once_per_predict(rng, monkeypatch):
-    series = make_series(rng.normal(size=200), rng=rng, m=4)
+@pytest.mark.parametrize("lead", [24, 72])
+def test_ar_emos_predict_emits_no_warning(rng, lead):
+    n = 200
+    y = rng.normal(size=n)
+    members = y[:, None] + rng.standard_normal((n, 4))
+    series = make_series(y, members=members, lead_time_h=lead)
     model = models.fit("AR-EMOS", series.window(end=series.dates[149]))
-    real = ar_emos.fit_ar_yule_walker
-
-    def explosive(*args, **kwargs):
-        fits = real(*args, **kwargs)
-        return ARFits(np.ones_like(fits.p), fits.eta, np.full((fits.p.size, 1), 1.2),
-                      fits.degenerate)
-
-    monkeypatch.setattr(ar_emos, "fit_ar_yule_walker", explosive)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         models.predict(model, series, series.dates[150:170])  # more than one block
-    user = [w for w in record if issubclass(w.category, UserWarning)]
-    assert len(user) == 1 and "nonstationary" in str(user[0].message)
+    assert record == []
 
 
 @pytest.mark.parametrize("case", ["interior", "at_zero", "at_one"])
@@ -731,15 +726,28 @@ def test_one_pass_prediction_reads_no_later_observations(kind, semos_clones):
     assert not np.array_equal(mu, mu_c)
 
 
-def test_nonstationary_ar_warns_once_per_predict(semos_clones):
-    series, _, clone = semos_clones
-    model = clone("DAR-SEMOS", ar=ARCoeffs(1, 0.0, (1.2,)))
+@pytest.mark.parametrize("lead", [24, 72])
+@pytest.mark.parametrize("kind", ["DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_nonstationary_ar_warns_once_per_predict(kind, lead, semos_clones):
+    model, series = _fixed_model(semos_clones, kind, 1, lead)
+    model.ar = ARCoeffs(1, 0.0, (1.2,))
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         models.predict(model, series, series.dates[730:740])
-    user = [w for w in record if issubclass(w.category, UserWarning)]
-    assert len(user) == 1
-    assert "nonstationary" in str(user[0].message) and "columns" not in str(user[0].message)
+    assert len(record) == 1 and issubclass(record[0].category, UserWarning)
+    assert "nonstationary" in str(record[0].message)
+
+
+@pytest.mark.parametrize("lead", [24, 72])
+@pytest.mark.parametrize("kind", ["SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_stationary_seasonal_predict_emits_no_warning(kind, lead, semos_clones):
+    model, series = _fixed_model(semos_clones, kind, 3, lead)
+    if kind == "SEMOS":
+        model.ar = None
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        models.predict(model, series, series.dates[730:740])
+    assert record == []
 
 
 def test_lead_mismatch_rejected(sar_world):

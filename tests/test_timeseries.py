@@ -214,16 +214,35 @@ def test_multistep_columns_match_reference_loop(rng, steps):
 def test_is_stationary_stack_matches_roots(rng):
     stack = rng.uniform(-0.9, 0.9, size=(200, 3))
     expected = [bool(np.all(np.abs(np.roots(np.r_[-row[::-1], 1.0])) > 1.0)) for row in stack]
-    assert is_stationary(stack).tolist() == expected
+    assert [is_stationary(row) for row in stack] == expected
     assert 0 < sum(expected) < len(expected)
 
 
-def test_multistep_columns_warn_once_naming_nonstationary_columns():
-    fits = ARFits.stack([ARCoeffs(1, 0.0, (0.5,)), ARCoeffs(1, 0.0, (1.2,)),
-                         ARCoeffs(0, 0.0, ())])
-    with pytest.warns(UserWarning, match="columns \\[1\\]") as record:
-        ar_multistep(fits, np.ones((1, 3)), 3)
-    assert len(record) == 1
+def _hard_columns(rng, n=90):
+    """(n, m) columns far from stationary white noise: random walks,
+    triple-integrated noise, near-unit-root AR(2), pure sinusoids and
+    explosive +-g^t up to g = 1.5."""
+    noise = rng.standard_normal((n, 20))
+    t = np.arange(n)[:, None]
+    periods = np.linspace(3.0, 80.0, 20)
+    growth = np.linspace(1.01, 1.5, 25)
+    return np.column_stack([
+        np.cumsum(noise, axis=0),
+        np.cumsum(np.cumsum(np.cumsum(noise, axis=0), axis=0), axis=0),
+        np.column_stack([simulate_ar((0.5, 0.49), n, rng) for _ in range(20)]),
+        np.sin(2.0 * np.pi * t / periods + rng.uniform(0.0, 2.0 * np.pi, periods.size)),
+        growth ** t,
+        (-growth) ** t,
+    ])
+
+
+@pytest.mark.parametrize("max_order", [5, None])
+def test_yule_walker_fits_are_stationary(rng, max_order):
+    # biased autocovariances keep every Levinson-Durbin reflection inside
+    # (-1, 1), so no multi-step caller of these fits needs a check
+    fits = fit_ar_yule_walker(_hard_columns(rng), max_order)
+    assert fits.max_p > 0
+    assert all(is_stationary(ar.tau) for ar in fits.members())
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +313,9 @@ def test_ar_multistep_converges_to_eta():
     assert np.all(gaps <= bound + 1e-9)
 
 
-def test_ar_multistep_warns_when_nonstationary():
+def test_ar_multistep_runs_nonstationary_coefficients_as_given():
     ar = ARCoeffs(p=1, eta=0.0, tau=(1.2,))
-    with pytest.warns(UserWarning):
-        ar_multistep(ar, [1.0], 3)
+    assert np.allclose(ar_multistep(ar, [1.0], 3), [1.2, 1.44, 1.728], rtol=1e-14)
 
 
 def test_is_stationary():
