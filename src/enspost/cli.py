@@ -22,6 +22,7 @@ from .data import (
     generate_synthetic,
     impute_series,
     load_station_csv,
+    parse_iso_dates,
     write_station_csv,
     write_truth_csv,
 )
@@ -91,7 +92,7 @@ def parse_config_file(path) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -375,26 +376,30 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def load_predictions(path) -> dict:
     """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}; a
-    repeated (model, station, lead, date) row is a DataError."""
+    repeated (model, station, lead, date) row, a date not written
+    YYYY-MM-DD and a file that cannot be read are DataErrors."""
     grouped = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]:
-            raise DataError(f"unexpected predictions header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                key = (row[0], row[1], int(row[2]))
-                date = np.datetime64(row[3], "D")
-                entry = (float(row[4]), float(row[5]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
-            by_date = grouped.setdefault(key, {})
-            if date in by_date:
-                raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
-            by_date[date] = entry
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]:
+                raise DataError(f"unexpected predictions header {header}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    key = (row[0], row[1], int(row[2]))
+                    date = parse_iso_dates([row[3]])[0]
+                    entry = (float(row[4]), float(row[5]))
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
+                by_date = grouped.setdefault(key, {})
+                if date in by_date:
+                    raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
+                by_date[date] = entry
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read predictions file {path}: {exc}") from None
     out = {}
     for key, by_date in grouped.items():
         dates = np.array(sorted(by_date), dtype="datetime64[D]")

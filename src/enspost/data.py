@@ -16,11 +16,15 @@ tests.
 from __future__ import annotations
 
 import csv
+import io
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import (
+    DataError,
     ImputationFailure,
     InvalidConfig,
     InvalidEnsemble,
@@ -33,6 +37,8 @@ LEAD_TIMES_H = (24, 48, 72, 96, 120)
 
 _DAY = np.timedelta64(1, "D")
 _FLOAT_FMT = "%.9f"
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_BLOCK_ROWS = 256  # rows per bulk conversion: bounds the cell strings held at once
 
 
 def lead_time_offset(lead_time_h: int) -> int:
@@ -224,19 +230,36 @@ def write_station_csv(series: StationSeries, path) -> None:
 
     Header ``station_id,date,lead_time_h,obs,m1,...,m{M}``; empty obs field
     marks a missing observation.  Nine decimals, so a write/read round
-    trip preserves values to 1e-9.
+    trip preserves values to 1e-9.  The bytes are those ``csv.writer``
+    writes row by row (``\\r\\n`` line ends, a station id quoted where it
+    holds a comma, quote or line break); each row is one ``%`` on a row
+    template that ``csv.writer`` lays out once per file.
     """
     m = series.n_members
+    layout = io.StringIO()
+    # the station id's '%' doubled, so that only the value slots format
+    csv.writer(layout).writerow([series.station_id.replace("%", "%%"), "%s",
+                                 series.lead_time_h, "%s"] + [_FLOAT_FMT] * m)
+    template = layout.getvalue()
+    obs = ["" if np.isnan(v) else _FLOAT_FMT % v for v in series.obs.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["station_id", "date", "lead_time_h", "obs"]
                         + [f"m{i + 1}" for i in range(m)])
-        for i in range(series.n_days):
-            obs = "" if np.isnan(series.obs[i]) else _FLOAT_FMT % series.obs[i]
-            writer.writerow(
-                [series.station_id, str(series.dates[i]), series.lead_time_h, obs]
-                + [_FLOAT_FMT % v for v in series.members[i]]
-            )
+        fh.writelines(template % (date, obs_text, *row) for date, obs_text, row
+                      in zip(series.dates.astype(str).tolist(), obs, series.members.tolist()))
+
+
+def parse_iso_dates(texts) -> np.ndarray:
+    """datetime64[D] array of ``texts``, each a ``YYYY-MM-DD`` calendar date.
+
+    Raises ValueError on any other text, including what numpy alone would
+    read as a date (``NaT``, ``today``, ``2015-01``, ``2015-01-01T12``), so
+    that every accepted text is exactly how the date is written back.
+    """
+    if not all(map(_ISO_DATE.fullmatch, texts)):
+        raise ValueError("dates must be written YYYY-MM-DD")
+    return np.array(texts, dtype="datetime64[D]")
 
 
 def _parse_float(text: str, row: int, col: str) -> float:
@@ -249,6 +272,112 @@ def _parse_float(text: str, row: int, col: str) -> float:
     return value
 
 
+def _member_count(reader) -> int:
+    """Check the header row and return the number of member columns."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file: missing header") from None
+    if header[:4] != ["station_id", "date", "lead_time_h", "obs"]:
+        raise ParseError(f"row 1: header must start with station_id,date,lead_time_h,obs, got {header[:4]}")
+    member_cols = header[4:]
+    if not member_cols or member_cols != [f"m{i + 1}" for i in range(len(member_cols))]:
+        raise ParseError("row 1: member columns must be m1..mM in order")
+    return len(member_cols)
+
+
+def _convert_rows(reader, m: int, station_id, lead_time_h):
+    """Convert the data rows one cell at a time, naming the first bad one.
+
+    The reference for ``_convert_blocks``: both return (key, dates, obs,
+    members) for the rows that pass the filters, and this one raises the
+    ParseError of the first row that cannot be read.
+    """
+    dates, obs, members = [], [], []
+    keys = set()
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4 + m:
+            raise ParseError(f"row {row_no}: expected {4 + m} fields, got {len(row)}")
+        sid, date_text, lead_text = row[0], row[1], row[2]
+        lead = _parse_float(lead_text, row_no, "lead_time_h")
+        if lead != int(lead):
+            raise ParseError(f"row {row_no}: non-integral lead_time_h value {lead_text!r}")
+        lead = int(lead)
+        if station_id is not None and sid != station_id:
+            continue
+        if lead_time_h is not None and lead != int(lead_time_h):
+            continue
+        keys.add((sid, lead))
+        if len(keys) > 1:
+            raise ParseError(
+                f"row {row_no}: file mixes {sorted(keys)}; pass station_id/lead_time_h filters"
+            )
+        try:
+            dates.append(parse_iso_dates([date_text])[0])
+        except ValueError:
+            raise ParseError(f"row {row_no}: invalid ISO date {date_text!r}") from None
+        obs.append(np.nan if row[3] == "" else _parse_float(row[3], row_no, "obs"))
+        members.append([_parse_float(v, row_no, f"m{j + 1}") for j, v in enumerate(row[4:])])
+    if not dates:
+        raise ParseError(f"no rows match station_id={station_id!r}, lead_time_h={lead_time_h!r}")
+    key, = keys
+    return key, np.array(dates, dtype="datetime64[D]"), obs, members
+
+
+def _convert_blocks(reader, m: int, station_id, lead_time_h):
+    """``_convert_rows`` with one numpy conversion per column and block.
+
+    Reads ``_BLOCK_ROWS`` rows at a time, so that only one block's cell
+    strings are held at once.  Raises ValueError wherever ``_convert_rows``
+    would raise, without naming the row: the caller then re-reads the file
+    with ``_convert_rows``, whose message does.
+    """
+    want_lead = None if lead_time_h is None else int(lead_time_h)
+    keys = set()
+    dates, obs, members = [], [], []
+    for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+        rows = [row for row in block if row]
+        if any(len(row) != 4 + m for row in rows):
+            raise ValueError("field count")
+        lead_values = np.array([row[2] for row in rows], dtype=float)
+        if not np.isfinite(lead_values).all():
+            raise ValueError("non-finite lead time")
+        leads = list(map(int, lead_values.tolist()))
+        if leads != lead_values.tolist():  # Python ints, compared exactly as _convert_rows does
+            raise ValueError("non-integral lead time")
+        kept = [(row, lead) for row, lead in zip(rows, leads)
+                if (station_id is None or row[0] == station_id)
+                and (want_lead is None or lead == want_lead)]
+        keys.update((row[0], lead) for row, lead in kept)
+        if not kept:
+            continue
+        rows = [row for row, _ in kept]
+        dates.append(parse_iso_dates([row[1] for row in rows]))
+        missing = np.array([row[3] == "" for row in rows])
+        block_obs = np.array([row[3] or "nan" for row in rows], dtype=float)
+        block_members = np.array([row[4:] for row in rows], dtype=float)
+        if not (np.isfinite(block_obs[~missing]).all() and np.isfinite(block_members).all()):
+            raise ValueError("non-finite value")
+        obs.append(block_obs)
+        members.append(block_members)
+    key, = keys  # a ValueError unless exactly one (station, lead) pair was kept
+    return key, np.concatenate(dates), np.concatenate(obs), np.concatenate(members)
+
+
+def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
+    """Read ``path`` with the row converter ``convert`` and build the series."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            m = _member_count(reader)
+            (sid, lead), dates, obs, members = convert(reader, m, station_id, lead_time_h)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    return StationSeries.build(sid, lead, dates, obs, members)
+
+
 def load_station_csv(path, station_id: str | None = None,
                      lead_time_h: int | None = None) -> StationSeries:
     """Load one (station, lead time) series from a CSV file.
@@ -256,55 +385,20 @@ def load_station_csv(path, station_id: str | None = None,
     Files may mix stations and lead times; pass the filters to select one
     combination.  The loaded series must resolve to exactly one
     (station_id, lead_time_h) pair, have strictly increasing gap-free daily
-    dates, and a constant member count.  Missing obs fields become NaN and
-    are left for imputation.
+    dates written ``YYYY-MM-DD``, and a constant member count.  Missing obs
+    fields become NaN and are left for imputation.
+
+    Cells are converted a block of rows at a time, one numpy call per
+    column.  A file that does not convert so is read again one cell at a
+    time, which raises a ParseError naming the first offending row, column
+    and value (rows filtered out are checked only for their field count
+    and lead time).  A file that cannot be opened, decoded or split into
+    CSV records is a DataError.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: missing header") from None
-        if header[:4] != ["station_id", "date", "lead_time_h", "obs"]:
-            raise ParseError(f"row 1: header must start with station_id,date,lead_time_h,obs, got {header[:4]}")
-        member_cols = header[4:]
-        if not member_cols or member_cols != [f"m{i + 1}" for i in range(len(member_cols))]:
-            raise ParseError("row 1: member columns must be m1..mM in order")
-        m = len(member_cols)
-
-        dates, obs, members = [], [], []
-        keys = set()
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4 + m:
-                raise ParseError(f"row {row_no}: expected {4 + m} fields, got {len(row)}")
-            sid, date_text, lead_text = row[0], row[1], row[2]
-            lead = _parse_float(lead_text, row_no, "lead_time_h")
-            if lead != int(lead):
-                raise ParseError(f"row {row_no}: non-integral lead_time_h value {lead_text!r}")
-            lead = int(lead)
-            if station_id is not None and sid != station_id:
-                continue
-            if lead_time_h is not None and lead != int(lead_time_h):
-                continue
-            keys.add((sid, lead))
-            if len(keys) > 1:
-                raise ParseError(
-                    f"row {row_no}: file mixes {sorted(keys)}; pass station_id/lead_time_h filters"
-                )
-            try:
-                dates.append(np.datetime64(date_text, "D"))
-            except ValueError:
-                raise ParseError(f"row {row_no}: invalid ISO date {date_text!r}") from None
-            obs.append(np.nan if row[3] == "" else _parse_float(row[3], row_no, "obs"))
-            members.append([_parse_float(v, row_no, f"m{j + 1}") for j, v in enumerate(row[4:])])
-
-    if not dates:
-        raise ParseError(f"no rows match station_id={station_id!r}, lead_time_h={lead_time_h!r}")
-    (sid, lead), = keys
-    return StationSeries.build(sid, lead, np.array(dates, dtype="datetime64[D]"),
-                               obs, members)
+    try:
+        return _read_station_csv(path, _convert_blocks, station_id, lead_time_h)
+    except ValueError:
+        return _read_station_csv(path, _convert_rows, station_id, lead_time_h)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,10 @@ def _edited_predictions(pipeline, tmp_path, column, value):
 
 
 @pytest.mark.parametrize("column, value", [
-    ("lead_time_h", "24h"), ("mu", "abc"), ("sigma", ""), ("date", "2017-13-45")])
+    ("lead_time_h", "24h"), ("mu", "abc"), ("sigma", ""), ("date", "2017-13-45"),
+    *(("date", text) for text in ("", "NaT", "nat", "today", "now", "2017", "2017-07",
+                                   "2017-07-01T12", "2017-07-01T12:30Z")),
+])
 def test_unparsable_prediction_row_is_data_error(pipeline, tmp_path, capsys, column, value):
     preds = _edited_predictions(pipeline, tmp_path, column, value)
     ver = tmp_path / "ver"
@@ -373,3 +376,58 @@ def test_predict_ignores_window_lengths_in_fit_files(pipeline, tmp_path, name, k
                    "--lead", "24", "--valid-start", "2017-07-01", "--valid-end", "2017-07-20") == 0
     assert (tmp_path / "preds_edited" / "predictions.csv").read_bytes() == \
         (tmp_path / "preds_fits" / "predictions.csv").read_bytes()
+
+
+def _copy_dir(source, target):
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def _with_bytes(path, text: bytes):
+    """``path`` with ``text`` put into its third line."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:5] + text + lines[2][5:]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("case", [
+    "station_undecodable", "station_oversized_field", "station_directory",
+    "predictions_undecodable", "predictions_missing", "config_undecodable"])
+def test_unreadable_input_is_one_error_line(pipeline, tmp_path, capsys, case):
+    out = tmp_path / "out"
+    kind, code = "data", 3
+    data = pipeline / "data"
+    preds = pipeline / "preds" / "predictions.csv"
+    command = "verify"
+    extra = ()
+    if case == "station_directory":
+        command = "fit"
+        data = tmp_path / "data"
+        (data / "station_S01_24h.csv").mkdir(parents=True)
+    elif case.startswith("station"):
+        command = "fit"
+        data = _copy_dir(pipeline / "data", tmp_path / "data")
+        # a field longer than the csv module's limit (131,072 characters) is a csv.Error
+        _with_bytes(data / "station_S01_24h.csv", b"\xff" if case == "station_undecodable"
+                    else b"9" * 200_000)
+    elif case == "predictions_undecodable":
+        preds = tmp_path / "predictions.csv"
+        preds.write_bytes((pipeline / "preds" / "predictions.csv").read_bytes())
+        _with_bytes(preds, b"\xff")
+    elif case == "predictions_missing":
+        preds = tmp_path / "missing.csv"
+    else:
+        kind, code = "config", 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 5\n# caf\xff\n")
+        extra = ("--config", cfg)
+    if command == "fit":
+        args = ("fit", "--data", data, "--out", out, "--models", "emos", "--lead", "24",
+                "--train-start", "2015-01-01", "--train-end", "2017-06-30")
+    else:
+        args = ("verify", "--data", data, "--predictions", preds, "--out", out, "--lead", "24")
+    assert run(*args, *extra) == code
+    _assert_one_error_line(capsys, kind)
+    assert not out.exists()

@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from enspost import data
 from enspost.data import (
     StationSeries,
     SyntheticConfig,
@@ -11,10 +15,12 @@ from enspost.data import (
     impute_series,
     lead_time_offset,
     load_station_csv,
+    parse_iso_dates,
     time_index,
     write_station_csv,
 )
 from enspost.errors import (
+    DataError,
     ImputationFailure,
     InvalidConfig,
     InvalidEnsemble,
@@ -204,6 +210,175 @@ def test_load_filters_mixed_file(tmp_path):
     assert series.n_days == 2
     with pytest.raises(ParseError, match="filters"):
         load_station_csv(path)
+
+
+_HEADER = "station_id,date,lead_time_h,obs,m1,m2\n"
+_ROW_1 = "A,2015-01-01,24,1.5,1.0,2.0\n"
+
+
+@pytest.mark.parametrize("text, filters, message", [
+    ("", {}, "empty file: missing header"),
+    ("station,when,lead,obs,m1\nA,2015-01-01,24,1,2\n", {},
+     "row 1: header must start with station_id,date,lead_time_h,obs, "
+     "got ['station', 'when', 'lead', 'obs']"),
+    ("station_id,date,lead_time_h,obs\n", {}, "row 1: member columns must be m1..mM in order"),
+    ("station_id,date,lead_time_h,obs,m2,m1\n", {},
+     "row 1: member columns must be m1..mM in order"),
+    (_HEADER + _ROW_1 + "A,2015-01-02,24,1.6,1.0\n", {}, "row 3: expected 6 fields, got 5"),
+    (_HEADER + "A,2015-01-01,24h,1.5,1.0,2.0\n", {},
+     "row 2: cannot parse lead_time_h value '24h'"),
+    (_HEADER + "A,2015-01-01,inf,1.5,1.0,2.0\n", {},
+     "row 2: non-finite lead_time_h value 'inf'"),
+    (_HEADER + _ROW_1 + "A,2015-01-02,24.5,1.6,1.0,2.0\n", {"lead_time_h": 24},
+     "row 3: non-integral lead_time_h value '24.5'"),
+    (_HEADER + _ROW_1 + "B,2015-01-01,24,1.5,1.0,2.0\n", {},
+     "row 3: file mixes [('A', 24), ('B', 24)]; pass station_id/lead_time_h filters"),
+    (_HEADER + _ROW_1 + "A,2015-01-02,48,1.5,1.0,2.0\n", {"station_id": "A"},
+     "row 3: file mixes [('A', 24), ('A', 48)]; pass station_id/lead_time_h filters"),
+    (_HEADER + _ROW_1 + "A,2015-13-45,24,1.6,1.0,2.0\n", {},
+     "row 3: invalid ISO date '2015-13-45'"),
+    (_HEADER + "A,2015-01-01,24,x,1.0,2.0\n", {}, "row 2: cannot parse obs value 'x'"),
+    (_HEADER + "A,2015-01-01,24,nan,1.0,2.0\n", {}, "row 2: non-finite obs value 'nan'"),
+    (_HEADER + _ROW_1 + "A,2015-01-02,24,1.6,1.0,abc\n", {},
+     "row 3: cannot parse m2 value 'abc'"),
+    (_HEADER + "A,2015-01-01,24,1.5,-inf,2.0\n", {}, "row 2: non-finite m1 value '-inf'"),
+    (_HEADER + _ROW_1, {"station_id": "Z"}, "no rows match station_id='Z', lead_time_h=None"),
+    (_HEADER + _ROW_1, {"lead_time_h": 48}, "no rows match station_id=None, lead_time_h=48"),
+    (_HEADER + "\n\n", {}, "no rows match station_id=None, lead_time_h=None"),
+    (_HEADER + _ROW_1 + _ROW_1, {},
+     "duplicated or non-monotone dates at row 3: 2015-01-01 -> 2015-01-01"),
+], ids=["empty", "header", "no_members", "member_order", "field_count", "lead_parse",
+        "lead_nonfinite", "lead_nonintegral", "mixed_stations", "mixed_leads", "date",
+        "obs_parse", "obs_nonfinite", "member_parse", "member_nonfinite", "no_station_match",
+        "no_lead_match", "blank_rows_only", "duplicate_date"])
+def test_load_error_messages_are_pinned(tmp_path, text, filters, message):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as caught:
+        load_station_csv(path, **filters)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("date", [
+    "", "NaT", "nat", "today", "now", "2015", "2015-01", "2015-01-01T12", "2015-01-01T12:30Z",
+    "2015-1-02", " 2015-01-02", "2015-01-02 "])
+def test_load_rejects_text_that_is_not_a_date(tmp_path, date):
+    path = tmp_path / "s.csv"
+    path.write_text(_HEADER + _ROW_1 + f"A,{date},24,1.6,1.0,2.0\n")
+    with pytest.raises(ParseError) as caught:
+        load_station_csv(path)
+    assert str(caught.value) == f"row 3: invalid ISO date {date!r}"
+
+
+def test_parse_iso_dates_accepts_only_what_it_writes_back():
+    texts = ["2015-01-01", "2016-02-29", "0999-12-31"]
+    assert parse_iso_dates(texts).astype(str).tolist() == texts
+    for text in ("2015-02-29", "2015-13-01", "NaT", "today", "2015-01"):
+        with pytest.raises(ValueError):
+            parse_iso_dates([text])
+
+
+def _by_rows(path, station_id=None, lead_time_h=None):
+    """The one-cell-at-a-time reader alone: the reference for the bulk path."""
+    return data._read_station_csv(path, data._convert_rows, station_id, lead_time_h)
+
+
+def _outcome(load, *args):
+    try:
+        series = load(*args)
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+    return series
+
+
+def _assert_same_outcome(path, *filters):
+    fast, slow = _outcome(load_station_csv, path, *filters), _outcome(_by_rows, path, *filters)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        return
+    assert not isinstance(fast, tuple), fast
+    assert (fast.station_id, fast.lead_time_h) == (slow.station_id, slow.lead_time_h)
+    for name in ("dates", "obs", "members", "ens_mean", "ens_sd"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=name == "obs"), name
+
+
+_CELL_TEXTS = ["1_000", " 1.5", "1.5 ", "１２", "nan", "inf", "-inf", "", "1e", "1e400", "0x10",
+               "2015-1-1", "2015-01-03", "24", "24.0", "48", "A", "B", "+3", ".5", "NaT", "1,5"]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6),
+                                st.sampled_from(_CELL_TEXTS)), max_size=4),
+       station_id=st.sampled_from([None, "A", "B"]),
+       lead_time_h=st.sampled_from([None, 24, 48]))
+def test_bulk_and_row_readers_agree(tmp_path, edits, station_id, lead_time_h):
+    rows = [[sid, f"2015-01-0{day}", "24", f"{day}.5", "1.0", f"{day}.25", "2.0"]
+            for sid in ("A", "B") for day in (1, 2, 3)]
+    for row, col, text in edits:
+        rows[row][col] = text
+    path = tmp_path / "s.csv"
+    path.write_text("station_id,date,lead_time_h,obs,m1,m2,m3\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    _assert_same_outcome(path, station_id, lead_time_h)
+
+
+@pytest.mark.parametrize("n_days", [255, 256, 257, 513])
+def test_bulk_reader_across_block_edges(tmp_path, n_days):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=n_days, m=4, seed=n_days))
+    path = tmp_path / "s.csv"
+    write_station_csv(series, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(n_days // 2, "\n")  # a blank row counts toward the row numbers
+    path.write_text("".join(lines))
+    _assert_same_outcome(path)
+    assert load_station_csv(path).n_days == n_days
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",x\r\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError) as caught:
+        load_station_csv(path)
+    assert str(caught.value) == f"row {n_days + 2}: cannot parse m4 value 'x'"
+
+
+def test_rows_filtered_out_are_not_parsed(tmp_path):
+    # only the field count and lead time of another station's rows are read
+    dates = np.datetime64("2015-01-01") + np.arange(300)
+    body = "".join(f"A,{d},24,1.5,1.0,2.0\nB,{d},24,nan,abc,\n" for d in dates)
+    path = tmp_path / "s.csv"
+    path.write_text(_HEADER + body)
+    series = load_station_csv(path, station_id="A")
+    assert series.n_days == 300 and series.dates[-1] == dates[-1]
+    _assert_same_outcome(path, "A")
+
+
+def _csv_writer_bytes(series) -> bytes:
+    """The file written one csv.writer row at a time, one cell format at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["station_id", "date", "lead_time_h", "obs"]
+                    + [f"m{i + 1}" for i in range(series.n_members)])
+    for i in range(series.n_days):
+        obs = "" if np.isnan(series.obs[i]) else "%.9f" % series.obs[i]
+        writer.writerow([series.station_id, str(series.dates[i]), series.lead_time_h, obs]
+                        + ["%.9f" % v for v in series.members[i]])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("station_id", ['A,"B"', "50%s%%", "S01"])
+def test_write_matches_csv_writer_and_round_trips(tmp_path, rng, station_id):
+    obs = rng.normal(size=30) * 1e3
+    obs[[0, 17]] = np.nan
+    obs[5] = -0.0
+    series = make_series(obs, station_id=station_id, rng=rng, m=3)
+    path = tmp_path / "s.csv"
+    write_station_csv(series, path)
+    assert path.read_bytes() == _csv_writer_bytes(series)
+    back = load_station_csv(path)
+    assert back.station_id == station_id
+    assert np.array_equal(np.isnan(back.obs), np.isnan(series.obs))
+    assert np.allclose(back.obs, series.obs, atol=1e-9, equal_nan=True)
+    assert np.allclose(back.members, series.members, atol=1e-9)
 
 
 def test_csv_round_trip(tmp_path, rng):
