@@ -51,6 +51,7 @@ _CANONICAL_KINDS = {kind.lower(): kind for kind in MODEL_KINDS}
 _DGP_KINDS = ("sar", "dar", "dar-garch")
 
 _FLOAT_FMT = "%.6f"
+_PREDICTIONS_HEADER = ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]
 
 
 @dataclass
@@ -181,12 +182,10 @@ def validate_config(cfg: RunConfig) -> None:
     for name in ("train_start", "train_end", "valid_start", "valid_end", "start_date"):
         value = getattr(cfg, name)
         if value is not None:
-            try:
-                parsed = np.datetime64(value, "D")
+            try:  # YYYY-MM-DD only: numpy alone reads "2015" or "today" as a date
+                parse_iso_dates([value])
             except ValueError:
-                parsed = np.datetime64("NaT")
-            if np.isnat(parsed):
-                raise ConfigError(f"{name} is not an ISO date: {value!r}")
+                raise ConfigError(f"{name} is not an ISO date: {value!r}") from None
     if cfg.train_start and cfg.train_end and cfg.train_start > cfg.train_end:
         raise ConfigError("train_start must not be after train_end")
     if cfg.valid_start and cfg.valid_end and cfg.valid_start > cfg.valid_end:
@@ -367,45 +366,94 @@ def cmd_predict(cfg: RunConfig) -> int:
     target = out / "predictions.csv"
     with open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "station_id", "lead_time_h", "date", "mu", "sigma"])
+        writer.writerow(_PREDICTIONS_HEADER)
         for kind, station, lead, date, mu_v, sigma_v in rows:
             writer.writerow([kind, station, lead, date, _FLOAT_FMT % mu_v, _FLOAT_FMT % sigma_v])
     print(f"predict: wrote {len(rows)} rows to {target}")
     return 0
 
 
-def load_predictions(path) -> dict:
-    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}; a
-    repeated (model, station, lead, date) row, a date not written
-    YYYY-MM-DD and a file that cannot be read are DataErrors."""
+def _convert_prediction_rows(path, reader) -> dict:
+    """Convert the rows one at a time, naming the first bad one.
+
+    The reference for ``_convert_prediction_columns``: both return the grouped
+    predictions, and this one raises the DataError of the first row that
+    cannot be read or repeats an earlier (model, station, lead, date).
+    """
     grouped = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]:
-                raise DataError(f"unexpected predictions header {header}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    key = (row[0], row[1], int(row[2]))
-                    date = parse_iso_dates([row[3]])[0]
-                    entry = (float(row[4]), float(row[5]))
-                except (ValueError, IndexError):
-                    raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
-                by_date = grouped.setdefault(key, {})
-                if date in by_date:
-                    raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
-                by_date[date] = entry
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read predictions file {path}: {exc}") from None
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            key = (row[0], row[1], int(row[2]))
+            date = parse_iso_dates([row[3]])[0]
+            entry = (float(row[4]), float(row[5]))
+        except (ValueError, IndexError):
+            raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
+        by_date = grouped.setdefault(key, {})
+        if date in by_date:
+            raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
+        by_date[date] = entry
     out = {}
     for key, by_date in grouped.items():
         dates = np.array(sorted(by_date), dtype="datetime64[D]")
         mu, sigma = np.array([by_date[d] for d in dates]).T.copy()
         out[key] = (dates, mu, sigma)
     return out
+
+
+def _convert_prediction_columns(path, reader) -> dict:
+    """``_convert_prediction_rows`` with one numpy conversion per column.
+
+    Raises ValueError wherever ``_convert_prediction_rows`` would raise, without
+    naming the row: the caller then re-reads the file with
+    ``_convert_prediction_rows``, whose message does.
+    """
+    rows = [row for row in reader if row]
+    if any(len(row) < 6 for row in rows):
+        raise ValueError("missing fields")
+    leads = {text: int(text) for text in {row[2] for row in rows}}
+    groups = {}  # (model, station, lead) -> group number, in order of first appearance
+    group = np.array([groups.setdefault((row[0], row[1], leads[row[2]]), len(groups))
+                      for row in rows], dtype=int)
+    dates = parse_iso_dates([row[3] for row in rows])
+    mu = np.array([row[4] for row in rows], dtype=float)
+    sigma = np.array([row[5] for row in rows], dtype=float)
+    order = np.lexsort((dates, group))
+    group, dates = group[order], dates[order]
+    if np.any((group[1:] == group[:-1]) & (dates[1:] == dates[:-1])):
+        raise ValueError("repeated prediction row")
+    bounds = np.searchsorted(group, np.arange(len(groups) + 1))
+    return {key: (dates[lo:hi], mu[order[lo:hi]], sigma[order[lo:hi]])
+            for key, lo, hi in zip(groups, bounds[:-1], bounds[1:])}
+
+
+def _read_predictions(path, convert) -> dict:
+    """Check ``path``'s header and group its rows with ``convert``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _PREDICTIONS_HEADER:
+                raise DataError(f"unexpected predictions header {header}")
+            return convert(path, reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read predictions file {path}: {exc}") from None
+
+
+def load_predictions(path) -> dict:
+    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}; a
+    repeated (model, station, lead, date) row, a date not written
+    YYYY-MM-DD and a file that cannot be read are DataErrors.
+
+    Cells are converted one numpy call per column.  A file that fails so
+    is read again one row at a time, which raises the DataError naming the
+    first bad line, or the read error at the point the row loop meets it.
+    """
+    try:
+        return _read_predictions(path, _convert_prediction_columns)
+    except (ValueError, DataError):
+        return _read_predictions(path, _convert_prediction_rows)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

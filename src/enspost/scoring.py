@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -96,6 +95,8 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
 
     Integrates (F(z) - 1{z >= y})^2 over the real line to absolute tolerance
     ``tol``.  Serves as the independent oracle for the closed forms.
+    ``scipy.integrate`` is imported here, on the first call, so that the
+    library and the CLI, which never call this oracle, do not load it.
 
     Parameters
     ----------
@@ -114,6 +115,7 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
     NumericalFailure
         If the quadrature does not reach the requested tolerance.
     """
+    from scipy import integrate
 
     def below(z):
         return np.square(cdf(z))

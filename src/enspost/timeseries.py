@@ -19,6 +19,12 @@ lag vector with ``is_stationary``.
 
 ``garch_path`` is the one GARCH(1,1) variance recursion (with its adjoint
 ``garch_path_adjoint``); the seasonal models and ``fit_garch`` share it.
+Both run the first-order recursion as a unit-bidiagonal banded solve,
+BLAS ``dtbsv`` in its transposed form (``trans=1``).  That form takes each
+step as a length-1 dot product and one subtraction, two roundings in the
+order of the plain loop ``drive[i] + omega1 * prev``, so its paths are the
+loop's to the last bit.  The untransposed solve and LAPACK ``dtbtrs`` step
+with a fused multiply-add and differ in the last digit.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 from scipy.special import gammaincc
 
 from .errors import (
@@ -313,6 +319,15 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _first_order_solve(omega1: float, x: np.ndarray) -> np.ndarray:
+    """out[i] = x[i] + omega1 * out[i-1], out[0] = x[0], solved in place in a
+    contiguous ``x``: the transposed solve with the upper unit-bidiagonal
+    band whose off-diagonal is -omega1 (the band's diagonal row is never
+    read, diag=1)."""
+    band = np.full((2, x.size), -omega1)
+    return dtbsv(1, band, x, lower=0, trans=1, diag=1, overwrite_x=1)
+
+
 def garch_path(w, rho_sq, init: float) -> np.ndarray:
     """GARCH(1,1) variance path aligned with ``rho_sq``, w = (omega0,
     omega1, omega2):
@@ -325,9 +340,12 @@ def garch_path(w, rho_sq, init: float) -> np.ndarray:
     out = np.empty(rho_sq.size)
     out[0] = init
     if rho_sq.size > 1:
+        # out[i] = drive[i-1] + omega1 * out[i-1], seeded at init; the trans=1
+        # solve rounds each step as this sum does, trans=0 and dtbtrs do not
+        # (module docstring)
         drive = w[0] + w[2] * rho_sq[:-1]
-        # IIR recursion out[i] = drive[i-1] + omega1 * out[i-1], seeded at init
-        out[1:] = lfilter([1.0], [1.0, -w[1]], drive, zi=np.array([w[1] * init]))[0]
+        drive[0] += w[1] * init
+        out[1:] = _first_order_solve(w[1], drive)
     return out
 
 
@@ -335,11 +353,14 @@ def garch_path_adjoint(w, rho_sq, path, d_path):
     """Reverse-mode derivative of ``garch_path``: from the adjoint ``d_path``
     of its output ``path``, the adjoints (d_w, d_rho_sq, d_init).
 
-    The adjoint of the IIR recursion is the same filter run backwards in
+    The adjoint of the recursion is the same recursion run backwards in
     time: lam[i] = d_path[i] + omega1 * lam[i+1] is the total derivative by
     path[i].
     """
-    lam = lfilter([1.0], [1.0, -w[1]], d_path[::-1])[::-1]
+    # Solved in reversed time and kept as a reversed view: numpy sums
+    # ahead.sum() and the dot products in memory order, so a forward-contiguous
+    # lam would change the rounding of d_w and with it the fits.
+    lam = _first_order_solve(w[1], d_path[::-1].copy())[::-1]
     ahead = lam[1:]
     d_w = np.array([ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]])
     d_rho_sq = np.zeros(rho_sq.size)

@@ -1,10 +1,16 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from enspost import cli
 from enspost.cli import main, parse_config_file
+from enspost.errors import DataError
 from enspost.data import load_station_csv
 
 
@@ -28,6 +34,17 @@ def pipeline(tmp_path_factory):
                "--models-dir", fits, "--out", ver, "--lead", "24",
                "--train-start", "2015-01-01", "--train-end", "2017-06-30") == 0
     return root
+
+
+def test_cli_import_leaves_the_heavy_scipy_subpackages_unloaded():
+    # cold start: the runtime needs numpy, scipy.special and scipy.linalg only
+    heavy = ["scipy.signal", "scipy.integrate", "scipy.stats", "scipy.interpolate"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import enspost.cli; "
+            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code, str(src), *heavy],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_simulate_file_counts(tmp_path):
@@ -234,6 +251,43 @@ def test_repeated_prediction_row_is_data_error(pipeline, tmp_path, capsys):
     assert not ver.exists()
 
 
+_PREDICTION_CELLS = ["", "x", "24", "+24", " 48", "24.0", "2017-07-02", "2017-7-2", "NaT",
+                     "1_0", "nan", "-inf", "1e400", "0x10", "S1", "A"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5),
+                                st.sampled_from(_PREDICTION_CELLS)), max_size=3),
+       short=st.sets(st.integers(0, 7), max_size=1),
+       order=st.permutations(range(8)))
+def test_bulk_and_row_prediction_readers_agree(tmp_path_factory, edits, short, order):
+    rows = [[model, "S1", lead, f"2017-07-0{day}", f"{day}.5", "0.75"]
+            for model in ("A", "B") for lead in ("24", "48") for day in (1, 2)]
+    for row, col, text in edits:
+        rows[row][col] = text
+    for row in short:  # a row without its sigma field
+        del rows[row][-1]
+    path = tmp_path_factory.mktemp("preds") / "predictions.csv"
+    path.write_text("model,station_id,lead_time_h,date,mu,sigma\n"
+                    + "".join(",".join(rows[i]) + "\n" for i in order))
+    try:
+        fast = cli._read_predictions(path, cli._convert_prediction_columns)
+    except ValueError:
+        fast = None  # the bulk path declined: load_predictions re-reads row by row
+    try:
+        slow = cli._read_predictions(path, cli._convert_prediction_rows)
+    except DataError as exc:
+        assert fast is None
+        with pytest.raises(DataError) as caught:
+            cli.load_predictions(path)
+        assert str(caught.value) == str(exc)
+        return
+    assert fast is not None and list(fast) == list(slow)
+    for key in slow:
+        for a, b in zip(fast[key], slow[key]):
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), key
+
+
 @pytest.mark.parametrize("sigma", ["-1", "nan"])
 def test_invalid_predictive_sigma_is_data_error(pipeline, tmp_path, capsys, sigma):
     preds = _edited_predictions(pipeline, tmp_path, "sigma", sigma)
@@ -345,6 +399,25 @@ def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
     out = tmp_path / "sim"
     assert run("simulate", "--out", out, "--n-days", 150, *flags) == 2
     _assert_one_error_line(capsys, "config")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["2015", "2015-01", "now", "today", "NaT"])
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--start-date"),
+    ("fit", "--train-start"),
+    ("fit", "--train-end"),
+    ("predict", "--valid-start"),
+    ("predict", "--valid-end"),
+])
+def test_config_dates_must_be_written_yyyy_mm_dd(tmp_path, capsys, command, option, value):
+    # numpy alone reads each of these values as a date
+    out = tmp_path / "out"
+    assert run(command, "--data", tmp_path, "--out", out, option, value) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") == 1
+    name = option[2:].replace("-", "_")
+    assert err.startswith(f"error[config]: {name} is not an ISO date: {value!r}")
     assert not out.exists()
 
 

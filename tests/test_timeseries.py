@@ -14,10 +14,13 @@ from enspost.timeseries import (
     fit_ar_yule_walker,
     fit_garch,
     garch_path,
+    garch_path_adjoint,
     is_stationary,
     ljung_box,
 )
 from enspost.timeseries import _garch_likelihood, ar_teacher_forced_adjoint
+from enspost.models.semos import _objective
+from enspost.seasonal import N_COEFFS
 from enspost.optimize import numeric_gradient
 
 
@@ -364,6 +367,77 @@ def test_garch_filter_positivity(rng):
     rho_sq = np.square(rng.normal(size=500))
     out = garch_path((0.05, 0.6, 0.3), np.append(rho_sq, 0.0), 0.5)
     assert np.all(out[1:] > 0)
+
+
+def _scalar_garch_path(w, rho_sq, init):
+    # one step at a time, rounding as out[i] = drive[i-1] + omega1 * out[i-1]
+    out = [init]
+    for r in rho_sq[:-1].tolist():
+        out.append((w[0] + w[2] * r) + w[1] * out[-1])
+    return np.array(out)
+
+
+def _scalar_garch_lam(w, d_path):
+    # lam[i] = d_path[i] + omega1 * lam[i+1], listed from the last day back
+    lam = []
+    for d in d_path[::-1].tolist():
+        lam.append(d if not lam else d + w[1] * lam[-1])
+    return lam
+
+
+def _garch_kernel_draws(count):
+    rng = np.random.default_rng(11)
+    lengths = np.r_[1, 2, 3, 2200, rng.integers(1, 2201, size=count - 4)]
+    omega1 = np.r_[0.0, 1.0, 1.3, rng.uniform(0.0, 1.0, size=count - 3)]
+    for n, w1 in zip(lengths, rng.permutation(omega1)):
+        w = (rng.uniform(0.01, 1.0), float(w1), rng.uniform(0.0, 0.5))
+        yield w, np.square(rng.normal(size=n)), rng.uniform(0.1, 3.0), rng.normal(size=n)
+
+
+def test_garch_path_is_the_scalar_recursion_to_the_bit():
+    for w, rho_sq, init, _ in _garch_kernel_draws(150):
+        assert np.array_equal(garch_path(w, rho_sq, init), _scalar_garch_path(w, rho_sq, init))
+
+
+def test_garch_path_adjoint_is_the_scalar_recursion_to_the_bit():
+    for w, rho_sq, init, d_path in _garch_kernel_draws(150):
+        path = garch_path(w, rho_sq, init)
+        d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, path, d_path)
+        backward = _scalar_garch_lam(w, d_path)
+        assert d_init == backward[-1]
+        expected = np.zeros(rho_sq.size)
+        expected[:-1] = [w[2] * v for v in backward[-2::-1]]
+        assert np.array_equal(d_rho_sq, expected)
+        # lam laid out in reversed time, as the reductions read it
+        ahead = np.array(backward)[::-1][1:]
+        reductions = [ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]]
+        assert np.array_equal(d_w, reductions, equal_nan=True)
+
+
+def test_garch_path_stays_inf_after_an_infinite_rho_sq():
+    # the solve carries inf on where a filter with a zero feed-forward term
+    # turned it into 0 * inf = nan; either way the fits see a non-finite value
+    w = (0.1, 0.55, 0.35)
+    rho_sq = np.square(np.random.default_rng(3).normal(size=200))
+    rho_sq[120] = np.inf
+    path = garch_path(w, rho_sq, 1.0)
+    assert np.isposinf(path[121:]).all()
+    assert np.array_equal(path, _scalar_garch_path(w, rho_sq, 1.0))
+    nll, _ = _garch_likelihood(rho_sq, 1.0)
+    assert nll(np.sqrt(w)) == np.inf
+
+
+def test_dar_garch_semos_objective_is_not_finite_after_an_infinite_rho_sq():
+    rng = np.random.default_rng(4)
+    n, p = 300, 1
+    x_loc = np.column_stack([np.ones(n), rng.normal(size=(n, N_COEFFS - 1))])
+    x_scale = np.zeros((n, N_COEFFS))
+    y = x_loc @ np.r_[5.0, np.zeros(N_COEFFS - 1)] + rng.normal(size=n)
+    y[150] = 1e200  # its squared innovation overflows to inf
+    theta = np.r_[5.0, np.zeros(2 * N_COEFFS - 1), 0.0, 0.5, np.sqrt([0.1, 0.55, 0.35])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _objective("DAR-GARCH-SEMOS", p, x_loc, x_scale, y)(theta)
+    assert not np.isfinite(value)
 
 
 def test_fit_garch_recovers_persistence(rng):
