@@ -6,7 +6,9 @@ observable days (Gneiting et al. 2005).  A tiny ridge penalty protects the
 fit when log s is (near-)constant inside a window, where b1 is
 unidentified.  The window fit is a Newton solve with the exact gradient
 and Hessian: the closed-form first and second CRPS derivatives in mu and
-sigma, chain-ruled through the two linear predictors.
+sigma, chain-ruled through the two linear predictors.  Trial points cost
+an objective value only; the gradient and the Hessian are computed
+together, once per accepted point.
 
 Prediction fits every date's window in one batched solve
 (``optimize.minimize_newton``): the windows are the rows of (dates, 30)
@@ -52,11 +54,11 @@ def _predictors(theta: np.ndarray, xbar: np.ndarray, log_s: np.ndarray):
 
 def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     """Mean CRPS of theta = (a0, a1, b0, b1) on each window, plus the ridge
-    term, and its gradient; returns (objective, gradient).
+    term.
 
-    The windows are the rows of (D, window) arrays, or one 1-D window.
-    Both callables take theta, (len(rows), 4) or (4,), and optionally
-    ``rows``, the windows theta belongs to (all by default).
+    The windows are the rows of (D, window) arrays, or one 1-D window.  The
+    callable takes theta, (len(rows), 4) or (4,), and optionally ``rows``,
+    the windows theta belongs to (all by default).
     """
     ridge = _ridge(log_s)
 
@@ -66,24 +68,17 @@ def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
             crps = np.mean(crps_normal_series(mu, sigma, y[rows]), axis=-1)
         return crps + ridge[rows] * np.sum(theta * theta, axis=-1)
 
-    def gradient(theta, rows=...):
-        x, ls = xbar[rows], log_s[rows]
-        mu, sigma = _predictors(theta, x, ls)
-        with np.errstate(all="ignore"):
-            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
-            # d sigma / d (b0, b1) = sigma * (1, log s)
-            g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
-        return g / y.shape[-1] + 2.0 * ridge[rows][..., None] * theta
-
-    return objective, gradient
+    return objective
 
 
-def _window_hessian(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
-    """Exact 4 x 4 Hessian of ``_window_objective``'s objective, per window.
+def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
+    """(gradient, 4 x 4 Hessian) of ``_window_objective``'s objective, per
+    window, sharing the predictors and CRPS partials; takes (theta, rows).
 
-    With u = (1, xbar) and v = (1, log s), the blocks are mean(h_mm u u'),
-    mean(h_ms sigma u v') and mean((h_ss sigma^2 + dCRPS/dsigma sigma) v v'):
-    sigma = exp(b' v) is itself curved in (b0, b1).  The ridge adds 2 ridge I.
+    With u = (1, xbar) and v = (1, log s), the Hessian blocks are
+    mean(h_mm u u'), mean(h_ms sigma u v') and mean((h_ss sigma^2 +
+    dCRPS/dsigma sigma) v v'): sigma = exp(b' v) is itself curved in (b0,
+    b1).  The ridge adds 2 ridge I.
     """
     ridge = _ridge(log_s)
 
@@ -91,11 +86,13 @@ def _window_hessian(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
         """Window sums of weight * (1, a)(1, b)', (..., 2, 2)."""
         return np.stack([_sums(weight, b), _sums(weight * a, b)], axis=-2)
 
-    def hessian(theta, rows=...):
+    def derivatives(theta, rows=...):
         x, ls = xbar[rows], log_s[rows]
         mu, sigma = _predictors(theta, x, ls)
         with np.errstate(all="ignore"):
-            _, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
+            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
+            # d sigma / d (b0, b1) = sigma * (1, log s)
+            g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
             h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y[rows])
             w_ss = (h_ss * sigma + d_sigma) * sigma
             hess = np.empty(theta.shape + (4,))
@@ -103,11 +100,12 @@ def _window_hessian(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
             hess[..., :2, 2:] = block(h_ms * sigma, x, ls)
             hess[..., 2:, :2] = np.swapaxes(hess[..., :2, 2:], -1, -2)
             hess[..., 2:, 2:] = block(w_ss, ls, ls)
+        g = g / y.shape[-1] + 2.0 * ridge[rows][..., None] * theta
         hess /= y.shape[-1]
         hess[..., np.arange(4), np.arange(4)] += 2.0 * ridge[rows][..., None]
-        return hess
+        return g, hess
 
-    return hessian
+    return derivatives
 
 
 def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptResult:
@@ -122,9 +120,8 @@ def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptRes
     a0 = y.mean(axis=1) - a1 * xbar.mean(axis=1)
     resid_sd = np.std(y - (a0[:, None] + a1[:, None] * xbar), axis=1, ddof=1)
     init = np.column_stack([a0, a1, np.log(np.maximum(resid_sd, 1e-6)), np.zeros_like(a0)])
-    objective, gradient = _window_objective(xbar, log_s, y)
-    return minimize_newton(objective, gradient, _window_hessian(xbar, log_s, y), init,
-                           settings or _WINDOW_SETTINGS)
+    return minimize_newton(_window_objective(xbar, log_s, y),
+                           _window_derivatives(xbar, log_s, y), init, settings or _WINDOW_SETTINGS)
 
 
 def emos_fit_window(xbar, s, y) -> np.ndarray:

@@ -17,7 +17,8 @@ histories); the first p training days carry no prediction and are dropped
 from the objective.  The BFGS fit uses the exact gradient of the mean
 training CRPS: the reverse-mode adjoint of the same forward pass that
 computes (mu, sigma), through the teacher-forced AR, the GARCH variance
-path and the seasonal predictors.
+path and the seasonal predictors.  Each point the fit tries runs that
+pass once, for the value and the gradient together.
 
 During prediction, residuals of the k most recent days (lead-time offset)
 are unobservable and are bridged with the multi-step AR recursion; the
@@ -141,8 +142,8 @@ def _garch_path_adjoint(w, rho_sq, path, d_path) -> tuple[np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# theta layout and training evaluation (one forward pass used by objective,
-# gradient, residuals and CRPS)
+# theta layout and training evaluation (one forward pass used by the
+# objective with its gradient and by the residuals)
 # ---------------------------------------------------------------------------
 
 
@@ -238,23 +239,22 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
 
 
 def _objective(kind: str, p: int, x_loc, x_scale, y):
-    """Mean training CRPS as a function of theta."""
+    """Mean training CRPS as a function of theta, with its exact gradient:
+    fun(theta) -> (value, gradient).  The gradient is the closed-form CRPS
+    partials in (mu, sigma), pulled back through the same forward pass."""
     def fun(theta):
-        mu, sigma, start, _ = _evaluate(kind, theta, p, x_loc, x_scale, y)
+        mu, sigma, start, pullback = _evaluate(kind, theta, p, x_loc, x_scale, y)
         with np.errstate(all="ignore"):
-            return float(np.mean(crps_normal_series(mu, sigma, y[start:])))
+            value = float(np.mean(crps_normal_series(mu, sigma, y[start:])))
+            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[start:])
+            return value, pullback(d_mu, d_sigma) / mu.size
     return fun
 
 
-def _gradient(kind: str, p: int, x_loc, x_scale, y):
-    """Exact gradient of ``_objective``: the closed-form CRPS partials in
-    (mu, sigma), pulled back through the same forward pass."""
-    def grad(theta):
-        mu, sigma, start, pullback = _evaluate(kind, theta, p, x_loc, x_scale, y)
-        with np.errstate(all="ignore"):
-            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[start:])
-            return pullback(d_mu, d_sigma) / mu.size
-    return grad
+def _standardized(kind: str, theta: np.ndarray, p: int, x_loc, x_scale, y) -> np.ndarray:
+    """Standardized one-step training innovations (y - mu) / sigma at theta."""
+    mu, sigma, start, _ = _evaluate(kind, theta, p, x_loc, x_scale, y)
+    return (y[start:] - mu) / sigma
 
 
 def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
@@ -265,8 +265,7 @@ def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
     x_loc, x_scale = _designs(series, model.meta["origin"])
     p = 0 if model.ar is None else model.ar.p
     theta = _pack(model.loc, model.scale, model.ar, model.garch)
-    mu, sigma, start, _ = _evaluate(model.kind, theta, p, x_loc, x_scale, series.obs)
-    return (series.obs[start:] - mu) / sigma
+    return _standardized(model.kind, theta, p, x_loc, x_scale, series.obs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +307,9 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
     p = 0 if ar0 is None else ar0.p
     theta0 = _pack(loc0, scale0, ar0, garch0)
     fun = _objective(kind, p, x_loc, x_scale, y)
-    result = minimize(fun, theta0, settings or OptimizeSettings(),
-                      grad=_gradient(kind, p, x_loc, x_scale, y))
+    result = minimize(fun, theta0, settings or OptimizeSettings())
 
     loc, scale, ar, root_w = _unpack(result.x, p)
-    mu, sigma, start, _ = _evaluate(kind, result.x, p, x_loc, x_scale, y)
     return FittedModel(
         kind=kind,
         loc=loc.copy(),
@@ -328,12 +325,12 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
             "n_train": series.n_days,
             "converged": bool(result.converged),
             "train_crps": float(result.value),
-            "init_crps": float(fun(theta0)),
+            "init_crps": fun(theta0)[0],
             "iterations": int(result.iterations),
             "n_evals": int(result.n_evals),
             "grad_norm": float(result.grad_norm),
         },
-        train_residuals=(y[start:] - mu) / sigma,
+        train_residuals=_standardized(kind, result.x, p, x_loc, x_scale, y),
     )
 
 

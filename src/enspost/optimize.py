@@ -1,22 +1,25 @@
 """Unconstrained quasi-Newton (BFGS) or exact Newton minimization of
 mean-score objectives.
 
-The minimizer is deliberately small: the caller's analytic gradient or
-else central differences, an Armijo backtracking line search, and a search
-direction from the standard inverse-Hessian BFGS update (with a curvature
-guard and Nocedal's scaling of the initial Hessian after the first step).
-It only ever *accepts* points that decrease the objective, so the returned
-value is guaranteed <= the starting value, and it returns the best point
-seen so far even when the search breaks down.
+The minimizer is deliberately small: one callable that returns the
+objective and its analytic gradient at a point, so a caller runs its
+forward pass once per point, an Armijo backtracking line search, and a
+search direction from the standard inverse-Hessian BFGS update (with a
+curvature guard and Nocedal's scaling of the initial Hessian after the
+first step).  It only ever *accepts* points that decrease the objective, so
+the returned value is guaranteed <= the starting value, and it returns the
+best point seen so far even when the search breaks down.
 
 ``minimize_newton`` solves many small problems of one shape at once, given
 their exact Hessians: each direction is the Newton step from the
 eigendecomposition of that problem's Hessian, with negative eigenvalues
 made positive (a modified Newton step, Nocedal & Wright ch. 3.4) and
-steepest descent on any iteration where that Hessian is not finite.  Every
+steepest descent on any iteration where that Hessian is not finite.  Its
+trial points need only objective values; the gradients and Hessians come
+from one derivatives call at each start and each accepted point.  Every
 problem has its own Armijo search and convergence tests; a problem that
-has converged or stopped drops out of the batch.  ``golden_section`` is
-kept as a derivative-free oracle for one-dimensional searches.
+has converged or stopped drops out of the batch.  ``numeric_gradient`` and
+``golden_section`` are kept as derivative-free oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import InvalidStart, NumericalFailure
 
 _STEP_TOLERANCE = 1e-10
-_FD_STEP = 1e-6
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 40
@@ -50,7 +52,8 @@ class OptimizeSettings:
 @dataclass
 class OptResult:
     """Result of one minimization; ``minimize_newton`` fills every field
-    with one entry per problem (``x`` is then (D, n))."""
+    with one entry per problem (``x`` is then (D, n)).  ``n_evals`` counts
+    objective values; each of ``minimize``'s came with its gradient."""
 
     x: np.ndarray
     value: float
@@ -127,67 +130,55 @@ def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, yk: np.ndarray,
     return a @ h_inv @ a.T + rho * np.outer(step, step)
 
 
-def _checked_gradient(g) -> np.ndarray:
+def _checked_gradient(g, problems=None) -> np.ndarray:
+    """``g``, or NumericalFailure naming its first non-finite component and
+    that row's problem number in ``problems``, when given."""
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         i = int(np.flatnonzero(~np.isfinite(g))[0])
-        where = f" of problem {i // g.shape[-1]}" if g.ndim > 1 and g.shape[0] > 1 else ""
+        where = "" if problems is None else f" of problem {problems[i // g.shape[-1]]}"
         raise NumericalFailure(f"non-finite analytic gradient in component "
                                f"{i % g.shape[-1]}{where}")
     return g
 
 
-def minimize(objective, init, settings: OptimizeSettings | None = None,
-             grad=None) -> OptResult:
+def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
     """BFGS minimization with Armijo backtracking.
 
     Parameters
     ----------
-    objective : callable
-        Maps a coefficient vector to a scalar; must be finite at ``init``.
+    fun : callable
+        Maps a coefficient vector to ``(value, gradient)``, the scalar
+        objective and its analytic gradient from one forward pass; the
+        value must be finite at ``init``.  Only gradients at finite values
+        are read: at ``init`` and at accepted points.
     init : array-like
         Starting point.
     settings : OptimizeSettings, optional
-    grad : callable, optional
-        Analytic gradient; defaults to central finite differences with
-        per-component steps 1e-6 * (1 + |x_i|).
 
     Returns
     -------
     OptResult
         Best point found; ``converged`` is True when the gradient sup-norm
         or the step size dropped below tolerance.  The value never exceeds
-        the starting value.
+        the starting value.  ``n_evals`` counts the calls of ``fun``.
 
     Raises
     ------
     InvalidStart
         If the objective is not finite at ``init``.
     NumericalFailure
-        If a gradient is not finite (analytic) or cannot be differenced.
+        If a gradient that is read is not finite.
     """
     cfg = settings or OptimizeSettings()
     x = np.array(init, dtype=float).ravel()
     n = x.size
-    evals = 0
-
-    def fun(v):
-        nonlocal evals
-        evals += 1
-        return float(objective(v))
-
-    f0 = fun(x)
-    if not np.isfinite(f0):
-        raise InvalidStart(f"objective not finite at the starting point ({f0})")
-
-    def gradient(v):
-        if grad is None:
-            return numeric_gradient(fun, v, _FD_STEP * (1.0 + np.abs(v)))
-        return _checked_gradient(grad(v))
-
-    g = gradient(x)
+    fx, g = fun(x)
+    evals = 1
+    if not np.isfinite(fx):
+        raise InvalidStart(f"objective not finite at the starting point ({fx})")
+    g = _checked_gradient(g)
     h_inv = np.eye(n)
-    fx = f0
     converged = False
     iterations = 0
 
@@ -208,12 +199,12 @@ def minimize(objective, init, settings: OptimizeSettings | None = None,
         # Armijo backtracking; non-finite trial values just shorten the step
         alpha = 1.0
         x_new = None
-        f_new = np.inf
         for _ in range(_MAX_BACKTRACKS):
             trial = x + alpha * direction
-            f_trial = fun(trial)
+            f_trial, g_trial = fun(trial)
+            evals += 1
             if np.isfinite(f_trial) and f_trial <= fx + _ARMIJO_C1 * alpha * slope:
-                x_new, f_new = trial, f_trial
+                x_new, f_new, g_new = trial, f_trial, _checked_gradient(g_trial)
                 break
             alpha *= _BACKTRACK_FACTOR
         if x_new is None:
@@ -221,7 +212,6 @@ def minimize(objective, init, settings: OptimizeSettings | None = None,
             break
 
         step = x_new - x
-        g_new = gradient(x_new)
         h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
 
         x, fx, g = x_new, f_new, g_new
@@ -239,18 +229,19 @@ def minimize(objective, init, settings: OptimizeSettings | None = None,
     )
 
 
-def minimize_newton(objective, gradient, hessian, init,
+def minimize_newton(objective, derivatives, init,
                     settings: OptimizeSettings | None = None) -> OptResult:
     """Modified Newton minimization of D independent problems at once.
 
-    Each callable takes ``(x, rows)``: the (len(rows), n) points of the
-    problems numbered ``rows`` (an index array into 0..D-1), and returns
-    their objectives (len(rows),), gradients (len(rows), n) or Hessians
-    (len(rows), n, n).  ``init`` is (D, n).  Every problem runs the
-    iteration of ``minimize`` on its own: a modified Newton direction, an
-    Armijo search that halves its step, and the gradient and step
-    tolerances; it leaves the batch once it has converged or its search
-    found no decrease.
+    Both callables take ``(x, rows)``: the (len(rows), n) points of the
+    problems numbered ``rows`` (an index array into 0..D-1).  ``objective``
+    returns their objectives (len(rows),), at the starts and trial points;
+    ``derivatives`` their gradients (len(rows), n) and Hessians (len(rows),
+    n, n), once at the starts and once per accepted point.  ``init`` is
+    (D, n).  Every problem runs the iteration of ``minimize`` on its own: a
+    modified Newton direction, an Armijo search that halves its step, and
+    the gradient and step tolerances; it leaves the batch once it has
+    converged or its search found no decrease.
 
     Returns an OptResult with one entry per problem in every field.
 
@@ -270,7 +261,13 @@ def minimize_newton(objective, gradient, hessian, init,
         i = int(np.flatnonzero(~np.isfinite(fx))[0])
         where = f" of problem {i}" if d > 1 else ""
         raise InvalidStart(f"objective not finite at the starting point{where} ({fx[i]})")
-    g = _checked_gradient(gradient(x, active))
+
+    def checked_derivatives(rows):
+        g_rows, h_rows = derivatives(x[rows], rows)
+        return (_checked_gradient(g_rows, rows if d > 1 else None),
+                np.asarray(h_rows, dtype=float))
+
+    g, hess = checked_derivatives(active)
     evals = np.ones(d, dtype=int)
     iterations = np.zeros(d, dtype=int)
     converged = np.zeros(d, dtype=bool)
@@ -284,7 +281,7 @@ def minimize_newton(objective, gradient, hessian, init,
             break
 
         xa, ga = x[active], g[active]
-        direction = _newton_directions(np.asarray(hessian(xa, active), dtype=float), ga)
+        direction = _newton_directions(hess[active], ga)
         slope = np.einsum("di,di->d", direction, ga)
         broken = ~np.isfinite(slope) | (slope >= 0)
         direction[broken] = -ga[broken]
@@ -312,7 +309,7 @@ def minimize_newton(objective, gradient, hessian, init,
         moved = active[accepted]
         step = x_new[accepted] - xa[accepted]
         x[moved], fx[moved] = x_new[accepted], f_new[accepted]
-        g[moved] = _checked_gradient(gradient(x[moved], moved))
+        g[moved], hess[moved] = checked_derivatives(moved)
         small = np.max(np.abs(step), axis=1, initial=0.0) <= _STEP_TOLERANCE
         converged[moved[small]] = True
         active = moved[~small]

@@ -370,22 +370,20 @@ def garch_path_adjoint(w, rho_sq, path, d_path):
 
 def _garch_likelihood(rho_sq: np.ndarray, var: float):
     """Gaussian negative log-likelihood of a GARCH(1,1) variance path started
-    at ``var``, in theta = sqrt(omega), and its exact gradient; returns
-    (nll, gradient)."""
+    at ``var``, in theta = sqrt(omega), with its exact gradient from the
+    same path: fun(theta) -> (nll, gradient), (inf, None) where the path is
+    not positive and finite."""
 
-    def nll(theta):
-        sig2 = garch_path(np.square(theta), rho_sq, var)
-        if sig2.min() <= 0 or not np.all(np.isfinite(sig2)):
-            return np.inf
-        return 0.5 * float(np.sum(np.log(sig2) + rho_sq / sig2))
-
-    def gradient(theta):
+    def fun(theta):
         w = np.square(theta)
         sig2 = garch_path(w, rho_sq, var)
+        if sig2.min() <= 0 or not np.all(np.isfinite(sig2)):
+            return np.inf, None
+        nll = 0.5 * float(np.sum(np.log(sig2) + rho_sq / sig2))
         d_w, _, _ = garch_path_adjoint(w, rho_sq, sig2, 0.5 * (1.0 - rho_sq / sig2) / sig2)
-        return 2.0 * theta * d_w
+        return nll, 2.0 * theta * d_w
 
-    return nll, gradient
+    return fun
 
 
 def fit_garch(rho) -> GARCHCoeffs:
@@ -407,9 +405,9 @@ def fit_garch(rho) -> GARCHCoeffs:
     var = float(np.var(rho))
     if rho.size < 20 or var <= 1e-12:
         raise DegenerateSeries("series too short or too flat for a GARCH fit")
-    nll, gradient = _garch_likelihood(np.square(rho), var)
     theta0 = np.sqrt([0.1 * var, 0.7, 0.15])
-    result = minimize(nll, theta0, OptimizeSettings(max_iterations=200), grad=gradient)
+    result = minimize(_garch_likelihood(np.square(rho), var), theta0,
+                      OptimizeSettings(max_iterations=200))
     if not np.isfinite(result.value):
         raise NumericalFailure("GARCH likelihood not finite at any tried point")
     w0, w1, w2 = np.square(result.x)

@@ -16,16 +16,17 @@ from enspost.errors import InsufficientHistory, InvalidInput
 from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
-from enspost.models import emos
-from enspost.models.emos import _RIDGE, _window_hessian, _window_objective, emos_fit_window
+from enspost.models import emos, semos
+from enspost.models.emos import _RIDGE, _window_derivatives, _window_objective, emos_fit_window
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
-from enspost.models.semos import _gradient, training_residuals
+from enspost.models.semos import training_residuals
 from enspost import optimize
 from enspost.optimize import OptimizeSettings, golden_section, minimize, minimize_newton
 from enspost.optimize import numeric_gradient
 from enspost.scoring import crps_ensemble, crps_normal_series
 from enspost.seasonal import SeasonalCoeffs, seasonal_design
 from enspost.timeseries import ARCoeffs, ARFits, GARCHCoeffs, ljung_box
+from enspost import timeseries
 from enspost.timeseries import (
     ar_innovation_variance,
     ar_multistep,
@@ -106,7 +107,8 @@ def test_emos_window_gradient_matches_finite_differences(rng, sd_spread, ridge):
     xbar = 10 + 3 * rng.standard_normal(n)
     log_s = np.log(1.3 + sd_spread * rng.random(n))
     y = xbar + rng.standard_normal(n)
-    objective, gradient = _window_objective(xbar, log_s, y)
+    objective = _window_objective(xbar, log_s, y)
+    derivatives = _window_derivatives(xbar, log_s, y)
     for _ in range(10):
         # |theta_i| >= 1 keeps the ridge part 2e-8 theta above the 5e-9 tolerance
         theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
@@ -114,7 +116,7 @@ def test_emos_window_gradient_matches_finite_differences(rng, sd_spread, ridge):
                                           np.exp(theta[2] + theta[3] * log_s), y))
         assert objective(theta) == pytest.approx(crps + ridge * theta @ theta, abs=1e-15)
         numeric = numeric_gradient(objective, theta, 1e-6 * (1 + np.abs(theta)))
-        assert np.all(np.abs(gradient(theta) - numeric) <= 5e-9)
+        assert np.all(np.abs(derivatives(theta)[0] - numeric) <= 5e-9)
 
 
 @pytest.mark.parametrize("sd_spread, ridge", [(0.4, 0.0), (1e-6, _RIDGE)])
@@ -123,20 +125,19 @@ def test_emos_window_hessian_matches_finite_differences(rng, sd_spread, ridge, m
     xbar = 10 + 3 * rng.standard_normal(n)
     log_s = np.log(1.3 + sd_spread * rng.random(n))
     y = xbar + rng.standard_normal(n)
-    _, gradient = _window_objective(xbar, log_s, y)
-    hessian = _window_hessian(xbar, log_s, y)
+    derivatives = _window_derivatives(xbar, log_s, y)
     monkeypatch.setattr(emos, "_RIDGE", 0.0)
-    hessian_no_ridge = _window_hessian(xbar, log_s, y)
+    derivatives_no_ridge = _window_derivatives(xbar, log_s, y)
     for _ in range(10):
         theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
         steps = 1e-6 * (1 + np.abs(theta))
-        numeric = np.column_stack([numeric_gradient(lambda t: gradient(t)[j], theta, steps)
-                                   for j in range(4)])
-        exact = hessian(theta)
+        numeric = np.column_stack([
+            numeric_gradient(lambda t: derivatives(t)[0][j], theta, steps) for j in range(4)])
+        exact = derivatives(theta)[1]
         assert np.allclose(exact, exact.T, rtol=1e-12, atol=0.0)
         assert np.all(np.abs(exact - numeric) <= 1e-6 * (1 + np.abs(exact)))
         # the ridge's 2 ridge I is below that tolerance, so check it on its own
-        assert np.allclose(exact - hessian_no_ridge(theta), 2.0 * ridge * np.eye(4),
+        assert np.allclose(exact - derivatives_no_ridge(theta)[1], 2.0 * ridge * np.eye(4),
                            rtol=0.0, atol=1e-14)
 
 
@@ -151,19 +152,19 @@ def test_emos_rolling_newton_fits_match_bfgs(monkeypatch):
     model = models.fit("EMOS", series.window(end=dates[0] - 1))
     solves = []
 
-    def recording(objective, gradient, hessian, init, settings=None):
-        solves.append((objective, gradient, init,
-                       minimize_newton(objective, gradient, hessian, init, settings)))
+    def recording(objective, derivatives, init, settings=None):
+        solves.append((objective, derivatives, init,
+                       minimize_newton(objective, derivatives, init, settings)))
         return solves[-1][-1]
 
     monkeypatch.setattr(emos, "minimize_newton", recording)
     mu, sigma = models.predict(model, series, dates)
-    [(objective, gradient, init, newton)] = solves
+    [(objective, derivatives, init, newton)] = solves
     assert newton.x.shape == (dates.size, 4) and np.all(newton.converged)
     xbar, log_s = series.ens_mean[-366:], np.log(series.ens_sd[-366:])
     for k in range(dates.size):
-        bfgs = minimize(lambda t: objective(t, k), init[k],
-                        OptimizeSettings(max_iterations=200), grad=lambda t: gradient(t, k))
+        bfgs = minimize(lambda t: (objective(t, k), derivatives(t, k)[0]), init[k],
+                        OptimizeSettings(max_iterations=200))
         assert bfgs.converged
         assert newton.value[k] <= bfgs.value + 1e-12
         a0, a1, b0, b1 = bfgs.x
@@ -357,7 +358,7 @@ def _emos_per_date_reference(series, indices, k):
             ab = np.linalg.lstsq(np.column_stack([np.ones_like(xbar), xbar]), y, rcond=None)[0]
             coeffs = np.array([*ab, np.log(np.std(y - ab[0] - ab[1] * xbar, ddof=1)), 0.0])
         window = (xbar[None], log_s[None], y[None])
-        coeffs = minimize_newton(*_window_objective(*window), _window_hessian(*window),
+        coeffs = minimize_newton(_window_objective(*window), _window_derivatives(*window),
                                  coeffs[None], emos._WINDOW_SETTINGS).x[0]
         mu[out] = coeffs[0] + coeffs[1] * series.ens_mean[i]
         sigma[out] = np.exp(coeffs[2] + coeffs[3] * np.log(series.ens_sd[i]))
@@ -504,7 +505,7 @@ def test_semos_fit_reaches_flat_gradient(dar_world):
     fun = _objective("SEMOS", 0, seasonal_design(t, series.ens_mean),
                      seasonal_design(t, series.ens_sd), series.obs)
     theta = np.concatenate([model.loc, model.scale])
-    grad = numeric_gradient(fun, theta, 1e-6 * (1 + np.abs(theta)))
+    grad = numeric_gradient(lambda t: fun(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
     assert np.max(np.abs(grad)) <= 1e-4
 
 
@@ -824,7 +825,7 @@ def test_semos_objective_gradient_matches_analytic(dar_world, rng):
             (d_mu[:, None] * x_loc).mean(axis=0),
             ((d_sigma * sigma)[:, None] * x_scale).mean(axis=0),
         ])
-        numeric = numeric_gradient(fun, theta, 1e-6 * (1 + np.abs(theta)))
+        numeric = numeric_gradient(lambda t: fun(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
         scale = np.maximum(np.abs(analytic), 1e-6)
         assert np.all(np.abs(numeric - analytic) / scale < 1e-4)
 
@@ -847,8 +848,8 @@ def test_objective_gradient_fd_self_consistency(kind, dar_world, rng):
             np.array([0.9, 0.4, 0.4])[:extra],
         ])
         h = 1e-6 * (1 + np.abs(theta))
-        g1 = numeric_gradient(fun, theta, h)
-        g2 = numeric_gradient(fun, theta, h / 2)
+        g1 = numeric_gradient(lambda t: fun(t)[0], theta, h)
+        g2 = numeric_gradient(lambda t: fun(t)[0], theta, h / 2)
         scale = np.maximum(np.abs(g1), 1e-6)
         assert np.all(np.abs(g1 - g2) / scale < 1e-4)
 
@@ -870,8 +871,9 @@ def _assert_exact_gradient(kind, p, theta, dar_world):
     t = time_index(series.dates, series.dates[0])
     args = (kind, p, seasonal_design(t, series.ens_mean), seasonal_design(t, series.ens_sd),
             series.obs)
-    exact = _gradient(*args)(theta)
-    numeric = numeric_gradient(_objective(*args), theta, 1e-6 * (1 + np.abs(theta)))
+    fun = _objective(*args)
+    exact = fun(theta)[1]
+    numeric = numeric_gradient(lambda t: fun(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
     assert exact.shape == theta.shape
     np.testing.assert_allclose(exact, numeric, rtol=1e-6, atol=1e-8)
 
@@ -893,6 +895,43 @@ def test_exact_gradient_matches_finite_differences(kind, p, dar_world, rng):
 def test_exact_gradient_garch_start_branches(root_w, p, dar_world, rng):
     theta = _random_theta("DAR-GARCH-SEMOS", p, rng, root_w)
     _assert_exact_gradient("DAR-GARCH-SEMOS", p, theta, dar_world)
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on; returns the count list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", models.SEASONAL_KINDS)
+def test_seasonal_fit_runs_one_forward_pass_per_point(kind, dar_world, monkeypatch):
+    # one per optimizer evaluation (value and gradient together), one for
+    # init_crps and one for the training residuals
+    _, series, _ = dar_world
+    passes = _counting(monkeypatch, semos, "_evaluate")
+    model = models.fit(kind, series)
+    assert len(passes) == model.meta["n_evals"] + 2
+
+
+def test_fit_garch_runs_one_path_per_evaluation(rng, monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(timeseries, "minimize", recording)
+    paths = _counting(monkeypatch, timeseries, "garch_path")
+    fit_garch(rng.standard_normal(500) * np.sqrt(rng.uniform(0.5, 2.0, size=500)))
+    [result] = results
+    assert len(paths) == result.n_evals > 1
 
 
 def test_fits_use_no_finite_differences(dar_world, rng, monkeypatch):

@@ -14,9 +14,21 @@ from enspost.optimize import (
 from enspost.scoring import GaussianParams, crps_normal
 
 
+def _fd(f):
+    """``f`` with its central-difference gradient, steps 1e-6 (1 + |x_i|),
+    in the (value, gradient) form ``minimize`` takes; no gradient where the
+    value is not finite."""
+    def fun(x):
+        value = f(x)
+        if not np.isfinite(value):
+            return value, None
+        return value, numeric_gradient(f, x, 1e-6 * (1.0 + np.abs(x)))
+    return fun
+
+
 def test_quadratic_bowl():
     c = np.array([1.0, -2.0, 3.5])
-    result = minimize(lambda x: float(np.sum((x - c) ** 2)), np.zeros(3))
+    result = minimize(_fd(lambda x: float(np.sum((x - c) ** 2))), np.zeros(3))
     assert result.converged
     assert result.iterations <= 50
     assert np.allclose(result.x, c, atol=1e-8)
@@ -26,7 +38,7 @@ def test_rosenbrock():
     def rosen(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
 
-    result = minimize(rosen, np.array([-1.2, 1.0]))
+    result = minimize(_fd(rosen), np.array([-1.2, 1.0]))
     assert np.allclose(result.x, [1.0, 1.0], atol=1e-5)
 
 
@@ -39,7 +51,7 @@ def test_matches_scipy_on_convex_quadratic(rng):
     def f(x):
         return float(0.5 * x @ h @ x + b @ x)
 
-    ours = minimize(f, np.zeros(6))
+    ours = minimize(_fd(f), np.zeros(6))
     ref = scipy_minimize(f, np.zeros(6), method="BFGS")
     assert ours.value == pytest.approx(ref.fun, abs=1e-8)
     assert np.allclose(ours.x, ref.x, atol=1e-5)
@@ -53,7 +65,7 @@ def test_value_never_exceeds_start(rng):
             return float(np.sum(np.abs(x - c) ** 1.5))
 
         x0 = rng.normal(size=4)
-        result = minimize(f, x0, OptimizeSettings(max_iterations=15))
+        result = minimize(_fd(f), x0, OptimizeSettings(max_iterations=15))
         assert result.value <= f(x0)
 
 
@@ -61,8 +73,8 @@ def test_determinism():
     def f(x):
         return float((x[0] - 1) ** 2 + 0.5 * np.sin(3 * x[1]) ** 2 + x[1] ** 2)
 
-    r1 = minimize(f, np.array([4.0, -3.0]))
-    r2 = minimize(f, np.array([4.0, -3.0]))
+    r1 = minimize(_fd(f), np.array([4.0, -3.0]))
+    r2 = minimize(_fd(f), np.array([4.0, -3.0]))
     assert np.array_equal(r1.x, r2.x)
     assert r1.value == r2.value
     assert r1.iterations == r2.iterations
@@ -70,7 +82,7 @@ def test_determinism():
 
 def test_invalid_start_rejected():
     with pytest.raises(InvalidStart):
-        minimize(lambda x: float(np.nan), np.zeros(2))
+        minimize(_fd(lambda x: float(np.nan)), np.zeros(2))
 
 
 def test_non_finite_regions_handled():
@@ -80,7 +92,7 @@ def test_non_finite_regions_handled():
             return float(np.nan)
         return float((np.log(x[0])) ** 2)
 
-    result = minimize(f, np.array([5.0]))
+    result = minimize(_fd(f), np.array([5.0]))
     assert result.value <= f(np.array([5.0]))
     assert np.isfinite(result.value)
 
@@ -130,15 +142,27 @@ def test_settings_validation():
 
 def test_nonfinite_analytic_gradient_raises():
     with pytest.raises(NumericalFailure, match="component 1"):
-        minimize(lambda x: float(x @ x), np.ones(2),
-                 grad=lambda x: np.array([2.0 * x[0], np.nan]))
+        minimize(lambda x: (float(x @ x), np.array([2.0 * x[0], np.nan])), np.ones(2))
+
+
+def test_minimize_evaluates_once_per_point():
+    # every call of fun is at a new point, and the result's n_evals counts them
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        return float(np.sum((x - 1.0) ** 4)), 4.0 * (x - 1.0) ** 3
+
+    result = minimize(fun, np.zeros(3))
+    assert result.n_evals == len(points) > 2
+    assert len({p.tobytes() for p in points}) == len(points)
 
 
 def _newton(objective, init, settings=None, grad=None, hess=None):
     """``minimize_newton`` on one problem given by single-point callables."""
     return minimize_newton(lambda x, rows: np.array([objective(x[0])]),
-                           lambda x, rows: np.asarray(grad(x[0]))[None],
-                           lambda x, rows: np.asarray(hess(x[0]))[None],
+                           lambda x, rows: (np.asarray(grad(x[0]))[None],
+                                            np.asarray(hess(x[0]))[None]),
                            np.asarray(init, dtype=float)[None], settings).problem(0)
 
 
@@ -216,8 +240,8 @@ def test_newton_batch_solves_each_problem_as_if_alone(rng):
         c, s = centre[chosen], scale[chosen]
         return (lambda x, rows: np.sum(s[rows] * (x - c[rows]) ** 4 + (x - c[rows]) ** 2,
                                        axis=-1),
-                lambda x, rows: 4 * s[rows] * (x - c[rows]) ** 3 + 2 * (x - c[rows]),
-                lambda x, rows: (12 * s[rows] * (x - c[rows]) ** 2 + 2)[..., None] * np.eye(3))
+                lambda x, rows: (4 * s[rows] * (x - c[rows]) ** 3 + 2 * (x - c[rows]),
+                                 (12 * s[rows] * (x - c[rows]) ** 2 + 2)[..., None] * np.eye(3)))
 
     settings = OptimizeSettings(max_iterations=12, gradient_tolerance=1e-10)
     batch = minimize_newton(*problem(np.arange(n_problems)), init, settings)
@@ -229,3 +253,56 @@ def test_newton_batch_solves_each_problem_as_if_alone(rng):
         assert np.array_equal(got.x, alone.x) and got.value == alone.value
         assert (got.iterations, got.n_evals, got.converged) == (
             alone.iterations, alone.n_evals, alone.converged)
+
+
+def test_newton_derivatives_once_at_the_start_and_per_accepted_step(rng):
+    # per problem, the first derivatives call is at its start and every
+    # later one at the trial point its search has just accepted, the last
+    # objective point; no point is differentiated twice and the result is
+    # the last differentiated point
+    n_problems = 5
+    centre = rng.normal(size=(n_problems, 3))
+    scale = rng.uniform(0.1, 10.0, size=(n_problems, 3))
+    init = centre + rng.normal(scale=3.0, size=(n_problems, 3))
+    tried = [[] for _ in range(n_problems)]
+    differentiated = [[] for _ in range(n_problems)]
+
+    def objective(x, rows):
+        for row, point in zip(rows, x):
+            tried[row].append(point.copy())
+        return np.sum(scale[rows] * (x - centre[rows]) ** 4 + (x - centre[rows]) ** 2, axis=-1)
+
+    def derivatives(x, rows):
+        for row, point in zip(rows, x):
+            assert np.array_equal(point, tried[row][-1])
+            differentiated[row].append(point.copy())
+        e = x - centre[rows]
+        return (4 * scale[rows] * e ** 3 + 2 * e,
+                (12 * scale[rows] * e ** 2 + 2)[..., None] * np.eye(3))
+
+    result = minimize_newton(objective, derivatives, init,
+                             OptimizeSettings(max_iterations=12, gradient_tolerance=1e-10))
+    for i in range(n_problems):
+        points = differentiated[i]
+        assert np.array_equal(points[0], init[i])
+        assert len({p.tobytes() for p in points}) == len(points) > 1
+        assert np.array_equal(points[-1], result.x[i])
+        assert len(points) <= result.iterations[i] + 1
+
+
+@pytest.mark.parametrize("n_problems", [2, 3])
+def test_newton_nonfinite_gradient_names_its_problem(n_problems):
+    # problem 0 starts at its optimum and leaves the batch at once; the last
+    # problem's gradient turns NaN after its first step, so it is not the
+    # first row of the moved problems
+    init = np.ones((n_problems, 2))
+    init[0] = 0.0
+    bad = n_problems - 1
+
+    def derivatives(x, rows):
+        g = 2.0 * x
+        g[(rows == bad) & np.any(x != init[rows], axis=1), 1] = np.nan
+        return g, np.tile(2.0 * np.eye(2), (rows.size, 1, 1))
+
+    with pytest.raises(NumericalFailure, match=f"component 1 of problem {bad}$"):
+        minimize_newton(lambda x, rows: np.sum(x * x, axis=1), derivatives, init)

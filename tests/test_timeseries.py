@@ -423,8 +423,7 @@ def test_garch_path_stays_inf_after_an_infinite_rho_sq():
     path = garch_path(w, rho_sq, 1.0)
     assert np.isposinf(path[121:]).all()
     assert np.array_equal(path, _scalar_garch_path(w, rho_sq, 1.0))
-    nll, _ = _garch_likelihood(rho_sq, 1.0)
-    assert nll(np.sqrt(w)) == np.inf
+    assert _garch_likelihood(rho_sq, 1.0)(np.sqrt(w))[0] == np.inf
 
 
 def test_dar_garch_semos_objective_is_not_finite_after_an_infinite_rho_sq():
@@ -436,7 +435,7 @@ def test_dar_garch_semos_objective_is_not_finite_after_an_infinite_rho_sq():
     y[150] = 1e200  # its squared innovation overflows to inf
     theta = np.r_[5.0, np.zeros(2 * N_COEFFS - 1), 0.0, 0.5, np.sqrt([0.1, 0.55, 0.35])]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _objective("DAR-GARCH-SEMOS", p, x_loc, x_scale, y)(theta)
+        value, _ = _objective("DAR-GARCH-SEMOS", p, x_loc, x_scale, y)(theta)
     assert not np.isfinite(value)
 
 
@@ -463,11 +462,11 @@ def test_fit_garch_degenerate_rejected():
 
 def test_fit_garch_likelihood_gradient_matches_finite_differences(rng):
     rho = rng.standard_normal(800) * np.sqrt(rng.uniform(0.5, 2.0, size=800))
-    nll, gradient = _garch_likelihood(np.square(rho), float(np.var(rho)))
+    fun = _garch_likelihood(np.square(rho), float(np.var(rho)))
     for _ in range(5):
         theta = np.sqrt(rng.uniform([0.05, 0.2, 0.05], [0.5, 0.7, 0.3]))
-        numeric = numeric_gradient(nll, theta, 1e-6 * (1 + np.abs(theta)))
-        np.testing.assert_allclose(gradient(theta), numeric, rtol=1e-6, atol=1e-8)
+        numeric = numeric_gradient(lambda t: fun(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
+        np.testing.assert_allclose(fun(theta)[1], numeric, rtol=1e-6, atol=1e-8)
 
 
 def test_ar_teacher_forced_adjoint_is_the_transpose(rng):
