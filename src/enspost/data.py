@@ -31,9 +31,13 @@ from .errors import (
     ParseError,
 )
 from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_design
-from .timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, is_stationary
-
-LEAD_TIMES_H = (24, 48, 72, 96, 120)
+from .timeseries import (
+    ARCoeffs,
+    GARCHCoeffs,
+    ar_teacher_forced,
+    is_stationary,
+    linear_recursion,
+)
 
 _DAY = np.timedelta64(1, "D")
 _FLOAT_FMT = "%.9f"
@@ -492,24 +496,13 @@ class SyntheticTruth:
 _BURN = 300
 
 
-def _simulate_ar(eta: float, tau: np.ndarray, innovations: np.ndarray) -> np.ndarray:
-    """AR(p) recursion around eta driven by the given innovations (with history
-    initialized at eta)."""
-    p = tau.size
-    x = np.empty(innovations.size)
-    for t in range(x.size):
-        acc = eta
-        for j in range(1, p + 1):
-            past = x[t - j] if t - j >= 0 else eta
-            acc += tau[j - 1] * (past - eta)
-        x[t] = acc + innovations[t]
-    return x
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTruth]:
     """Draw one synthetic station series plus its exact conditional truth.
 
     Bit-reproducible for a fixed seed.  See SyntheticConfig for the model.
+    The weather AR, the error AR around eta and the GARCH variance each
+    run over burn-in and series as one ``linear_recursion``, the kernel of
+    the models' GARCH path.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -520,7 +513,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
 
     # ideal forecast center and spread
     w_innov = rng.standard_normal(n + _BURN) * cfg.weather_sd
-    weather = _simulate_ar(0.0, np.array([cfg.weather_ar]), w_innov)[_BURN:]
+    weather = linear_recursion([cfg.weather_ar], w_innov)[_BURN:]
     center = cfg.clim_mean + cfg.clim_amp * np.sin(omega * t + cfg.clim_phase) + weather
     spread = cfg.spread_base + cfg.spread_amp * 0.5 * (1.0 + np.sin(omega * t + cfg.spread_phase))
 
@@ -538,7 +531,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     z = rng.standard_normal(n + _BURN)
 
     if cfg.standardized_ar:
-        z_path = _simulate_ar(eta, tau, z)
+        z_path = eta + linear_recursion(tau, z)
         z_pred = ar_teacher_forced(cfg.ar, z_path, _BURN)
         z_path = z_path[_BURN:]
         y = mu_s + sigma_s * z_path
@@ -547,21 +540,20 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     else:
         if cfg.garch is not None:
             g = cfg.garch
-            sig_g2 = np.empty(n + _BURN)
-            rho = np.empty(n + _BURN)
-            sig_g2[0] = g.omega0 / (1.0 - g.omega1 - g.omega2) if g.omega0 > 0 else 1.0
-            rho[0] = np.sqrt(sig_g2[0]) * z[0]
-            for i in range(1, n + _BURN):
-                sig_g2[i] = g.omega0 + g.omega1 * sig_g2[i - 1] + g.omega2 * rho[i - 1] ** 2
-                rho[i] = np.sqrt(sig_g2[i]) * z[i]
+            # sigma_G^2(i) = omega0 + (omega1 + omega2 z(i-1)^2) sigma_G^2(i-1);
+            # step 0 has no predecessor, so its coefficient is not read
+            drive = np.full(n + _BURN, g.omega0)
+            drive[0] = g.omega0 / (1.0 - g.omega1 - g.omega2) if g.omega0 > 0 else 1.0
+            z_prev = np.concatenate(([0.0], z[:-1]))
+            sig_g2 = linear_recursion([g.omega1 + g.omega2 * np.square(z_prev)], drive)
             sig_g = np.sqrt(sig_g2[_BURN:])
-            rho_path = rho
+            rho_path = np.sqrt(sig_g2) * z
         else:
             sig_g = np.ones(n)
             rho_path = z
         # innovation scale during burn-in is frozen at the first day's sigma_S
         scale_path = np.concatenate([np.full(_BURN, sigma_s[0]), sigma_s])
-        r_path = _simulate_ar(eta, tau, scale_path * rho_path)
+        r_path = eta + linear_recursion(tau, scale_path * rho_path)
         r_pred = ar_teacher_forced(cfg.ar, r_path, _BURN)
         r = r_path[_BURN:]
         y = mu_s + r

@@ -8,7 +8,7 @@ from .base import (
     fit,
     predict,
 )
-from .emos import emos_fit, emos_fit_window, emos_predict
+from .emos import emos_fit, emos_predict
 from .ar_emos import ar_emos_fit, ar_emos_predict
 from .semos import (
     dar_garch_semos_fit,
@@ -27,7 +27,6 @@ __all__ = [
     "fit",
     "predict",
     "emos_fit",
-    "emos_fit_window",
     "emos_predict",
     "ar_emos_fit",
     "ar_emos_predict",

@@ -124,11 +124,6 @@ def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptRes
                            _window_derivatives(xbar, log_s, y), init, settings or _WINDOW_SETTINGS)
 
 
-def emos_fit_window(xbar, s, y) -> np.ndarray:
-    """CRPS-fit (a0, a1, b0, b1) on one window; returns the coefficient vector."""
-    return _fit_windows(xbar, s, y).x[0]
-
-
 def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
     """Validate the training series and fit the final training window.
 

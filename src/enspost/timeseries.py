@@ -17,14 +17,18 @@ autocovariances are stationary by construction; a caller whose
 coefficients come from elsewhere (a CRPS fit, a fit file) checks its one
 lag vector with ``is_stationary``.
 
-``garch_path`` is the one GARCH(1,1) variance recursion (with its adjoint
-``garch_path_adjoint``); the seasonal models and ``fit_garch`` share it.
-Both run the first-order recursion as a unit-bidiagonal banded solve,
-BLAS ``dtbsv`` in its transposed form (``trans=1``).  That form takes each
-step as a length-1 dot product and one subtraction, two roundings in the
-order of the plain loop ``drive[i] + omega1 * prev``, so its paths are the
-loop's to the last bit.  The untransposed solve and LAPACK ``dtbtrs`` step
-with a fused multiply-add and differ in the last digit.
+``linear_recursion`` is the one linear recursion over time, out[i] =
+drive[i] + sum_j coeffs[j-1] * out[i-j], with constant or time-varying
+coefficients.  ``garch_path`` and its adjoint (shared by the seasonal
+models and ``fit_garch``) and the generator's AR and GARCH draws run on
+it; ``ar_multistep`` runs m columns on from given histories in its own
+loop.  The kernel is one BLAS ``dtbsv`` solve in its transposed form
+(``trans=1``), each step a length-p dot product and one subtraction.  For
+p <= 1 that rounds as the plain loop ``drive[i] + coeff * prev`` does, so
+its paths are the loop's to the bit while BLAS's length-1 ``ddot`` does
+not fuse its multiply into the subtraction (``trans=0`` and LAPACK
+``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag sum is
+added in BLAS's order.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .errors import (
     DegenerateSeries,
     HistoryTooShort,
     InvalidInput,
-    NumericalFailure,
 )
 from .optimize import OptimizeSettings, minimize
 
@@ -284,6 +287,19 @@ def is_stationary(tau) -> bool:
     return bool(np.all(np.abs(np.linalg.eigvals(companion)) < 1.0))
 
 
+def linear_recursion(coeffs, drive) -> np.ndarray:
+    """out[i] = drive[i] + sum_{j<=p} coeffs[j-1] * out[i-j], with the terms
+    before out[0] left out; ``coeffs`` is (p,) or a (p, n) band whose column
+    i holds step i's coefficients.  One transposed ``dtbsv`` solve with the
+    upper unit band whose j-th superdiagonal is -coeffs[j-1] (its diagonal
+    row is never read); ``drive`` is not overwritten."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    drive = np.asarray(drive, dtype=float)
+    band = np.empty((coeffs.shape[0] + 1, drive.size))
+    band[-2::-1] = -(coeffs[:, None] if coeffs.ndim == 1 else coeffs)  # row p-j: -coeffs[j-1]
+    return dtbsv(coeffs.shape[0], band, drive, lower=0, trans=1, diag=1)
+
+
 def _ar_next(fits: ARFits, window: np.ndarray) -> np.ndarray:
     """eta + sum_j tau_j (window[-j] - eta) per column; ``window`` holds the
     last max p rows, newest last."""
@@ -319,15 +335,6 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _first_order_solve(omega1: float, x: np.ndarray) -> np.ndarray:
-    """out[i] = x[i] + omega1 * out[i-1], out[0] = x[0], solved in place in a
-    contiguous ``x``: the transposed solve with the upper unit-bidiagonal
-    band whose off-diagonal is -omega1 (the band's diagonal row is never
-    read, diag=1)."""
-    band = np.full((2, x.size), -omega1)
-    return dtbsv(1, band, x, lower=0, trans=1, diag=1, overwrite_x=1)
-
-
 def garch_path(w, rho_sq, init: float) -> np.ndarray:
     """GARCH(1,1) variance path aligned with ``rho_sq``, w = (omega0,
     omega1, omega2):
@@ -337,16 +344,10 @@ def garch_path(w, rho_sq, init: float) -> np.ndarray:
 
     so the last rho_sq does not enter the path.
     """
-    out = np.empty(rho_sq.size)
-    out[0] = init
-    if rho_sq.size > 1:
-        # out[i] = drive[i-1] + omega1 * out[i-1], seeded at init; the trans=1
-        # solve rounds each step as this sum does, trans=0 and dtbtrs do not
-        # (module docstring)
-        drive = w[0] + w[2] * rho_sq[:-1]
-        drive[0] += w[1] * init
-        out[1:] = _first_order_solve(w[1], drive)
-    return out
+    drive = np.empty(rho_sq.size)
+    drive[0] = init
+    drive[1:] = w[0] + w[2] * rho_sq[:-1]
+    return linear_recursion([w[1]], drive)
 
 
 def garch_path_adjoint(w, rho_sq, path, d_path):
@@ -360,7 +361,7 @@ def garch_path_adjoint(w, rho_sq, path, d_path):
     # Solved in reversed time and kept as a reversed view: numpy sums
     # ahead.sum() and the dot products in memory order, so a forward-contiguous
     # lam would change the rounding of d_w and with it the fits.
-    lam = _first_order_solve(w[1], d_path[::-1].copy())[::-1]
+    lam = linear_recursion([w[1]], d_path[::-1])[::-1]
     ahead = lam[1:]
     d_w = np.array([ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]])
     d_rho_sq = np.zeros(rho_sq.size)
@@ -398,8 +399,8 @@ def fit_garch(rho) -> GARCHCoeffs:
     ------
     DegenerateSeries
         When ``rho`` is (nearly) constant.
-    NumericalFailure
-        When the likelihood cannot be evaluated at any tried point.
+    InvalidStart
+        When the likelihood at the start is not finite (say, infinite variance).
     """
     rho = np.asarray(rho, dtype=float).ravel()
     var = float(np.var(rho))
@@ -408,8 +409,6 @@ def fit_garch(rho) -> GARCHCoeffs:
     theta0 = np.sqrt([0.1 * var, 0.7, 0.15])
     result = minimize(_garch_likelihood(np.square(rho), var), theta0,
                       OptimizeSettings(max_iterations=200))
-    if not np.isfinite(result.value):
-        raise NumericalFailure("GARCH likelihood not finite at any tried point")
     w0, w1, w2 = np.square(result.x)
     return GARCHCoeffs(omega0=float(w0), omega1=float(w1), omega2=float(w2))
 

@@ -69,6 +69,19 @@ def test_simulate_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_simulate_dar_garch_deterministic(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert run("simulate", "--out", out, "--n-days", 400, "--n-stations", 2,
+                   "--lead", "24,72", "--seed", 12, "--dgp", "dar-garch") == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert sum(n.startswith("station_") for n in names) == 4
+    assert sum(n.startswith("truth_") for n in names) == 4
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_fit_outputs_and_determinism(pipeline, tmp_path):
     fits = pipeline / "fits"
     doc = json.loads((fits / "fit_SEMOS_S01_24h.json").read_text())

@@ -27,7 +27,7 @@ from enspost.errors import (
     ParseError,
 )
 from enspost.seasonal import SeasonalCoeffs
-from enspost.timeseries import ARCoeffs, GARCHCoeffs
+from enspost.timeseries import ARCoeffs, GARCHCoeffs, garch_path
 
 from conftest import make_series
 
@@ -454,6 +454,61 @@ def test_synthetic_nonstationary_rejected():
         generate_synthetic(SyntheticConfig(ar=ARCoeffs(1, 0.0, (1.05,))))
     with pytest.raises(InvalidConfig):
         generate_synthetic(SyntheticConfig(garch=GARCHCoeffs(0.1, 0.7, 0.3)))
+
+
+def _simulate_ar(eta, tau, innovations):
+    # the generator's AR loop before it ran on linear_recursion: AR(p) around
+    # eta driven by the innovations, with the history before them at eta
+    p = tau.size
+    x = np.empty(innovations.size)
+    for t in range(x.size):
+        acc = eta
+        for j in range(1, p + 1):
+            past = x[t - j] if t - j >= 0 else eta
+            acc += tau[j - 1] * (past - eta)
+        x[t] = acc + innovations[t]
+    return x
+
+
+@pytest.mark.parametrize("world", [
+    dict(standardized_ar=True),
+    dict(),
+    dict(garch=GARCHCoeffs(0.1, 0.55, 0.35)),
+    dict(ar=ARCoeffs(0, 0.0, ())),
+    dict(ar=ARCoeffs(1, 0.0, (-0.8,)), weather_ar=0.0),
+])
+def test_synthetic_ar_paths_are_the_plain_loop_to_the_bit(monkeypatch, world):
+    # at p <= 1 and eta = 0 the kernel's AR paths are the loop's to the bit, so
+    # every array the generator returns is too
+    cfg = SyntheticConfig(n_days=400, m=5, seed=8, **world)
+    series, truth = generate_synthetic(cfg)
+    kernel = data.linear_recursion
+
+    def loop(coeffs, drive):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.ndim == 2:  # the GARCH variance, time-varying coefficients
+            return kernel(coeffs, drive)
+        return _simulate_ar(0.0, coeffs, drive)
+
+    monkeypatch.setattr(data, "linear_recursion", loop)
+    series_loop, truth_loop = generate_synthetic(cfg)
+    assert np.array_equal(series.obs, series_loop.obs)
+    assert np.array_equal(series.members, series_loop.members)
+    for name in ("mu", "sigma", "mu_seasonal", "sigma_seasonal"):
+        assert np.array_equal(getattr(truth, name), getattr(truth_loop, name)), name
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_synthetic_garch_truth_follows_garch_path(seed):
+    # sigma_G^2 = (sigma / sigma_S)^2 is the models' GARCH path run on the
+    # generator's own innovations rho = (r - E[r | past]) / sigma_S
+    g = GARCHCoeffs(0.1, 0.55, 0.35)
+    series, truth = generate_synthetic(SyntheticConfig(seed=seed, garch=g))
+    sig_g2 = np.square(truth.sigma / truth.sigma_seasonal)
+    r = series.obs - truth.mu_seasonal
+    rho = (r - (truth.mu - truth.mu_seasonal)) / truth.sigma_seasonal
+    expected = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho), sig_g2[0])
+    np.testing.assert_allclose(sig_g2, expected, rtol=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

@@ -17,7 +17,7 @@ from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
 from enspost.models import emos, semos
-from enspost.models.emos import _RIDGE, _window_derivatives, _window_objective, emos_fit_window
+from enspost.models.emos import _RIDGE, _fit_windows, _window_derivatives, _window_objective
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
 from enspost.models.semos import training_residuals
 from enspost import optimize
@@ -76,7 +76,7 @@ def test_emos_window_recovers_identity_relation(rng):
     a1 = []
     for start in range(0, 870, 30):
         sl = slice(start, start + 30)
-        coeffs = emos_fit_window(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl])
+        coeffs = _fit_windows(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl]).x[0]
         a1.append(coeffs[1])
     assert np.mean(a1) == pytest.approx(1.0, abs=0.1)
 
@@ -87,7 +87,7 @@ def test_emos_window_constant_spread_stays_finite(rng):
     offsets = np.array([-1.0, 0.0, 1.0])  # exactly constant ensemble sd
     members = xbar[:, None] + offsets[None, :]
     y = xbar + 0.5 * rng.standard_normal(n)
-    coeffs = emos_fit_window(xbar, members.std(axis=1, ddof=1), y)
+    coeffs = _fit_windows(xbar, members.std(axis=1, ddof=1), y).x[0]
     assert np.all(np.isfinite(coeffs))
 
 

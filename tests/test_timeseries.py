@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enspost.errors import DegenerateSeries, HistoryTooShort
+from enspost.errors import DegenerateSeries, HistoryTooShort, InvalidStart
 from enspost.timeseries import (
     ARCoeffs,
     ARFits,
@@ -16,6 +16,7 @@ from enspost.timeseries import (
     garch_path,
     garch_path_adjoint,
     is_stationary,
+    linear_recursion,
     ljung_box,
 )
 from enspost.timeseries import _garch_likelihood, ar_teacher_forced_adjoint
@@ -439,6 +440,67 @@ def test_dar_garch_semos_objective_is_not_finite_after_an_infinite_rho_sq():
     assert not np.isfinite(value)
 
 
+# ---------------------------------------------------------------------------
+# linear recursion kernel
+# ---------------------------------------------------------------------------
+
+
+def _scalar_recursion(coeffs, drive):
+    # out[i] = drive[i] + coeffs[0, i] * out[i-1] + coeffs[1, i] * out[i-2] + ...,
+    # one step at a time; returns the path and each step's sum of |terms|
+    coeffs = np.asarray(coeffs, dtype=float)
+    band = coeffs if coeffs.ndim == 2 else np.repeat(coeffs[:, None], drive.size, axis=1)
+    out, size = [], []
+    for i, d in enumerate(drive.tolist()):
+        acc, mag = d, abs(d)
+        for j in range(1, min(i, band.shape[0]) + 1):
+            term = band[j - 1, i] * out[i - j]
+            acc, mag = acc + term, mag + abs(term)
+        out.append(acc)
+        size.append(mag)
+    return np.array(out), np.array(size)
+
+
+def _recursion_draws(count, orders, scale, edges=()):
+    # each order with constant (p,) and time-varying (p, n) coefficients in
+    # turn, lengths 1..2200; the first draws of each kind hold every
+    # coefficient at one of the edge values
+    rng = np.random.default_rng(17)
+    lengths = np.r_[1, 2, 3, 2200, rng.integers(1, 2201, size=count - 4)]
+    for k, n in enumerate(lengths):
+        p = orders[k % len(orders)]
+        kind, rank = divmod(k // len(orders), 2)
+        coeffs = rng.uniform(-scale, scale, size=(p, n) if rank else (p,))
+        if kind < len(edges):
+            coeffs[...] = edges[kind]
+        yield coeffs, rng.normal(size=n) * rng.uniform(0.1, 10.0)
+
+
+def test_linear_recursion_is_the_scalar_loop_to_the_bit():
+    for coeffs, drive in _recursion_draws(150, (0, 1), 1.0, edges=(0.0, 1.0, 1.3, -1.0)):
+        given = drive.copy()
+        out = linear_recursion(coeffs, drive)
+        assert np.array_equal(out, _scalar_recursion(coeffs, drive)[0])
+        assert np.array_equal(drive, given)  # the drive is not overwritten
+
+
+def test_linear_recursion_higher_orders_match_the_loop():
+    # BLAS adds the p lag terms in its own order: equal to rtol 1e-13 of the
+    # terms' magnitudes, which bounds the rounding where the sum cancels
+    for coeffs, drive in _recursion_draws(150, (2, 3), 0.3):
+        expected, size = _scalar_recursion(coeffs, drive)
+        assert np.all(np.abs(linear_recursion(coeffs, drive) - expected) <= 1e-13 * size)
+
+
+def test_linear_recursion_runs_an_ar_process_around_its_mean():
+    tau = (0.5, -0.3)
+    innovations = np.random.default_rng(2).normal(size=400)
+    x = 4.0 + linear_recursion(tau, innovations)
+    ar = ARCoeffs(2, 4.0, tau)
+    np.testing.assert_allclose(x[2:] - ar_teacher_forced(ar, x, 2), innovations[2:],
+                               rtol=0, atol=1e-13)
+
+
 def test_fit_garch_recovers_persistence(rng):
     g = GARCHCoeffs(0.1, 0.6, 0.3)
     n = 4000
@@ -458,6 +520,16 @@ def test_fit_garch_recovers_persistence(rng):
 def test_fit_garch_degenerate_rejected():
     with pytest.raises(DegenerateSeries):
         fit_garch(np.zeros(100))
+
+
+def test_fit_garch_infinite_sample_variance_is_an_invalid_start():
+    # the likelihood at the start is not finite, so minimize rejects the start
+    rho = np.random.default_rng(0).normal(size=200)
+    rho[100] = 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.var(rho) == np.inf
+        with pytest.raises(InvalidStart):
+            fit_garch(rho)
 
 
 def test_fit_garch_likelihood_gradient_matches_finite_differences(rng):
