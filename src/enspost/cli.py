@@ -1,9 +1,11 @@
 """Command-line entry point: simulate | fit | predict | verify.
 
-Runs are driven by a flat key=value config file; every key can be
-overridden by a flag (flags win).  Exit codes: 0 success, 2 config error,
-3 data error, 4 numerical failure.  Errors print a single machine-parsable
-line ``error[<kind>]: message`` to stderr.
+Runs are driven by a flat key=value config file, which takes every key;
+each subcommand takes the flags of the keys it reads (flags win).  One
+table, ``_COMMANDS``, lists them and the options a subcommand cannot run
+without.  Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
+failure.  Errors print a single machine-parsable line
+``error[<kind>]: message`` to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -84,10 +87,6 @@ class RunConfig:
         return OptimizeSettings(max_iterations=self.max_iter)
 
 
-_INT_KEYS = {"seed", "max_iter", "n_days", "n_stations", "m_members"}
-_FLOAT_KEYS = {"ens_bias", "ens_dispersion"}
-
-
 def parse_config_file(path) -> dict:
     """Flat key = value format; blank lines and # comments ignored."""
     values = {}
@@ -106,14 +105,12 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _canonical_models(raw) -> list[str]:
-    if isinstance(raw, str):
-        raw = [v.strip() for v in raw.split(",") if v.strip()]
-    if raw in (["all"], ["ALL"]):
+def _canonical_models(names: list[str]) -> list[str]:
+    if names in (["all"], ["ALL"]):
         return list(MODEL_KINDS)
     out = []
-    for name in raw:
-        kind = _CANONICAL_KINDS.get(str(name).lower())
+    for name in names:
+        kind = _CANONICAL_KINDS.get(name.lower())
         if kind is None:
             raise ConfigError(f"unknown model {name!r}; known: {', '.join(MODEL_KINDS)}")
         out.append(kind)
@@ -131,42 +128,49 @@ def _parse_number(kind, key: str, value: str):
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
-def _parse_leads(value) -> list[int]:
-    return [_parse_number(int, "lead", v.strip()) for v in str(value).split(",") if v.strip()]
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def _field(flag: str) -> str:
+    return flag.replace("-", "_")
+
+
+def _assign(cfg: RunConfig, key: str, text: str) -> None:
+    """Set field ``key`` of ``cfg`` (``lead`` for ``leads``) from its text in a
+    config file or a flag; models, leads and stations are comma lists."""
+    key = "leads" if key == "lead" else key
+    if key not in _FIELD_TYPES:  # a field, not a method such as settings
+        raise ConfigError(f"unknown config key {key!r}")
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    if _FIELD_TYPES[key] in (int, float):
+        value = _parse_number(_FIELD_TYPES[key], key, text)
+    elif key == "models":
+        value = _canonical_models(items)
+    elif key == "leads":
+        value = [_parse_number(int, "lead", v) for v in items]
+    elif key == "stations":
+        value = items
+    else:
+        value = text
+    setattr(cfg, key, value)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, then the flags given, through ``_assign``;
+    validated, then checked for the options ``args.command`` cannot run without."""
     cfg = RunConfig()
-    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in raw.items():
-        if not hasattr(cfg, key) and key != "lead":
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            setattr(cfg, key, _parse_number(int, key, value))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, _parse_number(float, key, value))
-        elif key in ("models",):
-            cfg.models = _canonical_models(value)
-        elif key in ("leads", "lead"):
-            cfg.leads = _parse_leads(value)
-        elif key == "stations":
-            cfg.stations = [v.strip() for v in value.split(",") if v.strip()]
-        else:
-            setattr(cfg, key, value)
-    # flags override file values
-    for key in ("data", "out", "train_start", "train_end", "valid_start", "valid_end",
-                "seed", "max_iter", "models_dir", "predictions", "n_days", "n_stations",
-                "m_members", "start_date", "dgp", "ens_bias", "ens_dispersion"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "models", None):
-        cfg.models = _canonical_models(args.models)
-    if getattr(args, "lead", None):
-        cfg.leads = _parse_leads(args.lead)
-    if getattr(args, "stations", None):
-        cfg.stations = [v.strip() for v in str(args.stations).split(",") if v.strip()]
+    if args.config:
+        for key, text in parse_config_file(args.config).items():
+            _assign(cfg, key, text)
+    _, _, flags, required = _COMMANDS[args.command]
+    for flag in flags:
+        text = getattr(args, _field(flag))
+        if text is not None:
+            _assign(cfg, _field(flag), text)
     validate_config(cfg)
+    for flag in required:
+        if not getattr(cfg, _field(flag)):
+            raise ConfigError(f"{args.command} needs --{flag}")
     return cfg
 
 
@@ -177,6 +181,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"dgp must be one of {_DGP_KINDS}, got {cfg.dgp!r}")
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
+    if any(lead < 1 for lead in cfg.leads):
+        raise ConfigError(f"lead times must be >= 1 h, got {cfg.leads}")
+    if len(set(cfg.leads)) < len(cfg.leads):
+        raise ConfigError(f"lead times must be distinct, got {cfg.leads}")
     if cfg.n_stations < 1:
         raise ConfigError("n_stations must be >= 1")
     for name in ("train_start", "train_end", "valid_start", "valid_end", "start_date"):
@@ -230,8 +238,6 @@ def _station_path(out: Path, station_id: str, lead: int) -> Path:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise ConfigError("simulate needs --out")
     if not cfg.leads:  # fit, predict and verify read no leads as every lead
         raise ConfigError("simulate needs at least one lead time")
     syns = [synthetic_config(cfg, si, li)
@@ -258,8 +264,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def discover_cases(cfg: RunConfig) -> list[tuple[str, int, Path]]:
     """All (station, lead, file) combinations in the data directory that
     match the configured filters."""
-    if not cfg.data:
-        raise ConfigError("this command needs --data")
     root = Path(cfg.data)
     if not root.is_dir():
         raise DataError(f"data directory {root} does not exist")
@@ -293,10 +297,6 @@ def _fit_path(out: Path, kind: str, station: str, lead: int) -> Path:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise ConfigError("fit needs --out")
-    if not (cfg.train_start and cfg.train_end):
-        raise ConfigError("fit needs --train-start and --train-end")
     out = Path(cfg.out)
     settings = cfg.settings()
     warning_count = 0
@@ -332,8 +332,6 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def _validation_dates(cfg: RunConfig, series) -> np.ndarray:
-    if not (cfg.valid_start and cfg.valid_end):
-        raise ConfigError("this command needs --valid-start and --valid-end")
     mask = ((series.dates >= np.datetime64(cfg.valid_start, "D"))
             & (series.dates <= np.datetime64(cfg.valid_end, "D")))
     dates = series.dates[mask]
@@ -343,10 +341,6 @@ def _validation_dates(cfg: RunConfig, series) -> np.ndarray:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise ConfigError("predict needs --out")
-    if not cfg.models_dir:
-        raise ConfigError("predict needs --models-dir")
     out = Path(cfg.out)
     models_dir = Path(cfg.models_dir)
     rows = []
@@ -457,10 +451,6 @@ def load_predictions(path) -> dict:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.out:
-        raise ConfigError("verify needs --out")
-    if not cfg.predictions:
-        raise ConfigError("verify needs --predictions")
     out = Path(cfg.out)
     predictions = load_predictions(cfg.predictions)
     if not predictions:
@@ -580,51 +570,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Postprocess ensemble temperature forecasts into calibrated "
                     "Gaussian predictive distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help_text, flags, _) in _COMMANDS.items():
+        # no abbreviations: verify's --models would otherwise be its --models-dir
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--data", help="directory with station_*.csv files")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--models", help="comma list of models or 'all'")
-        p.add_argument("--lead", help="comma list of lead times in hours")
-        p.add_argument("--stations", help="comma list of station ids")
-        p.add_argument("--train-start", dest="train_start")
-        p.add_argument("--train-end", dest="train_end")
-        p.add_argument("--valid-start", dest="valid_start")
-        p.add_argument("--valid-end", dest="valid_end")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-
-    p_sim = sub.add_parser("simulate", help="write synthetic station CSVs plus truth sidecars")
-    add_common(p_sim)
-    p_sim.add_argument("--n-days", dest="n_days", type=int)
-    p_sim.add_argument("--n-stations", dest="n_stations", type=int)
-    p_sim.add_argument("--m-members", dest="m_members", type=int)
-    p_sim.add_argument("--start-date", dest="start_date")
-    p_sim.add_argument("--dgp")
-    p_sim.add_argument("--ens-bias", dest="ens_bias", type=float)
-    p_sim.add_argument("--ens-dispersion", dest="ens_dispersion", type=float)
-
-    p_fit = sub.add_parser("fit", help="fit models on the training range")
-    add_common(p_fit)
-
-    p_pred = sub.add_parser("predict", help="predict the validation range")
-    add_common(p_pred)
-    p_pred.add_argument("--models-dir", dest="models_dir", help="directory with fit_*.json")
-
-    p_ver = sub.add_parser("verify", help="score predictions and run the test battery")
-    add_common(p_ver)
-    p_ver.add_argument("--predictions", help="predictions.csv from `predict`")
-    p_ver.add_argument("--models-dir", dest="models_dir",
-                       help="fitted models, enables the residual-dependence table")
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=_HELP.get((command, flag), _HELP.get(flag)))
     return parser
 
 
+#: subcommand -> (function, help, its flags, the flags it cannot run without).
+#: A flag sets the RunConfig field of its name, "-" read as "_" ("lead": leads).
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "predict": cmd_predict,
-    "verify": cmd_verify,
+    "simulate": (cmd_simulate, "write synthetic station CSVs plus truth sidecars",
+                 ("out", "lead", "seed", "n-days", "n-stations", "m-members", "start-date",
+                  "dgp", "ens-bias", "ens-dispersion"),
+                 ("out",)),
+    "fit": (cmd_fit, "fit models on the training range",
+            ("data", "out", "models", "lead", "stations", "train-start", "train-end",
+             "max-iter"),
+            ("out", "train-start", "train-end", "data")),
+    "predict": (cmd_predict, "predict the validation range",
+                ("data", "out", "models", "lead", "stations", "valid-start", "valid-end",
+                 "models-dir"),
+                ("out", "models-dir", "data", "valid-start", "valid-end")),
+    "verify": (cmd_verify, "score predictions and run the test battery",
+               ("data", "out", "lead", "stations", "train-start", "train-end",
+                "predictions", "models-dir"),
+               ("out", "predictions", "data")),
+}
+
+_HELP = {
+    "data": "directory with station_*.csv files",
+    "out": "output directory",
+    "models": "comma list of models or 'all'",
+    "lead": "comma list of lead times in hours",
+    "stations": "comma list of station ids",
+    "models-dir": "directory with fit_*.json",
+    ("verify", "models-dir"): "fitted models, enables the residual-dependence table",
+    "predictions": "predictions.csv from `predict`",
 }
 
 
@@ -635,7 +619,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from .errors import (
     ImputationFailure,
     InvalidConfig,
     InvalidEnsemble,
+    InvalidInput,
     ParseError,
 )
 from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_design
@@ -46,7 +47,11 @@ _BLOCK_ROWS = 256  # rows per bulk conversion: bounds the cell strings held at o
 
 
 def lead_time_offset(lead_time_h: int) -> int:
-    """Number of most recent days unobservable at issuance: ceil(lead/24) - 1."""
+    """Number of most recent days unobservable at issuance: ceil(lead/24) - 1.
+
+    A lead below 1 h would let a forecast see the observation it predicts."""
+    if lead_time_h < 1:
+        raise InvalidInput(f"lead time must be >= 1 h, got {lead_time_h} h")
     return int(np.ceil(lead_time_h / 24.0)) - 1
 
 
@@ -465,6 +470,10 @@ class SyntheticConfig:
     spread_phase: float = 0.8
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.ens_bias) and np.isfinite(self.ens_dispersion)):
+            raise InvalidConfig("ens_bias and ens_dispersion must be finite")
         if self.n_days < 2:
             raise InvalidConfig("n_days must be >= 2")
         if self.m < 2:

@@ -1,17 +1,21 @@
+import contextlib
 import csv
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enspost import cli
 from enspost.cli import main, parse_config_file
-from enspost.errors import DataError
-from enspost.data import load_station_csv
+from enspost.errors import ConfigError, DataError
+from enspost.data import (SyntheticConfig, generate_synthetic, load_station_csv,
+                          write_station_csv)
 
 
 def run(*args):
@@ -177,10 +181,14 @@ def test_exit_codes(tmp_path, capsys):
     assert err.startswith("error[config]:") and len(err.strip().splitlines()) == 1
 
 
-def test_disjoint_ranges_enforced(tmp_path):
-    assert run("fit", "--data", tmp_path, "--out", tmp_path / "f",
-               "--train-start", "2015-01-01", "--train-end", "2016-01-01",
-               "--valid-start", "2015-06-01", "--valid-end", "2016-06-01") == 2
+def test_disjoint_ranges_enforced(tmp_path, capsys):
+    # fit takes no --valid-* flag; a config file serving every step sets the range
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("valid_start = 2015-06-01\nvalid_end = 2016-06-01\n")
+    assert run("fit", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "f",
+               "--train-start", "2015-01-01", "--train-end", "2016-01-01") == 2
+    err = capsys.readouterr().err
+    assert err == "error[config]: validation range must start after the training range ends\n"
 
 
 def _assert_one_error_line(capsys, kind):
@@ -407,7 +415,12 @@ def test_fit_file_missing_a_block_is_data_error(pipeline, tmp_path, capsys, comm
     ("--n-stations", "0"),
     ("--n-days", "1"),
     ("--ens-dispersion", "-1"),
-], ids=["start_date", "start_date_nat", "n_stations", "n_days", "ens_dispersion"])
+    ("--seed", "-1"),
+    ("--ens-bias", "nan"),
+    ("--ens-bias", "inf"),
+    ("--ens-dispersion", "nan"),
+], ids=["start_date", "start_date_nat", "n_stations", "n_days", "ens_dispersion", "seed",
+        "ens_bias_nan", "ens_bias_inf", "ens_dispersion_nan"])
 def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
     out = tmp_path / "sim"
     assert run("simulate", "--out", out, "--n-days", 150, *flags) == 2
@@ -426,7 +439,8 @@ def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
 def test_config_dates_must_be_written_yyyy_mm_dd(tmp_path, capsys, command, option, value):
     # numpy alone reads each of these values as a date
     out = tmp_path / "out"
-    assert run(command, "--data", tmp_path, "--out", out, option, value) == 2
+    data = () if command == "simulate" else ("--data", tmp_path)
+    assert run(command, *data, "--out", out, option, value) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("error[") == 1
     name = option[2:].replace("-", "_")
@@ -517,3 +531,206 @@ def test_unreadable_input_is_one_error_line(pipeline, tmp_path, capsys, case):
     assert run(*args, *extra) == code
     _assert_one_error_line(capsys, kind)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the option table: flags, config keys and required options
+# ---------------------------------------------------------------------------
+
+_FLAG_VALUES = {
+    "data": "d", "out": "o", "models": "emos,SEMOS", "lead": "24,72", "stations": "S01,S02",
+    "train-start": "2015-01-01", "train-end": "2015-12-31", "valid-start": "2016-01-01",
+    "valid-end": "2016-12-31", "seed": "7", "max-iter": "9", "n-days": "150",
+    "n-stations": "2", "m-members": "5", "start-date": "2015-02-01", "dgp": "dar",
+    "ens-bias": "0.5", "ens-dispersion": "1.2", "models-dir": "m", "predictions": "p.csv",
+}
+_TABLE = [(command, flag) for command, entry in cli._COMMANDS.items() for flag in entry[2]]
+
+
+def _config_or_error(argv):
+    try:
+        return cli.build_config(cli.build_parser().parse_args([str(a) for a in argv]))
+    except ConfigError as exc:
+        return f"error: {exc}"
+
+
+def _required_flags(command, but=None):
+    return [arg for flag in cli._COMMANDS[command][3] if flag != but
+            for arg in (f"--{flag}", _FLAG_VALUES[flag])]
+
+
+@pytest.mark.parametrize("value", ["given", "empty"])
+@pytest.mark.parametrize("command, flag", _TABLE)
+def test_flag_and_config_key_give_equal_configs(tmp_path, command, flag, value):
+    text = _FLAG_VALUES[flag] if value == "given" else ""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag.replace('-', '_')} = {text}\n")
+    base = [command, *_required_flags(command, but=flag)]
+    by_flag = _config_or_error([*base, f"--{flag}", text])
+    by_key = _config_or_error([*base, "--config", cfg])
+    assert by_flag == by_key
+    if value == "given":  # the value took effect
+        assert isinstance(by_flag, cli.RunConfig) and by_flag != _config_or_error(base)
+
+
+@pytest.mark.parametrize("flag, expected", [
+    ("models", "error: at least one model must be selected"),
+    ("lead", []),
+    ("stations", []),
+])
+def test_empty_list_flags_act_like_empty_config_keys(flag, expected):
+    # models = is an error, leads = is every lead, stations = is no station
+    got = _config_or_error(["fit", *_required_flags("fit"), f"--{flag}", ""])
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert getattr(got, "leads" if flag == "lead" else flag) == expected
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_each_subcommand_takes_config_and_its_own_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--help"])
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M)
+    assert listed == ["--config"] + [f"--{flag}" for flag in cli._COMMANDS[command][2]]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(cli._COMMANDS)
+    for flag in sorted({flag for _, flag in _TABLE} - set(cli._COMMANDS[command][2]))])
+def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                 flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(command, *_required_flags(command), f"--{flag}", _FLAG_VALUES[flag]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error[config]: unrecognized arguments: --{flag} {_FLAG_VALUES[flag]}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, entry in cli._COMMANDS.items() for flag in entry[3]])
+def test_missing_required_option_is_a_config_error_before_any_data_error(
+        tmp_path, monkeypatch, capsys, command, flag):
+    # no path given exists: a data error would come first if the check ran later
+    monkeypatch.chdir(tmp_path)
+    assert run(command, *_required_flags(command, but=flag)) == 2
+    assert capsys.readouterr().err == f"error[config]: {command} needs --{flag}\n"
+
+
+@pytest.mark.parametrize("key", ["settings", "n-days"])
+def test_config_key_that_is_no_run_option_is_a_config_error(tmp_path, capsys, key):
+    # settings is a RunConfig method, not an option; keys spell "-" as "_"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert run("fit", "--config", cfg, *_required_flags("fit")) == 2
+    assert capsys.readouterr().err == f"error[config]: unknown config key {key!r}\n"
+
+
+def test_malformed_numeric_flag_uses_the_config_file_wording(tmp_path, capsys):
+    assert run("simulate", "--out", tmp_path / "sim", "--seed", "x") == 2
+    assert capsys.readouterr().err == "error[config]: seed must be an integer, got 'x'\n"
+    assert run("simulate", "--out", tmp_path / "sim", "--ens-bias", "") == 2
+    assert capsys.readouterr().err == "error[config]: ens_bias must be a number, got ''\n"
+    assert not (tmp_path / "sim").exists()
+
+
+# ---------------------------------------------------------------------------
+# lead times
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lead, message", [
+    ("0", "lead times must be >= 1 h, got [0]"),
+    ("24,-24", "lead times must be >= 1 h, got [24, -24]"),
+    ("24,72,24", "lead times must be distinct, got [24, 72, 24]"),
+])
+def test_simulate_rejects_leads_below_one_hour_and_repeated_leads(tmp_path, capsys, lead,
+                                                                   message):
+    # simulate --lead 24,24 would overwrite the first world with the second
+    out = tmp_path / "sim"
+    assert run("simulate", "--out", out, "--n-days", 150, "--lead", lead) == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not out.exists()
+
+
+def test_predict_on_a_zero_hour_station_file_is_one_data_error(tmp_path, capsys):
+    # a 0 h forecast would read the observation it is scored on
+    data, fits, preds = tmp_path / "data", tmp_path / "fits", tmp_path / "preds"
+    data.mkdir()
+    series, _ = generate_synthetic(SyntheticConfig(n_days=400, lead_time_h=0, seed=3))
+    write_station_csv(series, data / "station_S01_0h.csv")
+    assert run("fit", "--data", data, "--out", fits, "--models", "emos", "--lead", "",
+               "--train-start", "2015-01-01", "--train-end", "2015-12-01") == 0
+    capsys.readouterr()
+    assert run("predict", "--data", data, "--models-dir", fits, "--out", preds,
+               "--models", "emos", "--lead", "",
+               "--valid-start", "2015-12-02", "--valid-end", "2016-01-20") == 3
+    assert capsys.readouterr().err == "error[data]: lead time must be >= 1 h, got 0 h\n"
+    assert not preds.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed invocations
+# ---------------------------------------------------------------------------
+
+_FUZZ_VALUES = ["", ",", "-1", "0", "24", "24,72", "nan", "inf", "2015", "2015-01-01",
+                "all", "x"]
+# no example writes thousands of station files or members
+_FUZZ_SIZES = [v for v in _FUZZ_VALUES if v != "2015"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    """The stand-ins of ``_invocations``: an empty data directory and a
+    150-day simulated one."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "empty").mkdir()
+    assert run("simulate", "--out", root / "world", "--n-days", 150, "--seed", 4,
+               "--lead", "24,72") == 0
+    return {"<empty>": str(root / "empty"), "<world>": str(root / "world")}
+
+
+@st.composite
+def _invocations(draw):
+    """A subcommand with a random subset of its flags; ``--data`` is one of
+    the stand-ins of ``fuzz_dirs`` and ``--out`` is ``<out>``."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = draw(st.lists(st.sampled_from(cli._COMMANDS[command][2]), unique=True))
+    argv = [command]
+    for flag in flags:
+        if flag == "data":
+            value = draw(st.sampled_from(["<empty>", "<world>"]))
+        elif flag == "out":
+            value = "<out>"
+        else:
+            pool = _FUZZ_SIZES if flag in ("n-stations", "m-members") else _FUZZ_VALUES
+            value = draw(st.sampled_from(pool) | st.integers(1, 30).map(str))
+        argv += [f"--{flag}", value]
+    return argv
+
+
+_TRAIN = ["--train-start", "2015-01-01", "--train-end", "2015-05-01"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_invocations())
+@example(argv=["simulate", "--out", "<out>", "--seed", "-1"])
+@example(argv=["simulate", "--out", "<out>", "--ens-bias", "nan"])
+@example(argv=["simulate", "--out", "<out>", "--n-days", "24", "--lead", "24,72"])
+@example(argv=["fit", "--data", "<world>", "--out", "<out>", *_TRAIN])
+@example(argv=["fit", "--data", "<world>", "--out", "<out>", "--models", "emos", *_TRAIN])
+@example(argv=["predict", "--data", "<world>", "--out", "<out>", "--models-dir", "x",
+               "--valid-start", "2015-05-02", "--valid-end", "2015-05-30"])
+@example(argv=["verify", "--data", "<empty>", "--out", "<out>", "--predictions", "x"])
+def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, fuzz_dirs, argv):
+    stand_ins = {**fuzz_dirs, "<out>": str(tmp_path_factory.mktemp("fuzzout") / "out")}
+    argv = [stand_ins.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert [line.startswith("error[") for line in err.splitlines()].count(True) == 1, \
+            (argv, err)

@@ -24,6 +24,7 @@ from enspost.errors import (
     ImputationFailure,
     InvalidConfig,
     InvalidEnsemble,
+    InvalidInput,
     ParseError,
 )
 from enspost.seasonal import SeasonalCoeffs
@@ -456,6 +457,15 @@ def test_synthetic_nonstationary_rejected():
         generate_synthetic(SyntheticConfig(garch=GARCHCoeffs(0.1, 0.7, 0.3)))
 
 
+@pytest.mark.parametrize("changes", [
+    {"seed": -1}, {"ens_bias": np.nan}, {"ens_bias": np.inf}, {"ens_bias": -np.inf},
+    {"ens_dispersion": np.nan}, {"ens_dispersion": np.inf},
+], ids=["seed", "bias_nan", "bias_inf", "bias_minus_inf", "dispersion_nan", "dispersion_inf"])
+def test_synthetic_config_rejects_negative_seed_and_non_finite_distortions(changes):
+    with pytest.raises(InvalidConfig):
+        SyntheticConfig(n_days=50, **changes).validate()
+
+
 def _simulate_ar(eta, tau, innovations):
     # the generator's AR loop before it ran on linear_recursion: AR(p) around
     # eta driven by the innovations, with the history before them at eta
@@ -532,3 +542,11 @@ def test_time_index_runs_across_years():
 
 def test_lead_time_offsets():
     assert [lead_time_offset(h) for h in (24, 48, 72, 96, 120)] == [0, 1, 2, 3, 4]
+    assert [lead_time_offset(h) for h in (1, 23, 25)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("lead", [0, -24])
+def test_lead_time_offset_rejects_leads_below_one_hour(lead):
+    # a 0 h offset of -1 would let a forecast read the observation it predicts
+    with pytest.raises(InvalidInput, match="lead time must be >= 1 h"):
+        lead_time_offset(lead)
