@@ -15,7 +15,7 @@ import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -131,10 +131,6 @@ def _parse_number(kind, key: str, value: str):
 _FIELD_TYPES = get_type_hints(RunConfig)
 
 
-def _field(flag: str) -> str:
-    return flag.replace("-", "_")
-
-
 def _assign(cfg: RunConfig, key: str, text: str) -> None:
     """Set field ``key`` of ``cfg`` (``lead`` for ``leads``) from its text in a
     config file or a flag; models, leads and stations are comma lists."""
@@ -162,14 +158,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for key, text in parse_config_file(args.config).items():
             _assign(cfg, key, text)
-    _, _, flags, required = _COMMANDS[args.command]
-    for flag in flags:
-        text = getattr(args, _field(flag))
-        if text is not None:
-            _assign(cfg, _field(flag), text)
+    for key, text in vars(args).items():  # the subcommand's flags, in table order
+        if key not in ("command", "config") and text is not None:
+            _assign(cfg, key, text)
     validate_config(cfg)
-    for flag in required:
-        if not getattr(cfg, _field(flag)):
+    for flag in _COMMANDS[args.command].required:
+        if not getattr(cfg, flag.replace("-", "_")):
             raise ConfigError(f"{args.command} needs --{flag}")
     return cfg
 
@@ -277,6 +271,8 @@ def discover_cases(cfg: RunConfig) -> list[tuple[str, int, Path]]:
             lead = int(lead_part[:-1])
         except ValueError:
             raise DataError(f"cannot parse the lead time from file name {path.name}") from None
+        if lead < 1:  # a forecast below 1 h would read the observation it predicts
+            raise DataError(f"lead time must be >= 1 h, got {lead} h in file name {path.name}")
         if cfg.stations is not None and station not in cfg.stations:
             continue
         if cfg.leads and lead not in cfg.leads:
@@ -570,34 +566,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Postprocess ensemble temperature forecasts into calibrated "
                     "Gaussian predictive distributions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, flags, _) in _COMMANDS.items():
+    for name, command in _COMMANDS.items():
         # no abbreviations: verify's --models would otherwise be its --models-dir
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
-        for flag in flags:
-            p.add_argument(f"--{flag}", help=_HELP.get((command, flag), _HELP.get(flag)))
+        flag_help = {**_HELP, **(command.flag_help or {})}
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", help=flag_help.get(flag))
     return parser
 
 
-#: subcommand -> (function, help, its flags, the flags it cannot run without).
-#: A flag sets the RunConfig field of its name, "-" read as "_" ("lead": leads).
+class _Command(NamedTuple):
+    """A subcommand's function, help, flags and the flags it cannot run without.
+    A flag sets the RunConfig field of its name, "-" read as "_" ("lead": leads)."""
+    run: Callable[[RunConfig], int]
+    help: str
+    flags: tuple[str, ...]
+    required: tuple[str, ...]
+    flag_help: dict[str, str] | None = None  # this subcommand's help over _HELP's
+
+
 _COMMANDS = {
-    "simulate": (cmd_simulate, "write synthetic station CSVs plus truth sidecars",
-                 ("out", "lead", "seed", "n-days", "n-stations", "m-members", "start-date",
-                  "dgp", "ens-bias", "ens-dispersion"),
-                 ("out",)),
-    "fit": (cmd_fit, "fit models on the training range",
-            ("data", "out", "models", "lead", "stations", "train-start", "train-end",
-             "max-iter"),
-            ("out", "train-start", "train-end", "data")),
-    "predict": (cmd_predict, "predict the validation range",
-                ("data", "out", "models", "lead", "stations", "valid-start", "valid-end",
-                 "models-dir"),
-                ("out", "models-dir", "data", "valid-start", "valid-end")),
-    "verify": (cmd_verify, "score predictions and run the test battery",
-               ("data", "out", "lead", "stations", "train-start", "train-end",
-                "predictions", "models-dir"),
-               ("out", "predictions", "data")),
+    "simulate": _Command(cmd_simulate, "write synthetic station CSVs plus truth sidecars",
+                         ("out", "lead", "seed", "n-days", "n-stations", "m-members",
+                          "start-date", "dgp", "ens-bias", "ens-dispersion"),
+                         ("out",)),
+    "fit": _Command(cmd_fit, "fit models on the training range",
+                    ("data", "out", "models", "lead", "stations", "train-start", "train-end",
+                     "max-iter"),
+                    ("out", "train-start", "train-end", "data")),
+    "predict": _Command(cmd_predict, "predict the validation range",
+                        ("data", "out", "models", "lead", "stations", "valid-start",
+                         "valid-end", "models-dir"),
+                        ("out", "models-dir", "data", "valid-start", "valid-end")),
+    "verify": _Command(cmd_verify, "score predictions and run the test battery",
+                       ("data", "out", "lead", "stations", "train-start", "train-end",
+                        "predictions", "models-dir"),
+                       ("out", "predictions", "data"),
+                       {"models-dir": "fitted models, enables the residual-dependence table"}),
 }
 
 _HELP = {
@@ -607,7 +613,6 @@ _HELP = {
     "lead": "comma list of lead times in hours",
     "stations": "comma list of station ids",
     "models-dir": "directory with fit_*.json",
-    ("verify", "models-dir"): "fitted models, enables the residual-dependence table",
     "predictions": "predictions.csv from `predict`",
 }
 
@@ -619,7 +624,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        return _COMMANDS[args.command].run(cfg)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

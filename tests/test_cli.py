@@ -544,7 +544,7 @@ _FLAG_VALUES = {
     "n-stations": "2", "m-members": "5", "start-date": "2015-02-01", "dgp": "dar",
     "ens-bias": "0.5", "ens-dispersion": "1.2", "models-dir": "m", "predictions": "p.csv",
 }
-_TABLE = [(command, flag) for command, entry in cli._COMMANDS.items() for flag in entry[2]]
+_TABLE = [(name, flag) for name, command in cli._COMMANDS.items() for flag in command.flags]
 
 
 def _config_or_error(argv):
@@ -555,7 +555,7 @@ def _config_or_error(argv):
 
 
 def _required_flags(command, but=None):
-    return [arg for flag in cli._COMMANDS[command][3] if flag != but
+    return [arg for flag in cli._COMMANDS[command].required if flag != but
             for arg in (f"--{flag}", _FLAG_VALUES[flag])]
 
 
@@ -587,17 +587,36 @@ def test_empty_list_flags_act_like_empty_config_keys(flag, expected):
         assert getattr(got, "leads" if flag == "lead" else flag) == expected
 
 
+def test_the_option_table_lists_each_subcommands_flags_and_required_options():
+    # written out here, so that a flag dropped from or added to the table shows
+    assert {name: (command.flags, command.required)
+            for name, command in cli._COMMANDS.items()} == {
+        "simulate": (("out", "lead", "seed", "n-days", "n-stations", "m-members",
+                      "start-date", "dgp", "ens-bias", "ens-dispersion"),
+                     ("out",)),
+        "fit": (("data", "out", "models", "lead", "stations", "train-start", "train-end",
+                 "max-iter"),
+                ("out", "train-start", "train-end", "data")),
+        "predict": (("data", "out", "models", "lead", "stations", "valid-start", "valid-end",
+                     "models-dir"),
+                    ("out", "models-dir", "data", "valid-start", "valid-end")),
+        "verify": (("data", "out", "lead", "stations", "train-start", "train-end",
+                    "predictions", "models-dir"),
+                   ("out", "predictions", "data")),
+    }
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_each_subcommand_takes_config_and_its_own_flags(command, capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([command, "--help"])
     listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M)
-    assert listed == ["--config"] + [f"--{flag}" for flag in cli._COMMANDS[command][2]]
+    assert listed == ["--config"] + [f"--{flag}" for flag in cli._COMMANDS[command].flags]
 
 
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command in sorted(cli._COMMANDS)
-    for flag in sorted({flag for _, flag in _TABLE} - set(cli._COMMANDS[command][2]))])
+    for flag in sorted({flag for _, flag in _TABLE} - set(cli._COMMANDS[command].flags))])
 def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys, command,
                                                  flag):
     monkeypatch.chdir(tmp_path)
@@ -608,7 +627,7 @@ def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, entry in cli._COMMANDS.items() for flag in entry[3]])
+    (name, flag) for name, command in cli._COMMANDS.items() for flag in command.required])
 def test_missing_required_option_is_a_config_error_before_any_data_error(
         tmp_path, monkeypatch, capsys, command, flag):
     # no path given exists: a data error would come first if the check ran later
@@ -653,20 +672,26 @@ def test_simulate_rejects_leads_below_one_hour_and_repeated_leads(tmp_path, caps
     assert not out.exists()
 
 
-def test_predict_on_a_zero_hour_station_file_is_one_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("lead", ["0", "-24"])
+@pytest.mark.parametrize("command", ["fit", "predict", "verify"])
+def test_a_station_file_below_one_hour_is_one_data_error_before_any_output(
+        tmp_path, capsys, command, lead):
     # a 0 h forecast would read the observation it is scored on
-    data, fits, preds = tmp_path / "data", tmp_path / "fits", tmp_path / "preds"
+    data, out = tmp_path / "data", tmp_path / "out"
     data.mkdir()
-    series, _ = generate_synthetic(SyntheticConfig(n_days=400, lead_time_h=0, seed=3))
-    write_station_csv(series, data / "station_S01_0h.csv")
-    assert run("fit", "--data", data, "--out", fits, "--models", "emos", "--lead", "",
-               "--train-start", "2015-01-01", "--train-end", "2015-12-01") == 0
-    capsys.readouterr()
-    assert run("predict", "--data", data, "--models-dir", fits, "--out", preds,
-               "--models", "emos", "--lead", "",
-               "--valid-start", "2015-12-02", "--valid-end", "2016-01-20") == 3
-    assert capsys.readouterr().err == "error[data]: lead time must be >= 1 h, got 0 h\n"
-    assert not preds.exists()
+    series, _ = generate_synthetic(SyntheticConfig(n_days=400, lead_time_h=24, seed=3))
+    write_station_csv(series, data / f"station_S01_{lead}h.csv")
+    (tmp_path / "fits").mkdir()
+    (tmp_path / "predictions.csv").write_text(",".join(cli._PREDICTIONS_HEADER) + "\n"
+                                              f"EMOS,S01,{lead},2016-01-01,10.0,1.0\n")
+    extra = {"fit": ["--train-start", "2015-01-01", "--train-end", "2015-12-01"],
+             "predict": ["--models-dir", tmp_path / "fits",
+                         "--valid-start", "2015-12-02", "--valid-end", "2016-01-20"],
+             "verify": ["--predictions", tmp_path / "predictions.csv"]}[command]
+    assert run(command, "--data", data, "--out", out, "--lead", "", *extra) == 3
+    assert capsys.readouterr().err == (f"error[data]: lead time must be >= 1 h, got {lead} h"
+                                       f" in file name station_S01_{lead}h.csv\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +720,7 @@ def _invocations(draw):
     """A subcommand with a random subset of its flags; ``--data`` is one of
     the stand-ins of ``fuzz_dirs`` and ``--out`` is ``<out>``."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    flags = draw(st.lists(st.sampled_from(cli._COMMANDS[command][2]), unique=True))
+    flags = draw(st.lists(st.sampled_from(cli._COMMANDS[command].flags), unique=True))
     argv = [command]
     for flag in flags:
         if flag == "data":
