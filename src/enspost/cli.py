@@ -236,12 +236,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate needs at least one lead time")
     syns = [synthetic_config(cfg, si, li)
             for si in range(cfg.n_stations) for li in range(len(cfg.leads))]
-    for syn in syns:  # an invalid one is an error[config] before --out appears
-        syn.validate()
+    # every cell drawn: an invalid one is an error[config] before --out appears
+    draws = [generate_synthetic(syn) for syn in syns]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    for syn in syns:
-        series, truth = generate_synthetic(syn)
+    for syn, (series, truth) in zip(syns, draws):
         write_station_csv(series, _station_path(out, syn.station_id, syn.lead_time_h))
         write_truth_csv(series.dates, truth,
                         out / f"truth_{syn.station_id}_{syn.lead_time_h}h.csv")

@@ -111,10 +111,13 @@ class StationSeries:
                 kind = "duplicated or non-monotone" if deltas[i] <= np.timedelta64(0, "D") else "gapped"
                 # i + 3: second date of the offending pair, counting the header row
                 raise ParseError(f"{kind} dates at row {i + 3}: {dates[i]} -> {dates[i + 1]}")
-        if not np.all(np.isfinite(members)):
-            raise InvalidEnsemble("ensemble members must all be finite")
-        ens_mean = members.mean(axis=1)
-        ens_sd = members.std(axis=1, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ens_mean = members.mean(axis=1)
+            ens_sd = members.std(axis=1, ddof=1)
+        finite = np.isfinite(ens_mean) & np.isfinite(ens_sd)  # a non-finite member included
+        if not finite.all():
+            raise InvalidEnsemble("ensemble members, mean or sd not finite on "
+                                  f"{dates[np.argmin(finite)]}")
         if np.any(ens_sd <= 0):
             i = int(np.argmax(ens_sd <= 0))
             raise InvalidEnsemble(f"degenerate ensemble (sd=0) on {dates[i]}")
@@ -505,13 +508,15 @@ class SyntheticTruth:
 _BURN = 300
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTruth]:
     """Draw one synthetic station series plus its exact conditional truth.
 
     Bit-reproducible for a fixed seed.  See SyntheticConfig for the model.
     The weather AR, the error AR around eta and the GARCH variance each
     run over burn-in and series as one ``linear_recursion``, the kernel of
-    the models' GARCH path.
+    the models' GARCH path.  A draw that overflows (an ensemble distortion
+    near the float range) raises InvalidConfig.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -569,6 +574,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
         truth = SyntheticTruth(mu=mu_s + r_pred, sigma=sigma_s * sig_g,
                                mu_seasonal=mu_s, sigma_seasonal=sigma_s)
 
+    if not all(np.isfinite(v).all() for v in (y, truth.mu, truth.sigma)):
+        raise InvalidConfig(f"ens_bias {cfg.ens_bias} and ens_dispersion {cfg.ens_dispersion} "
+                            "give a draw that is not finite")
     series = StationSeries.build(cfg.station_id, cfg.lead_time_h, dates, y, members)
     for arr in (truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal):
         arr.setflags(write=False)

@@ -1,21 +1,22 @@
-"""Shared model interface: fitted-model container, serialization, dispatch.
+"""Shared model pieces: the kind names, the fitted-model container with its
+serialization, and the prediction context.
 
 Every model fits on a training StationSeries and then produces per-date
 Gaussian parameters (mu, sigma) for requested dates of a longer series.
 Prediction honors the lead-time availability rule: for a lead-time offset
 of k unobservable days, the forecast for date t may use observations up to
-t - k - 1 only.
+t - k - 1 only.  Dispatch by kind lives in the package's ``fit`` and
+``predict``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ..data import StationSeries, lead_time_offset, time_index
+from ..data import StationSeries, lead_time_offset
 from ..errors import InsufficientHistory, InvalidInput
 from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
@@ -139,14 +140,12 @@ class PredictionContext:
     """
 
     series: StationSeries
-    t: np.ndarray          # running day index aligned to the model's origin
     k: int                 # unobservable days implied by the lead time
     indices: np.ndarray    # positions of the prediction dates in the series
 
     @classmethod
     def build(cls, model: FittedModel, series: StationSeries, dates) -> "PredictionContext":
-        origin = model.meta.get("origin")
-        if origin is None:
+        if model.meta.get("origin") is None:
             raise InvalidInput("fitted model lacks an origin date in meta")
         lead = model.meta.get("lead_time_h", series.lead_time_h)
         if int(lead) != int(series.lead_time_h):
@@ -159,7 +158,6 @@ class PredictionContext:
             raise InvalidInput(f"prediction date {dates[np.argmax(bad)]} not present in the series")
         return cls(
             series=series,
-            t=time_index(series.dates, origin),
             k=lead_time_offset(series.lead_time_h),
             indices=indices.astype(int),
         )
@@ -189,31 +187,3 @@ class PredictionContext:
             raise InvalidInput(f"window before {dates[self.indices[gappy].min()]} "
                                "contains missing observations")
         return ends
-
-
-# registry filled by the model modules ---------------------------------------
-
-_FITTERS: dict[str, Callable] = {}
-_PREDICTORS: dict[str, Callable] = {}
-
-
-def register(kind: str, fitter: Callable, predictor: Callable) -> None:
-    _FITTERS[kind] = fitter
-    _PREDICTORS[kind] = predictor
-
-
-def fit(kind: str, series: StationSeries, **kwargs) -> FittedModel:
-    """Fit one model kind on a training series."""
-    if kind not in _FITTERS:
-        raise InvalidInput(f"unknown model kind {kind!r}; known: {sorted(_FITTERS)}")
-    return _FITTERS[kind](series, **kwargs)
-
-
-def predict(model: FittedModel, series: StationSeries, dates) -> tuple[np.ndarray, np.ndarray]:
-    """Per-date Gaussian parameters (mu, sigma) for the requested dates.
-
-    ``series`` must contain the prediction dates and enough history before
-    them; observations after each date's availability horizon are never
-    read.
-    """
-    return _PREDICTORS[model.kind](model, series, dates)

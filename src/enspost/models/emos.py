@@ -22,11 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..data import StationSeries
-from ..errors import InsufficientHistory, InvalidInput
 # ``minimize`` stays importable here: perfbench's tracer wraps this name
 from ..optimize import OptimizeSettings, OptResult, minimize, minimize_newton  # noqa: F401
 from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
-from .base import FittedModel, PredictionContext, register
+from .base import FittedModel, PredictionContext
 
 WINDOW_DAYS = 30
 _RIDGE = 1e-8
@@ -63,8 +62,8 @@ def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     ridge = _ridge(log_s)
 
     def objective(theta, rows=...):
-        mu, sigma = _predictors(theta, xbar[rows], log_s[rows])
         with np.errstate(all="ignore"):
+            mu, sigma = _predictors(theta, xbar[rows], log_s[rows])
             crps = np.mean(crps_normal_series(mu, sigma, y[rows]), axis=-1)
         return crps + ridge[rows] * np.sum(theta * theta, axis=-1)
 
@@ -88,8 +87,8 @@ def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
 
     def derivatives(theta, rows=...):
         x, ls = xbar[rows], log_s[rows]
-        mu, sigma = _predictors(theta, x, ls)
         with np.errstate(all="ignore"):
+            mu, sigma = _predictors(theta, x, ls)
             d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
             # d sigma / d (b0, b1) = sigma * (1, log s)
             g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
@@ -125,16 +124,11 @@ def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptRes
 
 
 def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
-    """Validate the training series and fit the final training window.
+    """Fit the final training window.
 
     The stored coefficients describe the window ending at the training
     period's last day; prediction re-estimates them per date.
     """
-    if not series.is_complete():
-        raise InvalidInput("training series has missing observations; impute first")
-    if series.n_days < WINDOW_DAYS + 1:
-        raise InsufficientHistory(
-            f"EMOS needs >= {WINDOW_DAYS + 1} training days, got {series.n_days}")
     sl = slice(series.n_days - WINDOW_DAYS, series.n_days)
     result = _fit_windows(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
                           settings).problem(0)
@@ -143,12 +137,6 @@ def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) ->
         loc=result.x[:2].copy(),
         scale=result.x[2:].copy(),
         meta={
-            "origin": str(series.dates[0]),
-            "lead_time_h": series.lead_time_h,
-            "station_id": series.station_id,
-            "train_start": str(series.dates[0]),
-            "train_end": str(series.dates[-1]),
-            "n_train": series.n_days,
             "window_days": WINDOW_DAYS,
             "converged": bool(result.converged),
             "iterations": int(result.iterations),
@@ -176,6 +164,3 @@ def emos_predict(model: FittedModel, series: StationSeries, dates):
     mu = coeffs[:, 0] + coeffs[:, 1] * series.ens_mean[i]
     sigma = np.exp(coeffs[:, 2] + coeffs[:, 3] * np.log(np.maximum(series.ens_sd[i], 1e-12)))
     return mu, sigma
-
-
-register("EMOS", emos_fit, emos_predict)

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import lstsq
 
 from ..data import StationSeries, day_of_year, time_index
-from ..errors import DegenerateSeries, InsufficientHistory, InvalidInput, NumericalFailure
+from ..errors import DegenerateSeries, InvalidInput, NumericalFailure
 from ..optimize import OptimizeSettings, minimize
 from ..scoring import crps_normal_gradient, crps_normal_series
 from ..seasonal import N_COEFFS, seasonal_design
@@ -57,7 +57,7 @@ from ..timeseries import (
     garch_path_adjoint,
     is_stationary,
 )
-from .base import SEASONAL_KINDS, FittedModel, PredictionContext, register
+from .base import SEASONAL_KINDS, FittedModel, PredictionContext
 
 logger = logging.getLogger(__name__)
 
@@ -67,14 +67,6 @@ MIN_TRAINING_DAYS = 730  # two full years, for Fourier identifiability
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
-
-
-def _check_training_series(series: StationSeries) -> None:
-    if not series.is_complete():
-        raise InvalidInput("training series has missing observations; impute first")
-    if series.n_days < MIN_TRAINING_DAYS:
-        raise InsufficientHistory(
-            f"seasonal fits need >= {MIN_TRAINING_DAYS} training days, got {series.n_days}")
 
 
 def _designs(series: StationSeries, origin) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +265,10 @@ def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | None) -> FittedModel:
-    _check_training_series(series)
+def seasonal_fit(kind: str, series: StationSeries,
+                 settings: OptimizeSettings | None = None) -> FittedModel:
+    """Fit one seasonal kind's coefficients jointly by CRPS minimization; an
+    AR order is chosen once by AIC from the initial residuals."""
     origin = series.dates[0]
     x_loc, x_scale = _designs(series, origin)
     y = series.obs
@@ -317,12 +311,6 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
         ar=ar,
         garch=GARCHCoeffs(*np.square(root_w).tolist()) if root_w.size else None,
         meta={
-            "origin": str(origin),
-            "lead_time_h": series.lead_time_h,
-            "station_id": series.station_id,
-            "train_start": str(series.dates[0]),
-            "train_end": str(series.dates[-1]),
-            "n_train": series.n_days,
             "converged": bool(result.converged),
             "train_crps": float(result.value),
             "init_crps": fun(theta0)[0],
@@ -334,42 +322,9 @@ def _fit_family(kind: str, series: StationSeries, settings: OptimizeSettings | N
     )
 
 
-def semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
-    """Fit SEMOS: 20 seasonal coefficients, jointly CRPS-minimized."""
-    return _fit_family("SEMOS", series, settings)
-
-
-def dar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
-    """Fit DAR-SEMOS: SEMOS plus AR(p) on the deseasonalized errors.
-
-    The AR order is chosen once by AIC from the OLS residuals and stays
-    fixed during the joint optimization.
-    """
-    return _fit_family("DAR-SEMOS", series, settings)
-
-
-def dar_garch_semos_fit(series: StationSeries,
-                        settings: OptimizeSettings | None = None) -> FittedModel:
-    """Fit DAR-GARCH-SEMOS: DAR-SEMOS with a multiplicative GARCH(1,1)
-    variance factor."""
-    return _fit_family("DAR-GARCH-SEMOS", series, settings)
-
-
-def sar_semos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
-    """Fit SAR-SEMOS: SEMOS plus AR(p) on the standardized errors, the
-    order chosen once by AIC."""
-    return _fit_family("SAR-SEMOS", series, settings)
-
-
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------
-
-
-def _seasonal_parts(model: FittedModel, series: StationSeries, ctx: PredictionContext):
-    x_loc = seasonal_design(ctx.t, series.ens_mean)
-    x_scale = seasonal_design(ctx.t, series.ens_sd)
-    return x_loc @ model.loc, np.exp(x_scale @ model.scale)
 
 
 def _ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -412,9 +367,11 @@ def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, r: np.ndarray, sigma_s: np
     return np.sqrt(var)
 
 
-def _predict_family(model: FittedModel, series: StationSeries, dates):
+def seasonal_predict(model: FittedModel, series: StationSeries, dates):
+    """Per-date (mu, sigma) of a seasonal fit, all dates in one pass."""
     ctx = PredictionContext.build(model, series, dates)
-    mu_s, sigma_s = _seasonal_parts(model, series, ctx)
+    x_loc, x_scale = _designs(series, model.meta["origin"])
+    mu_s, sigma_s = x_loc @ model.loc, np.exp(x_scale @ model.scale)
     i = ctx.indices
     if model.kind == "SEMOS":
         return mu_s[i], sigma_s[i]
@@ -432,9 +389,3 @@ def _predict_family(model: FittedModel, series: StationSeries, dates):
     if model.kind == "DAR-SEMOS":
         return mu, sigma_s[i]
     return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, r, sigma_s, h, i)
-
-
-register("SEMOS", semos_fit, _predict_family)
-register("DAR-SEMOS", dar_semos_fit, _predict_family)
-register("DAR-GARCH-SEMOS", dar_garch_semos_fit, _predict_family)
-register("SAR-SEMOS", sar_semos_fit, _predict_family)

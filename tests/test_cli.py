@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from enspost import cli
 from enspost.cli import main, parse_config_file
-from enspost.errors import ConfigError, DataError
+from enspost.errors import ConfigError, DataError, InvalidConfig
 from enspost.data import (SyntheticConfig, generate_synthetic, load_station_csv,
                           write_station_csv)
 
@@ -342,6 +342,23 @@ def test_predict_failing_on_a_later_model_leaves_no_out_dir(pipeline, tmp_path, 
     assert not out.exists()
 
 
+def test_predict_that_overflows_is_one_numeric_error_before_any_output(pipeline, tmp_path,
+                                                                        capsys):
+    # scale intercept 800: sigma = exp(800 + ...) overflows to inf
+    doc = json.loads((pipeline / "fits" / "fit_SEMOS_S01_24h.json").read_text())
+    doc["scale"][0] = 800.0
+    fits = tmp_path / "fits"
+    fits.mkdir()
+    (fits / "fit_SEMOS_S01_24h.json").write_text(json.dumps(doc))
+    out = tmp_path / "preds"
+    assert run("predict", "--data", pipeline / "data", "--models-dir", fits, "--out", out,
+               "--models", "semos", "--lead", "24",
+               "--valid-start", "2017-07-01", "--valid-end", "2017-09-26") == 4
+    assert re.fullmatch(r"error\[numeric\]: SEMOS on \(S01, 24h\) gives mu [-0-9.e]+, "
+                        r"sigma inf on 2017-07-01\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:100])
 
@@ -419,12 +436,52 @@ def test_fit_file_missing_a_block_is_data_error(pipeline, tmp_path, capsys, comm
     ("--ens-bias", "nan"),
     ("--ens-bias", "inf"),
     ("--ens-dispersion", "nan"),
+    ("--ens-bias", "1e308"),  # finite, but the ensemble mean of the draw is not
+    ("--ens-dispersion", "1e308"),
 ], ids=["start_date", "start_date_nat", "n_stations", "n_days", "ens_dispersion", "seed",
-        "ens_bias_nan", "ens_bias_inf", "ens_dispersion_nan"])
+        "ens_bias_nan", "ens_bias_inf", "ens_dispersion_nan", "ens_bias_overflow",
+        "ens_dispersion_overflow"])
 def test_invalid_simulate_config_leaves_no_out_dir(tmp_path, capsys, flags):
     out = tmp_path / "sim"
     assert run("simulate", "--out", out, "--n-days", 150, *flags) == 2
     _assert_one_error_line(capsys, "config")
+    assert not out.exists()
+
+
+def test_simulate_failing_on_a_later_cell_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    drawn = []
+
+    def second_cell_fails(syn):
+        if drawn:
+            raise InvalidConfig("second cell")
+        drawn.append(syn)
+        return generate_synthetic(syn)
+
+    monkeypatch.setattr(cli, "generate_synthetic", second_cell_fails)
+    out = tmp_path / "sim"
+    assert run("simulate", "--out", out, "--n-days", 150, "--n-stations", 2) == 2
+    assert capsys.readouterr().err == "error[config]: second cell\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict", "verify"])
+def test_station_file_whose_ensemble_overflows_is_one_data_error(pipeline, tmp_path, capsys,
+                                                                command):
+    # every member is finite, but the ensemble mean of 2015-04-11 is not
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    lines = (pipeline / "data" / "station_S01_24h.csv").read_text().splitlines(keepends=True)
+    fields = lines[101].split(",")
+    assert fields[1] == "2015-04-11"
+    fields[4:6] = ["1e308", "1.7e308"]
+    lines[101] = ",".join(fields)
+    (data / "station_S01_24h.csv").write_text("".join(lines))
+    extra = {"fit": ["--train-start", "2015-01-01", "--train-end", "2017-06-30"],
+             "predict": ["--models-dir", pipeline / "fits",
+                         "--valid-start", "2017-07-01", "--valid-end", "2017-09-26"],
+             "verify": ["--predictions", pipeline / "preds" / "predictions.csv"]}[command]
+    assert run(command, "--data", data, "--out", out, "--lead", "24", *extra) == 3
+    _assert_one_error_line(capsys, "data")
     assert not out.exists()
 
 

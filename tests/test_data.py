@@ -466,6 +466,23 @@ def test_synthetic_config_rejects_negative_seed_and_non_finite_distortions(chang
         SyntheticConfig(n_days=50, **changes).validate()
 
 
+@pytest.mark.parametrize("members", [[1e308, 1.7e308], [-1.7e308, -1e308], [1e308, -1.7e308]])
+def test_build_rejects_ensembles_whose_statistics_overflow(members):
+    # every member is finite, but their mean or sd is not
+    dates = np.datetime64("2015-01-01") + np.arange(2)
+    with pytest.raises(InvalidEnsemble, match="^ensemble members, mean or sd not finite on 2015-01-02$"):
+        StationSeries.build("X", 24, dates, [1.0, 2.0], [[1.0, 2.0], members])
+
+
+@pytest.mark.parametrize("changes", [
+    {"ens_bias": 1e308}, {"ens_bias": -1.7e308}, {"ens_dispersion": 1e308},
+], ids=["bias", "minus_bias", "dispersion"])
+def test_synthetic_draw_that_overflows_is_a_config_error(changes):
+    with pytest.raises(InvalidConfig, match="ens_bias .* and ens_dispersion .* give a draw "
+                                            "that is not finite"):
+        generate_synthetic(SyntheticConfig(n_days=60, m=5, **changes))
+
+
 def _simulate_ar(eta, tau, innovations):
     # the generator's AR loop before it ran on linear_recursion: AR(p) around
     # eta driven by the innovations, with the history before them at eta

@@ -12,7 +12,7 @@ from enspost.data import (
     lead_time_offset,
     time_index,
 )
-from enspost.errors import InsufficientHistory, InvalidInput
+from enspost.errors import InsufficientHistory, InvalidInput, NumericalFailure
 from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
@@ -59,6 +59,74 @@ def dar_world():
     cfg = SyntheticConfig(n_days=1096, seed=8, ar=ARCoeffs(1, 0.0, (0.7,)))
     series, truth = generate_synthetic(cfg)
     return cfg, series, truth
+
+
+# ---------------------------------------------------------------------------
+# the kind table behind models.fit and models.predict
+# ---------------------------------------------------------------------------
+
+_TRAINING_DAYS = {"EMOS": 31, "AR-EMOS": 120, "SEMOS": 730, "DAR-SEMOS": 730,
+                  "DAR-GARCH-SEMOS": 730, "SAR-SEMOS": 730}
+_TRAINING_RECORD = ["origin", "lead_time_h", "station_id", "train_start", "train_end", "n_train"]
+
+
+@pytest.fixture(scope="module")
+def two_year_world():
+    series, _ = generate_synthetic(SyntheticConfig(n_days=730, m=10, seed=21, lead_time_h=72))
+    return series
+
+
+def test_the_kind_table_lists_every_kind_in_order():
+    assert tuple(models._KINDS) == models.MODEL_KINDS
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_fit_needs_each_kinds_training_days_and_records_the_training_period(
+        kind, two_year_world):
+    days = _TRAINING_DAYS[kind]
+    with pytest.raises(InsufficientHistory,
+                       match=f"^{kind} needs >= {days} training days, got {days - 1}$"):
+        models.fit(kind, two_year_world.window(end=two_year_world.dates[days - 2]))
+    train = two_year_world.window(end=two_year_world.dates[days - 1])
+    model = models.fit(kind, train)
+    assert list(model.meta)[:6] == _TRAINING_RECORD
+    assert [model.meta[key] for key in _TRAINING_RECORD] == [
+        "2015-01-01", 72, "S01", "2015-01-01", str(train.dates[-1]), days]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_fit_checks_the_training_series_before_the_fitter_runs(kind, two_year_world,
+                                                               monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fitter called")
+
+    monkeypatch.setitem(models._KINDS, kind, models._KINDS[kind]._replace(fit=forbidden))
+    obs = two_year_world.obs.copy()
+    obs[400] = np.nan
+    gappy = StationSeries.build("S01", 72, two_year_world.dates, obs, two_year_world.members)
+    with pytest.raises(InvalidInput,
+                       match="^training series has missing observations; impute first$"):
+        models.fit(kind, gappy)
+    with pytest.raises(InsufficientHistory):
+        models.fit(kind, two_year_world.window(end=two_year_world.dates[20]))
+
+
+def test_unknown_kind_is_invalid_input(two_year_world):
+    with pytest.raises(InvalidInput, match="^unknown model kind 'NGR'"):
+        models.fit("NGR", two_year_world)
+
+
+@pytest.mark.parametrize("scale0, bad", [(800.0, "sigma inf"), (-800.0, "sigma 0.0")])
+def test_predict_rejects_sigma_that_is_not_finite_and_positive(two_year_world, scale0, bad):
+    model = models.fit("SEMOS", two_year_world.window(end=two_year_world.dates[729]))
+    series = two_year_world
+    model.scale[0] = scale0
+    dates = series.dates[[700, 650, 690]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(NumericalFailure, match=(
+                rf"^SEMOS on \(S01, 72h\) gives mu [-0-9.e]+, {bad} on 2016-10-12$")):
+            models.predict(model, series, dates)
 
 
 # ---------------------------------------------------------------------------
