@@ -68,16 +68,6 @@ def day_of_year(dates) -> np.ndarray:
     return ((dates - years) / _DAY).astype(int) + 1
 
 
-def ensemble_stats(members) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (divisor m-1) of one ensemble."""
-    x = np.asarray(members, dtype=float).ravel()
-    if x.size < 2:
-        raise InvalidEnsemble(f"need at least 2 members, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidEnsemble("ensemble contains non-finite members")
-    return float(np.mean(x)), float(np.std(x, ddof=1))
-
-
 @dataclass(frozen=True)
 class StationSeries:
     """Daily (station, lead time) series of observations and ensemble forecasts."""
@@ -379,7 +369,9 @@ def _convert_blocks(reader, m: int, station_id, lead_time_h):
 
 
 def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
-    """Read ``path`` with the row converter ``convert`` and build the series."""
+    """Read ``path`` with the row converter ``convert`` and build the series;
+    a data error of the build is raised again, as its own class, naming the
+    file."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -387,7 +379,10 @@ def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
             (sid, lead), dates, obs, members = convert(reader, m, station_id, lead_time_h)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    return StationSeries.build(sid, lead, dates, obs, members)
+    try:
+        return StationSeries.build(sid, lead, dates, obs, members)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_station_csv(path, station_id: str | None = None,

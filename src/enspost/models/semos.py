@@ -20,6 +20,20 @@ computes (mu, sigma), through the teacher-forced AR, the GARCH variance
 path and the seasonal predictors.  Each point the fit tries runs that
 pass once, for the value and the gradient together.
 
+The fit starts from least-squares seasonal coefficients (and Yule-Walker
+and GARCH fits of their residuals), and BFGS starts from the inverse of a
+Gauss-Newton matrix of the mean CRPS there (``_curvature_start``).  The
+seasonal columns [1, xbar, F(t), F(t) xbar] are strongly collinear, so
+from an identity start BFGS spends most of its iterations learning that
+curvature.
+
+In DAR-GARCH-SEMOS the scale intercept b0 and omega0 are not separately
+identified: (b0 + log c, omega0 / c^2) gives sigma_S c and a GARCH factor
+sigma_G / c for every c > 0, so the objective and the predictions are the
+same.  Fits can therefore end anywhere along that line, and their b0 and
+omega0 move between runs that change the optimizer while the forecasts
+stay put.
+
 During prediction, residuals of the k most recent days (lead-time offset)
 are unobservable and are bridged with the multi-step AR recursion; the
 GARCH recursion bridges them with its conditional-expectation update.  All
@@ -37,12 +51,11 @@ import logging
 import warnings
 
 import numpy as np
-from scipy.linalg import lstsq
 
 from ..data import StationSeries, day_of_year, time_index
 from ..errors import DegenerateSeries, InvalidInput, NumericalFailure
 from ..optimize import OptimizeSettings, minimize
-from ..scoring import crps_normal_gradient, crps_normal_series
+from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
 from ..seasonal import N_COEFFS, seasonal_design
 from ..timeseries import (
     ARCoeffs,
@@ -75,10 +88,16 @@ def _designs(series: StationSeries, origin) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ols(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # scipy's gelsd gives np.linalg.lstsq's minimum-norm solution in ~0.3 ms
-    # instead of ~40 ms on the 1,826 x 10 seasonal design (2-core Xeon,
-    # OpenBLAS 0.3.31)
-    coeffs, *_ = lstsq(design, target)
+    # The minimum-norm least-squares answer through the 10 x 10 normal
+    # equations, which share it, so no LAPACK call sees the 1,826-row design:
+    # a threaded gelsd on it (numpy's or scipy's) stalled at 35-46 ms a call
+    # in some runs (2-core Xeon, OpenBLAS 0.3.31), and einsum, unlike @,
+    # calls no BLAS.  Gram singular values below its summation rounding,
+    # rows * eps, are its null space; rcond=None kept one at 1.2e-14 for a
+    # constant covariate of 2.7.
+    gram = np.einsum("ti,tj->ij", design, design)
+    rhs = np.einsum("ti,t->i", design, target)
+    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=design.shape[0] * np.finfo(float).eps)
     return coeffs
 
 
@@ -90,17 +109,37 @@ def _scale_identity_init() -> np.ndarray:
 
 def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     """Per-date empirical sd of the observations falling in a symmetric
-    day-of-year window (half-width in days, pooled across years)."""
+    day-of-year window (half-width in days, pooled across years).
+
+    Each day of year's count, mean and centred sum of squares are combined
+    over the window by Chan's pairwise update, so the variance stays a
+    two-pass one: the sum of the group sums of squares plus each group's
+    count times its squared offset from the window mean.
+    """
     obs = np.asarray(obs, dtype=float)
     doy = day_of_year(dates)
-    out = np.empty(obs.size)
-    for d in np.unique(doy):
-        dist = np.abs(doy - d)
-        mask = np.minimum(dist, 365 - dist) <= half_width
-        pooled = obs[mask]
-        if pooled.size < 2:
-            raise DegenerateSeries(f"day-of-year window around {d} has < 2 observations")
-        out[doy == d] = np.std(pooled, ddof=1)
+    days = np.arange(1, 367, dtype=np.int16)
+    dist = np.abs(np.subtract.outer(days, days))
+    # (day, member day) pairs of the windows; group d - 1 holds day of year d
+    centre, member = np.nonzero(np.minimum(dist, 365 - dist) <= half_width)
+    count = np.bincount(doy - 1, minlength=366).astype(float)
+    mean = np.divide(np.bincount(doy - 1, weights=obs, minlength=366), count,
+                     out=np.zeros(366), where=count > 0)
+    sum_sq = np.bincount(doy - 1, weights=np.square(obs - mean[doy - 1]), minlength=366)
+
+    def window_sum(values):
+        return np.bincount(centre, weights=values, minlength=366)
+
+    n = window_sum(count[member])
+    present = np.flatnonzero(count > 0)
+    if np.any(n[present] < 2):
+        d = present[np.argmax(n[present] < 2)] + 1
+        raise DegenerateSeries(f"day-of-year window around {d} has < 2 observations")
+    with np.errstate(invalid="ignore", divide="ignore"):  # days absent from the data
+        pooled_mean = window_sum((count * mean)[member]) / n
+        spread = window_sum(count[member] * np.square(mean[member] - pooled_mean[centre]))
+        sd = np.sqrt((window_sum(sum_sq[member]) + spread) / (n - 1))
+    out = sd[doy - 1]
     if np.any(out <= 0):
         raise DegenerateSeries("constant observations inside a day-of-year window")
     return out
@@ -233,14 +272,45 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
 def _objective(kind: str, p: int, x_loc, x_scale, y):
     """Mean training CRPS as a function of theta, with its exact gradient:
     fun(theta) -> (value, gradient).  The gradient is the closed-form CRPS
-    partials in (mu, sigma), pulled back through the same forward pass."""
+    partials in (mu, sigma), pulled back through the same forward pass.  A
+    trial point whose pass overflows gets a non-finite value, on which the
+    line search shortens its step."""
     def fun(theta):
-        mu, sigma, start, pullback = _evaluate(kind, theta, p, x_loc, x_scale, y)
         with np.errstate(all="ignore"):
+            mu, sigma, start, pullback = _evaluate(kind, theta, p, x_loc, x_scale, y)
             value = float(np.mean(crps_normal_series(mu, sigma, y[start:])))
             d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[start:])
             return value, pullback(d_mu, d_sigma) / mu.size
     return fun
+
+
+def _curvature_start(mu, sigma, y, x_loc, x_scale, n_params: int) -> np.ndarray:
+    """Starting inverse Hessian of a seasonal fit: the inverse of a
+    Gauss-Newton matrix of the mean training CRPS at the start's (mu, sigma).
+
+    The seasonal blocks take the CRPS second partials (c_mm, c_ms, c_ss) in
+    (mu, sigma) through mu = X_loc a and sigma = exp(X_scale b) over the
+    scored days: X_loc' diag(c_mm) X_loc, X_loc' diag(c_ms sigma) X_scale
+    and X_scale' diag(c_ss sigma^2) X_scale, each over n days.  The AR and
+    GARCH coordinates get the identity times the mean diagonal of those
+    blocks.  Eigenvalues are floored at 1e-8 of the largest before the
+    inverse.
+    """
+    start = y.size - mu.size
+    c_mm, c_ms, c_ss = crps_normal_hessian(mu, sigma, y[start:])
+    xl, xs = x_loc[start:], x_scale[start:]
+    k = N_COEFFS
+    h = np.zeros((n_params, n_params))
+    h[:k, :k] = np.einsum("ti,t,tj->ij", xl, c_mm, xl)
+    h[:k, k:2 * k] = np.einsum("ti,t,tj->ij", xl, c_ms * sigma, xs)
+    h[k:2 * k, :k] = h[:k, k:2 * k].T
+    h[k:2 * k, k:2 * k] = np.einsum("ti,t,tj->ij", xs, c_ss * np.square(sigma), xs)
+    h /= mu.size
+    tail = np.arange(2 * k, n_params)
+    h[tail, tail] = np.mean(np.diag(h)[:2 * k])
+    lam, q = np.linalg.eigh(h)
+    lam = np.maximum(lam, 1e-8 * lam[-1])
+    return np.einsum("ik,k,jk->ij", q, 1.0 / lam, q)
 
 
 def _standardized(kind: str, theta: np.ndarray, p: int, x_loc, x_scale, y) -> np.ndarray:
@@ -300,8 +370,11 @@ def seasonal_fit(kind: str, series: StationSeries,
 
     p = 0 if ar0 is None else ar0.p
     theta0 = _pack(loc0, scale0, ar0, garch0)
-    fun = _objective(kind, p, x_loc, x_scale, y)
-    result = minimize(fun, theta0, settings or OptimizeSettings())
+    mu0, sigma0, start, _ = _evaluate(kind, theta0, p, x_loc, x_scale, y)
+    result = minimize(_objective(kind, p, x_loc, x_scale, y), theta0,
+                      settings or OptimizeSettings(),
+                      inverse_hessian=_curvature_start(mu0, sigma0, y, x_loc, x_scale,
+                                                       theta0.size))
 
     loc, scale, ar, root_w = _unpack(result.x, p)
     return FittedModel(
@@ -313,7 +386,7 @@ def seasonal_fit(kind: str, series: StationSeries,
         meta={
             "converged": bool(result.converged),
             "train_crps": float(result.value),
-            "init_crps": fun(theta0)[0],
+            "init_crps": float(np.mean(crps_normal_series(mu0, sigma0, y[start:]))),
             "iterations": int(result.iterations),
             "n_evals": int(result.n_evals),
             "grad_norm": float(result.grad_norm),

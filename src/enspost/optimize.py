@@ -5,10 +5,11 @@ The minimizer is deliberately small: one callable that returns the
 objective and its analytic gradient at a point, so a caller runs its
 forward pass once per point, an Armijo backtracking line search, and a
 search direction from the standard inverse-Hessian BFGS update (with a
-curvature guard and Nocedal's scaling of the initial Hessian after the
-first step).  It only ever *accepts* points that decrease the objective, so
-the returned value is guaranteed <= the starting value, and it returns the
-best point seen so far even when the search breaks down.
+curvature guard, and either a caller's starting inverse Hessian or
+Nocedal's scaling of the identity after the first step).  It only ever
+*accepts* points that decrease the objective, so the returned value is
+guaranteed <= the starting value, and it returns the best point seen so
+far even when the search breaks down.
 
 ``minimize_newton`` solves many small problems of one shape at once, given
 their exact Hessians: each direction is the Newton step from the
@@ -116,14 +117,15 @@ def _newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _bfgs_update(h_inv: np.ndarray, step: np.ndarray, yk: np.ndarray,
-                 first: bool) -> np.ndarray:
+                 rescale: bool) -> np.ndarray:
     """Inverse-Hessian BFGS update, skipped when the curvature s'y is not
-    clearly positive; the first accepted step rescales the identity."""
+    clearly positive; with ``rescale`` the identity is first rescaled by
+    s'y / y'y."""
     sy = float(step @ yk)
     if sy <= 1e-12 * np.linalg.norm(step) * np.linalg.norm(yk):
         return h_inv
     n = step.size
-    if first:
+    if rescale:
         h_inv = (sy / float(yk @ yk)) * np.eye(n)
     rho = 1.0 / sy
     a = np.eye(n) - rho * np.outer(step, yk)
@@ -142,7 +144,8 @@ def _checked_gradient(g, problems=None) -> np.ndarray:
     return g
 
 
-def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
+def minimize(fun, init, settings: OptimizeSettings | None = None,
+             inverse_hessian: np.ndarray | None = None) -> OptResult:
     """BFGS minimization with Armijo backtracking.
 
     Parameters
@@ -155,6 +158,13 @@ def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
     init : array-like
         Starting point.
     settings : OptimizeSettings, optional
+    inverse_hessian : (n, n) array, optional
+        Symmetric positive definite starting inverse Hessian, for a caller
+        that knows the objective's curvature at ``init``.  BFGS updates it
+        from the first step on, and a direction that is not a descent
+        direction restarts from it.  Without it the start is the identity,
+        rescaled by s'y / y'y after the first step, and a broken direction
+        restarts from steepest descent.
 
     Returns
     -------
@@ -178,7 +188,8 @@ def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
     if not np.isfinite(fx):
         raise InvalidStart(f"objective not finite at the starting point ({fx})")
     g = _checked_gradient(g)
-    h_inv = np.eye(n)
+    h_start = np.eye(n) if inverse_hessian is None else np.array(inverse_hessian, dtype=float)
+    h_inv = h_start
     converged = False
     iterations = 0
 
@@ -191,9 +202,9 @@ def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
         direction = -h_inv @ g
         slope = float(direction @ g)
         if not np.isfinite(slope) or slope >= 0:
-            # broken curvature model: restart from steepest descent
-            h_inv = np.eye(n)
-            direction = -g
+            # broken curvature model: restart from the starting matrix
+            h_inv = h_start
+            direction = -h_inv @ g
             slope = float(direction @ g)
 
         # Armijo backtracking; non-finite trial values just shorten the step
@@ -212,7 +223,8 @@ def minimize(fun, init, settings: OptimizeSettings | None = None) -> OptResult:
             break
 
         step = x_new - x
-        h_inv = _bfgs_update(h_inv, step, g_new - g, first=iterations == 1)
+        h_inv = _bfgs_update(h_inv, step, g_new - g,
+                             rescale=inverse_hessian is None and iterations == 1)
 
         x, fx, g = x_new, f_new, g_new
         if float(np.max(np.abs(step))) <= _STEP_TOLERANCE:

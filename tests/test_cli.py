@@ -751,6 +751,25 @@ def test_a_station_file_below_one_hour_is_one_data_error_before_any_output(
     assert not out.exists()
 
 
+def test_an_ensemble_error_in_a_station_file_names_the_file(tmp_path, capsys):
+    # finite members whose mean overflows on one row
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    series, _ = generate_synthetic(SyntheticConfig(n_days=400, lead_time_h=24, seed=3))
+    path = data / "station_S01_24h.csv"
+    write_station_csv(series, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[101][4:6] = ["1e308", "1.7e308"]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run("fit", "--data", data, "--out", out, "--lead", "24", "--models", "emos",
+               "--train-start", "2015-01-01", "--train-end", "2015-12-01") == 3
+    assert capsys.readouterr().err == (f"error[data]: {path}: ensemble members, mean or sd"
+                                       f" not finite on {rows[101][1]}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzed invocations
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from enspost import data
 from enspost.data import (
     StationSeries,
     SyntheticConfig,
-    ensemble_stats,
     generate_synthetic,
     impute_missing,
     impute_series,
@@ -38,13 +37,19 @@ from conftest import make_series
 # ---------------------------------------------------------------------------
 
 
+def _ensemble_stats(members) -> tuple[float, float]:
+    """ens_mean and ens_sd of a one-day series with these members."""
+    series = StationSeries.build("X", 24, [np.datetime64("2015-01-01")], [0.0], [members])
+    return float(series.ens_mean[0]), float(series.ens_sd[0])
+
+
 def test_ensemble_stats_symmetric_case():
-    assert ensemble_stats([1.0, 2.0, 3.0]) == pytest.approx((2.0, 1.0))
+    assert _ensemble_stats([1.0, 2.0, 3.0]) == pytest.approx((2.0, 1.0))
 
 
 def test_ensemble_stats_constant_then_rejected_downstream():
-    mean, sd = ensemble_stats([5.0, 5.0, 5.0, 5.0])
-    assert (mean, sd) == (5.0, 0.0)
+    with pytest.raises(InvalidEnsemble, match=r"degenerate ensemble \(sd=0\) on 2015-01-01"):
+        _ensemble_stats([5.0, 5.0, 5.0, 5.0])
     dates = np.datetime64("2015-01-01") + np.arange(2)
     with pytest.raises(InvalidEnsemble):
         StationSeries.build("X", 24, dates, [1.0, 2.0], [[5.0, 5.0], [5.0, 5.0]])
@@ -52,7 +57,7 @@ def test_ensemble_stats_constant_then_rejected_downstream():
 
 def test_ensemble_stats_two_pass_oracle(rng):
     x = rng.standard_normal(50)
-    mean, sd = ensemble_stats(x)
+    mean, sd = _ensemble_stats(x)
     oracle_mean = sum(float(v) for v in x) / 50
     oracle_var = sum((float(v) - oracle_mean) ** 2 for v in x) / 49
     assert mean == pytest.approx(oracle_mean, abs=1e-12)
@@ -61,18 +66,24 @@ def test_ensemble_stats_two_pass_oracle(rng):
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40))
 def test_ensemble_stats_matches_two_pass(values):
-    mean, sd = ensemble_stats(values)
     m = sum(values) / len(values)
     v = sum((x - m) ** 2 for x in values) / (len(values) - 1)
+    if v == 0.0:  # equal members, or spreads whose squares underflow: sd 0
+        with pytest.raises(InvalidEnsemble, match="degenerate ensemble"):
+            _ensemble_stats(values)
+        return
+    mean, sd = _ensemble_stats(values)
     assert mean == pytest.approx(m, abs=1e-9)
     assert sd == pytest.approx(np.sqrt(v), abs=1e-9)
 
 
 def test_ensemble_stats_rejects_small_or_nonfinite():
     with pytest.raises(InvalidEnsemble):
-        ensemble_stats([1.0])
+        _ensemble_stats([1.0])
     with pytest.raises(InvalidEnsemble):
-        ensemble_stats([1.0, np.inf])
+        _ensemble_stats([1.0, np.inf])
+    with pytest.raises(InvalidEnsemble):
+        _ensemble_stats([1e308, 1.7e308])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ _ROW_1 = "A,2015-01-01,24,1.5,1.0,2.0\n"
     (_HEADER + _ROW_1, {"lead_time_h": 48}, "no rows match station_id=None, lead_time_h=48"),
     (_HEADER + "\n\n", {}, "no rows match station_id=None, lead_time_h=None"),
     (_HEADER + _ROW_1 + _ROW_1, {},
-     "duplicated or non-monotone dates at row 3: 2015-01-01 -> 2015-01-01"),
+     "{path}: duplicated or non-monotone dates at row 3: 2015-01-01 -> 2015-01-01"),
 ], ids=["empty", "header", "no_members", "member_order", "field_count", "lead_parse",
         "lead_nonfinite", "lead_nonintegral", "mixed_stations", "mixed_leads", "date",
         "obs_parse", "obs_nonfinite", "member_parse", "member_nonfinite", "no_station_match",
@@ -257,7 +268,7 @@ def test_load_error_messages_are_pinned(tmp_path, text, filters, message):
     path.write_text(text)
     with pytest.raises(ParseError) as caught:
         load_station_csv(path, **filters)
-    assert str(caught.value) == message
+    assert str(caught.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize("date", [

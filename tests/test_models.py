@@ -8,11 +8,12 @@ from enspost import cli, models
 from enspost.data import (
     StationSeries,
     SyntheticConfig,
+    day_of_year,
     generate_synthetic,
     lead_time_offset,
     time_index,
 )
-from enspost.errors import InsufficientHistory, InvalidInput, NumericalFailure
+from enspost.errors import DegenerateSeries, InsufficientHistory, InvalidInput, NumericalFailure
 from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
@@ -988,6 +989,86 @@ def test_seasonal_fit_runs_one_forward_pass_per_point(kind, dar_world, monkeypat
     assert len(passes) == model.meta["n_evals"] + 2
 
 
+@pytest.mark.parametrize("constant", [None, 2.7, 1.0 / 3.0])
+def test_ols_is_the_minimum_norm_least_squares_answer(constant, dar_world):
+    # a constant covariate makes the slope columns copies of the intercept
+    # columns: rank 5, and lstsq's minimum-norm answer
+    _, series, _ = dar_world
+    t = time_index(series.dates, series.dates[0])
+    covariate = series.ens_mean if constant is None else np.full(t.size, constant)
+    design = seasonal_design(t, covariate)
+    assert np.linalg.matrix_rank(design) == (10 if constant is None else 5)
+    expected, *_ = np.linalg.lstsq(design, series.obs, rcond=None)
+    np.testing.assert_allclose(semos._ols(design, series.obs), expected, rtol=0, atol=1e-10)
+
+
+def _recorded_fit(kind, series, monkeypatch):
+    """The fitted model and the arguments and result of its ``minimize`` call."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, minimize(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(semos, "minimize", recording)
+    model = models.fit(kind, series)
+    [call] = calls
+    return model, call
+
+
+_TWO_BASINS = pytest.mark.xfail(strict=True, reason=(
+    "SAR-SEMOS on the DAR world has two local minima, with a barrier 2e-3 high "
+    "between them; the curvature start ends in the one 5.0e-5 higher"))
+
+
+@pytest.mark.parametrize("kind, world", [
+    (kind, world) if (kind, world) != ("SAR-SEMOS", "dar_world")
+    else pytest.param(kind, world, marks=_TWO_BASINS)
+    for world in ("sar_world", "dar_world") for kind in models.SEASONAL_KINDS])
+def test_curvature_start_ends_no_higher_than_an_identity_start(kind, world, request,
+                                                                 monkeypatch):
+    _, series, _ = request.getfixturevalue(world)
+    model, ((fun, theta0, settings), kwargs, result) = _recorded_fit(kind, series, monkeypatch)
+    assert kwargs["inverse_hessian"].shape == (theta0.size, theta0.size)
+    identity = minimize(fun, theta0, settings)
+    assert model.meta["converged"]
+    tolerance = 1e-3 if kind == "DAR-GARCH-SEMOS" else 1e-9
+    assert result.value <= identity.value + tolerance
+
+
+@pytest.mark.parametrize("world", ["sar_world", "dar_world"])
+def test_semos_fit_converges_in_few_iterations(world, request):
+    _, series, _ = request.getfixturevalue(world)
+    model = models.fit("SEMOS", series)
+    assert model.meta["converged"] and model.meta["iterations"] <= 20
+
+
+def test_dar_garch_semos_scale_intercept_and_omega0_lie_on_a_ridge(dar_world):
+    # sigma_S * c and omega0 / c^2 give the same sigma_S * sigma_G: the
+    # objective and the predictions do not move along the ridge
+    _, series, _ = dar_world
+    train = series.window(end=series.dates[899])
+    model = models.fit("DAR-GARCH-SEMOS", train)
+    c = 2.0
+    scale = model.scale.copy()
+    scale[0] += np.log(c)
+    g = model.garch
+    moved = FittedModel(kind=model.kind, loc=model.loc, scale=scale, ar=model.ar,
+                        garch=GARCHCoeffs(g.omega0 / c**2, g.omega1, g.omega2),
+                        meta=model.meta)
+    t = time_index(train.dates, train.dates[0])
+    fun = _objective("DAR-GARCH-SEMOS", model.ar.p, seasonal_design(t, train.ens_mean),
+                     seasonal_design(t, train.ens_sd), train.obs)
+    value = fun(semos._pack(model.loc, model.scale, model.ar, model.garch))[0]
+    value_moved = fun(semos._pack(moved.loc, moved.scale, moved.ar, moved.garch))[0]
+    assert value_moved == pytest.approx(value, rel=1e-13)
+    dates = series.dates[900:1000]
+    mu, sigma = semos.seasonal_predict(model, series, dates)
+    mu_moved, sigma_moved = semos.seasonal_predict(moved, series, dates)
+    np.testing.assert_array_equal(mu_moved, mu)
+    np.testing.assert_allclose(sigma_moved, sigma, rtol=1e-13)
+
+
 def test_fit_garch_runs_one_path_per_evaluation(rng, monkeypatch):
     results = []
 
@@ -1040,6 +1121,39 @@ def test_training_residuals_need_a_seasonal_model(dar_world):
 # ---------------------------------------------------------------------------
 # day-of-year climatology helper
 # ---------------------------------------------------------------------------
+
+
+def _empirical_sd_loop(dates, obs, half_width):
+    """Reference: one window mask and one np.std per day of year."""
+    doy = day_of_year(dates)
+    out = np.empty(obs.size)
+    for d in np.unique(doy):
+        dist = np.abs(doy - d)
+        out[doy == d] = np.std(obs[np.minimum(dist, 365 - dist) <= half_width], ddof=1)
+    return out
+
+
+@pytest.mark.parametrize("start, n, half_width", [
+    ("2015-01-01", 1826, 15), ("2016-02-20", 400, 15), ("2015-12-25", 30, 3),
+    ("2015-01-01", 2192, 0), ("2015-03-01", 1000, 40)])
+def test_empirical_sd_matches_the_per_day_loop(start, n, half_width, rng):
+    # windows across the year end and the leap day, and a mean far above the
+    # spread, where a one-pass variance would cancel
+    dates = np.datetime64(start) + np.arange(n)
+    obs = 20.0 + 5.0 * np.sin(np.arange(n) / 58.0) + 3.0 * rng.standard_normal(n)
+    np.testing.assert_allclose(empirical_sd_by_day_of_year(dates, obs, half_width),
+                               _empirical_sd_loop(dates, obs, half_width), rtol=1e-13)
+
+
+@pytest.mark.parametrize("dates, obs, message", [
+    (np.datetime64("2015-06-01") + np.arange(1), np.ones(1),
+     "day-of-year window around 152 has < 2 observations"),
+    (np.datetime64("2015-06-01") + np.arange(40), np.ones(40),
+     "constant observations inside a day-of-year window"),
+])
+def test_empirical_sd_degenerate_windows(dates, obs, message):
+    with pytest.raises(DegenerateSeries, match=f"^{message}$"):
+        empirical_sd_by_day_of_year(dates, obs, 15)
 
 
 def test_empirical_sd_pools_across_years(rng):

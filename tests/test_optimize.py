@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 from scipy.special import ndtr
 
+from enspost import optimize
 from enspost.errors import InvalidStart, NumericalFailure
 from enspost.optimize import (
     OptimizeSettings,
@@ -156,6 +157,36 @@ def test_minimize_evaluates_once_per_point():
     result = minimize(fun, np.zeros(3))
     assert result.n_evals == len(points) > 2
     assert len({p.tobytes() for p in points}) == len(points)
+
+
+def test_minimize_from_the_exact_inverse_hessian_takes_one_full_step(rng):
+    a = rng.normal(size=(5, 5))
+    h = a @ a.T + 5 * np.eye(5)
+    b = rng.normal(size=5)
+    result = minimize(lambda x: (float(0.5 * x @ h @ x + b @ x), h @ x + b), np.zeros(5),
+                      inverse_hessian=np.linalg.inv(h))
+    assert result.converged
+    assert result.iterations == 2  # one full step, then the gradient test
+    assert result.n_evals == 2  # the start and the accepted full step
+    assert np.allclose(result.x, np.linalg.solve(h, -b), atol=1e-10)
+
+
+def test_minimize_restarts_a_broken_direction_from_the_starting_matrix(monkeypatch):
+    # an update that breaks the curvature model: every direction after the
+    # first step points uphill, so each restarts from the starting matrix
+    monkeypatch.setattr(optimize, "_bfgs_update", lambda h_inv, *args, **kwargs: -np.eye(2))
+    h = np.diag([2e4, 2.0])
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        return float(0.5 * x @ h @ x), h @ x
+
+    result = minimize(fun, np.ones(2), inverse_hessian=np.diag([1 / 2e4, 0.25]))
+    # the start, its full step to (0, 0.5), then the step -start @ g = (0, -0.25)
+    np.testing.assert_array_equal(points[1], [0.0, 0.5])
+    np.testing.assert_array_equal(points[2], [0.0, 0.25])
+    assert result.converged and result.value < 1e-11
 
 
 def _newton(objective, init, settings=None, grad=None, hess=None):
