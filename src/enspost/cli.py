@@ -202,29 +202,23 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def synthetic_config(cfg: RunConfig, station_index: int, lead_index: int) -> SyntheticConfig:
-    """Per-(station, lead) generation config; sub-seed derived from the run seed."""
-    lead = cfg.leads[lead_index]
-    common = dict(
+    """Per-(station, lead) generation config; sub-seed derived from the run seed.
+    An AR(1) on standardized errors (sar) or mean errors (dar; dar-garch adds GARCH)."""
+    return SyntheticConfig(
         n_days=cfg.n_days,
         m=cfg.m_members,
         seed=cfg.seed + 1000 * station_index + lead_index,
         station_id=f"S{station_index + 1:02d}",
-        lead_time_h=lead,
+        lead_time_h=cfg.leads[lead_index],
         start_date=cfg.start_date,
         ens_bias=cfg.ens_bias,
         ens_dispersion=cfg.ens_dispersion,
         loc=SeasonalCoeffs(0.0, 1.0, (2.0, 1.0, 0.3, 0.2)),
         scale=SeasonalCoeffs(-0.1, 0.25, (0.15, 0.1, 0.0, 0.0)),
+        ar=ARCoeffs(1, 0.0, (0.6,)),
+        garch=GARCHCoeffs(0.1, 0.55, 0.35) if cfg.dgp == "dar-garch" else None,
+        standardized_ar=cfg.dgp == "sar",
     )
-    if cfg.dgp == "sar":
-        return SyntheticConfig(standardized_ar=True,
-                               ar=ARCoeffs(1, 0.0, (0.6,)), **common)
-    if cfg.dgp == "dar":
-        return SyntheticConfig(standardized_ar=False,
-                               ar=ARCoeffs(1, 0.0, (0.6,)), **common)
-    return SyntheticConfig(standardized_ar=False,
-                           ar=ARCoeffs(1, 0.0, (0.6,)),
-                           garch=GARCHCoeffs(0.1, 0.55, 0.35), **common)
 
 
 def _station_path(out: Path, station_id: str, lead: int) -> Path:
@@ -291,6 +285,21 @@ def _fit_path(out: Path, kind: str, station: str, lead: int) -> Path:
     return out / f"fit_{kind}_{station}_{lead}h.json"
 
 
+def _load_fit(models_dir: Path, kind: str, station: str, lead: int) -> FittedModel | None:
+    """The fit file of (kind, station, lead), None when absent; a DataError
+    naming it when its kind, or its recorded station or lead, differs."""
+    path = _fit_path(models_dir, kind, station, lead)
+    if not path.exists():
+        return None
+    fitted = FittedModel.load(path)
+    found = (fitted.kind, fitted.meta.get("station_id", station),
+             fitted.meta.get("lead_time_h", lead))
+    if found != (kind, station, lead):
+        raise DataError(f"fitted model {path} holds {found[0]} for ({found[1]}, {found[2]}h), "
+                        f"not {kind} for ({station}, {lead}h)")
+    return fitted
+
+
 def cmd_fit(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     settings = cfg.settings()
@@ -343,10 +352,10 @@ def cmd_predict(cfg: RunConfig) -> int:
         series = _load_case(path, station, lead)
         dates = _validation_dates(cfg, series)
         for kind in cfg.models:
-            fit_file = _fit_path(models_dir, kind, station, lead)
-            if not fit_file.exists():
-                raise DataError(f"missing fitted model {fit_file}")
-            fitted = FittedModel.load(fit_file)
+            fitted = _load_fit(models_dir, kind, station, lead)
+            if fitted is None:
+                raise DataError("missing fitted model "
+                                f"{_fit_path(models_dir, kind, station, lead)}")
             mu, sigma = model_api.predict(fitted, series, dates)
             for d, m_v, s_v in zip(dates, mu, sigma):
                 rows.append((kind, station, lead, str(d), m_v, s_v))
@@ -374,10 +383,11 @@ def _convert_prediction_rows(path, reader) -> dict:
         if not row:
             continue
         try:
-            key = (row[0], row[1], int(row[2]))
-            date = parse_iso_dates([row[3]])[0]
-            entry = (float(row[4]), float(row[5]))
-        except (ValueError, IndexError):
+            model, station, lead, day, mu, sigma = row  # ValueError unless six fields
+            key = (model, station, int(lead))
+            date = parse_iso_dates([day])[0]
+            entry = (float(mu), float(sigma))
+        except ValueError:
             raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
         by_date = grouped.setdefault(key, {})
         if date in by_date:
@@ -399,8 +409,8 @@ def _convert_prediction_columns(path, reader) -> dict:
     ``_convert_prediction_rows``, whose message does.
     """
     rows = [row for row in reader if row]
-    if any(len(row) < 6 for row in rows):
-        raise ValueError("missing fields")
+    if any(len(row) != len(_PREDICTIONS_HEADER) for row in rows):
+        raise ValueError("not six fields")
     leads = {text: int(text) for text in {row[2] for row in rows}}
     groups = {}  # (model, station, lead) -> group number, in order of first appearance
     group = np.array([groups.setdefault((row[0], row[1], leads[row[2]]), len(groups))
@@ -513,10 +523,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                 continue
             per_station = []
             for station, lead in cells:
-                fit_file = _fit_path(Path(cfg.models_dir), kind, station, lead)
-                if not fit_file.exists():
+                fitted = _load_fit(Path(cfg.models_dir), kind, station, lead)
+                if fitted is None:
                     continue
-                fitted = FittedModel.load(fit_file)
                 series = series_cache[(station, lead)]
                 train = series.window(cfg.train_start, cfg.train_end)
                 per_station.append(training_residuals(fitted, train))

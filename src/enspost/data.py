@@ -426,11 +426,12 @@ class SyntheticConfig:
     corrected realized ensemble statistics xbar - ens_bias and
     s / ens_dispersion:
 
-    * ``standardized_ar=False``: deseasonalized errors r(t) follow an AR(p)
-      around eta with innovations sigma_S(t) * sigma_G(t) * z(t), where the
-      GARCH factor is optional (``garch=None`` fixes sigma_G = 1).
-    * ``standardized_ar=True``: standardized errors z(t) follow an AR(p)
-      with unit-variance innovations and y = mu_S + sigma_S * z.
+    the errors x(t) = (y(t) - mu_S(t)) / d(t) follow an AR(p) around eta with
+    innovations (sigma_S / d) * sigma_G * z, z standard normal; y = mu_S + d x.
+
+    * ``standardized_ar=False``: d = 1 (mean errors); ``garch=None`` fixes
+      the GARCH factor sigma_G = 1.
+    * ``standardized_ar=True``: d = sigma_S (standardized errors), sigma_G = 1.
 
     With ``ens_bias=0`` and ``ens_dispersion=1`` the configured
     coefficients are therefore the exact regression truth for the
@@ -535,39 +536,30 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     s_eff = members.std(axis=1, ddof=1) / cfg.ens_dispersion
     mu_s = seasonal_design(t, xbar_eff) @ cfg.loc.as_vector()
     sigma_s = np.exp(seasonal_design(t, s_eff) @ cfg.scale.as_vector())
-    tau = np.asarray(cfg.ar.tau, dtype=float)
-    eta = cfg.ar.eta
     z = rng.standard_normal(n + _BURN)
 
+    # one AR on x = (y - mu_S) / d with innovations innov_scale * sigma_G * z
     if cfg.standardized_ar:
-        z_path = eta + linear_recursion(tau, z)
-        z_pred = ar_teacher_forced(cfg.ar, z_path, _BURN)
-        z_path = z_path[_BURN:]
-        y = mu_s + sigma_s * z_path
-        truth = SyntheticTruth(mu=mu_s + sigma_s * z_pred, sigma=sigma_s.copy(),
-                               mu_seasonal=mu_s, sigma_seasonal=sigma_s)
+        d, innov_scale = sigma_s, np.ones(n)
     else:
-        if cfg.garch is not None:
-            g = cfg.garch
-            # sigma_G^2(i) = omega0 + (omega1 + omega2 z(i-1)^2) sigma_G^2(i-1);
-            # step 0 has no predecessor, so its coefficient is not read
-            drive = np.full(n + _BURN, g.omega0)
-            drive[0] = g.omega0 / (1.0 - g.omega1 - g.omega2) if g.omega0 > 0 else 1.0
-            z_prev = np.concatenate(([0.0], z[:-1]))
-            sig_g2 = linear_recursion([g.omega1 + g.omega2 * np.square(z_prev)], drive)
-            sig_g = np.sqrt(sig_g2[_BURN:])
-            rho_path = np.sqrt(sig_g2) * z
-        else:
-            sig_g = np.ones(n)
-            rho_path = z
-        # innovation scale during burn-in is frozen at the first day's sigma_S
-        scale_path = np.concatenate([np.full(_BURN, sigma_s[0]), sigma_s])
-        r_path = eta + linear_recursion(tau, scale_path * rho_path)
-        r_pred = ar_teacher_forced(cfg.ar, r_path, _BURN)
-        r = r_path[_BURN:]
-        y = mu_s + r
-        truth = SyntheticTruth(mu=mu_s + r_pred, sigma=sigma_s * sig_g,
-                               mu_seasonal=mu_s, sigma_seasonal=sigma_s)
+        d, innov_scale = np.ones(n), sigma_s
+    sig_g = np.ones(n + _BURN)
+    if cfg.garch is not None:
+        g = cfg.garch
+        # sigma_G^2(i) = omega0 + (omega1 + omega2 z(i-1)^2) sigma_G^2(i-1);
+        # step 0 has no predecessor, so its coefficient is not read
+        drive = np.full(n + _BURN, g.omega0)
+        drive[0] = g.omega0 / (1.0 - g.omega1 - g.omega2) if g.omega0 > 0 else 1.0
+        z_prev = np.concatenate(([0.0], z[:-1]))
+        sig_g = np.sqrt(linear_recursion([g.omega1 + g.omega2 * np.square(z_prev)], drive))
+    # the innovation scale during burn-in is frozen at day 0's
+    scale_path = np.concatenate([np.full(_BURN, innov_scale[0]), innov_scale])
+    x_path = cfg.ar.eta + linear_recursion(np.asarray(cfg.ar.tau, dtype=float),
+                                           scale_path * (sig_g * z))
+    x_pred = ar_teacher_forced(cfg.ar, x_path, _BURN)
+    y = mu_s + d * x_path[_BURN:]
+    truth = SyntheticTruth(mu=mu_s + d * x_pred, sigma=sigma_s * sig_g[_BURN:],
+                           mu_seasonal=mu_s, sigma_seasonal=sigma_s)
 
     if not all(np.isfinite(v).all() for v in (y, truth.mu, truth.sigma)):
         raise InvalidConfig(f"ens_bias {cfg.ens_bias} and ens_dispersion {cfg.ens_dispersion} "

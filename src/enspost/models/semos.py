@@ -1,16 +1,18 @@
 """The static seasonal model family: SEMOS, DAR-SEMOS, DAR-GARCH-SEMOS, SAR-SEMOS.
 
 All four share the seasonal location/log-scale predictors and a joint
-CRPS-minimizing BFGS fit on a static training period.  They differ in the
-residual recursion stacked on top:
+CRPS-minimizing BFGS fit on a static training period.  The three AR kinds
+stack one AR(p) on the errors x(t) = (y(t) - mu_S(t)) / d(t), with
+mu = mu_S + d * x_hat; they differ only in the divisor d and in GARCH
+(``_error_divisor``):
 
-* SEMOS: none.
-* DAR-SEMOS: AR(p) on the deseasonalized errors r(t) = y(t) - mu_S(t).
+* SEMOS: no AR.
+* DAR-SEMOS: d = 1, an AR on the deseasonalized (mean) errors.
 * DAR-GARCH-SEMOS: DAR-SEMOS plus a multiplicative GARCH(1,1) variance
-  factor on the standardized innovations rho(t) = eps(t) / sigma_S(t);
+  factor on the standardized innovations rho(t) = (x(t) - x_hat(t)) / sigma_S(t);
   GARCH coefficients are carried as unconstrained square roots during the
   optimization so they stay non-negative.
-* SAR-SEMOS: AR(p) on the standardized errors z(t) = (y(t) - mu_S(t)) / sigma_S(t).
+* SAR-SEMOS: d = sigma_S, an AR on the standardized errors.
 
 During fitting the AR recursions are teacher forced (observed residual
 histories); the first p training days carry no prediction and are dropped
@@ -145,18 +147,26 @@ def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     return out
 
 
+def _error_divisor(kind: str, sigma_s: np.ndarray) -> np.ndarray:
+    """d of an AR kind, whose AR runs on x = (y - mu_S) / d: sigma_S for
+    SAR-SEMOS (standardized errors), 1 for the DAR kinds (mean errors)."""
+    return sigma_s if kind == "SAR-SEMOS" else np.ones_like(sigma_s)
+
+
+def _garch_start(w: np.ndarray) -> float:
+    """omega0 / (1 - omega1 - omega2), the denominator floored at 1e-3 to keep the
+    objective continuous across the stationarity boundary; 1 unless positive."""
+    init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
+    return init if init > 0 else 1.0
+
+
 def _garch_path(w: np.ndarray, rho_sq: np.ndarray) -> np.ndarray:
     """GARCH variance path sigma_G^2 aligned with rho_sq.
 
     w holds (omega0, omega1, omega2) already squared/non-negative.  Element
-    0 is the unconditional variance (denominator floored at 1e-3 to keep
-    the fitting objective continuous across the stationarity boundary);
-    element i uses rho_sq[i-1].
+    0 is ``_garch_start(w)``; element i uses rho_sq[i-1].
     """
-    init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
-    if not init > 0:
-        init = 1.0
-    return garch_path(w, rho_sq, init)
+    return garch_path(w, rho_sq, _garch_start(w))
 
 
 def _garch_path_adjoint(w, rho_sq, path, d_path) -> tuple[np.ndarray, np.ndarray]:
@@ -221,38 +231,28 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
     if kind == "SEMOS":
         return mu_s, sigma_s, 0, seasonal_pullback
 
-    def padded(d):
+    def padded(adj):
         # an adjoint on days p.. as one on every training day
-        return np.concatenate([np.zeros(p), d])
+        return np.concatenate([np.zeros(p), adj])
 
-    if kind == "SAR-SEMOS":
-        z = (y - mu_s) / sigma_s
-        z_pred = ar_teacher_forced(ar, z, p)
+    d = _error_divisor(kind, sigma_s)
+    x = (y - mu_s) / d
+    x_pred = ar_teacher_forced(ar, x, p)
+    mu = mu_s[p:] + d[p:] * x_pred
 
-        def sar_pullback(d_mu, d_sigma):
-            # mu = mu_s + sigma_s z_pred, z = (y - mu_s) / sigma_s
-            d_z, d_eta, d_tau = ar_teacher_forced_adjoint(ar, z, p, d_mu * sigma_s[p:])
-            return seasonal_pullback(padded(d_mu) - d_z / sigma_s,
-                                     padded(d_mu * z_pred + d_sigma) - d_z * z / sigma_s,
-                                     [d_eta], d_tau)
+    def ar_pullback(d_mu, d_sigma_s, *tail):
+        # mu = mu_s + d x_pred, x = (y - mu_s) / d; d_sigma_s covers days p..
+        d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, p, d_mu * d[p:])
+        d_sigma_s = padded(d_sigma_s)
+        if d is sigma_s:  # SAR-SEMOS: d moves with the scale coefficients too
+            d_sigma_s = d_sigma_s + padded(d_mu * x_pred) - d_x * x / sigma_s
+        return seasonal_pullback(padded(d_mu) - d_x / d, d_sigma_s, [d_eta], d_tau, *tail)
 
-        return mu_s[p:] + sigma_s[p:] * z_pred, sigma_s[p:], p, sar_pullback
+    if kind != "DAR-GARCH-SEMOS":
+        return mu, sigma_s[p:], p, ar_pullback
 
-    r = y - mu_s
-    r_pred = ar_teacher_forced(ar, r, p)
-    mu = mu_s[p:] + r_pred
-
-    def dar_pullback(d_mu, d_sigma_s, *tail):
-        # mu = mu_s + r_pred, r = y - mu_s; d_sigma_s covers days p..
-        d_r, d_eta, d_tau = ar_teacher_forced_adjoint(ar, r, p, d_mu)
-        return seasonal_pullback(padded(d_mu) - d_r, padded(d_sigma_s), [d_eta], d_tau, *tail)
-
-    if kind == "DAR-SEMOS":
-        return mu, sigma_s[p:], p, dar_pullback
-
-    # DAR-GARCH-SEMOS
     w = np.square(root_w)
-    eps = r[p:] - r_pred
+    eps = x[p:] - x_pred
     rho_sq = np.square(eps / sigma_s[p:])
     sig_g2 = _garch_path(w, rho_sq)
     sig_g = np.sqrt(sig_g2)
@@ -263,8 +263,8 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
         d_w, d_rho_sq = _garch_path_adjoint(w, rho_sq, sig_g2,
                                             d_sigma * sigma_s[p:] / (2.0 * sig_g))
         d_eps = 2.0 * d_rho_sq * eps / np.square(sigma_s[p:])
-        return dar_pullback(d_mu - d_eps, d_sigma * sig_g - 2.0 * d_rho_sq * rho_sq / sigma_s[p:],
-                            2.0 * root_w * d_w)
+        return ar_pullback(d_mu - d_eps, d_sigma * sig_g - 2.0 * d_rho_sq * rho_sq / sigma_s[p:],
+                           2.0 * root_w * d_w)
 
     return mu, sigma_s[p:] * sig_g, p, garch_pullback
 
@@ -344,29 +344,24 @@ def seasonal_fit(kind: str, series: StationSeries,
     y = series.obs
 
     loc0 = _ols(x_loc, y)
-    ols_resid = y - x_loc @ loc0
 
-    ar0 = None
-    garch0 = None
-    if kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS"):
-        ar0 = fit_ar_yule_walker(ols_resid)
     if kind in ("SEMOS", "DAR-SEMOS"):
         scale0 = _scale_identity_init()
     else:
-        s_hat = empirical_sd_by_day_of_year(series.dates, y)
-        scale0 = _ols(x_scale, np.log(s_hat))
-    if kind == "DAR-GARCH-SEMOS":
+        scale0 = _ols(x_scale, np.log(empirical_sd_by_day_of_year(series.dates, y)))
+    ar0 = garch0 = None
+    if kind != "SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
-        eps0 = ols_resid[ar0.p:] - ar_teacher_forced(ar0, ols_resid, ar0.p)
+        x0 = (y - x_loc @ loc0) / _error_divisor(kind, sigma_s0)
+        ar0 = fit_ar_yule_walker(x0)
+    if kind == "DAR-GARCH-SEMOS":
+        eps0 = x0[ar0.p:] - ar_teacher_forced(ar0, x0, ar0.p)
         rho0 = eps0 / sigma_s0[ar0.p:]
         try:
             garch0 = fit_garch(rho0)
         except (DegenerateSeries, NumericalFailure) as exc:
             garch0 = GARCHCoeffs(float(np.var(rho0)), 0.0, 0.0)
             logger.warning("GARCH initialization failed (%s); falling back to %s", exc, garch0)
-    if kind == "SAR-SEMOS":
-        sigma_s0 = np.exp(x_scale @ scale0)
-        ar0 = fit_ar_yule_walker((y - x_loc @ loc0) / sigma_s0)
 
     p = 0 if ar0 is None else ar0.p
     theta0 = _pack(loc0, scale0, ar0, garch0)
@@ -410,7 +405,7 @@ def _ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, steps: np.ndarray) ->
     return paths[steps - 1, np.arange(h.size)]
 
 
-def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, r: np.ndarray, sigma_s: np.ndarray,
+def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, x: np.ndarray, sigma_s: np.ndarray,
                         h: np.ndarray, i: np.ndarray) -> np.ndarray:
     """sigma_G of each prediction index i, whose observable history ends
     before h (exclusive).
@@ -424,11 +419,11 @@ def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, r: np.ndarray, sigma_s: np
     """
     w = np.array([g.omega0, g.omega1, g.omega2])
     p = ar.p
-    var = np.full(h.size, _garch_path(w, np.zeros(1))[0])
+    var = np.full(h.size, _garch_start(w))
     steps_left = np.maximum(i - p, 0)
     n = int(h.max(initial=0))
     if n > p:
-        rho_sq = np.square((r[p:n] - ar_teacher_forced(ar, r[:n], p)) / sigma_s[p:n])
+        rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / sigma_s[p:n])
         path = _garch_path(w, rho_sq)
         seen = h > p
         last = h[seen] - 1 - p  # path index of each date's last observable day
@@ -453,12 +448,9 @@ def seasonal_predict(model: FittedModel, series: StationSeries, dates):
         warnings.warn("multi-step prediction with nonstationary AR coefficients",
                       stacklevel=2)
     h = ctx.history_end(i)
-    if model.kind == "SAR-SEMOS":
-        z_hat = _ar_bridge(model.ar, (series.obs - mu_s) / sigma_s, h, i - h + 1)
-        return mu_s[i] + sigma_s[i] * z_hat, sigma_s[i]
-
-    r = series.obs - mu_s
-    mu = mu_s[i] + _ar_bridge(model.ar, r, h, i - h + 1)
-    if model.kind == "DAR-SEMOS":
+    d = _error_divisor(model.kind, sigma_s)
+    x = (series.obs - mu_s) / d
+    mu = mu_s[i] + d[i] * _ar_bridge(model.ar, x, h, i - h + 1)
+    if model.kind != "DAR-GARCH-SEMOS":
         return mu, sigma_s[i]
-    return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, r, sigma_s, h, i)
+    return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, x, sigma_s, h, i)

@@ -16,6 +16,7 @@ from enspost.cli import main, parse_config_file
 from enspost.errors import ConfigError, DataError, InvalidConfig
 from enspost.data import (SyntheticConfig, generate_synthetic, load_station_csv,
                           write_station_csv)
+from enspost.timeseries import ARCoeffs, GARCHCoeffs
 
 
 def run(*args):
@@ -84,6 +85,22 @@ def test_simulate_dar_garch_deterministic(tmp_path):
     assert sum(n.startswith("truth_") for n in names) == 4
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("dgp, standardized, garch", [
+    ("sar", True, None),
+    ("dar", False, None),
+    ("dar-garch", False, GARCHCoeffs(0.1, 0.55, 0.35)),
+])
+def test_each_world_is_its_documented_process(dgp, standardized, garch):
+    cfg = cli.RunConfig(dgp=dgp, leads=[24, 72], n_stations=2)
+    for station_index in range(2):
+        for lead_index in range(2):
+            syn = cli.synthetic_config(cfg, station_index, lead_index)
+            assert syn.standardized_ar is standardized
+            assert syn.ar == ARCoeffs(1, 0.0, (0.6,))
+            assert syn.garch == garch
+            syn.validate()
 
 
 def test_fit_outputs_and_determinism(pipeline, tmp_path):
@@ -260,6 +277,19 @@ def test_unparsable_prediction_row_is_data_error(pipeline, tmp_path, capsys, col
     assert not ver.exists()
 
 
+def test_prediction_row_with_an_extra_field_is_data_error(pipeline, tmp_path, capsys):
+    rows = _prediction_rows(pipeline)
+    rows[1].append("junk")
+    preds = _write_predictions(tmp_path, rows)
+    ver = tmp_path / "ver"
+    assert run("verify", "--data", pipeline / "data", "--predictions", preds,
+               "--out", ver, "--lead", "24") == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") == 1
+    assert err.startswith(f"error[data]: {preds}:2: cannot parse prediction row ")
+    assert not ver.exists()
+
+
 def test_repeated_prediction_row_is_data_error(pipeline, tmp_path, capsys):
     rows = _prediction_rows(pipeline)
     preds = _write_predictions(tmp_path, rows + [rows[1]])
@@ -280,14 +310,17 @@ _PREDICTION_CELLS = ["", "x", "24", "+24", " 48", "24.0", "2017-07-02", "2017-7-
 @given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5),
                                 st.sampled_from(_PREDICTION_CELLS)), max_size=3),
        short=st.sets(st.integers(0, 7), max_size=1),
+       long=st.sets(st.integers(0, 7), max_size=1),
        order=st.permutations(range(8)))
-def test_bulk_and_row_prediction_readers_agree(tmp_path_factory, edits, short, order):
+def test_bulk_and_row_prediction_readers_agree(tmp_path_factory, edits, short, long, order):
     rows = [[model, "S1", lead, f"2017-07-0{day}", f"{day}.5", "0.75"]
             for model in ("A", "B") for lead in ("24", "48") for day in (1, 2)]
     for row, col, text in edits:
         rows[row][col] = text
     for row in short:  # a row without its sigma field
         del rows[row][-1]
+    for row in long:  # a row with a field after its sigma
+        rows[row].append("junk")
     path = tmp_path_factory.mktemp("preds") / "predictions.csv"
     path.write_text("model,station_id,lead_time_h,date,mu,sigma\n"
                     + "".join(",".join(rows[i]) + "\n" for i in order))
@@ -392,6 +425,44 @@ def test_malformed_fit_file_is_data_error(pipeline, tmp_path, capsys, command, d
     assert "Traceback" not in err
     assert err.count("error[") == 1
     assert err.startswith("error[data]:") and str(damaged) in err
+
+
+def _for_station_s02(doc):
+    doc["meta"]["station_id"] = "S02"
+    return doc
+
+
+def _for_lead_72h(doc):
+    doc["meta"]["lead_time_h"] = 72
+    return doc
+
+
+@pytest.mark.parametrize("source, relabel", [
+    ("fit_SAR-SEMOS_S01_24h.json", lambda doc: doc),
+    ("fit_SEMOS_S01_24h.json", _for_station_s02),
+    ("fit_SEMOS_S01_24h.json", _for_lead_72h),
+], ids=["kind", "station", "lead"])
+@pytest.mark.parametrize("command", ["predict", "verify"])
+def test_fit_file_of_another_kind_station_or_lead_is_data_error(pipeline, tmp_path, capsys,
+                                                                 command, source, relabel):
+    fits = _copy_dir(pipeline / "fits", tmp_path / "fits")
+    doc = json.loads((pipeline / "fits" / source).read_text())
+    damaged = fits / "fit_SEMOS_S01_24h.json"
+    damaged.write_text(json.dumps(relabel(doc)))
+    out = tmp_path / "out"
+    if command == "predict":
+        args = ("predict", "--data", pipeline / "data", "--models-dir", fits,
+                "--out", out, "--models", "emos,semos", "--lead", "24",
+                "--valid-start", "2017-07-01", "--valid-end", "2017-09-26")
+    else:
+        args = ("verify", "--data", pipeline / "data", "--models-dir", fits,
+                "--predictions", pipeline / "preds" / "predictions.csv", "--out", out,
+                "--lead", "24", "--train-start", "2015-01-01", "--train-end", "2017-06-30")
+    assert run(*args) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error[") == 1
+    assert err.startswith(f"error[data]: fitted model {damaged} holds ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, block", [

@@ -27,7 +27,7 @@ from enspost.errors import (
     ParseError,
 )
 from enspost.seasonal import SeasonalCoeffs
-from enspost.timeseries import ARCoeffs, GARCHCoeffs, garch_path
+from enspost.timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, garch_path
 
 from conftest import make_series
 
@@ -547,6 +547,23 @@ def test_synthetic_garch_truth_follows_garch_path(seed):
     rho = (r - (truth.mu - truth.mu_seasonal)) / truth.sigma_seasonal
     expected = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho), sig_g2[0])
     np.testing.assert_allclose(sig_g2, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("world", [
+    dict(standardized_ar=True),
+    dict(standardized_ar=False),
+    dict(standardized_ar=False, garch=GARCHCoeffs(0.1, 0.55, 0.35)),
+], ids=["sar", "dar", "dar-garch"])
+def test_synthetic_truth_mean_is_the_ar_on_errors_over_d(world):
+    # one rule: x = (y - mu_S) / d with d = sigma_S for standardized errors
+    # and 1 for mean errors; the truth mean is mu_S + d times x's one-step AR
+    ar = ARCoeffs(2, 0.4, (0.5, -0.2))
+    series, truth = generate_synthetic(SyntheticConfig(n_days=600, m=5, seed=21, ar=ar,
+                                                       **world))
+    d = truth.sigma_seasonal if world["standardized_ar"] else np.ones(series.n_days)
+    x_hat = ar_teacher_forced(ar, (series.obs - truth.mu_seasonal) / d, ar.p)
+    np.testing.assert_allclose(truth.mu[ar.p:], truth.mu_seasonal[ar.p:] + d[ar.p:] * x_hat,
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=10, deadline=None)

@@ -678,6 +678,33 @@ def test_constant_garch_factor_scales_sigma(semos_clones):
     assert np.allclose(s_garch, np.sqrt(omega0) * s_dar, atol=1e-12)
 
 
+@pytest.mark.parametrize("lead", [24, 72, 120])
+def test_reduction_sar_with_constant_scale_is_dar_with_eta_scaled(semos_clones, lead):
+    # sigma_S = c: an AR(p) on (y - mu_S) / c around eta is one on y - mu_S
+    # around eta c, one step ahead and bridged alike
+    series, base, _ = semos_clones
+    series = StationSeries.build(series.station_id, lead, series.dates, series.obs,
+                                 series.members)
+    c = 1.7
+    scale = np.zeros(base.scale.size)
+    scale[0] = np.log(c)
+
+    def fixed(kind, eta):
+        return FittedModel(kind=kind, loc=base.loc.copy(), scale=scale.copy(),
+                           ar=ARCoeffs(3, eta, (0.5, -0.2, 0.1)),
+                           meta={**base.meta, "lead_time_h": lead})
+
+    sar, dar = fixed("SAR-SEMOS", -0.4), fixed("DAR-SEMOS", -0.4 * c)
+    dates = np.concatenate([series.dates[:12], series.dates[730:790]])
+    mu_sar, sigma_sar = models.predict(sar, series, dates)
+    mu_dar, sigma_dar = models.predict(dar, series, dates)
+    np.testing.assert_allclose(mu_sar, mu_dar, rtol=0, atol=1e-12)
+    assert np.array_equal(sigma_sar, sigma_dar)
+    train = series.window(end=series.dates[729])
+    np.testing.assert_allclose(training_residuals(sar, train), training_residuals(dar, train),
+                               rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # no look-ahead
 # ---------------------------------------------------------------------------
