@@ -9,12 +9,17 @@ The convex weight between them is picked by CRPS minimization over the
 following 30-day window.  Everything re-estimates per prediction date.
 Both window lengths are fixed, as in Moeller & Gross (2016).
 
-Prediction works through the dates in blocks of ``_BLOCK_DATES``.  A block
-is one (120, dates x members) matrix of error columns: one call of each AR
-kernel of ``timeseries`` fits, scores and runs every (date, member) column
-at once.  Then one vectorised Newton solve picks every date's weight.  The
-training fit is the one-date case.  Yule-Walker fits are stationary by
-construction, so the multi-step bridge needs no stationarity check.
+Prediction works through the dates in blocks of ``_BLOCK_DATES``.  The 90-day
+AR windows of consecutive dates share 89 days, so a block's member fits and
+innovation variances come from window sums (``timeseries.windowed_ar_fits``):
+running sums of each member's errors and of their lag products give every
+(date, member) window's autocovariances in O(lags) and its innovation variance
+in O(p^2), and one Levinson-Durbin and AIC pass fits them all.  The
+teacher-forced weight window and the multi-step bridge run every (date,
+member) column of the block at once, and one vectorised Newton solve picks
+every date's weight.  The training fit is the one-date case.  Yule-Walker
+fits are stationary by construction, so the multi-step bridge needs no
+stationarity check.
 """
 
 from __future__ import annotations
@@ -25,18 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data import StationSeries
-# ``golden_section`` and ``crps_normal_series`` stay importable here:
-# perfbench's tracer wraps these names
+# ``golden_section``, ``crps_normal_series``, ``fit_ar_yule_walker`` and
+# ``ar_innovation_variance`` stay importable here: perfbench's tracer wraps
+# these names
 from ..optimize import golden_section  # noqa: F401
 from ..scoring import crps_normal_gradient, crps_normal_hessian
 from ..scoring import crps_normal_series  # noqa: F401
-from ..timeseries import (
-    ARFits,
-    ar_innovation_variance,
-    ar_multistep,
-    ar_teacher_forced,
-    fit_ar_yule_walker,
-)
+from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, windowed_ar_fits
+from ..timeseries import ar_innovation_variance, fit_ar_yule_walker  # noqa: F401
 from .base import FittedModel, PredictionContext
 
 logger = logging.getLogger(__name__)
@@ -45,10 +46,11 @@ MAX_MEMBER_AR_ORDER = 5
 AR_WINDOW = 90
 WEIGHT_WINDOW = 30
 _SPAN = AR_WINDOW + WEIGHT_WINDOW
+_TAIL = MAX_MEMBER_AR_ORDER + WEIGHT_WINDOW  # error rows the weight window reads
 _SIGMA_FLOOR = 1e-8
-# dates per batched block: at 50 members a block's arrays are 0.4 MB each;
-# larger blocks were no faster and raise the peak memory
-_BLOCK_DATES = 8
+# dates per batched block: at 50 members a block's largest arrays are
+# 0.2 MB each; 32 dates were no faster and raised the peak memory by ~2 MB
+_BLOCK_DATES = 16
 _WEIGHT_TOLERANCE = 1e-10
 _WEIGHT_MAX_ITERATIONS = 60
 
@@ -58,19 +60,23 @@ class _Estimate(NamedTuple):
     Column b * m + j of ``fits`` and ``errors`` belongs to date b, member j."""
 
     fits: ARFits
-    errors: np.ndarray  # (120, dates * m) error columns, oldest row first
+    errors: np.ndarray  # (35, dates * m) errors of the weight window and the 5 days
+                        # before it, oldest row first
     sigma1: np.ndarray  # (dates,)
     window: np.ndarray  # (3, dates, 30): adjusted mean and spread, observations
 
 
-def _fit_members(errors: np.ndarray, m: int) -> ARFits:
-    """AR fits of the (n, dates * m) error columns; a constant column gets
-    the mean-only adjustment."""
-    fits = fit_ar_yule_walker(errors, MAX_MEMBER_AR_ORDER, mean_fallback=True)
+def _fit_members(x: np.ndarray, starts: np.ndarray, m: int,
+                 first_row: int) -> tuple[ARFits, np.ndarray]:
+    """AR fits and innovation variances of the member error columns of
+    ``x``, whose row 0 is day ``first_row``, on the AR windows starting
+    on the days ``starts``; a constant window gets the mean-only
+    adjustment."""
+    fits, variance = windowed_ar_fits(x, starts, AR_WINDOW, MAX_MEMBER_AR_ORDER, first_row)
     for column in np.flatnonzero(fits.degenerate):
         logger.warning("member %d error series degenerate; using mean-only adjustment",
                        column % m + 1)
-    return fits
+    return fits, variance
 
 
 def _crps_weights(sigma1, mu, sigma2, y):
@@ -123,18 +129,18 @@ def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
     AR window [h-120, h-30), and the teacher-forced adjusted ensemble on the
     weight window [h-30, h); the caller has checked those observations."""
     m = series.n_members
-    days = ends - _SPAN + np.arange(_SPAN)[:, None]     # (120, dates)
-    obs = series.obs[days]
-    members = series.members[days]                      # (120, dates, m)
-    errors = (obs[..., None] - members).reshape(_SPAN, -1)
-    fits = _fit_members(errors[:AR_WINDOW], m)
-    variance = ar_innovation_variance(errors[:AR_WINDOW], fits).reshape(-1, m)
-    sigma1 = np.sqrt(variance.mean(axis=1))
+    first = int(ends.min()) - _SPAN
+    x = series.obs[first:ends.max(), None] - series.members[first:ends.max()]
+    fits, variance = _fit_members(x, ends - _SPAN, m, first)
+    sigma1 = np.sqrt(variance.reshape(-1, m).mean(axis=1))
 
-    adjusted = members[AR_WINDOW:] + ar_teacher_forced(fits, errors, AR_WINDOW).reshape(
-        WEIGHT_WINDOW, -1, m)                           # (30, dates, m)
+    rows = ends - first - _TAIL + np.arange(_TAIL)[:, None]  # (35, dates) rows of x
+    errors = x[rows].reshape(_TAIL, -1)
+    days = first + rows[MAX_MEMBER_AR_ORDER:]           # the weight window
+    adjusted = series.members[days] + ar_teacher_forced(
+        fits, errors, MAX_MEMBER_AR_ORDER).reshape(WEIGHT_WINDOW, -1, m)  # (30, dates, m)
     window = np.stack([adjusted.mean(axis=2), adjusted.std(axis=2, ddof=1),
-                       obs[AR_WINDOW:]]).transpose(0, 2, 1)
+                       series.obs[days]]).transpose(0, 2, 1)
     return _Estimate(fits, errors, sigma1, window)
 
 
@@ -172,15 +178,17 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
     """Rolling AR-EMOS prediction on AR_WINDOW and WEIGHT_WINDOW, whatever
     window lengths the fit file records, batched over blocks of dates.
 
-    Every date is estimated on its own windows, so its (mu, sigma) do not
-    depend on which other dates are requested.
+    Every date is estimated on its own windows, and the window sums of its
+    AR fits start from a row of its own AR window, so its (mu, sigma) are
+    the same to the bit whichever other dates are requested.
     """
     ctx = PredictionContext.build(model, series, dates)
     ends = ctx.window_ends(_SPAN)
+    order = np.argsort(ends, kind="stable")  # a block's windows overlap when its dates are near
     mu, sigma1, sigma2 = np.empty((3, ends.size))
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
     for start in range(0, ends.size, _BLOCK_DATES):
-        block = slice(start, start + _BLOCK_DATES)
+        block = order[start:start + _BLOCK_DATES]
         est = _estimate(series, ends[block])
         # h >= 120 > k, so every date is k + 1 steps past its history end
         adjusted = _adjusted_ensemble(series, est.fits, est.errors, ctx.indices[block],

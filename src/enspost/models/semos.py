@@ -147,10 +147,16 @@ def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     return out
 
 
-def _error_divisor(kind: str, sigma_s: np.ndarray) -> np.ndarray:
+def _error_divisor(kind: str, sigma_s: np.ndarray) -> np.ndarray | None:
     """d of an AR kind, whose AR runs on x = (y - mu_S) / d: sigma_S for
-    SAR-SEMOS (standardized errors), 1 for the DAR kinds (mean errors)."""
-    return sigma_s if kind == "SAR-SEMOS" else np.ones_like(sigma_s)
+    SAR-SEMOS (standardized errors); None for the DAR kinds, whose d = 1
+    (mean errors) takes no pass over the arrays."""
+    return sigma_s if kind == "SAR-SEMOS" else None
+
+
+def _errors(residual: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """x = residual / d."""
+    return residual if d is None else residual / d
 
 
 def _garch_start(w: np.ndarray) -> float:
@@ -236,17 +242,19 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
         return np.concatenate([np.zeros(p), adj])
 
     d = _error_divisor(kind, sigma_s)
-    x = (y - mu_s) / d
+    x = _errors(y - mu_s, d)
     x_pred = ar_teacher_forced(ar, x, p)
-    mu = mu_s[p:] + d[p:] * x_pred
+    mu = mu_s[p:] + (x_pred if d is None else d[p:] * x_pred)
 
     def ar_pullback(d_mu, d_sigma_s, *tail):
         # mu = mu_s + d x_pred, x = (y - mu_s) / d; d_sigma_s covers days p..
-        d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, p, d_mu * d[p:])
+        d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, p,
+                                                      d_mu if d is None else d_mu * d[p:])
         d_sigma_s = padded(d_sigma_s)
-        if d is sigma_s:  # SAR-SEMOS: d moves with the scale coefficients too
+        if d is not None:  # SAR-SEMOS: d moves with the scale coefficients too
             d_sigma_s = d_sigma_s + padded(d_mu * x_pred) - d_x * x / sigma_s
-        return seasonal_pullback(padded(d_mu) - d_x / d, d_sigma_s, [d_eta], d_tau, *tail)
+        return seasonal_pullback(padded(d_mu) - _errors(d_x, d), d_sigma_s, [d_eta], d_tau,
+                                 *tail)
 
     if kind != "DAR-GARCH-SEMOS":
         return mu, sigma_s[p:], p, ar_pullback
@@ -352,7 +360,7 @@ def seasonal_fit(kind: str, series: StationSeries,
     ar0 = garch0 = None
     if kind != "SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
-        x0 = (y - x_loc @ loc0) / _error_divisor(kind, sigma_s0)
+        x0 = _errors(y - x_loc @ loc0, _error_divisor(kind, sigma_s0))
         ar0 = fit_ar_yule_walker(x0)
     if kind == "DAR-GARCH-SEMOS":
         eps0 = x0[ar0.p:] - ar_teacher_forced(ar0, x0, ar0.p)
@@ -449,8 +457,9 @@ def seasonal_predict(model: FittedModel, series: StationSeries, dates):
                       stacklevel=2)
     h = ctx.history_end(i)
     d = _error_divisor(model.kind, sigma_s)
-    x = (series.obs - mu_s) / d
-    mu = mu_s[i] + d[i] * _ar_bridge(model.ar, x, h, i - h + 1)
+    x = _errors(series.obs - mu_s, d)
+    x_hat = _ar_bridge(model.ar, x, h, i - h + 1)
+    mu = mu_s[i] + (x_hat if d is None else d[i] * x_hat)
     if model.kind != "DAR-GARCH-SEMOS":
         return mu, sigma_s[i]
     return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, x, sigma_s, h, i)

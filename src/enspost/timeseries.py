@@ -10,7 +10,15 @@ The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
 ``ar_teacher_forced``, ``ar_multistep``) work on m series at once, given
 as the columns of an (n, m) array with time running down the rows, and on
 their fits as one ``ARFits``.  A 1-D series with an ``ARCoeffs`` is the
-m = 1 case and returns scalars or 1-D arrays.
+m = 1 case and returns scalars or 1-D arrays.  ``windowed_ar_fits`` gives
+what ``fit_ar_yule_walker`` and ``ar_innovation_variance`` give on many
+overlapping windows of the columns, from window sums: the autocovariances
+of a window are differences of running sums of the series and of its lag
+products, and its innovation variance follows from the Levinson-Durbin
+variance and the window's first and last p rows, so a window costs
+O(max_order^2) rather than O(length).  Both fitting paths share the
+Levinson-Durbin recursion, the AIC order choice and the tau layout
+(``_ar_fits``).
 
 The kernels do not check stationarity.  Yule-Walker fits from biased
 autocovariances are stationary by construction; a caller whose
@@ -163,21 +171,49 @@ def _levinson_durbin(gamma: np.ndarray):
     """All-order Yule-Walker solutions from autocovariances gamma_0..gamma_p,
     one column of ``gamma`` per series.
 
-    Returns (coeffs, variances): coeffs[k] is the (k, m) array of order-k
-    tau vectors, variances[k] the corresponding innovation-variance
-    estimates (variances[0] = gamma_0).
+    Returns (coeffs, variances): coeffs[k, :k] is the (k, m) array of
+    order-k tau vectors (zero beyond k), variances[k] the corresponding
+    innovation-variance estimates (variances[0] = gamma_0).
     """
-    coeffs = [np.empty((0, gamma.shape[1]))]
-    variances = [gamma[0]]
-    phi = coeffs[0]
-    v = gamma[0]
-    for k in range(1, gamma.shape[0]):
+    order = gamma.shape[0] - 1
+    coeffs = np.zeros((order + 1, order, gamma.shape[1]))
+    variances = np.empty_like(gamma)
+    variances[0] = v = gamma[0]
+    for k in range(1, order + 1):
+        phi = coeffs[k - 1, :k - 1]
         kappa = (gamma[k] - np.einsum("jm,jm->m", phi, gamma[k - 1:0:-1])) / v
-        phi = np.vstack([phi - kappa * phi[::-1], kappa])
-        v = v * (1.0 - kappa * kappa)
-        coeffs.append(phi)
-        variances.append(v)
-    return coeffs, np.asarray(variances)
+        coeffs[k, :k - 1] = phi - kappa * phi[::-1]
+        coeffs[k, k - 1] = kappa
+        variances[k] = v = v * (1.0 - kappa * kappa)
+    return coeffs, variances
+
+
+def _autocovariances(cols: np.ndarray, max_order: int):
+    """(gamma, eta, constant) of the (n, m) columns: the biased
+    autocovariances gamma_0..gamma_max_order, one column per series, the
+    means and the mask of the constant columns."""
+    c, constant = _centered_columns(cols)
+    n = cols.shape[0]
+    gamma = np.array([np.einsum("ij,ij->j", c[k:], c[:n - k])
+                      for k in range(max_order + 1)]) / n
+    return gamma, cols.mean(axis=0), constant
+
+
+def _ar_fits(gamma: np.ndarray, n: int, eta: np.ndarray, degenerate: np.ndarray):
+    """AR fits from the autocovariance columns gamma_0..gamma_K of series
+    of length n with means ``eta``: the Levinson-Durbin recursion, the AIC
+    order choice over 0..K and the tau layout.  Returns the ARFits and the
+    Levinson-Durbin innovation variance of each column at its order.  A
+    ``degenerate`` column gets the mean-only AR(0) fit; ``gamma`` is
+    overwritten there."""
+    gamma[:, degenerate] = 0.0
+    gamma[0, degenerate] = 1.0  # white noise: Levinson-Durbin picks order 0
+    coeffs, variances = _levinson_durbin(gamma)
+    aic = n * np.log(np.maximum(variances, 1e-300)) + 2.0 * np.arange(gamma.shape[0])[:, None]
+    p = np.argmin(aic, axis=0)
+    columns = np.arange(p.size)
+    tau = coeffs[p, :int(p.max()), columns]
+    return ARFits(p, eta, tau, degenerate), variances[p, columns]
 
 
 def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = False):
@@ -201,21 +237,11 @@ def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = Fa
     max_order = max(0, min(max_order, n - 2))
     if n <= max_order + 1:
         raise InvalidInput(f"series of length {n} too short for max_order {max_order}")
-    c, degenerate = _centered_columns(cols)
+    gamma, eta, degenerate = _autocovariances(cols, max_order)
     if degenerate.any() and not mean_fallback:
         where = "" if single else f" (columns {np.flatnonzero(degenerate).tolist()})"
         raise DegenerateSeries(f"constant series has no autocorrelation structure{where}")
-    gamma = np.array([np.einsum("ij,ij->j", c[k:], c[:n - k])
-                      for k in range(max_order + 1)]) / n
-    gamma[:, degenerate] = 0.0
-    gamma[0, degenerate] = 1.0  # white noise: Levinson-Durbin picks order 0
-    coeffs, variances = _levinson_durbin(gamma)
-    aic = n * np.log(np.maximum(variances, 1e-300)) + 2.0 * np.arange(max_order + 1)[:, None]
-    p = np.argmin(aic, axis=0)
-    tau = np.zeros((p.size, int(p.max())))
-    for order in np.unique(p[p > 0]):
-        tau[p == order, :order] = coeffs[order][:, p == order].T
-    fits = ARFits(p, cols.mean(axis=0), tau, degenerate)
+    fits, _ = _ar_fits(gamma, n, eta, degenerate)
     return fits.members()[0] if single else fits
 
 
@@ -271,6 +297,123 @@ def ar_innovation_variance(x, ar):
     sq[np.arange(n)[:, None] < fits.p] = 0.0
     out = sq.sum(axis=0) / (n - fits.p)
     return float(out[0]) if single else out
+
+
+# windows whose autocovariance gamma_0 falls below this share of
+# (1 + |eta|)^2 take their autocovariances from the window itself, as
+# ``fit_ar_yule_walker`` does, which also decides whether they are constant
+_WINDOW_SUMS_FLOOR = 1e-8
+
+
+def _running_sums(seg: np.ndarray, anchor: int, max_lag: int, out: np.ndarray) -> None:
+    """Fill ``out`` (rows + 1, max_lag + 2, m) with the signed running sums
+    of the columns of ``seg`` and of their lag products seg[t] seg[t - k],
+    k = 0..max_lag, taken from row ``anchor`` outward: entry s is the sum
+    over rows [anchor, s), or minus the sum over [s, anchor) when s <
+    anchor.  Lag products that reach before row 0 are left out."""
+    rows = seg.shape[0]
+    terms = np.empty((rows, max_lag + 2, seg.shape[1]))
+    terms[:, 0] = seg
+    for k in range(max_lag + 1):
+        terms[:k, k + 1] = 0.0
+        np.multiply(seg[k:], seg[:rows - k], out=terms[k:, k + 1])
+    np.negative(terms[:anchor], out=terms[:anchor])
+    out[anchor] = 0.0
+    np.cumsum(terms[anchor:], axis=0, out=out[anchor + 1:])
+    np.cumsum(terms[:anchor][::-1], axis=0, out=out[:anchor][::-1])
+
+
+def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0):
+    """Yule-Walker AR fits and their innovation variances on windows of
+    ``length`` rows of the (N, m) columns of ``x``, one window per start s.
+
+    x[i] is row ``first_row`` + i of a longer series, and s counts rows of
+    that series: window s is x[s - first_row:s - first_row + length].
+    Rows outside the windows are never read.  Returns (fits, variance)
+    with column d * m + j for window d of column j: what
+    ``fit_ar_yule_walker(window, max_order, mean_fallback=True)`` and
+    ``ar_innovation_variance`` give, to rounding.
+
+    The windows share running sums.  Each window is given an anchor row o,
+    the first row of the series at least max_order rows into the window
+    that is a multiple of length - max_order.  The windows of one anchor
+    share the running sums of x - x[o] and of its lag products, taken
+    outward from o (``_running_sums``).  A sum over rows [u, w) is the
+    difference of two of them, so a window's autocovariances cost
+    O(max_order).  Its innovation variance costs O(p^2): the squared
+    one-step errors of the window padded with zeros sum to n v_p, with v_p
+    the Levinson-Durbin variance, and the p errors at either edge that
+    reach into the padding come from the window's first and last p rows.
+    Every running sum a window reads starts at its anchor and stays inside
+    the window, so its fit is the same to the bit whichever other windows
+    are requested and wherever ``x`` starts.  Windows of (nearly) constant
+    values take their autocovariances from the window itself, as
+    ``fit_ar_yule_walker`` does, one window at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    n, m, lags = length, x.shape[1], np.arange(max_order + 1)
+    if n <= max_order + 1:
+        raise InvalidInput(f"windows of length {n} too short for max_order {max_order}")
+    spacing = n - max_order
+    starts = np.asarray(starts, dtype=int)
+    anchors = -(-(starts + max_order) // spacing) * spacing - first_row
+    starts = starts - first_row
+    # one segment of running sums per anchor, over the rows [lo, hi) of its
+    # windows; entry (s, column) of the table is row s * (K + 2) + column
+    groups = []
+    for anchor in np.unique(anchors):
+        group = starts[anchors == anchor]
+        groups.append((anchor, group.min(), group.max() + n))
+    width = max_order + 2
+    table = np.empty((sum(hi - lo + 1 for _, lo, hi in groups), width, m))
+    base = np.empty(starts.size, dtype=int)
+    offset = 0
+    for anchor, lo, hi in groups:
+        _running_sums(x[lo:hi] - x[anchor], anchor - lo, max_order,
+                      table[offset:offset + hi - lo + 1])
+        base[anchors == anchor] = offset - lo
+        offset += hi - lo + 1
+    table = table.reshape(-1, m)
+    a, b = (base + starts)[:, None], (base + starts + n)[:, None]
+    at_b = table[b * width + np.arange(width)]           # (windows, K + 2, m)
+    x_from = table[(a + lags) * width]                   # sum of x from a + k
+    x_to = table[(b - lags) * width]                     # ... and to b - k
+    products = at_b[:, 1:] - table[(a + lags) * width + lags + 1]
+    mean = (at_b[:, 0] - x_from[:, 0]) / n               # of x - x[o], (windows, m)
+    gamma = (products - mean[:, None] * ((at_b[:, :1] - x_from) + (x_to - x_from[:, :1]))
+             + (n - lags)[:, None] * np.square(mean[:, None])) / n
+    eta = (x[anchors] + mean).ravel()
+    gamma = gamma.transpose(1, 0, 2).reshape(max_order + 1, -1)
+    degenerate = np.zeros(eta.size, dtype=bool)
+    # one window at a time, so that its fit does not depend on the others
+    direct = {col: x[starts[col // m]:starts[col // m] + n, [col % m]] for col in
+              np.flatnonzero(gamma[0] <= _WINDOW_SUMS_FLOOR * np.square(1.0 + np.abs(eta)))}
+    for col, window in direct.items():
+        gamma[:, [col]], eta[[col]], degenerate[[col]] = _autocovariances(window, max_order)
+    fits, v_p = _ar_fits(gamma, n, eta, degenerate)
+
+    # one-step errors sum_j alpha_j c[t-j], alpha = (1, -tau), of the
+    # zero-padded window at its first max_order rows (the head) and at the
+    # max_order rows after it (the tail); lags beyond p have alpha = 0, and
+    # only the first p head rows reach into the padding.  ``padded`` holds
+    # K zeros, the first K and the last K rows of c = x - eta, K zeros.
+    p = fits.p.reshape(-1, m)
+    alpha = np.zeros((max_order + 1, *p.shape))
+    alpha[0] = 1.0
+    alpha[1:fits.max_p + 1] = -fits.tau.T.reshape(-1, *p.shape)
+    edge = np.arange(max_order)
+    padded = np.zeros((starts.size, 4 * max_order, m))
+    padded[:, max_order:3 * max_order] = x[starts[:, None] + np.concatenate(
+        [edge, n - max_order + edge])] - eta.reshape(p.shape)[:, None]
+    rows = np.concatenate([max_order + edge, 3 * max_order + edge])[:, None] - lags
+    errors = np.einsum("derm,rdm->dem", padded[:, rows], alpha)
+    errors[:, :max_order][edge[:, None] >= p[:, None]] = 0.0
+    squares = n * v_p.reshape(p.shape) - np.einsum("dem,dem->dm", errors, errors)
+    variance = (squares / (n - p)).ravel()
+    for col, window in direct.items():
+        variance[col] = ar_innovation_variance(window, ARFits(
+            fits.p[[col]], fits.eta[[col]], fits.tau[[col]], fits.degenerate[[col]]))[0]
+    return fits, variance
 
 
 def is_stationary(tau) -> bool:

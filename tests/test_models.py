@@ -307,6 +307,69 @@ def test_ar_emos_degenerate_column_warning_names_member(rng, caplog):
     assert fits.p[2] == 0 and fits.eta[2] == pytest.approx(-0.5)
 
 
+def _member_error_columns(case, rng, n=300):
+    """(n, 2) member errors: an AR(5) and an AR(1) column, offset by 1e3
+    or with a constant window in member 1 and a window of spread 1e-10 on
+    mean 1e3 in member 2."""
+    x = np.column_stack([
+        timeseries.linear_recursion([0.4, -0.2, 0.1, -0.3, 0.45], rng.standard_normal(n + 200)),
+        timeseries.linear_recursion([0.7], rng.standard_normal(n + 200))])[200:]
+    if case == "offset":
+        x += 1e3
+    elif case == "constant":
+        x[40:130, 0] = 2.5
+        x[150:240, 1] = 1e3 + 1e-10 * rng.standard_normal(90)
+    return x
+
+
+@pytest.mark.parametrize("case", ["plain", "offset", "constant"])
+def test_windowed_member_fits_match_per_window_fits(rng, caplog, case):
+    x = _member_error_columns(case, rng)
+    n, max_order = ar_emos.AR_WINDOW, ar_emos.MAX_MEMBER_AR_ORDER
+    starts = np.arange(x.shape[0] - n + 1)  # the first window starts at the first row
+    with caplog.at_level("WARNING"):
+        fits, variance = ar_emos._fit_members(x, starts, 2, 0)
+    for d, s in enumerate(starts):
+        window = x[s:s + n]
+        ref = fit_ar_yule_walker(window, max_order, mean_fallback=True)
+        cols = slice(2 * d, 2 * d + 2)
+        assert np.array_equal(fits.p[cols], ref.p)
+        assert np.array_equal(fits.degenerate[cols], ref.degenerate)
+        assert np.allclose(fits.eta[cols], ref.eta, rtol=1e-12, atol=0.0)
+        # tau to 1e-12 of its largest lag weight: a weight near 0 has no
+        # relative precision in either path
+        scale = np.max(np.abs(ref.tau), axis=1, initial=0.0)
+        assert np.all(np.abs(fits.tau[cols, :ref.max_p] - ref.tau).max(axis=1, initial=0.0)
+                      <= 1e-12 * scale)
+        expected = ar_innovation_variance(window, ref)
+        # the spread-1e-10 window on mean 1e3 holds ~3 digits: its variance
+        # (~1e-20) agrees only absolutely
+        assert np.allclose(variance[cols], expected, rtol=1e-12, atol=1e-15)
+        assert np.sqrt(variance[cols].mean()) == pytest.approx(np.sqrt(expected.mean()),
+                                                               rel=1e-12)
+    assert fits.max_p == max_order
+    if case == "constant":
+        # each window fitted as constant is named once
+        assert np.flatnonzero(fits.degenerate).tolist() == [2 * 40, 2 * 150 + 1]
+        assert caplog.text.count("degenerate") == 2
+        assert "member 1 error series degenerate" in caplog.text
+        assert "member 2 error series degenerate" in caplog.text
+    else:
+        assert not fits.degenerate.any() and "degenerate" not in caplog.text
+    # a window's fit does not depend on which other windows are requested,
+    # nor on where the rows passed start, nor on rows outside the windows
+    some = np.array([starts[-1], 3, 97, 150])
+    unread = np.ones(x.shape[0], dtype=bool)
+    unread[some[:, None] + np.arange(n)] = False
+    x_outside_nan = np.where(unread[:, None], np.nan, x)
+    alone, alone_variance = timeseries.windowed_ar_fits(x_outside_nan[some.min():], some, n,
+                                                        max_order, first_row=some.min())
+    cols = (2 * some[:, None] + np.arange(2)).ravel()
+    assert np.array_equal(alone.p, fits.p[cols]) and np.array_equal(alone.eta, fits.eta[cols])
+    assert np.array_equal(alone.tau, fits.tau[cols, :alone.max_p])
+    assert np.array_equal(alone_variance, variance[cols])
+
+
 def test_ar_emos_short_history_padded_with_eta(rng):
     n = 12
     series = make_series(rng.normal(size=n), rng=rng, m=3)
@@ -329,18 +392,19 @@ def test_ar_emos_fits_all_members_once_per_date(rng, monkeypatch):
     series = make_series(rng.normal(size=n), rng=rng, m=6)
     model = models.fit("AR-EMOS", series.window(end=series.dates[149]))
     calls = []
-    real = ar_emos.fit_ar_yule_walker
+    real = ar_emos.windowed_ar_fits
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real(*args, **kwargs)
+    def counting(x, starts, length, *args):
+        calls.append((np.shape(x)[1], np.asarray(starts), length))
+        return real(x, starts, length, *args)
 
-    monkeypatch.setattr(ar_emos, "fit_ar_yule_walker", counting)
+    monkeypatch.setattr(ar_emos, "windowed_ar_fits", counting)
     dates = series.dates[150:162]
     models.predict(model, series, dates)
     # every date's six member columns are fitted once, on the 90-day AR window
-    assert all(rows == 90 for rows, _ in calls)
-    assert sum(columns for _, columns in calls) == dates.size * 6
+    assert all(columns == 6 and length == 90 for columns, _, length in calls)
+    starts = np.sort(np.concatenate([s for _, s, _ in calls]))
+    assert np.array_equal(starts, np.arange(150, 162) - lead_time_offset(24) - 120)
 
 
 def test_ar_emos_beats_raw_on_ar1_member_errors(rng):
@@ -492,6 +556,16 @@ def test_batched_rolling_prediction_matches_per_date_reference(seed, lead):
     assert np.all(converged)
     for w, (objective, golden) in zip(weights, searches):
         assert objective(w) <= objective(golden) + 1e-12
+
+
+def test_ar_emos_prediction_of_a_date_does_not_depend_on_the_other_dates():
+    series = _rolling_world(3, 72, n_days=900)
+    model = models.fit("AR-EMOS", series.window(end=series.dates[500]))
+    dates = series.dates[600:700]
+    mu, sigma = models.predict(model, series, dates)
+    for pick in ([0], [17], [99, 0, 55, 17]):
+        mu_p, sigma_p = models.predict(model, series, dates[pick])
+        assert np.array_equal(mu_p, mu[pick]) and np.array_equal(sigma_p, sigma[pick])
 
 
 @pytest.mark.parametrize("lead", [24, 120])

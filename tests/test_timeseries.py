@@ -18,6 +18,7 @@ from enspost.timeseries import (
     is_stationary,
     linear_recursion,
     ljung_box,
+    windowed_ar_fits,
 )
 from enspost.timeseries import _garch_likelihood, ar_teacher_forced_adjoint
 from enspost.models.semos import _objective
@@ -247,6 +248,15 @@ def test_yule_walker_fits_are_stationary(rng, max_order):
     fits = fit_ar_yule_walker(_hard_columns(rng), max_order)
     assert fits.max_p > 0
     assert all(is_stationary(ar.tau) for ar in fits.members())
+
+
+def test_windowed_yule_walker_fits_are_stationary(rng):
+    # the window sums round unlike the direct path; AR-EMOS's multi-step
+    # bridge relies on their fits being stationary all the same
+    fits, variance = windowed_ar_fits(_hard_columns(rng, n=160), np.arange(71), 90, 5)
+    assert fits.max_p > 0
+    assert all(is_stationary(ar.tau) for ar in fits.members())
+    assert np.all(variance > 0)
 
 
 # ---------------------------------------------------------------------------
