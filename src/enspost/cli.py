@@ -26,6 +26,7 @@ from .data import (
     impute_series,
     load_station_csv,
     parse_iso_dates,
+    row_template,
     write_station_csv,
     write_truth_csv,
 )
@@ -255,6 +256,7 @@ def discover_cases(cfg: RunConfig) -> list[tuple[str, int, Path]]:
     if not root.is_dir():
         raise DataError(f"data directory {root} does not exist")
     cases = []
+    named = {}  # (station, lead) -> the file that names it
     for path in sorted(root.glob("station_*.csv")):
         stem = path.stem[len("station_"):]
         station, _, lead_part = stem.rpartition("_")
@@ -266,6 +268,10 @@ def discover_cases(cfg: RunConfig) -> list[tuple[str, int, Path]]:
             raise DataError(f"cannot parse the lead time from file name {path.name}") from None
         if lead < 1:  # a forecast below 1 h would read the observation it predicts
             raise DataError(f"lead time must be >= 1 h, got {lead} h in file name {path.name}")
+        if (station, lead) in named:  # fit would write one fit file for both
+            raise DataError(f"file names {named[(station, lead)]} and {path.name} "
+                            f"both name ({station}, {lead}h)")
+        named[(station, lead)] = path.name
         if cfg.stations is not None and station not in cfg.stations:
             continue
         if cfg.leads and lead not in cfg.leads:
@@ -347,27 +353,28 @@ def _validation_dates(cfg: RunConfig, series) -> np.ndarray:
 def cmd_predict(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     models_dir = Path(cfg.models_dir)
-    rows = []
+    blocks = {}  # (kind, station, lead) -> (dates, mu, sigma), each a list
     for station, lead, path in discover_cases(cfg):
         series = _load_case(path, station, lead)
         dates = _validation_dates(cfg, series)
+        date_texts = dates.astype(str).tolist()
         for kind in cfg.models:
             fitted = _load_fit(models_dir, kind, station, lead)
             if fitted is None:
                 raise DataError("missing fitted model "
                                 f"{_fit_path(models_dir, kind, station, lead)}")
             mu, sigma = model_api.predict(fitted, series, dates)
-            for d, m_v, s_v in zip(dates, mu, sigma):
-                rows.append((kind, station, lead, str(d), m_v, s_v))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+            blocks[(kind, station, lead)] = (date_texts, mu.tolist(), sigma.tolist())
     out.mkdir(parents=True, exist_ok=True)
     target = out / "predictions.csv"
     with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PREDICTIONS_HEADER)
-        for kind, station, lead, date, mu_v, sigma_v in rows:
-            writer.writerow([kind, station, lead, date, _FLOAT_FMT % mu_v, _FLOAT_FMT % sigma_v])
-    print(f"predict: wrote {len(rows)} rows to {target}")
+        csv.writer(fh).writerow(_PREDICTIONS_HEADER)
+        # the rows in (kind, station, lead, date) order: each block's dates ascend
+        for kind, station, lead in sorted(blocks):
+            template = row_template([kind, station.replace("%", "%%"), lead, "%s",
+                                     _FLOAT_FMT, _FLOAT_FMT])
+            fh.writelines(template % row for row in zip(*blocks[(kind, station, lead)]))
+    print(f"predict: wrote {sum(len(b[0]) for b in blocks.values())} rows to {target}")
     return 0
 
 
@@ -406,7 +413,9 @@ def _convert_prediction_columns(path, reader) -> dict:
 
     Raises ValueError wherever ``_convert_prediction_rows`` would raise, without
     naming the row: the caller then re-reads the file with
-    ``_convert_prediction_rows``, whose message does.
+    ``_convert_prediction_rows``, whose message does.  It reads every file
+    that one reads, so it converts with ``np.array``, not ``np.loadtxt``,
+    whose tokenizer rejects numbers ``float`` reads, such as ``1_0``.
     """
     rows = [row for row in reader if row]
     if any(len(row) != len(_PREDICTIONS_HEADER) for row in rows):
@@ -497,7 +506,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         idx = np.searchsorted(series.dates, dates)
         members = series.members[idx]
         y = series.obs[idx]
-        raw_crps = np.array([crps_ensemble(members[i], y[i]) for i in range(y.size)])
+        raw_crps = crps_ensemble(members, y)
         lo = members.min(axis=1)
         hi = members.max(axis=1)
         raw_table.rows.append(ScoreRow(

@@ -23,6 +23,7 @@ from .errors import (
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_ENSEMBLE_CHUNK = 16  # crps_ensemble rows per (rows, m, m) temporary: bounds its memory
 
 
 def _norm_pdf(z):
@@ -146,19 +147,27 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
     return float(total)
 
 
-def crps_ensemble(members, y: float) -> float:
+def crps_ensemble(members, y):
     """CRPS of the empirical ensemble CDF in its energy form.
 
     (1/m) sum |x_i - y|  -  (1/(2 m^2)) sum_ij |x_i - x_j|; equals the
-    integral form applied to the step CDF of the members.
+    integral form applied to the step CDF of the members.  (m,) members
+    with a float ``y`` give a float; (n, m) members with (n,) ``y`` give
+    the n scores, each its row's to the bit.
     """
-    x = np.asarray(members, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInput("ensemble must be a non-empty 1-d array")
-    m = x.size
-    term1 = np.mean(np.abs(x - y))
-    term2 = np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * m)
-    return float(term1 - term2)
+    x, y = np.asarray(members, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == 1 and y.ndim == 0:
+        return float(crps_ensemble(x[None], y[None])[0])
+    if x.ndim != 2 or x.shape[1] < 1 or y.shape != x.shape[:1]:
+        raise InvalidInput("ensemble must be m >= 1 members with a float observation, "
+                           "or (n, m) members with n observations")
+    m = x.shape[1]
+    scores = np.empty(len(x))
+    for lo in range(0, len(x), _ENSEMBLE_CHUNK):
+        rows, obs = x[lo:lo + _ENSEMBLE_CHUNK], y[lo:lo + _ENSEMBLE_CHUNK, None]
+        spread = np.abs(rows[:, :, None] - rows[:, None, :]).reshape(-1, m * m).sum(axis=1)
+        scores[lo:lo + len(rows)] = np.mean(np.abs(rows - obs), axis=1) - spread / (2.0 * m * m)
+    return scores
 
 
 def logs_normal_series(mu, sigma, y):

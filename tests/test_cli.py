@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enspost import cli
+from enspost import cli, models
 from enspost.cli import main, parse_config_file
 from enspost.errors import ConfigError, DataError, InvalidConfig
+from enspost.models import FittedModel
 from enspost.data import (SyntheticConfig, generate_synthetic, load_station_csv,
                           write_station_csv)
 from enspost.timeseries import ARCoeffs, GARCHCoeffs
@@ -130,6 +131,53 @@ def test_predictions_schema_and_cardinality(pipeline):
     body = rows[1:]
     assert len(body) == n_valid * 3
     assert all(float(r[5]) > 0 for r in body)
+
+
+def test_predictions_file_is_csv_writer_rows_in_key_order(tmp_path):
+    # station ids that need quoting or hold '%', and leads whose text order is not theirs
+    data, fits, preds = (tmp_path / n for n in ("data", "fits", "preds"))
+    data.mkdir()
+    stations, leads, kinds = ['A,"B"', "50%s%%", "S01"], (24, 120), ("EMOS", "AR-EMOS")
+    for i, station in enumerate(stations):
+        for lead in leads:
+            series, _ = generate_synthetic(SyntheticConfig(
+                n_days=170, m=5, seed=i, lead_time_h=lead, station_id=station))
+            write_station_csv(series, data / f"station_{station}_{lead}h.csv")
+    assert run("fit", "--data", data, "--out", fits, "--models", "emos,ar-emos", "--lead", "",
+               "--train-start", "2015-01-01", "--train-end", "2015-04-30") == 0
+    assert run("predict", "--data", data, "--models-dir", fits, "--out", preds,
+               "--models", "emos,ar-emos", "--lead", "", "--valid-start", "2015-05-11",
+               "--valid-end", "2015-06-19") == 0
+    rows = []
+    for station in stations:
+        for lead in leads:
+            series = load_station_csv(data / f"station_{station}_{lead}h.csv")
+            dates = series.dates[series.dates >= np.datetime64("2015-05-11")]
+            for kind in kinds:
+                fitted = FittedModel.load(fits / f"fit_{kind}_{station}_{lead}h.json")
+                mu, sigma = models.predict(fitted, series, dates)
+                rows += [(kind, station, lead, str(d), m, s) for d, m, s in zip(dates, mu, sigma)]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["model", "station_id", "lead_time_h", "date", "mu", "sigma"])
+    for kind, station, lead, date, mu, sigma in sorted(rows, key=lambda row: row[:4]):
+        writer.writerow([kind, station, lead, date, "%.6f" % mu, "%.6f" % sigma])
+    assert len(rows) == 40 * len(stations) * len(leads) * len(kinds)
+    assert (preds / "predictions.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_two_station_files_naming_one_cell_are_one_data_error(tmp_path, capsys):
+    # fit would write both cells' fits to one file, predict both cells' rows as one
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    series, _ = generate_synthetic(SyntheticConfig(n_days=150, seed=3))
+    for name in ("station_S01_24h.csv", "station_S01_024h.csv"):
+        write_station_csv(series, data / name)
+    assert run("fit", "--data", data, "--out", out, "--models", "emos", "--lead", "24",
+               "--train-start", "2015-01-01", "--train-end", "2015-04-01") == 3
+    assert capsys.readouterr().err == ("error[data]: file names station_S01_024h.csv and "
+                                       "station_S01_24h.csv both name (S01, 24h)\n")
+    assert not out.exists()
 
 
 def test_predict_dar_differs_from_semos(tmp_path):

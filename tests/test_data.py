@@ -17,6 +17,7 @@ from enspost.data import (
     parse_iso_dates,
     time_index,
     write_station_csv,
+    write_truth_csv,
 )
 from enspost.errors import (
     DataError,
@@ -364,6 +365,45 @@ def test_rows_filtered_out_are_not_parsed(tmp_path):
     _assert_same_outcome(path, "A")
 
 
+_ROW_2 = "A,2015-01-02,24,2.5,2.0,3.0\n"
+
+
+@pytest.mark.parametrize("text, filters, expected", [
+    (_HEADER + _ROW_1 + "   \n" + _ROW_2, (), "row 3: expected 6 fields, got 1"),
+    (_HEADER + "#" + _ROW_1 + _ROW_2, (),
+     "row 3: file mixes [('#A', 24), ('A', 24)]; pass station_id/lead_time_h filters"),
+    (_HEADER + "#" + _ROW_1 + _ROW_2, ("A",), 1),
+    (_HEADER + '"A,""x""",2015-01-01,24,1.5,1.0,2.0\n', (), 1),
+    (_HEADER + ('"A\nB",2015-01-01,24,1.5,1.0,2.0\n'
+                'A,2015-01-01,24,1.5,1.0,2.0\n"A\nB",2015-01-02,24,1.5,1.0,2.0\n'), ("A\nB",), 2),
+    ((_HEADER + _ROW_1 + "\n" + _ROW_2).replace("\n", "\r"), (), 2),
+    ((_HEADER + _ROW_1 + "\n" + _ROW_2).replace("\n", "\r\n"), (), 2),
+    (_HEADER + _ROW_1 + _ROW_2.rstrip("\n"), (), 2),
+    (_HEADER + '"A","2015-01-01","24","1.5","1.0",2.0\n', (), 1),
+    (_HEADER + "A,2015-01-01, 24 ,\t1.5, 1.0\t,2.0  \n", (), 1),
+    (_HEADER + "A,2015-01-01,24,1.5,1.0,\x1c2.0\n", (), "row 2: cannot parse m2 value '\\x1c2.0'"),
+    (_HEADER + "A,2015-01-01,24,1.5,1.0\x1f,2.0\n", (), "row 2: cannot parse m1 value '1.0\\x1f'"),
+    (_HEADER + _ROW_1 + "A,2015-01-02,24,2.5,0." + "0" * 140_000 + "1,3.0\n", (),
+     "field larger than field limit (131072)"),
+    (_HEADER + '"A' + "x" * 70_000 + "\n" + "x" * 70_000 + '",2015-01-01,24,1.5,1.0,2.0\n', (),
+     "field larger than field limit (131072)"),
+], ids=["whitespace_line", "hash_row", "hash_row_filtered", "quoted_comma_and_quotes",
+        "quoted_line_break", "cr_line_ends", "crlf_line_ends", "no_final_newline",
+        "quoted_numbers", "padded_cells", "separator_before_member", "separator_after_member",
+        "member_past_csv_field_limit", "station_id_over_two_lines_past_csv_field_limit"])
+def test_bulk_and_row_readers_agree_on_layout(tmp_path, text, filters, expected):
+    # layouts where csv.reader and numpy's tokenizer could split a file differently
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    _assert_same_outcome(path, *filters)
+    if isinstance(expected, int):
+        assert load_station_csv(path, *filters).n_days == expected
+    else:
+        with pytest.raises(DataError) as caught:
+            load_station_csv(path, *filters)
+        assert expected in str(caught.value)
+
+
 def _csv_writer_bytes(series) -> bytes:
     """The file written one csv.writer row at a time, one cell format at a time."""
     buf = io.StringIO()
@@ -391,6 +431,20 @@ def test_write_matches_csv_writer_and_round_trips(tmp_path, rng, station_id):
     assert np.array_equal(np.isnan(back.obs), np.isnan(series.obs))
     assert np.allclose(back.obs, series.obs, atol=1e-9, equal_nan=True)
     assert np.allclose(back.members, series.members, atol=1e-9)
+
+
+def test_truth_writer_matches_csv_writer(tmp_path):
+    garch = GARCHCoeffs(0.1, 0.5, 0.3)
+    series, truth = generate_synthetic(SyntheticConfig(n_days=40, m=3, seed=4, garch=garch))
+    path = tmp_path / "truth.csv"
+    write_truth_csv(series.dates, truth, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["date", "mu", "sigma", "mu_seasonal", "sigma_seasonal"])
+    for i in range(series.n_days):
+        writer.writerow([str(series.dates[i])] + ["%.9f" % v[i] for v in (
+            truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal)])
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_csv_round_trip(tmp_path, rng):

@@ -130,6 +130,27 @@ def test_crps_ensemble_nonnegative_zero_iff_perfect(rng):
         assert (val == 0) == bool(np.all(members == y))
 
 
+@pytest.mark.parametrize("n, m", [(1, 1), (16, 5), (37, 50)])
+def test_crps_ensemble_rows_are_the_energy_form_of_each_row_to_the_bit(rng, n, m):
+    # 37 rows: two full chunks of 16 and a short one
+    members = rng.normal(size=(n, m)) * 3.0
+    y = rng.normal(size=n)
+    energy = [np.mean(np.abs(x - v)) - np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * m)
+              for x, v in zip(members, y)]
+    rows = crps_ensemble(members, y)
+    assert rows.shape == (n,) and np.array_equal(rows, energy)
+    assert np.array_equal(rows, [crps_ensemble(x, v) for x, v in zip(members, y)])
+    assert all(type(crps_ensemble(x, v)) is float for x, v in zip(members, y))
+
+
+@pytest.mark.parametrize("members, y", [
+    ([], 1.0), (np.ones((3, 0)), np.ones(3)), (np.ones((3, 4)), np.ones(2)),
+    (np.ones((3, 4)), 1.0), (np.ones(4), np.ones(4)), (np.ones((2, 3, 4)), np.ones(2))])
+def test_crps_ensemble_rejects_members_and_observations_that_do_not_pair(members, y):
+    with pytest.raises(InvalidInput):
+        crps_ensemble(members, y)
+
+
 # ---------------------------------------------------------------------------
 # LogS, PIT
 # ---------------------------------------------------------------------------
