@@ -378,90 +378,49 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _convert_prediction_rows(path, reader) -> dict:
-    """Convert the rows one at a time, naming the first bad one.
+def load_predictions(path) -> dict:
+    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}, keys in
+    order of first appearance, dates ascending.
 
-    The reference for ``_convert_prediction_columns``: both return the grouped
-    predictions, and this one raises the DataError of the first row that
-    cannot be read or repeats an earlier (model, station, lead, date).
+    A row that does not parse (not six fields, a lead that is not an
+    integer, a date not written YYYY-MM-DD, a value ``float`` cannot read)
+    or that repeats an earlier (model, station, lead, date) is a DataError
+    naming its line; a file that cannot be read is one where the row loop
+    meets the fault.  Each distinct date text is parsed once.  A date has
+    one YYYY-MM-DD text and those texts sort in date order, so rows are
+    grouped and sorted by the text.
     """
     grouped = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            model, station, lead, day, mu, sigma = row  # ValueError unless six fields
-            key = (model, station, int(lead))
-            date = parse_iso_dates([day])[0]
-            entry = (float(mu), float(sigma))
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
-        by_date = grouped.setdefault(key, {})
-        if date in by_date:
-            raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
-        by_date[date] = entry
-    out = {}
-    for key, by_date in grouped.items():
-        dates = np.array(sorted(by_date), dtype="datetime64[D]")
-        mu, sigma = np.array([by_date[d] for d in dates]).T.copy()
-        out[key] = (dates, mu, sigma)
-    return out
-
-
-def _convert_prediction_columns(path, reader) -> dict:
-    """``_convert_prediction_rows`` with one numpy conversion per column.
-
-    Raises ValueError wherever ``_convert_prediction_rows`` would raise, without
-    naming the row: the caller then re-reads the file with
-    ``_convert_prediction_rows``, whose message does.  It reads every file
-    that one reads, so it converts with ``np.array``, not ``np.loadtxt``,
-    whose tokenizer rejects numbers ``float`` reads, such as ``1_0``.
-    """
-    rows = [row for row in reader if row]
-    if any(len(row) != len(_PREDICTIONS_HEADER) for row in rows):
-        raise ValueError("not six fields")
-    leads = {text: int(text) for text in {row[2] for row in rows}}
-    groups = {}  # (model, station, lead) -> group number, in order of first appearance
-    group = np.array([groups.setdefault((row[0], row[1], leads[row[2]]), len(groups))
-                      for row in rows], dtype=int)
-    dates = parse_iso_dates([row[3] for row in rows])
-    mu = np.array([row[4] for row in rows], dtype=float)
-    sigma = np.array([row[5] for row in rows], dtype=float)
-    order = np.lexsort((dates, group))
-    group, dates = group[order], dates[order]
-    if np.any((group[1:] == group[:-1]) & (dates[1:] == dates[:-1])):
-        raise ValueError("repeated prediction row")
-    bounds = np.searchsorted(group, np.arange(len(groups) + 1))
-    return {key: (dates[lo:hi], mu[order[lo:hi]], sigma[order[lo:hi]])
-            for key, lo, hi in zip(groups, bounds[:-1], bounds[1:])}
-
-
-def _read_predictions(path, convert) -> dict:
-    """Check ``path``'s header and group its rows with ``convert``."""
+    dates = {}  # date text -> datetime64, for the texts that parse
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != _PREDICTIONS_HEADER:
                 raise DataError(f"unexpected predictions header {header}")
-            return convert(path, reader)
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    model, station, lead, day, mu, sigma = row  # ValueError unless six fields
+                    key = (model, station, int(lead))
+                    if day not in dates:
+                        dates[day] = parse_iso_dates([day])[0]
+                    entry = (float(mu), float(sigma))
+                except ValueError:
+                    raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
+                by_day = grouped.setdefault(key, {})
+                if day in by_day:
+                    raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
+                by_day[day] = entry
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read predictions file {path}: {exc}") from None
-
-
-def load_predictions(path) -> dict:
-    """predictions.csv -> {(model, station, lead): (dates, mu, sigma)}; a
-    repeated (model, station, lead, date) row, a date not written
-    YYYY-MM-DD and a file that cannot be read are DataErrors.
-
-    Cells are converted one numpy call per column.  A file that fails so
-    is read again one row at a time, which raises the DataError naming the
-    first bad line, or the read error at the point the row loop meets it.
-    """
-    try:
-        return _read_predictions(path, _convert_prediction_columns)
-    except (ValueError, DataError):
-        return _read_predictions(path, _convert_prediction_rows)
+    out = {}
+    for key, by_day in grouped.items():
+        days = sorted(by_day)
+        mu, sigma = np.array([by_day[d] for d in days]).T.copy()
+        out[key] = (np.array([dates[d] for d in days], dtype="datetime64[D]"), mu, sigma)
+    return out
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -526,7 +485,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # residual dependence needs refitted training residuals
     dependence = None
     if cfg.models_dir and cfg.train_start and cfg.train_end:
-        residuals = {}
+        residuals, trains = {}, {}
         for kind in kinds:
             if kind not in SEASONAL_KINDS:
                 continue
@@ -535,9 +494,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                 fitted = _load_fit(Path(cfg.models_dir), kind, station, lead)
                 if fitted is None:
                     continue
-                series = series_cache[(station, lead)]
-                train = series.window(cfg.train_start, cfg.train_end)
-                per_station.append(training_residuals(fitted, train))
+                if (station, lead) not in trains:  # one training window per cell
+                    trains[(station, lead)] = series_cache[(station, lead)].window(
+                        cfg.train_start, cfg.train_end)
+                per_station.append(training_residuals(fitted, trains[(station, lead)]))
             if per_station:
                 residuals[kind] = per_station
         if residuals:

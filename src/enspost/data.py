@@ -136,12 +136,6 @@ class StationSeries:
     def is_complete(self) -> bool:
         return bool(np.all(np.isfinite(self.obs)))
 
-    def index_of(self, date) -> int:
-        pos = int(np.searchsorted(self.dates, np.datetime64(date, "D")))
-        if pos >= self.n_days or self.dates[pos] != np.datetime64(date, "D"):
-            raise KeyError(f"date {date} not in series {self.station_id}/{self.lead_time_h}h")
-        return pos
-
     def window(self, start=None, end=None) -> "StationSeries":
         """Sub-series with start <= date <= end (inclusive bounds, either optional)."""
         mask = np.ones(self.n_days, dtype=bool)

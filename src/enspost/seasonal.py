@@ -62,18 +62,6 @@ class SeasonalCoeffs:
             dtype=float,
         )
 
-    @classmethod
-    def from_vector(cls, vec) -> "SeasonalCoeffs":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (N_COEFFS,):
-            raise ValueError(f"expected {N_COEFFS} coefficients, got {vec.shape}")
-        return cls(
-            intercept=float(vec[0]),
-            slope=float(vec[1]),
-            fourier_intercept=tuple(float(v) for v in vec[2:6]),
-            fourier_slope=tuple(float(v) for v in vec[6:10]),
-        )
-
 
 def fourier_features(t):
     """Evaluate the 4-term Fourier basis at day index ``t``.

@@ -29,14 +29,14 @@ lag vector with ``is_stationary``.
 drive[i] + sum_j coeffs[j-1] * out[i-j], with constant or time-varying
 coefficients.  ``garch_path`` and its adjoint (shared by the seasonal
 models and ``fit_garch``) and the generator's AR and GARCH draws run on
-it; ``ar_multistep`` runs m columns on from given histories in its own
-loop.  The kernel is one BLAS ``dtbsv`` solve in its transposed form
+it.  The kernel is one BLAS ``dtbsv`` solve in its transposed form
 (``trans=1``), each step a length-p dot product and one subtraction.  For
 p <= 1 that rounds as the plain loop ``drive[i] + coeff * prev`` does, so
 its paths are the loop's to the bit while BLAS's length-1 ``ddot`` does
 not fuse its multiply into the subtraction (``trans=0`` and LAPACK
 ``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag sum is
-added in BLAS's order.
+added in BLAS's order.  ``ar_multistep`` runs m columns on from given
+histories, each step the one-step formula of ``ar_teacher_forced``.
 """
 
 from __future__ import annotations
@@ -248,7 +248,7 @@ def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = Fa
 def _teacher_forced(fits: ARFits, x: np.ndarray, start: int) -> np.ndarray:
     """Rows start.. of eta + sum_j tau_j (x[t-j] - eta); lags before row 0
     are left out."""
-    pred = np.repeat(fits.eta[None, :], x.shape[0] - start, axis=0)
+    pred = fits.eta[None, :].repeat(x.shape[0] - start, axis=0)
     for j in range(1, fits.max_p + 1):
         first = max(start, j)
         pred[first - start:] += fits.tau[:, j - 1] * (x[first - j: x.shape[0] - j] - fits.eta)
@@ -443,15 +443,6 @@ def linear_recursion(coeffs, drive) -> np.ndarray:
     return dtbsv(coeffs.shape[0], band, drive, lower=0, trans=1, diag=1)
 
 
-def _ar_next(fits: ARFits, window: np.ndarray) -> np.ndarray:
-    """eta + sum_j tau_j (window[-j] - eta) per column; ``window`` holds the
-    last max p rows, newest last."""
-    acc = fits.eta.copy()
-    for j in range(1, fits.max_p + 1):
-        acc += fits.tau[:, j - 1] * (window[-j] - fits.eta)
-    return acc
-
-
 def ar_multistep(ar, history, steps: int) -> np.ndarray:
     """Iterated AR predictions, appending each prediction to the history.
 
@@ -469,7 +460,7 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
     buf = np.empty((p + steps, fits.p.size))
     buf[:p] = hist[hist.shape[0] - p:]
     for i in range(steps):
-        buf[p + i] = _ar_next(fits, buf[i:p + i])
+        buf[p + i] = _teacher_forced(fits, buf[i:p + i + 1], p)[0]
     return buf[p:, 0] if single else buf[p:]
 
 

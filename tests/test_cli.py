@@ -15,8 +15,8 @@ from enspost import cli, models
 from enspost.cli import main, parse_config_file
 from enspost.errors import ConfigError, DataError, InvalidConfig
 from enspost.models import FittedModel
-from enspost.data import (SyntheticConfig, generate_synthetic, load_station_csv,
-                          write_station_csv)
+from enspost.data import (StationSeries, SyntheticConfig, generate_synthetic,
+                          load_station_csv, parse_iso_dates, write_station_csv)
 from enspost.timeseries import ARCoeffs, GARCHCoeffs
 
 
@@ -354,13 +354,65 @@ _PREDICTION_CELLS = ["", "x", "24", "+24", " 48", "24.0", "2017-07-02", "2017-7-
                      "1_0", "nan", "-inf", "1e400", "0x10", "S1", "A"]
 
 
+def _per_row_predictions(path) -> dict:
+    """The reference reader: every row's date parsed on its own, rows
+    grouped by datetime64 date; the same keys, arrays and DataErrors as
+    ``cli.load_predictions``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != cli._PREDICTIONS_HEADER:
+                raise DataError(f"unexpected predictions header {header}")
+            grouped = {}
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    model, station, lead, day, mu, sigma = row
+                    key = (model, station, int(lead))
+                    date = parse_iso_dates([day])[0]
+                    entry = (float(mu), float(sigma))
+                except ValueError:
+                    raise DataError(f"{path}:{line_no}: cannot parse prediction row {row}") from None
+                by_date = grouped.setdefault(key, {})
+                if date in by_date:
+                    raise DataError(f"{path}:{line_no}: repeated prediction row {row}")
+                by_date[date] = entry
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read predictions file {path}: {exc}") from None
+    out = {}
+    for key, by_date in grouped.items():
+        dates = np.array(sorted(by_date), dtype="datetime64[D]")
+        mu, sigma = np.array([by_date[d] for d in dates]).T.copy()
+        out[key] = (dates, mu, sigma)
+    return out
+
+
+def _assert_reads_as_reference(path):
+    try:
+        expected = _per_row_predictions(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as caught:
+            cli.load_predictions(path)
+        assert str(caught.value) == str(exc)
+        return
+    got = cli.load_predictions(path)
+    assert list(got) == list(expected)
+    for key in expected:
+        for a, b in zip(got[key], expected[key]):
+            assert a.dtype == b.dtype and a.flags.c_contiguous, key
+            assert np.array_equal(a, b, equal_nan=True), key
+
+
 @settings(max_examples=300, deadline=None)
 @given(edits=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5),
                                 st.sampled_from(_PREDICTION_CELLS)), max_size=3),
        short=st.sets(st.integers(0, 7), max_size=1),
        long=st.sets(st.integers(0, 7), max_size=1),
        order=st.permutations(range(8)))
-def test_bulk_and_row_prediction_readers_agree(tmp_path_factory, edits, short, long, order):
+def test_prediction_reader_matches_per_row_reference(tmp_path_factory, edits, short, long,
+                                                     order):
     rows = [[model, "S1", lead, f"2017-07-0{day}", f"{day}.5", "0.75"]
             for model in ("A", "B") for lead in ("24", "48") for day in (1, 2)]
     for row, col, text in edits:
@@ -372,22 +424,29 @@ def test_bulk_and_row_prediction_readers_agree(tmp_path_factory, edits, short, l
     path = tmp_path_factory.mktemp("preds") / "predictions.csv"
     path.write_text("model,station_id,lead_time_h,date,mu,sigma\n"
                     + "".join(",".join(rows[i]) + "\n" for i in order))
-    try:
-        fast = cli._read_predictions(path, cli._convert_prediction_columns)
-    except ValueError:
-        fast = None  # the bulk path declined: load_predictions re-reads row by row
-    try:
-        slow = cli._read_predictions(path, cli._convert_prediction_rows)
-    except DataError as exc:
-        assert fast is None
-        with pytest.raises(DataError) as caught:
-            cli.load_predictions(path)
-        assert str(caught.value) == str(exc)
-        return
-    assert fast is not None and list(fast) == list(slow)
-    for key in slow:
-        for a, b in zip(fast[key], slow[key]):
-            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), key
+    _assert_reads_as_reference(path)
+
+
+def test_prediction_reader_sorts_shared_dates_and_names_a_bad_date_at_its_first_line(tmp_path):
+    header = "model,station_id,lead_time_h,date,mu,sigma\n"
+    path = tmp_path / "predictions.csv"
+    # A's rows out of date order; 2017-07-02 shared by A, B and C
+    path.write_text(header + "A,S1,24,2017-07-02,2.5,1\nB,S1,24,2017-07-02,3.5,1\n"
+                    "A,S1,24,2017-06-30,0.5,1\nA,S1,24,2017-07-01,1.5,1\n"
+                    "C,S2,48,2017-07-02,4.5,2\n")
+    _assert_reads_as_reference(path)
+    got = cli.load_predictions(path)
+    assert list(got) == [("A", "S1", 24), ("B", "S1", 24), ("C", "S2", 48)]
+    dates, mu, sigma = got[("A", "S1", 24)]
+    assert dates.tolist() == np.array(["2017-06-30", "2017-07-01", "2017-07-02"],
+                                      dtype="datetime64[D]").tolist()
+    assert mu.tolist() == [0.5, 1.5, 2.5] and sigma.tolist() == [1.0, 1.0, 1.0]
+    # an invalid date is not remembered: its first row is the one named
+    path.write_text(header + "A,S1,24,2017-07-01,1.5,1\nA,S1,24,2017-02-30,2.5,1\n"
+                    "B,S1,24,2017-02-30,2.5,1\n")
+    _assert_reads_as_reference(path)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: cannot parse"):
+        cli.load_predictions(path)
 
 
 @pytest.mark.parametrize("sigma", ["-1", "nan"])
@@ -543,6 +602,32 @@ def test_fit_file_missing_a_block_is_data_error(pipeline, tmp_path, capsys, comm
     assert "Traceback" not in err and err.count("error[") == 1
     assert err.startswith("error[data]:") and str(damaged) in err and f"{block} block" in err
     assert not out.exists()
+
+
+def test_verify_builds_one_training_window_per_cell(pipeline, tmp_path, monkeypatch):
+    # the SAR-SEMOS fit relabelled as the other AR kinds: four seasonal fits of one cell
+    fits = _copy_dir(pipeline / "fits", tmp_path / "fits")
+    doc = json.loads((pipeline / "fits" / "fit_SAR-SEMOS_S01_24h.json").read_text())
+    doc["garch"] = {"omega0": 0.1, "omega1": 0.5, "omega2": 0.3}
+    for kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS"):
+        (fits / f"fit_{kind}_S01_24h.json").write_text(json.dumps({**doc, "kind": kind}))
+    rows = _prediction_rows(pipeline)
+    seasonal = [row for row in rows[1:] if row[0] in ("SEMOS", "SAR-SEMOS")]
+    preds = _write_predictions(tmp_path, [rows[0]] + seasonal + [
+        [kind, *row[1:]] for kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS")
+        for row in rows[1:] if row[0] == "SAR-SEMOS"])
+    window = StationSeries.window
+    calls = []
+    monkeypatch.setattr(StationSeries, "window",
+                        lambda self, *args: calls.append(args) or window(self, *args))
+    out = tmp_path / "ver"
+    assert run("verify", "--data", pipeline / "data", "--models-dir", fits,
+               "--predictions", preds, "--out", out, "--lead", "24",
+               "--train-start", "2015-01-01", "--train-end", "2017-06-30") == 0
+    assert len(calls) == 1
+    with open(out / "residual_dependence.csv", newline="") as fh:
+        assert {row["method"] for row in csv.DictReader(fh)} == {
+            "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"}
 
 
 @pytest.mark.parametrize("flags", [

@@ -843,7 +843,8 @@ def _per_date_reference(model, series, dates):
 
     mu, sigma = [], []
     for date in dates:
-        i = series.index_of(date)
+        i = int(np.searchsorted(series.dates, date))
+        assert series.dates[i] == date
         h = max(i - k, 0)
         window = [ar.eta] * max(ar.p - h, 0) + list(x[max(h - ar.p, 0):h])
         for _ in range(i - h + 1):
