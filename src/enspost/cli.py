@@ -40,11 +40,10 @@ from .errors import (
 )
 from .models import MODEL_KINDS, SEASONAL_KINDS, FittedModel, training_residuals
 from .optimize import OptimizeSettings
-from .scoring import crps_ensemble, m_member_level, score_cases
+from .scoring import ScoreSample, crps_ensemble, m_member_level, score_cases
 from .seasonal import SeasonalCoeffs
 from .timeseries import ARCoeffs, GARCHCoeffs
 from .verify import (
-    ScoreRow,
     ScoreTable,
     pit_histogram,
     residual_dependence_table,
@@ -465,15 +464,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         idx = np.searchsorted(series.dates, dates)
         members = series.members[idx]
         y = series.obs[idx]
-        raw_crps = crps_ensemble(members, y)
-        lo = members.min(axis=1)
-        hi = members.max(axis=1)
-        raw_table.rows.append(ScoreRow(
-            method="raw-ensemble", station_id=station, lead_time_h=lead, n=y.size,
-            mean_crps=float(raw_crps.mean()), mean_logs=None,
-            rmse=float(np.sqrt(np.mean((series.ens_mean[idx] - y) ** 2))),
-            mean_width=float(np.mean(hi - lo)),
-            coverage_pct=float(100.0 * np.mean((lo <= y) & (y <= hi)))))
+        lo, hi = members.min(axis=1), members.max(axis=1)
+        raw_table.add_sample("raw-ensemble", station, lead, ScoreSample(
+            crps=crps_ensemble(members, y), logs=None, se=np.square(series.ens_mean[idx] - y),
+            pit=None, width=hi - lo, covered=(lo <= y) & (y <= hi)))
 
     matrix = significance_matrix(table, alpha=0.05)
     pit_rows = []

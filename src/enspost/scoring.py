@@ -1,4 +1,5 @@
-"""Proper scoring rules, PIT and prediction-interval metrics.
+"""Proper scoring rules, PIT and prediction-interval metrics, and the
+per-case ``ScoreSample`` that ``verify.ScoreTable`` aggregates into rows.
 
 All closed-form Gaussian scores share the standard normal PDF/CDF from
 scipy.special (erf based, absolute error well below 1e-12), which keeps the
@@ -13,7 +14,6 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import (
-    EmptyInput,
     InvalidInput,
     InvalidLevel,
     InvalidReference,
@@ -241,26 +241,19 @@ def verification_rank(members, y: float, rng) -> int:
 
 @dataclass
 class ScoreSample:
-    """Per-case verification scores aligned to a common case index."""
+    """Per-case verification scores aligned to a common case index.
+
+    ``logs`` and ``pit`` are None for a forecast without a density, such
+    as the raw ensemble; ``ScoreTable.add_sample`` aggregates a sample
+    into one score row.
+    """
 
     crps: np.ndarray
-    logs: np.ndarray
+    logs: np.ndarray | None
     se: np.ndarray
-    pit: np.ndarray
+    pit: np.ndarray | None
     width: np.ndarray
     covered: np.ndarray  # bool
-
-
-@dataclass(frozen=True)
-class ScoreSummary:
-    """One aggregated score-table row."""
-
-    n: int
-    mean_crps: float
-    mean_logs: float
-    rmse: float
-    mean_width: float
-    coverage_pct: float
 
 
 def score_cases(mu, sigma, y, level: float) -> ScoreSample:
@@ -287,21 +280,6 @@ def score_cases(mu, sigma, y, level: float) -> ScoreSample:
         pit=pit_normal_series(mu, sigma, y),
         width=upper - lower,
         covered=(lower <= y) & (y <= upper),
-    )
-
-
-def summarize(sample: ScoreSample) -> ScoreSummary:
-    """Aggregate a score sample: mean CRPS/LogS, RMSE, mean width, coverage %."""
-    n = np.asarray(sample.crps).size
-    if n == 0:
-        raise EmptyInput("cannot summarize an empty score sample")
-    return ScoreSummary(
-        n=int(n),
-        mean_crps=float(np.mean(sample.crps)),
-        mean_logs=float(np.mean(sample.logs)),
-        rmse=float(np.sqrt(np.mean(sample.se))),
-        mean_width=float(np.mean(sample.width)),
-        coverage_pct=float(100.0 * np.mean(sample.covered)),
     )
 
 

@@ -146,25 +146,20 @@ def _centered_columns(x: np.ndarray):
     return c, np.einsum("ij,ij->j", c, c) <= floor
 
 
-def _centered(x) -> np.ndarray:
-    c, constant = _centered_columns(np.asarray(x, dtype=float).reshape(-1, 1))
-    if constant[0]:
-        raise DegenerateSeries("constant series has no autocorrelation structure")
-    return c[:, 0]
-
-
 def acf(x, max_lag: int) -> np.ndarray:
     """Sample autocorrelations rho_1..rho_max_lag (biased denominator).
 
     Autocovariances use divisor n and are normalized by the lag-0
     autocovariance, the convention that keeps Levinson-Durbin stable.
     """
-    c = _centered(x)
-    n = c.size
+    x = np.asarray(x, dtype=float).reshape(-1, 1)
+    n = x.shape[0]
+    gamma, _, constant = _autocovariances(x, min(max_lag, n))  # range checked below
+    if constant[0]:
+        raise DegenerateSeries("constant series has no autocorrelation structure")
     if not (1 <= max_lag < n):
         raise InvalidInput(f"max_lag must be in [1, n-1], got {max_lag} for n={n}")
-    denom = float(c @ c)
-    return np.array([float(c[k:] @ c[:-k]) / denom for k in range(1, max_lag + 1)])
+    return gamma[1:, 0] / gamma[0, 0]
 
 
 def _levinson_durbin(gamma: np.ndarray):

@@ -16,7 +16,7 @@ from .errors import (
     InvalidInput,
     InvalidPIT,
 )
-from .scoring import ScoreSample, summarize
+from .scoring import ScoreSample
 from .timeseries import ljung_box
 
 DM_ALTERNATIVES = ("a_better", "b_better", "two_sided")
@@ -52,38 +52,23 @@ class ScoreTable:
 
     def add_sample(self, method: str, station_id: str, lead_time_h: int,
                    sample: ScoreSample, dates=None) -> ScoreRow:
-        summary = summarize(sample)
+        """Append the row aggregating ``sample``: mean CRPS and LogS (None
+        when the sample has no LogS), RMSE, mean width and coverage %."""
+        crps = np.asarray(sample.crps, dtype=float)
+        if crps.size == 0:
+            raise EmptyInput("cannot summarize an empty score sample")
         row = ScoreRow(
             method=method, station_id=station_id, lead_time_h=int(lead_time_h),
-            n=summary.n, mean_crps=summary.mean_crps, mean_logs=summary.mean_logs,
-            rmse=summary.rmse, mean_width=summary.mean_width,
-            coverage_pct=summary.coverage_pct,
-            case_crps=np.asarray(sample.crps, dtype=float),
+            n=int(crps.size), mean_crps=float(np.mean(crps)),
+            mean_logs=None if sample.logs is None else float(np.mean(sample.logs)),
+            rmse=float(np.sqrt(np.mean(sample.se))),
+            mean_width=float(np.mean(sample.width)),
+            coverage_pct=float(100.0 * np.mean(sample.covered)),
+            case_crps=crps,
             dates=None if dates is None else np.asarray(dates, dtype="datetime64[D]"),
         )
         self.rows.append(row)
         return row
-
-    def methods(self) -> list[str]:
-        seen = []
-        for row in self.rows:
-            if row.method not in seen:
-                seen.append(row.method)
-        return seen
-
-    def cells(self) -> list[tuple[str, int]]:
-        seen = []
-        for row in self.rows:
-            key = (row.station_id, row.lead_time_h)
-            if key not in seen:
-                seen.append(key)
-        return seen
-
-    def row(self, method: str, station_id: str, lead_time_h: int) -> ScoreRow:
-        for r in self.rows:
-            if (r.method, r.station_id, r.lead_time_h) == (method, station_id, int(lead_time_h)):
-                return r
-        raise KeyError(f"no row for ({method}, {station_id}, {lead_time_h})")
 
     def aggregate(self, method: str) -> dict:
         """Across-cell aggregation (weighted by n) of one method's rows."""
@@ -210,19 +195,17 @@ class SignificanceMatrix:
 def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceMatrix:
     """Pairwise one-sided DM tests per cell, BH-corrected within each
     ordered method pair across cells."""
-    methods = table.methods()
-    cells = table.cells()
-    if not methods or not cells:
-        raise EmptyInput("score table is empty")
     series = {}
+    for row in table.rows:  # a repeated key keeps its first row
+        series.setdefault((row.method, row.station_id, row.lead_time_h), row)
+    if not series:
+        raise EmptyInput("score table is empty")
+    methods = list(dict.fromkeys(method for method, _, _ in series))
+    cells = list(dict.fromkeys((station, lead) for _, station, lead in series))
     for method in methods:
         for station, lead in cells:
-            try:
-                row = table.row(method, station, lead)
-            except KeyError:
-                raise AlignmentError(
-                    f"method {method} missing cell ({station}, {lead})") from None
-            series[(method, station, lead)] = row
+            if (method, station, lead) not in series:
+                raise AlignmentError(f"method {method} missing cell ({station}, {lead})")
     percent = np.zeros((len(methods), len(methods)))
     for i, mi in enumerate(methods):
         for j, mj in enumerate(methods):

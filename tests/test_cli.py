@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from enspost import cli, models
+from enspost import cli, models, scoring
 from enspost.cli import main, parse_config_file
 from enspost.errors import ConfigError, DataError, InvalidConfig
 from enspost.models import FittedModel
@@ -218,6 +218,28 @@ def test_verify_outputs(pipeline):
                      .splitlines()[1].split(",")[4])
     model_crps = [float(line.split(",")[4]) for line in scores[1:]]
     assert all(c < raw_crps for c in model_crps)
+
+
+def test_raw_ensemble_row_is_the_member_scores_on_the_predicted_dates(pipeline):
+    with open(pipeline / "preds" / "predictions.csv") as fh:
+        dates = sorted({row["date"] for row in csv.DictReader(fh) if row["model"] == "EMOS"})
+    series = load_station_csv(pipeline / "data" / "station_S01_24h.csv")
+    idx = np.searchsorted(series.dates, np.array(dates, dtype="datetime64[D]"))
+    members, y = series.members[idx], series.obs[idx]
+    lo, hi = members.min(axis=1), members.max(axis=1)
+    with open(pipeline / "ver" / "scores_raw_ensemble.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["method"], row["station_id"], row["lead_time_h"]) == ("raw-ensemble", "S01", "24")
+    assert int(row["n"]) == len(dates) == 88
+    assert row["mean_logs"] == ""
+    expected = {
+        "mean_crps": np.mean([scoring.crps_ensemble(m, o) for m, o in zip(members, y)]),
+        "rmse": np.sqrt(np.mean((members.mean(axis=1) - y) ** 2)),
+        "mean_width": np.mean(hi - lo),
+        "coverage_pct": 100.0 * np.mean((lo <= y) & (y <= hi)),
+    }
+    for field, value in expected.items():
+        assert float(row[field]) == pytest.approx(value, abs=1e-6), field
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -3,11 +3,10 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import chisquare, kstest
 
-from enspost.errors import EmptyInput, InvalidInput, InvalidLevel, InvalidReference
+from enspost.errors import InvalidInput, InvalidLevel, InvalidReference
 from enspost.optimize import numeric_gradient
 from enspost.scoring import (
     GaussianParams,
-    ScoreSample,
     central_interval,
     crps_ensemble,
     crps_integral,
@@ -20,7 +19,6 @@ from enspost.scoring import (
     m_member_level,
     pit_normal,
     score_cases,
-    summarize,
     verification_rank,
 )
 
@@ -253,33 +251,8 @@ def test_verification_rank_ties_randomized(rng):
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# skill score
 # ---------------------------------------------------------------------------
-
-
-def test_summarize_single_case():
-    sample = score_cases([1.0], [2.0], [1.5], level=0.9)
-    row = summarize(sample)
-    assert row.n == 1
-    assert row.mean_crps == pytest.approx(crps_normal(GaussianParams(1.0, 2.0), 1.5))
-    assert row.rmse == pytest.approx(0.5)
-    assert row.coverage_pct in (0.0, 100.0)
-
-
-def test_summarize_rmse_hand_arithmetic():
-    sample = ScoreSample(
-        crps=np.array([0.1, 0.2]), logs=np.array([1.0, 2.0]),
-        se=np.array([1.0, 9.0]), pit=np.array([0.5, 0.5]),
-        width=np.array([1.0, 2.0]), covered=np.array([True, False]))
-    row = summarize(sample)
-    assert row.rmse == pytest.approx(np.sqrt(5.0))
-    assert row.coverage_pct == pytest.approx(50.0)
-
-
-def test_summarize_empty_rejected():
-    sample = ScoreSample(*(np.empty(0) for _ in range(6)))
-    with pytest.raises(EmptyInput):
-        summarize(sample)
 
 
 def test_crpss_values():

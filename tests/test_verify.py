@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 from enspost.errors import (
     AlignmentError,
     DegenerateDifferential,
+    EmptyInput,
     InvalidInput,
     InvalidPIT,
 )
-from enspost.scoring import score_cases
+from enspost.scoring import GaussianParams, ScoreSample, crps_normal, score_cases
 from enspost.verify import (
     ScoreTable,
     benjamini_hochberg,
@@ -160,6 +161,18 @@ def test_significance_matrix_misaligned_rejected(rng):
         significance_matrix(table)
 
 
+def test_significance_matrix_repeated_row_keeps_the_first(rng):
+    crps = [rng.uniform(0.5, 1.5, size=120) for _ in range(3)]
+    table = _table_from_crps({"A": crps, "B": [c + 0.2 + rng.normal(0, 0.2, 120) for c in crps]})
+    before = significance_matrix(table).percent
+    sample = score_cases(np.zeros(120), np.ones(120), np.zeros(120), level=0.9)
+    sample.crps = crps[0] + 5.0  # a later A row for S00 that would lose every test
+    table.add_sample("A", "S00", 24, sample)
+    after = significance_matrix(table)
+    assert after.methods == ["A", "B"]
+    np.testing.assert_array_equal(after.percent, before)
+
+
 # ---------------------------------------------------------------------------
 # residual dependence
 # ---------------------------------------------------------------------------
@@ -226,6 +239,44 @@ def test_rank_histogram_counts():
 # ---------------------------------------------------------------------------
 # table plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_add_sample_single_case():
+    sample = score_cases([1.0], [2.0], [1.5], level=0.9)
+    row = ScoreTable().add_sample("A", "S01", 24, sample)
+    assert row.n == 1
+    assert row.mean_crps == pytest.approx(crps_normal(GaussianParams(1.0, 2.0), 1.5))
+    assert row.rmse == pytest.approx(0.5)
+    assert row.coverage_pct in (0.0, 100.0)
+
+
+def test_add_sample_rmse_hand_arithmetic():
+    sample = ScoreSample(
+        crps=np.array([0.1, 0.2]), logs=np.array([1.0, 2.0]),
+        se=np.array([1.0, 9.0]), pit=np.array([0.5, 0.5]),
+        width=np.array([1.0, 2.0]), covered=np.array([True, False]))
+    row = ScoreTable().add_sample("A", "S01", 24, sample)
+    assert row.rmse == pytest.approx(np.sqrt(5.0))
+    assert row.coverage_pct == pytest.approx(50.0)
+
+
+def test_add_sample_empty_rejected():
+    sample = ScoreSample(*(np.empty(0) for _ in range(6)))
+    table = ScoreTable()
+    with pytest.raises(EmptyInput, match="cannot summarize an empty score sample"):
+        table.add_sample("A", "S01", 24, sample)
+    assert table.rows == []
+
+
+def test_add_sample_without_logs_has_no_mean_logs(tmp_path):
+    sample = ScoreSample(
+        crps=np.array([0.1, 0.3]), logs=None, se=np.array([1.0, 9.0]), pit=None,
+        width=np.array([1.0, 2.0]), covered=np.array([True, False]))
+    table = ScoreTable()
+    assert table.add_sample("raw-ensemble", "S01", 24, sample).mean_logs is None
+    table.to_csv(tmp_path / "scores.csv")
+    assert (tmp_path / "scores.csv").read_text().splitlines()[1] == (
+        "raw-ensemble,S01,24,2,0.200000,,2.236068,1.500000,50.000000")
 
 
 def test_score_table_csv_schema(tmp_path, rng):
