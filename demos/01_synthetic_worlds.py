@@ -1,4 +1,4 @@
-# Synthetic station worlds: what the generator produces and why its
+# Synthetic station worlds: what the generator produces and why its 24 h
 # truth sidecar is exactly calibrated.
 #
 # Run:  python3 demos/01_synthetic_worlds.py
@@ -37,8 +37,9 @@ print(f"\nraw ensemble mean error: {bias:+.2f} C (configured bias 1.5)")
 print(f"mean ensemble spread {series.ens_sd.mean():.2f} C vs "
       f"mean truth sigma {truth.sigma.mean():.2f} C (underdispersion)")
 
-# The truth sidecar is the exact conditional distribution, so its PIT is
-# uniform (variance 1/12) and standardized innovations are N(0, 1):
+# At this 24 h lead the truth sidecar is the exact one-step conditional
+# distribution, so its PIT is uniform (variance 1/12) and standardized
+# innovations are N(0, 1):
 z = (series.obs - truth.mu) / truth.sigma
 print(f"\ntruth innovations: mean {z.mean():+.3f}, sd {z.std():.3f} (target 0, 1)")
 sample = score_cases(truth.mu, truth.sigma, series.obs, level=m_member_level(50))

@@ -8,9 +8,9 @@ share across threads.
 The synthetic generator produces series whose observations follow the same
 seasonal-AR(-GARCH) recursions the postprocessing models assume, anchored
 to an *ideal* forecast center/spread, while the delivered ensemble members
-are bias- and dispersion-distorted forecasts of that ideal.  The exact
-conditional truth (mu, sigma) per date is returned alongside for oracle
-tests.
+are bias- and dispersion-distorted forecasts of that ideal.  The truth
+(mu, sigma) per date, the generating model's own forecast at the series'
+lead time (``SyntheticTruth``), is returned alongside for oracle tests.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_design
 from .timeseries import (
     ARCoeffs,
     GARCHCoeffs,
-    ar_teacher_forced,
+    ar_bridge,
+    garch_sigma_factor,
     is_stationary,
     linear_recursion,
 )
@@ -495,6 +496,8 @@ class SyntheticConfig:
             raise InvalidConfig("ens_bias and ens_dispersion must be finite")
         if self.n_days < 2:
             raise InvalidConfig("n_days must be >= 2")
+        if self.lead_time_h < 1:
+            raise InvalidConfig(f"lead time must be >= 1 h, got {self.lead_time_h} h")
         if self.m < 2:
             raise InvalidConfig("need at least 2 ensemble members")
         if self.ens_dispersion <= 0:
@@ -513,10 +516,13 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class SyntheticTruth:
-    """Exact per-date conditional truth of the generating process."""
+    """The generating model's forecast per date at the series' lead time,
+    ``models.predict`` at the true coefficients: too narrow past 24 h, and
+    with GARCH the k >= 1 conditional is a scale mixture, which a Gaussian
+    matches in moments at best."""
 
-    mu: np.ndarray              # conditional mean of y(t) given the past
-    sigma: np.ndarray           # conditional standard deviation
+    mu: np.ndarray              # (k+1)-step conditional mean, k = lead_time_offset
+    sigma: np.ndarray           # one-step sigma_S times the bridged sigma_G
     mu_seasonal: np.ndarray     # seasonal location component mu_S(t)
     sigma_seasonal: np.ndarray  # seasonal scale component sigma_S(t)
 
@@ -526,7 +532,7 @@ _BURN = 300
 
 @np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTruth]:
-    """Draw one synthetic station series plus its exact conditional truth.
+    """Draw one synthetic station series plus its truth at its lead time.
 
     Bit-reproducible for a fixed seed.  See SyntheticConfig for the model.
     The weather AR, the error AR around eta and the GARCH variance each
@@ -576,10 +582,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     scale_path = np.concatenate([np.full(_BURN, innov_scale[0]), innov_scale])
     x_path = cfg.ar.eta + linear_recursion(np.asarray(cfg.ar.tau, dtype=float),
                                            scale_path * (sig_g * z))
-    x_pred = ar_teacher_forced(cfg.ar, x_path, _BURN)
     y = mu_s + d * x_path[_BURN:]
-    truth = SyntheticTruth(mu=mu_s + d * x_pred, sigma=sigma_s * sig_g[_BURN:],
-                           mu_seasonal=mu_s, sigma_seasonal=sigma_s)
+    i = _BURN + np.arange(n)  # the truth forecasts x_path[i] from before i - k
+    h = np.maximum(i - lead_time_offset(cfg.lead_time_h), 0)
+    sig_hat = 1.0 if cfg.garch is None else garch_sigma_factor(cfg.garch, cfg.ar, x_path,
+                                                                scale_path, h, i)
+    truth = SyntheticTruth(mu=mu_s + d * ar_bridge(cfg.ar, x_path, h, i),
+                           sigma=sigma_s * sig_hat, mu_seasonal=mu_s, sigma_seasonal=sigma_s)
 
     if not all(np.isfinite(v).all() for v in (y, truth.mu, truth.sigma)):
         raise InvalidConfig(f"ens_bias {cfg.ens_bias} and ens_dispersion {cfg.ens_dispersion} "
@@ -591,7 +600,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
 
 
 def write_truth_csv(dates, truth: SyntheticTruth, path) -> None:
-    """Sidecar with the exact conditional truth, one row per date: the bytes
+    """Sidecar with the truth (``SyntheticTruth``), one row per date: the bytes
     of ``csv.writer``, each row one ``%`` on a ``row_template``."""
     template = row_template(["%s"] + [_FLOAT_FMT] * 4)
     with open(path, "w", newline="") as fh:

@@ -37,14 +37,14 @@ omega0 move between runs that change the optimizer while the forecasts
 stay put.
 
 During prediction, residuals of the k most recent days (lead-time offset)
-are unobservable and are bridged with the multi-step AR recursion; the
-GARCH recursion bridges them with its conditional-expectation update.  All
-requested dates are computed in one pass: one multi-step AR recursion with
-a column per date, and for DAR-GARCH-SEMOS one GARCH path over the
-observable series.  sigma stays the one-step sigma_S (times the bridged
-GARCH factor): the AR bridge moves the mean only.  The jointly CRPS-fitted
-tau is not held stationary, so a predict call whose tau is nonstationary,
-where the bridge can diverge, warns once.
+are unobservable, and all dates are bridged in one pass by the conditional
+the synthetic truth also uses: ``timeseries.ar_bridge`` (multi-step AR)
+and ``garch_sigma_factor`` (GARCH conditional-expectation update).  mu is
+the (k+1)-step conditional mean; sigma stays the one-step sigma_S (times
+the bridged GARCH factor), and with GARCH the k >= 1 conditional is a
+scale mixture, which a Gaussian matches in moments at best.  The jointly
+CRPS-fitted tau is not held stationary, so a predict call whose tau is
+nonstationary, where the bridge can diverge, warns once.
 """
 
 from __future__ import annotations
@@ -61,17 +61,20 @@ from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_ser
 from ..seasonal import N_COEFFS, seasonal_design
 from ..timeseries import (
     ARCoeffs,
-    ARFits,
     GARCHCoeffs,
-    ar_multistep,
+    ar_bridge,
     ar_teacher_forced,
     ar_teacher_forced_adjoint,
     fit_ar_yule_walker,
     fit_garch,
     garch_path,
     garch_path_adjoint,
+    garch_sigma_factor,
+    garch_start,
     is_stationary,
 )
+# ``ar_multistep`` stays importable here: perfbench's tracer wraps this name
+from ..timeseries import ar_multistep  # noqa: F401
 from .base import SEASONAL_KINDS, FittedModel, PredictionContext
 
 logger = logging.getLogger(__name__)
@@ -159,35 +162,6 @@ def _errors(residual: np.ndarray, d: np.ndarray | None) -> np.ndarray:
     return residual if d is None else residual / d
 
 
-def _garch_start(w: np.ndarray) -> float:
-    """omega0 / (1 - omega1 - omega2), the denominator floored at 1e-3 to keep the
-    objective continuous across the stationarity boundary; 1 unless positive."""
-    init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
-    return init if init > 0 else 1.0
-
-
-def _garch_path(w: np.ndarray, rho_sq: np.ndarray) -> np.ndarray:
-    """GARCH variance path sigma_G^2 aligned with rho_sq.
-
-    w holds (omega0, omega1, omega2) already squared/non-negative.  Element
-    0 is ``_garch_start(w)``; element i uses rho_sq[i-1].
-    """
-    return garch_path(w, rho_sq, _garch_start(w))
-
-
-def _garch_path_adjoint(w, rho_sq, path, d_path) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse-mode derivative of ``_garch_path``: (d_w, d_rho_sq) from the
-    adjoint ``d_path`` of its output ``path``, including the start value's
-    floored denominator; the init <= 0 -> 1.0 branch has zero derivative."""
-    d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, path, d_path)
-    denom = 1.0 - w[1] - w[2]
-    if w[0] > 0:  # path[0] = omega0 / max(denom, 1e-3)
-        d_w[0] += d_init / max(denom, 1e-3)
-        if denom > 1e-3:
-            d_w[1:] += d_init * path[0] / denom
-    return d_w, d_rho_sq
-
-
 # ---------------------------------------------------------------------------
 # theta layout and training evaluation (one forward pass used by the
 # objective with its gradient and by the residuals)
@@ -262,14 +236,19 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
     w = np.square(root_w)
     eps = x[p:] - x_pred
     rho_sq = np.square(eps / sigma_s[p:])
-    sig_g2 = _garch_path(w, rho_sq)
+    sig_g2 = garch_path(w, rho_sq, garch_start(w))
     sig_g = np.sqrt(sig_g2)
 
     def garch_pullback(d_mu, d_sigma):
         # sigma = sigma_s sig_g; sig_g^2 is driven by rho^2 = eps^2 / sigma_s^2,
         # where eps = y - mu; w = root_w^2
-        d_w, d_rho_sq = _garch_path_adjoint(w, rho_sq, sig_g2,
-                                            d_sigma * sigma_s[p:] / (2.0 * sig_g))
+        d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, sig_g2,
+                                                   d_sigma * sigma_s[p:] / (2.0 * sig_g))
+        denom = 1.0 - w[1] - w[2]
+        if w[0] > 0:  # sig_g2[0] = garch_start(w) = omega0 / max(denom, 1e-3), else 1.0
+            d_w[0] += d_init / max(denom, 1e-3)
+            if denom > 1e-3:
+                d_w[1:] += d_init * sig_g2[0] / denom
         d_eps = 2.0 * d_rho_sq * eps / np.square(sigma_s[p:])
         return ar_pullback(d_mu - d_eps, d_sigma * sig_g - 2.0 * d_rho_sq * rho_sq / sigma_s[p:],
                            2.0 * root_w * d_w)
@@ -403,46 +382,6 @@ def seasonal_fit(kind: str, series: StationSeries,
 # ---------------------------------------------------------------------------
 
 
-def _ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Multi-step AR forecast of ``x`` for every date at once: column d runs
-    the recursion from the p values before h[d] (padded with eta when fewer
-    exist) and yields its value ``steps[d]`` steps ahead."""
-    rows = h + np.arange(-ar.p, 0)[:, None]  # (p, dates)
-    history = np.where(rows >= 0, x[np.maximum(rows, 0)], ar.eta)
-    paths = ar_multistep(ARFits.stack([ar] * h.size), history, int(steps.max(initial=1)))
-    return paths[steps - 1, np.arange(h.size)]
-
-
-def _garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, x: np.ndarray, sigma_s: np.ndarray,
-                        h: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """sigma_G of each prediction index i, whose observable history ends
-    before h (exclusive).
-
-    One teacher-forced AR pass and one GARCH path run over the observable
-    series.  Each date starts from the variance one step after its last
-    observable innovation (the unconditional start when it has none) and
-    is bridged over the remaining days by the conditional-expectation
-    update, which replaces the unknown rho^2 by sigma_G^2 (standard
-    multi-step variance forecast).
-    """
-    w = np.array([g.omega0, g.omega1, g.omega2])
-    p = ar.p
-    var = np.full(h.size, _garch_start(w))
-    steps_left = np.maximum(i - p, 0)
-    n = int(h.max(initial=0))
-    if n > p:
-        rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / sigma_s[p:n])
-        path = _garch_path(w, rho_sq)
-        seen = h > p
-        last = h[seen] - 1 - p  # path index of each date's last observable day
-        # one step ahead still sees the last observable rho^2
-        var[seen] = w[0] + w[1] * path[last] + w[2] * rho_sq[last]
-        steps_left[seen] = (i - h)[seen]
-    for step in range(int(steps_left.max(initial=0))):
-        var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
-    return np.sqrt(var)
-
-
 def seasonal_predict(model: FittedModel, series: StationSeries, dates):
     """Per-date (mu, sigma) of a seasonal fit, all dates in one pass."""
     ctx = PredictionContext.build(model, series, dates)
@@ -453,13 +392,12 @@ def seasonal_predict(model: FittedModel, series: StationSeries, dates):
         return mu_s[i], sigma_s[i]
 
     if not is_stationary(model.ar.tau):
-        warnings.warn("multi-step prediction with nonstationary AR coefficients",
-                      stacklevel=2)
+        warnings.warn("multi-step prediction with nonstationary AR coefficients", stacklevel=2)
     h = ctx.history_end(i)
     d = _error_divisor(model.kind, sigma_s)
     x = _errors(series.obs - mu_s, d)
-    x_hat = _ar_bridge(model.ar, x, h, i - h + 1)
+    x_hat = ar_bridge(model.ar, x, h, i)
     mu = mu_s[i] + (x_hat if d is None else d[i] * x_hat)
     if model.kind != "DAR-GARCH-SEMOS":
         return mu, sigma_s[i]
-    return mu, sigma_s[i] * _garch_sigma_factor(model.garch, model.ar, x, sigma_s, h, i)
+    return mu, sigma_s[i] * garch_sigma_factor(model.garch, model.ar, x, sigma_s, h, i)

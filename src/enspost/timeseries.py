@@ -37,6 +37,10 @@ not fuse its multiply into the subtraction (``trans=0`` and LAPACK
 ``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag sum is
 added in BLAS's order.  ``ar_multistep`` runs m columns on from given
 histories, each step the one-step formula of ``ar_teacher_forced``.
+
+``ar_bridge`` and ``garch_sigma_factor`` are the one lead-time conditional
+of an AR(-GARCH) error process, which the seasonal models' predictor and
+the synthetic generator's truth share.
 """
 
 from __future__ import annotations
@@ -459,6 +463,19 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
     return buf[p:, 0] if single else buf[p:]
 
 
+def ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """AR forecast of each x[i] from the history before h (exclusive), all at
+    once: column d runs i[d] - h[d] + 1 steps from the p values before h[d]
+    (eta where fewer exist), reading the fit's eta and tau broadcast."""
+    m = h.size
+    tau = np.broadcast_to(np.array(ar.tau, dtype=float), (m, ar.p))
+    fits = ARFits(np.full(m, ar.p), np.full(m, float(ar.eta)), tau, np.zeros(m, dtype=bool))
+    rows = h + np.arange(-ar.p, 0)[:, None]  # (p, dates)
+    history = np.where(rows >= 0, x[np.maximum(rows, 0)], ar.eta)
+    paths = ar_multistep(fits, history, int((i - h).max(initial=0)) + 1)
+    return paths[i - h, np.arange(m)]
+
+
 # ---------------------------------------------------------------------------
 # GARCH(1,1)
 # ---------------------------------------------------------------------------
@@ -477,6 +494,42 @@ def garch_path(w, rho_sq, init: float) -> np.ndarray:
     drive[0] = init
     drive[1:] = w[0] + w[2] * rho_sq[:-1]
     return linear_recursion([w[1]], drive)
+
+
+def garch_start(w) -> float:
+    """Start of the seasonal models' GARCH paths: omega0 / (1 - omega1 - omega2),
+    the denominator floored at 1e-3 (a fit's objective stays continuous
+    across the stationarity boundary); 1 unless positive."""
+    init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
+    return init if init > 0 else 1.0
+
+
+def garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, x: np.ndarray, scale: np.ndarray,
+                       h: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """sigma_G of each index i of the AR error series ``x`` from the history
+    before h (exclusive), the GARCH running on rho = (x - one-step AR) / scale.
+
+    One GARCH path from ``garch_start`` runs over the observable series.
+    Each date starts one step after its last observable innovation (at the
+    start value when it has none) and is bridged over the remaining days by
+    the conditional-expectation update, which replaces rho^2 by sigma_G^2.
+    """
+    w = np.array([g.omega0, g.omega1, g.omega2])
+    p, start = ar.p, garch_start(w)
+    var = np.full(h.size, start)
+    steps_left = np.maximum(i - p, 0)
+    n = int(h.max(initial=0))
+    if n > p:
+        rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / scale[p:n])
+        path = garch_path(w, rho_sq, start)
+        seen = h > p
+        last = h[seen] - 1 - p  # path index of each date's last observable day
+        # one step ahead still sees the last observable rho^2
+        var[seen] = w[0] + w[1] * path[last] + w[2] * rho_sq[last]
+        steps_left[seen] = (i - h)[seen]
+    for step in range(int(steps_left.max(initial=0))):
+        var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
+    return np.sqrt(var)
 
 
 def garch_path_adjoint(w, rho_sq, path, d_path):

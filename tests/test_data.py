@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from enspost import data
+from enspost import data, models
 from enspost.data import (
     StationSeries,
     SyntheticConfig,
@@ -618,6 +618,35 @@ def test_synthetic_truth_mean_is_the_ar_on_errors_over_d(world):
     x_hat = ar_teacher_forced(ar, (series.obs - truth.mu_seasonal) / d, ar.p)
     np.testing.assert_allclose(truth.mu[ar.p:], truth.mu_seasonal[ar.p:] + d[ar.p:] * x_hat,
                                rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead", [24, 72, 120])
+@pytest.mark.parametrize("kind, world", [
+    ("SAR-SEMOS", dict(standardized_ar=True)),
+    ("DAR-SEMOS", dict()),
+    ("DAR-GARCH-SEMOS", dict(garch=GARCHCoeffs(0.1, 0.55, 0.35))),
+], ids=["sar", "dar", "dar-garch"])
+def test_synthetic_truth_is_the_true_models_prediction_at_its_lead(kind, world, lead):
+    # the truth of a cell is models.predict of the generating coefficients at
+    # the cell's lead, once the GARCH start (models: first day; generator:
+    # burn-in) has worn off
+    cfg = SyntheticConfig(n_days=800, seed=5, lead_time_h=lead,
+                          ar=ARCoeffs(2, 0.4, (0.5, -0.2)), **world)
+    series, truth = generate_synthetic(cfg)
+    true_model = models.FittedModel(
+        kind=kind, loc=cfg.loc.as_vector(), scale=cfg.scale.as_vector(), ar=cfg.ar,
+        garch=cfg.garch, meta={"origin": cfg.start_date, "lead_time_h": lead})
+    mu, sigma = models.predict(true_model, series, series.dates[100:])
+    np.testing.assert_allclose(mu, truth.mu[100:], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sigma, truth.sigma[100:], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lead", [0, -5])
+def test_synthetic_config_rejects_leads_below_one_hour(lead):
+    with pytest.raises(InvalidConfig, match=f"^lead time must be >= 1 h, got {lead} h$"):
+        SyntheticConfig(lead_time_h=lead).validate()
+    with pytest.raises(InvalidConfig):
+        generate_synthetic(SyntheticConfig(n_days=50, lead_time_h=lead))
 
 
 @settings(max_examples=10, deadline=None)
