@@ -9,17 +9,18 @@ The convex weight between them is picked by CRPS minimization over the
 following 30-day window.  Everything re-estimates per prediction date.
 Both window lengths are fixed, as in Moeller & Gross (2016).
 
-Prediction works through the dates in blocks of ``_BLOCK_DATES``.  The 90-day
-AR windows of consecutive dates share 89 days, so a block's member fits and
-innovation variances come from window sums (``timeseries.windowed_ar_fits``):
+The 90-day AR windows of consecutive dates share 89 days, so the member fits
+and innovation variances come from window sums (``timeseries.windowed_ar_fits``):
 running sums of each member's errors and of their lag products give every
 (date, member) window's autocovariances in O(lags) and its innovation variance
-in O(p^2), and one Levinson-Durbin and AIC pass fits them all.  The
-teacher-forced weight window and the multi-step bridge run every (date,
-member) column of the block at once, and one vectorised Newton solve picks
-every date's weight.  The training fit is the one-date case.  Yule-Walker
-fits are stationary by construction, so the multi-step bridge needs no
-stationarity check.
+in O(p^2), and one Levinson-Durbin and AIC pass fits them all.  Prediction
+fits each group of up to 85 dates that share an anchor of those sums in one
+call, or in equal parts of at most ``_PART_DATES`` dates to bound its memory,
+and bridges all of a part's (date, member) columns at once; the weight
+windows run in blocks of ``_BLOCK_DATES`` dates and one vectorised Newton
+solve picks every date's weight.  The training fit is the one-date case.
+Yule-Walker fits are stationary by construction, so the multi-step bridge
+needs no stationarity check.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..data import StationSeries
 from ..optimize import golden_section  # noqa: F401
 from ..scoring import crps_normal_gradient, crps_normal_hessian
 from ..scoring import crps_normal_series  # noqa: F401
-from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, windowed_ar_fits
+from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, window_anchors, windowed_ar_fits
 from ..timeseries import ar_innovation_variance, fit_ar_yule_walker  # noqa: F401
 from .base import FittedModel, PredictionContext
 
@@ -48,20 +49,21 @@ WEIGHT_WINDOW = 30
 _SPAN = AR_WINDOW + WEIGHT_WINDOW
 _TAIL = MAX_MEMBER_AR_ORDER + WEIGHT_WINDOW  # error rows the weight window reads
 _SIGMA_FLOOR = 1e-8
-# dates per batched block: at 50 members a block's largest arrays are
-# 0.2 MB each; 32 dates were no faster and raised the peak memory by ~2 MB
+# dates per weight-window block (its largest arrays are 0.2 MB at 50 members)
+# and per member-fit part: with 48-date parts a 366-date predict's traced peak
+# is 1.8 MB (16-date fits: 2.06 MB); whole 85-date groups were no faster at 2.8 MB
 _BLOCK_DATES = 16
+_PART_DATES = 48
 _WEIGHT_TOLERANCE = 1e-10
 _WEIGHT_MAX_ITERATIONS = 60
 
 
 class _Estimate(NamedTuple):
-    """Member AR fits of a block of dates and their weight-window data.
+    """Member AR fits of a set of dates and their weight-window data.
     Column b * m + j of ``fits`` and ``errors`` belongs to date b, member j."""
 
     fits: ARFits
-    errors: np.ndarray  # (35, dates * m) errors of the weight window and the 5 days
-                        # before it, oldest row first
+    errors: np.ndarray  # (5, dates * m) errors of the 5 days before h: the bridge's history
     sigma1: np.ndarray  # (dates,)
     window: np.ndarray  # (3, dates, 30): adjusted mean and spread, observations
 
@@ -88,7 +90,8 @@ def _crps_weights(sigma1, mu, sigma2, y):
     >= 0 and sigma is affine in w), so its derivative is increasing.  Each
     row takes projected Newton steps inside the bracket that the signs of
     the derivatives seen so far leave, and bisects that bracket when a step
-    would leave it.  A row stops once its step is below 1e-10.
+    would leave it.  A row stops once its step is at most 1e-10, even onto an
+    end of the bracket, where rounding noise in g at the optimum can put it.
     """
     spread = sigma1[:, None] - sigma2  # d sigma / d w
     w = np.full(y.shape[0], 0.5)
@@ -112,7 +115,7 @@ def _crps_weights(sigma1, mu, sigma2, y):
         hi[rows] = np.where(g > 0, wr, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.clip(wr - np.where(g == 0, 0.0, g / h), 0.0, 1.0)
-        inside = (newton > lo[rows]) & (newton < hi[rows])
+        inside = (abs(newton - wr) <= _WEIGHT_TOLERANCE) | (newton > lo[rows]) & (newton < hi[rows])
         new = np.where(inside, newton,
                        0.5 * (np.maximum(lo[rows], 0.0) + np.minimum(hi[rows], 1.0)))
         done = np.abs(new - wr) <= _WEIGHT_TOLERANCE
@@ -126,22 +129,24 @@ def _crps_weights(sigma1, mu, sigma2, y):
 
 def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
     """Member AR fits for each history end h in ``ends`` (exclusive) on the
-    AR window [h-120, h-30), and the teacher-forced adjusted ensemble on the
-    weight window [h-30, h); the caller has checked those observations."""
-    m = series.n_members
+    AR window [h-120, h-30), in one call, and the teacher-forced adjusted
+    ensemble on the weight window [h-30, h), in blocks of ``_BLOCK_DATES``
+    dates; the caller has checked those observations."""
+    m, k = series.n_members, MAX_MEMBER_AR_ORDER
     first = int(ends.min()) - _SPAN
     x = series.obs[first:ends.max(), None] - series.members[first:ends.max()]
     fits, variance = _fit_members(x, ends - _SPAN, m, first)
-    sigma1 = np.sqrt(variance.reshape(-1, m).mean(axis=1))
-
-    rows = ends - first - _TAIL + np.arange(_TAIL)[:, None]  # (35, dates) rows of x
-    errors = x[rows].reshape(_TAIL, -1)
-    days = first + rows[MAX_MEMBER_AR_ORDER:]           # the weight window
-    adjusted = series.members[days] + ar_teacher_forced(
-        fits, errors, MAX_MEMBER_AR_ORDER).reshape(WEIGHT_WINDOW, -1, m)  # (30, dates, m)
-    window = np.stack([adjusted.mean(axis=2), adjusted.std(axis=2, ddof=1),
-                       series.obs[days]]).transpose(0, 2, 1)
-    return _Estimate(fits, errors, sigma1, window)
+    window = np.empty((3, ends.size, WEIGHT_WINDOW))
+    for b in range(0, ends.size, _BLOCK_DATES):
+        block, cols = slice(b, b + _BLOCK_DATES), slice(b * m, (b + _BLOCK_DATES) * m)
+        rows = ends[block] - first - _TAIL + np.arange(_TAIL)[:, None]  # (35, dates) rows of x
+        days = first + rows[k:]                                         # the weight window
+        adjusted = series.members[days] + ar_teacher_forced(
+            fits.columns(cols), x[rows].reshape(_TAIL, -1), k).reshape(WEIGHT_WINDOW, -1, m)
+        window[:, block] = np.stack([adjusted.mean(axis=2), adjusted.std(axis=2, ddof=1),
+                                     series.obs[days]]).transpose(0, 2, 1)
+    history = x[ends - first - k + np.arange(k)[:, None]].reshape(k, -1)
+    return _Estimate(fits, history, np.sqrt(variance.reshape(-1, m).mean(axis=1)), window)
 
 
 def _adjusted_ensemble(series: StationSeries, fits: ARFits, history: np.ndarray,
@@ -176,7 +181,7 @@ def ar_emos_fit(series: StationSeries) -> FittedModel:
 
 def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
     """Rolling AR-EMOS prediction on AR_WINDOW and WEIGHT_WINDOW, whatever
-    window lengths the fit file records, batched over blocks of dates.
+    window lengths the fit file records, batched over parts of the dates.
 
     Every date is estimated on its own windows, and the window sums of its
     AR fits start from a row of its own AR window, so its (mu, sigma) are
@@ -184,18 +189,18 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
     """
     ctx = PredictionContext.build(model, series, dates)
     ends = ctx.window_ends(_SPAN)
-    order = np.argsort(ends, kind="stable")  # a block's windows overlap when its dates are near
     mu, sigma1, sigma2 = np.empty((3, ends.size))
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
-    for start in range(0, ends.size, _BLOCK_DATES):
-        block = order[start:start + _BLOCK_DATES]
-        est = _estimate(series, ends[block])
-        # h >= 120 > k, so every date is k + 1 steps past its history end
-        adjusted = _adjusted_ensemble(series, est.fits, est.errors, ctx.indices[block],
-                                      ctx.k + 1)
-        mu[block] = adjusted.mean(axis=1)
-        sigma2[block] = adjusted.std(axis=1, ddof=1)
-        sigma1[block] = est.sigma1
-        window[:, block] = est.window
+    order = np.argsort(ends, kind="stable")
+    anchors = window_anchors(ends[order] - _SPAN, AR_WINDOW, MAX_MEMBER_AR_ORDER)
+    for group in np.split(order, np.flatnonzero(np.diff(anchors)) + 1):
+        for part in np.array_split(group, -(-group.size // _PART_DATES)):
+            est = _estimate(series, ends[part])
+            # h >= 120 > k, so every date is k + 1 steps past its history end
+            adjusted = _adjusted_ensemble(series, est.fits, est.errors, ctx.indices[part],
+                                          ctx.k + 1)
+            mu[part], sigma2[part] = adjusted.mean(axis=1), adjusted.std(axis=1, ddof=1)
+            sigma1[part], window[:, part] = est.sigma1, est.window
+            del est, adjusted  # before the next part's fits
     weight, _, _ = _crps_weights(sigma1, *window)
     return mu, np.maximum(weight * sigma1 + (1.0 - weight) * sigma2, _SIGMA_FLOOR)

@@ -12,15 +12,17 @@ guaranteed <= the starting value, and it returns the best point seen so
 far even when the search breaks down.
 
 ``minimize_newton`` solves many small problems of one shape at once, given
-their exact Hessians: each direction is the Newton step from the
-eigendecomposition of that problem's Hessian, with negative eigenvalues
-made positive (a modified Newton step, Nocedal & Wright ch. 3.4) and
-steepest descent on any iteration where that Hessian is not finite.  Its
-trial points need only objective values; the gradients and Hessians come
-from one derivatives call at each start and each accepted point.  Every
-problem has its own Armijo search and convergence tests; a problem that
-has converged or stopped drops out of the batch.  ``numeric_gradient`` and
-``golden_section`` are kept as derivative-free oracles.
+their exact Hessians: each direction is the plain Newton step where that
+problem's Hessian has a well-conditioned Cholesky factor, else a modified
+Newton step from its eigendecomposition with negative eigenvalues made
+positive (Nocedal & Wright ch. 3.4), and steepest descent on any iteration
+where that Hessian is not finite.  Its trial points need only objective
+values; the gradients and Hessians come from one derivatives call at each
+start and each accepted point.  Every problem has its own Armijo search and
+convergence tests (a predicted decrease within rounding of the objective
+counts as converged); a problem that has converged or stopped drops out of
+the batch.  ``numeric_gradient`` and ``golden_section`` are kept as
+derivative-free oracles.
 """
 
 from __future__ import annotations
@@ -94,6 +96,15 @@ def numeric_gradient(f, x, h=1e-6) -> np.ndarray:
     return grad
 
 
+def _cholesky(h: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (D, n, n) stack, NaN for each one that fails alone."""
+    try:
+        return np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        half = h.shape[0] // 2
+        return np.concatenate([_cholesky(h[:half]), _cholesky(h[half:])]) if half else h * np.nan
+
+
 def _newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Modified Newton steps -|h|^{-1} g for a (D, n, n) stack of Hessians
     and (D, n) gradients; steepest descent -g where h is not finite.
@@ -102,17 +113,23 @@ def _newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     at 1e-10 of the largest: the plain Newton step wherever h is positive
     definite, and still a descent direction that keeps h's scaling where it
     is indefinite (steepest descent there can need hundreds of steps on an
-    ill-conditioned problem).
+    ill-conditioned problem).  A row whose Cholesky pivots all exceed 1e-10
+    of its largest diagonal entry needs no eigendecomposition: its step is
+    the plain Newton step, solved directly.  Each row's step is its own.
     """
     direction = -g
-    finite = np.all(np.isfinite(h), axis=(1, 2))
-    if np.any(finite):
-        lam, q = np.linalg.eigh(h[finite])
+    finite = np.flatnonzero(np.all(np.isfinite(h), axis=(1, 2)))
+    floor = 1e-10 * np.max(np.diagonal(h[finite], axis1=1, axis2=2), axis=1, keepdims=True)
+    factored = np.all(np.diagonal(_cholesky(h[finite]), axis1=1, axis2=2) ** 2 > floor, axis=1)
+    rows, eig = finite[factored], finite[~factored]
+    direction[rows] = -np.linalg.solve(h[rows], g[rows, :, None])[..., 0]
+    if eig.size:
+        lam, q = np.linalg.eigh(h[eig])
         lam = np.abs(lam)
         top = lam.max(axis=1, keepdims=True)
-        coords = np.einsum("dji,dj->di", q, g[finite]) / np.maximum(lam, 1e-10 * top)
+        coords = np.einsum("dji,dj->di", q, g[eig]) / np.maximum(lam, 1e-10 * top)
         nonzero = top[:, 0] > 0.0
-        direction[np.flatnonzero(finite)[nonzero]] = -np.einsum("dij,dj->di", q, coords)[nonzero]
+        direction[eig[nonzero]] = -np.einsum("dij,dj->di", q, coords)[nonzero]
     return direction
 
 
@@ -298,6 +315,12 @@ def minimize_newton(objective, derivatives, init,
         broken = ~np.isfinite(slope) | (slope >= 0)
         direction[broken] = -ga[broken]
         slope[broken] = -np.einsum("di,di->d", ga[broken], ga[broken])
+        # a predicted decrease -slope / 2 of one ulp or less: converged to rounding
+        seen = -slope > 2.0 * np.spacing(np.abs(fx[active]))
+        converged[active[~seen]] = True
+        active, xa, direction, slope = active[seen], xa[seen], direction[seen], slope[seen]
+        if active.size == 0:
+            break
 
         # Armijo backtracking per problem; non-finite trial values just
         # shorten the step

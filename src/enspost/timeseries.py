@@ -103,6 +103,10 @@ class ARFits:
     def max_p(self) -> int:
         return self.tau.shape[1]
 
+    def columns(self, cols) -> ARFits:
+        """The fits of the columns ``cols``, an index array or a slice."""
+        return ARFits(self.p[cols], self.eta[cols], self.tau[cols], self.degenerate[cols])
+
     def members(self) -> list[ARCoeffs]:
         """One ARCoeffs per column."""
         return [ARCoeffs(p=int(p), eta=float(eta), tau=tuple(float(t) for t in row[:p]))
@@ -248,9 +252,10 @@ def _teacher_forced(fits: ARFits, x: np.ndarray, start: int) -> np.ndarray:
     """Rows start.. of eta + sum_j tau_j (x[t-j] - eta); lags before row 0
     are left out."""
     pred = fits.eta[None, :].repeat(x.shape[0] - start, axis=0)
+    centred = x - fits.eta
     for j in range(1, fits.max_p + 1):
         first = max(start, j)
-        pred[first - start:] += fits.tau[:, j - 1] * (x[first - j: x.shape[0] - j] - fits.eta)
+        pred[first - start:] += fits.tau[:, j - 1] * centred[first - j: x.shape[0] - j]
     return pred
 
 
@@ -347,16 +352,15 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
     the window, so its fit is the same to the bit whichever other windows
     are requested and wherever ``x`` starts.  Windows of (nearly) constant
     values take their autocovariances from the window itself, as
-    ``fit_ar_yule_walker`` does, one window at a time.
+    ``fit_ar_yule_walker`` does, one window at a time.  A call holds
+    O((windows + length) max_order m) memory: callers bound its windows.
     """
     x = np.asarray(x, dtype=float)
     n, m, lags = length, x.shape[1], np.arange(max_order + 1)
     if n <= max_order + 1:
         raise InvalidInput(f"windows of length {n} too short for max_order {max_order}")
-    spacing = n - max_order
-    starts = np.asarray(starts, dtype=int)
-    anchors = -(-(starts + max_order) // spacing) * spacing - first_row
-    starts = starts - first_row
+    anchors = window_anchors(starts, n, max_order) - first_row
+    starts = np.asarray(starts, dtype=int) - first_row
     # one segment of running sums per anchor, over the rows [lo, hi) of its
     # windows; entry (s, column) of the table is row s * (K + 2) + column
     groups = []
@@ -381,6 +385,7 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
     mean = (at_b[:, 0] - x_from[:, 0]) / n               # of x - x[o], (windows, m)
     gamma = (products - mean[:, None] * ((at_b[:, :1] - x_from) + (x_to - x_from[:, :1]))
              + (n - lags)[:, None] * np.square(mean[:, None])) / n
+    del table, at_b, x_from, x_to, products
     eta = (x[anchors] + mean).ravel()
     gamma = gamma.transpose(1, 0, 2).reshape(max_order + 1, -1)
     degenerate = np.zeros(eta.size, dtype=bool)
@@ -404,15 +409,22 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
     padded = np.zeros((starts.size, 4 * max_order, m))
     padded[:, max_order:3 * max_order] = x[starts[:, None] + np.concatenate(
         [edge, n - max_order + edge])] - eta.reshape(p.shape)[:, None]
-    rows = np.concatenate([max_order + edge, 3 * max_order + edge])[:, None] - lags
-    errors = np.einsum("derm,rdm->dem", padded[:, rows], alpha)
+    rows = np.concatenate([max_order + edge, 3 * max_order + edge])
+    errors = padded[:, rows]  # alpha_0 = 1; a lag at a time bounds the memory
+    for k in lags[1:]:
+        errors += padded[:, rows - k] * alpha[k][:, None]
     errors[:, :max_order][edge[:, None] >= p[:, None]] = 0.0
     squares = n * v_p.reshape(p.shape) - np.einsum("dem,dem->dm", errors, errors)
     variance = (squares / (n - p)).ravel()
     for col, window in direct.items():
-        variance[col] = ar_innovation_variance(window, ARFits(
-            fits.p[[col]], fits.eta[[col]], fits.tau[[col]], fits.degenerate[[col]]))[0]
+        variance[col] = ar_innovation_variance(window, fits.columns([col]))[0]
     return fits, variance
+
+
+def window_anchors(starts, length: int, max_order: int) -> np.ndarray:
+    """The anchor row o of each window start s in ``windowed_ar_fits``."""
+    spacing = length - max_order
+    return -(-(np.asarray(starts, dtype=int) + max_order) // spacing) * spacing
 
 
 def is_stationary(tau) -> bool:

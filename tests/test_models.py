@@ -473,6 +473,29 @@ def test_ar_emos_weight_solve_matches_golden_section(rng, case):
         assert np.all(weights == {"at_zero": 0.0, "at_one": 1.0}[case])
 
 
+def test_ar_emos_weight_solve_accepts_its_converged_newton_point(monkeypatch):
+    # the rolling benchmark's world at seed 12, 120 h, on 2020-03-15: the
+    # weight has converged at iteration 4, where the derivative is rounding
+    # noise and the Newton point is the iterate that has just become the
+    # bracket's end; bisecting from there took 33 iterations back to it
+    cfg = cli.RunConfig(leads=[120], n_days=2192, m_members=50, seed=12, dgp="sar")
+    series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, 0))
+    i = int(np.flatnonzero(series.dates == np.datetime64("2020-03-15"))[0])
+    est = _estimate(series, np.array([i - lead_time_offset(120)]))
+    weight, converged, iterations = _crps_weights(est.sigma1, *est.window)
+    monkeypatch.setattr(ar_emos, "_WEIGHT_MAX_ITERATIONS", 4)
+    fourth, _, _ = _crps_weights(est.sigma1, *est.window)
+    assert converged[0] and iterations[0] == 5
+    assert abs(weight[0] - fourth[0]) <= ar_emos._WEIGHT_TOLERANCE
+
+
+def test_ar_emos_weight_solve_takes_few_iterations():
+    series = _rolling_world(12, 24)
+    est = _estimate(series, np.arange(550, 700) - lead_time_offset(24))
+    _, converged, iterations = _crps_weights(est.sigma1, *est.window)
+    assert np.all(converged) and iterations.max() <= 6
+
+
 # ---------------------------------------------------------------------------
 # batched rolling re-estimation against a per-date reference
 # ---------------------------------------------------------------------------
@@ -556,6 +579,42 @@ def test_batched_rolling_prediction_matches_per_date_reference(seed, lead):
     assert np.all(converged)
     for w, (objective, golden) in zip(weights, searches):
         assert objective(w) <= objective(golden) + 1e-12
+
+
+def _ar_emos_block_reference(series, indices, k):
+    """AR-EMOS predictions with every step in blocks of 16 dates in the order
+    of their history ends: member fits, bridge and weight windows."""
+    ends = indices - k
+    order = np.argsort(ends, kind="stable")
+    mu, sigma1, sigma2 = np.empty((3, ends.size))
+    window = np.empty((3, ends.size, ar_emos.WEIGHT_WINDOW))
+    for start in range(0, ends.size, 16):
+        block = order[start:start + 16]
+        est = _estimate(series, ends[block])
+        adjusted = _adjusted_ensemble(series, est.fits, est.errors, indices[block], k + 1)
+        mu[block], sigma2[block] = adjusted.mean(axis=1), adjusted.std(axis=1, ddof=1)
+        sigma1[block], window[:, block] = est.sigma1, est.window
+    weight, _, _ = _crps_weights(sigma1, *window)
+    return mu, np.maximum(weight * sigma1 + (1.0 - weight) * sigma2, ar_emos._SIGMA_FLOOR)
+
+
+@pytest.mark.parametrize("seed, lead", [(12, 24), (3, 120)])
+def test_ar_emos_anchor_group_prediction_matches_per_date_and_block_predictions(seed, lead):
+    # 366 unsorted dates whose AR windows span at least four anchors of the
+    # window sums: each date's (mu, sigma) are those of predicting it alone
+    # and those of 16-date blocks, to the bit
+    series = _rolling_world(seed, lead, n_days=900)
+    k = lead_time_offset(lead)
+    model = models.fit("AR-EMOS", series.window(end=series.dates[499]))
+    indices = np.random.default_rng(seed).permutation(np.arange(500, 866))
+    anchors = timeseries.window_anchors(indices - k - 120, ar_emos.AR_WINDOW,
+                                        ar_emos.MAX_MEMBER_AR_ORDER)
+    assert np.unique(anchors).size >= 4
+    mu, sigma = models.predict(model, series, series.dates[indices])
+    ref_mu, ref_sigma = _ar_emos_block_reference(series, indices, k)
+    assert np.array_equal(mu, ref_mu) and np.array_equal(sigma, ref_sigma)
+    alone = np.array([models.predict(model, series, series.dates[[i]]) for i in indices])
+    assert np.array_equal(mu, alone[:, 0, 0]) and np.array_equal(sigma, alone[:, 1, 0])
 
 
 def test_ar_emos_prediction_of_a_date_does_not_depend_on_the_other_dates():

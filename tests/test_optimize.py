@@ -286,6 +286,61 @@ def test_newton_batch_solves_each_problem_as_if_alone(rng):
             alone.iterations, alone.n_evals, alone.converged)
 
 
+def test_newton_batch_mixing_indefinite_and_positive_definite_hessians_solves_each_alone(rng):
+    # quadratics whose supplied Hessians are the true ones, except problem 2's
+    # (indefinite) and problem 4's (singular): those two take the floored
+    # eigenvalue step, the others the Cholesky step, and each result is
+    # bit-identical to solving that problem on its own
+    n_problems = 6
+    a = rng.normal(size=(n_problems, 3, 3))
+    curvature = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3)
+    supplied = curvature.copy()
+    supplied[2] = np.diag([2.0, -1.0, 0.5])
+    supplied[4] = np.diag([1.0, 1.0, 0.0])
+    centre = rng.normal(size=(n_problems, 3))
+    init = centre + rng.normal(scale=3.0, size=(n_problems, 3))
+
+    def problem(chosen):
+        c, h, s = centre[chosen], curvature[chosen], supplied[chosen]
+
+        def objective(x, rows):
+            e = x - c[rows]
+            return 0.5 * np.einsum("di,dij,dj->d", e, h[rows], e)
+
+        def derivatives(x, rows):
+            return np.einsum("dij,dj->di", h[rows], x - c[rows]), s[rows]
+        return objective, derivatives
+
+    settings = OptimizeSettings(max_iterations=30, gradient_tolerance=1e-10)
+    batch = minimize_newton(*problem(np.arange(n_problems)), init, settings)
+    assert batch.iterations[0] == 2 and batch.iterations[2] > 2
+    for i in range(n_problems):
+        alone = minimize_newton(*problem(np.array([i])), init[i:i + 1], settings).problem(0)
+        got = batch.problem(i)
+        assert np.array_equal(got.x, alone.x) and got.value == alone.value
+        assert (got.iterations, got.n_evals, got.converged) == (
+            alone.iterations, alone.n_evals, alone.converged)
+
+
+def test_newton_stops_a_problem_whose_decrease_is_below_rounding():
+    # the start is the optimum to rounding: its gradient 1e-9 is above the
+    # tolerance, but the Newton step predicts a decrease of 5e-19, under one
+    # ulp of f = 1, and every other point reads one ulp higher; a search
+    # would halve its step 40 times, making 41 objective calls in all
+    start = np.array([[0.5]])
+    calls = []
+
+    def objective(x, rows):
+        calls.append(x.copy())
+        return 1.0 + np.spacing(1.0) * np.any(x != start, axis=1)
+
+    result = minimize_newton(objective, lambda x, rows: (np.full((1, 1), 1e-9), np.ones((1, 1, 1))),
+                             start, OptimizeSettings(gradient_tolerance=1e-12)).problem(0)
+    assert len(calls) == result.n_evals == 1
+    assert np.array_equal(result.x, start[0]) and result.value == 1.0
+    assert result.converged and result.iterations == 1
+
+
 def test_newton_derivatives_once_at_the_start_and_per_accepted_step(rng):
     # per problem, the first derivatives call is at its start and every
     # later one at the trial point its search has just accepted, the last
