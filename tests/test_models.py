@@ -266,7 +266,8 @@ def test_ar_emos_weight_endpoints(rng):
     series = make_series(y, members=members)
     est = _estimate(series, np.array([n]))
     sigma1 = float(est.sigma1[0])
-    adjusted = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
+    history = series.obs[:n - 1, None] - series.members[:n - 1]
+    adjusted = _adjusted_ensemble(series, est.fits, history, np.array([n - 1]), 1)
     sigma2 = float(adjusted.std(ddof=1))
     for w, expected in ((1.0, sigma1), (0.0, sigma2)):
         assert w * sigma1 + (1 - w) * sigma2 == pytest.approx(expected)
@@ -289,7 +290,8 @@ def test_ar_emos_degenerate_member_falls_back(rng, caplog):
     assert all(ar.p == 0 for ar in model.members_ar)
     # mean-error adjustment recenters every member onto the observation
     est = _estimate(series, np.array([n]))
-    adjusted = _adjusted_ensemble(series, est.fits, est.errors[:-1], np.array([n - 1]), 1)
+    history = series.obs[:n - 1, None] - series.members[:n - 1]
+    adjusted = _adjusted_ensemble(series, est.fits, history, np.array([n - 1]), 1)
     assert np.allclose(adjusted, y[n - 1], atol=1e-10)
 
 
