@@ -480,14 +480,10 @@ class SyntheticConfig:
     ens_bias: float = 0.0
     ens_dispersion: float = 1.0
     # ideal forecast process
-    clim_mean: float = 10.0
     clim_amp: float = 8.0
-    clim_phase: float = -1.9
     weather_ar: float = 0.7
     weather_sd: float = 2.0
-    spread_base: float = 1.0
     spread_amp: float = 0.4
-    spread_phase: float = 0.8
 
     def validate(self) -> None:
         if self.seed < 0:
@@ -502,7 +498,7 @@ class SyntheticConfig:
             raise InvalidConfig("need at least 2 ensemble members")
         if self.ens_dispersion <= 0:
             raise InvalidConfig("ens_dispersion must be > 0")
-        if self.spread_base <= 0 or self.spread_amp < 0:
+        if self.spread_amp < 0:
             raise InvalidConfig("spread cycle must stay positive")
         if not (0 <= abs(self.weather_ar) < 1):
             raise InvalidConfig(f"weather AR coefficient {self.weather_ar} is nonstationary")
@@ -528,6 +524,10 @@ class SyntheticTruth:
 
 
 _BURN = 300
+# the ideal forecast's seasonal cycles: center _CLIM_MEAN + clim_amp sin(omega t
+# + _CLIM_PHASE), spread _SPREAD_BASE + spread_amp (1 + sin(omega t + _SPREAD_PHASE)) / 2
+_CLIM_MEAN, _CLIM_PHASE = 10.0, -1.9
+_SPREAD_BASE, _SPREAD_PHASE = 1.0, 0.8
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -550,8 +550,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     # ideal forecast center and spread
     w_innov = rng.standard_normal(n + _BURN) * cfg.weather_sd
     weather = linear_recursion([cfg.weather_ar], w_innov)[_BURN:]
-    center = cfg.clim_mean + cfg.clim_amp * np.sin(omega * t + cfg.clim_phase) + weather
-    spread = cfg.spread_base + cfg.spread_amp * 0.5 * (1.0 + np.sin(omega * t + cfg.spread_phase))
+    center = _CLIM_MEAN + cfg.clim_amp * np.sin(omega * t + _CLIM_PHASE) + weather
+    spread = _SPREAD_BASE + cfg.spread_amp * 0.5 * (1.0 + np.sin(omega * t + _SPREAD_PHASE))
 
     # distorted ensemble around the ideal
     deltas = rng.standard_normal((n, cfg.m))

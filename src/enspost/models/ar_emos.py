@@ -35,8 +35,7 @@ from ..data import StationSeries
 # ``ar_innovation_variance`` stay importable here: perfbench's tracer wraps
 # these names
 from ..optimize import golden_section  # noqa: F401
-from ..scoring import crps_normal_gradient, crps_normal_hessian
-from ..scoring import crps_normal_series  # noqa: F401
+from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
 from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, window_anchors, windowed_ar_fits
 from ..timeseries import ar_innovation_variance, fit_ar_yule_walker  # noqa: F401
 from .base import FittedModel, PredictionContext
@@ -107,10 +106,9 @@ def _crps_weights(sigma1, mu, sigma2, y):
         sigma = wr[:, None] * sigma1[rows, None] + (1.0 - wr[:, None]) * sigma2[rows]
         d_sigma_d_w = np.where(sigma > _SIGMA_FLOOR, spread[rows], 0.0)
         sigma = np.maximum(sigma, _SIGMA_FLOOR)
-        _, d_sigma = crps_normal_gradient(mu[rows], sigma, y[rows])
-        _, _, h_ss = crps_normal_hessian(mu[rows], sigma, y[rows])
+        _, _, d_sigma, c, z = crps_normal_partials(mu[rows], sigma, y[rows])
         g = np.mean(d_sigma * d_sigma_d_w, axis=1)
-        h = np.mean(h_ss * np.square(d_sigma_d_w), axis=1)
+        h = np.mean(c * np.square(z) * np.square(d_sigma_d_w), axis=1)
         lo[rows] = np.where(g < 0, wr, lo[rows])
         hi[rows] = np.where(g > 0, wr, hi[rows])
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..data import StationSeries
 # ``minimize`` stays importable here: perfbench's tracer wraps this name
 from ..optimize import OptimizeSettings, OptResult, minimize, minimize_newton  # noqa: F401
-from ..scoring import crps_normal_gradient, crps_normal_hessian, crps_normal_series
+from ..scoring import crps_normal_partials, crps_normal_series
 from .base import FittedModel, PredictionContext
 
 WINDOW_DAYS = 30
@@ -74,8 +74,9 @@ def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     """(gradient, 4 x 4 Hessian) of ``_window_objective``'s objective, per
     window, sharing the predictors and CRPS partials; takes (theta, rows).
 
-    With u = (1, xbar) and v = (1, log s), the Hessian blocks are
-    mean(h_mm u u'), mean(h_ms sigma u v') and mean((h_ss sigma^2 +
+    With u = (1, xbar), v = (1, log s) and the CRPS curvature c, whose
+    second partials in (mu, sigma) are c (1, z, z^2), the Hessian blocks are
+    mean(c u u'), mean(c z sigma u v') and mean((c z^2 sigma^2 +
     dCRPS/dsigma sigma) v v'): sigma = exp(b' v) is itself curved in (b0,
     b1).  The ridge adds 2 ridge I.
     """
@@ -89,14 +90,13 @@ def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
         x, ls = xbar[rows], log_s[rows]
         with np.errstate(all="ignore"):
             mu, sigma = _predictors(theta, x, ls)
-            d_mu, d_sigma = crps_normal_gradient(mu, sigma, y[rows])
+            _, d_mu, d_sigma, c, z = crps_normal_partials(mu, sigma, y[rows])
             # d sigma / d (b0, b1) = sigma * (1, log s)
             g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
-            h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y[rows])
-            w_ss = (h_ss * sigma + d_sigma) * sigma
+            w_ss = (c * np.square(z) * sigma + d_sigma) * sigma
             hess = np.empty(theta.shape + (4,))
-            hess[..., :2, :2] = block(h_mm, x, x)
-            hess[..., :2, 2:] = block(h_ms * sigma, x, ls)
+            hess[..., :2, :2] = block(c, x, x)
+            hess[..., :2, 2:] = block(c * z * sigma, x, ls)
             hess[..., 2:, :2] = np.swapaxes(hess[..., :2, 2:], -1, -2)
             hess[..., 2:, 2:] = block(w_ss, ls, ls)
         g = g / y.shape[-1] + 2.0 * ridge[rows][..., None] * theta

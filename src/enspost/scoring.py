@@ -70,20 +70,20 @@ def crps_normal_series(mu, sigma, y):
     return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _norm_pdf(z) - _INV_SQRT_PI)
 
 
-def crps_normal_gradient(mu, sigma, y):
-    """Closed-form partial derivatives (dCRPS/dmu, dCRPS/dsigma) of
-    ``crps_normal_series``: 1 - 2 Phi(z) and 2 phi(z) - 1/sqrt(pi)."""
-    z = (np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)) / np.asarray(sigma, dtype=float)
-    return 1.0 - 2.0 * ndtr(z), 2.0 * _norm_pdf(z) - _INV_SQRT_PI
+def crps_normal_partials(mu, sigma, y):
+    """``crps_normal_series`` with its partials in (mu, sigma), from one pass
+    over z, Phi(z) and phi(z): (crps, d_mu, d_sigma, curvature, z).
 
-
-def crps_normal_hessian(mu, sigma, y):
-    """Closed-form second partials (d2/dmu2, d2/dmu dsigma, d2/dsigma2) of
-    ``crps_normal_series``: (2 phi(z) / sigma) * (1, z, z^2)."""
+    d_mu = 1 - 2 Phi(z) and d_sigma = 2 phi(z) - 1/sqrt(pi).  The second
+    partials (d2/dmu2, d2/dmu dsigma, d2/dsigma2) are curvature * (1, z, z^2),
+    curvature = 2 phi(z) / sigma, so the Hessian in (mu, sigma) has rank one.
+    ``crps`` is ``crps_normal_series``'s value to the bit.
+    """
     sigma = np.asarray(sigma, dtype=float)
     z = (np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)) / sigma
-    h = 2.0 * _norm_pdf(z) / sigma
-    return h, h * z, h * np.square(z)
+    cdf, pdf = ndtr(z), _norm_pdf(z)
+    crps = sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - _INV_SQRT_PI)
+    return crps, 1.0 - 2.0 * cdf, 2.0 * pdf - _INV_SQRT_PI, 2.0 * pdf / sigma, z
 
 
 def crps_normal(g: GaussianParams, y: float) -> float:

@@ -45,6 +45,7 @@ the synthetic generator's truth share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -71,7 +72,7 @@ class ARCoeffs:
     def __post_init__(self):
         if self.p != len(self.tau):
             raise InvalidInput(f"AR order {self.p} does not match {len(self.tau)} tau values")
-        if not np.all(np.isfinite([self.eta, *self.tau])):
+        if not all(map(math.isfinite, (self.eta, *self.tau))):
             raise InvalidInput("AR coefficients must be finite")
 
 
@@ -123,7 +124,7 @@ class GARCHCoeffs:
 
     def __post_init__(self):
         vals = (self.omega0, self.omega1, self.omega2)
-        if not np.all(np.isfinite(vals)) or min(vals) < 0:
+        if not all(map(math.isfinite, vals)) or min(vals) < 0:
             raise InvalidInput(f"GARCH coefficients must be finite and >= 0, got {vals}")
 
 

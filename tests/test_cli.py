@@ -104,6 +104,20 @@ def test_each_world_is_its_documented_process(dgp, standardized, garch):
             syn.validate()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1 (sub-seeds): synthetic_config seeds cell (station i, lead index j) "
+    "with seed + 1000 i + j, so run seed s's second lead draws run seed s + 1's first"))
+def test_consecutive_run_seeds_draw_different_worlds():
+    def draw(run_seed, lead_index):
+        cfg = cli.RunConfig(seed=run_seed, leads=[24, 72], n_days=60)
+        series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, lead_index))
+        return series
+
+    second_lead, next_first = draw(12, 1), draw(13, 0)
+    assert not np.array_equal(second_lead.obs, next_first.obs)
+    assert not np.array_equal(second_lead.members, next_first.members)
+
+
 def test_fit_outputs_and_determinism(pipeline, tmp_path):
     fits = pipeline / "fits"
     doc = json.loads((fits / "fit_SEMOS_S01_24h.json").read_text())

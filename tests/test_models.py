@@ -1199,6 +1199,41 @@ def test_curvature_start_ends_no_higher_than_an_identity_start(kind, world, requ
     assert result.value <= identity.value + tolerance
 
 
+def _three_block_gauss_newton(mu, sigma, y, x_loc, x_scale, n_params):
+    """The seasonal start's Gauss-Newton matrix as three blocks: the CRPS
+    second partials c (1, z, z^2) through mu = X_loc a, sigma = exp(X_scale b)."""
+    start = y.size - mu.size
+    z = (y[start:] - mu) / sigma
+    c = 2.0 * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) / sigma
+    xl, xs, k = x_loc[start:], x_scale[start:], x_loc.shape[1]
+    h = np.zeros((n_params, n_params))
+    h[:k, :k] = np.einsum("ti,t,tj->ij", xl, c, xl)
+    h[:k, k:2 * k] = np.einsum("ti,t,tj->ij", xl, c * z * sigma, xs)
+    h[k:2 * k, :k] = h[:k, k:2 * k].T
+    h[k:2 * k, k:2 * k] = np.einsum("ti,t,tj->ij", xs, c * z * z * sigma * sigma, xs)
+    h /= mu.size
+    tail = np.arange(2 * k, n_params)
+    h[tail, tail] = np.mean(np.diag(h)[:2 * k])
+    return h
+
+
+@pytest.mark.parametrize("world", ["sar_world", "dar_world"])
+@pytest.mark.parametrize("kind", models.SEASONAL_KINDS)
+def test_curvature_start_inverts_the_three_block_gauss_newton_matrix(kind, world, request,
+                                                                      monkeypatch):
+    _, series, _ = request.getfixturevalue(world)
+    curvature_start, eigh = semos._curvature_start, np.linalg.eigh
+    starts, matrices = [], []
+    monkeypatch.setattr(semos, "_curvature_start",
+                        lambda *args: starts.append(args) or curvature_start(*args))
+    models.fit(kind, series)
+    [args] = starts
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: matrices.append(h.copy()) or eigh(h))
+    curvature_start(*args)
+    [matrix] = matrices
+    np.testing.assert_allclose(matrix, _three_block_gauss_newton(*args), rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("world", ["sar_world", "dar_world"])
 def test_semos_fit_converges_in_few_iterations(world, request):
     _, series, _ = request.getfixturevalue(world)

@@ -11,8 +11,7 @@ from enspost.scoring import (
     crps_ensemble,
     crps_integral,
     crps_normal,
-    crps_normal_gradient,
-    crps_normal_hessian,
+    crps_normal_partials,
     crps_normal_series,
     crpss,
     logs_normal,
@@ -280,12 +279,22 @@ def test_score_cases_rejects_invalid_parameters(mu, sigma):
         score_cases([0.0, mu, 1.0], [1.0, sigma, 2.0], [0.5, 0.5, 0.5], level=0.9)
 
 
+def test_crps_normal_partials_value_is_the_series_value_to_the_bit():
+    # |z| reaches 40, where phi(z) underflows to 0
+    sigma = np.array([[0.3], [1.0], [2.7]])
+    y = np.linspace(-2.0, 2.0, 321)
+    mu = y - sigma * np.linspace(-40.0, 40.0, 321)
+    crps, *_, z = crps_normal_partials(mu, sigma, y)
+    assert np.max(np.abs(z)) > 39.9 and _phi(np.max(np.abs(z))) == 0.0
+    np.testing.assert_array_equal(crps, crps_normal_series(mu, sigma, y))
+
+
 def test_crps_gradient_matches_finite_differences():
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(50):
         mu, sigma, y = rng.normal(), rng.uniform(0.3, 3.0), rng.normal(scale=2.0)
-        analytic = crps_normal_gradient(mu, sigma, y)
+        analytic = crps_normal_partials(mu, sigma, y)[1:3]
         numeric = numeric_gradient(lambda v: float(crps_normal_series(v[0], v[1], y)),
                                    np.array([mu, sigma]), 1e-6 * (1 + np.abs([mu, sigma])))
         for num, ana in zip(numeric, analytic):
@@ -298,12 +307,13 @@ def test_crps_hessian_matches_finite_differences_of_gradient():
     worst = 0.0
     for _ in range(50):
         mu, sigma, y = rng.normal(), rng.uniform(0.3, 3.0), rng.normal(scale=2.0)
-        h_mm, h_ms, h_ss = crps_normal_hessian(mu, sigma, y)
-        analytic = np.array([[h_mm, h_ms], [h_ms, h_ss]])
+        _, _, _, c, z = crps_normal_partials(mu, sigma, y)
+        analytic = c * np.array([[1.0, z], [z, z * z]])
         x = np.array([mu, sigma])
         steps = 1e-6 * (1 + np.abs(x))
         numeric = np.column_stack([
-            numeric_gradient(lambda v: float(crps_normal_gradient(v[0], v[1], y)[j]), x, steps)
+            numeric_gradient(lambda v: float(crps_normal_partials(v[0], v[1], y)[1 + j]), x,
+                             steps)
             for j in range(2)])
         worst = max(worst, float(np.max(np.abs(numeric - analytic) / (1 + np.abs(analytic)))))
     assert worst <= 1e-6
