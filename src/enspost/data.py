@@ -38,6 +38,7 @@ from .timeseries import (
     GARCHCoeffs,
     ar_bridge,
     garch_sigma_factor,
+    garch_start,
     is_stationary,
     linear_recursion,
 )
@@ -573,9 +574,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     if cfg.garch is not None:
         g = cfg.garch
         # sigma_G^2(i) = omega0 + (omega1 + omega2 z(i-1)^2) sigma_G^2(i-1);
-        # step 0 has no predecessor, so its coefficient is not read
+        # step 0 has no predecessor, so its coefficient is not read; it
+        # starts where the truth's GARCH path does
         drive = np.full(n + _BURN, g.omega0)
-        drive[0] = g.omega0 / (1.0 - g.omega1 - g.omega2) if g.omega0 > 0 else 1.0
+        drive[0] = garch_start((g.omega0, g.omega1, g.omega2))
         z_prev = np.concatenate(([0.0], z[:-1]))
         sig_g = np.sqrt(linear_recursion([g.omega1 + g.omega2 * np.square(z_prev)], drive))
     # the innovation scale during burn-in is frozen at day 0's

@@ -6,9 +6,9 @@ observable days (Gneiting et al. 2005).  A tiny ridge penalty protects the
 fit when log s is (near-)constant inside a window, where b1 is
 unidentified.  The window fit is a Newton solve with the exact gradient
 and Hessian: the closed-form first and second CRPS derivatives in mu and
-sigma, chain-ruled through the two linear predictors.  Trial points cost
-an objective value only; the gradient and the Hessian are computed
-together, once per accepted point.
+sigma, chain-ruled through the two linear predictors.  Each point, start
+or trial, is scored once: one CRPS-partials pass gives the objective, the
+gradient and the Hessian together.
 
 Prediction fits every date's window in one batched solve
 (``optimize.minimize_newton``): the windows are the rows of (dates, 30)
@@ -22,9 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..data import StationSeries
-# ``minimize`` stays importable here: perfbench's tracer wraps this name
+# ``minimize`` and ``crps_normal_series`` stay importable here: perfbench's
+# tracer wraps these names
 from ..optimize import OptimizeSettings, OptResult, minimize, minimize_newton  # noqa: F401
-from ..scoring import crps_normal_partials, crps_normal_series
+from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
 from .base import FittedModel, PredictionContext
 
 WINDOW_DAYS = 30
@@ -51,34 +52,22 @@ def _predictors(theta: np.ndarray, xbar: np.ndarray, log_s: np.ndarray):
     return mu, sigma
 
 
-def _window_objective(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
-    """Mean CRPS of theta = (a0, a1, b0, b1) on each window, plus the ridge
-    term.
+def _window_evaluate(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
+    """Mean CRPS of theta = (a0, a1, b0, b1) on each window plus the ridge
+    term, with its gradient and 4 x 4 Hessian, from one pass of the CRPS
+    partials.
 
     The windows are the rows of (D, window) arrays, or one 1-D window.  The
     callable takes theta, (len(rows), 4) or (4,), and optionally ``rows``,
-    the windows theta belongs to (all by default).
-    """
-    ridge = _ridge(log_s)
-
-    def objective(theta, rows=...):
-        with np.errstate(all="ignore"):
-            mu, sigma = _predictors(theta, xbar[rows], log_s[rows])
-            crps = np.mean(crps_normal_series(mu, sigma, y[rows]), axis=-1)
-        return crps + ridge[rows] * np.sum(theta * theta, axis=-1)
-
-    return objective
-
-
-def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
-    """(gradient, 4 x 4 Hessian) of ``_window_objective``'s objective, per
-    window, sharing the predictors and CRPS partials; takes (theta, rows).
+    the windows theta belongs to (all by default), and returns (value,
+    gradient, Hessian).
 
     With u = (1, xbar), v = (1, log s) and the CRPS curvature c, whose
     second partials in (mu, sigma) are c (1, z, z^2), the Hessian blocks are
     mean(c u u'), mean(c z sigma u v') and mean((c z^2 sigma^2 +
     dCRPS/dsigma sigma) v v'): sigma = exp(b' v) is itself curved in (b0,
-    b1).  The ridge adds 2 ridge I.
+    b1).  The ridge adds ridge theta'theta to the value and 2 ridge I to
+    the Hessian.
     """
     ridge = _ridge(log_s)
 
@@ -86,11 +75,12 @@ def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
         """Window sums of weight * (1, a)(1, b)', (..., 2, 2)."""
         return np.stack([_sums(weight, b), _sums(weight * a, b)], axis=-2)
 
-    def derivatives(theta, rows=...):
+    def evaluate(theta, rows=...):
         x, ls = xbar[rows], log_s[rows]
         with np.errstate(all="ignore"):
             mu, sigma = _predictors(theta, x, ls)
-            _, d_mu, d_sigma, c, z = crps_normal_partials(mu, sigma, y[rows])
+            crps, d_mu, d_sigma, c, z = crps_normal_partials(mu, sigma, y[rows])
+            value = np.mean(crps, axis=-1)
             # d sigma / d (b0, b1) = sigma * (1, log s)
             g = np.concatenate([_sums(d_mu, x), _sums(d_sigma * sigma, ls)], axis=-1)
             w_ss = (c * np.square(z) * sigma + d_sigma) * sigma
@@ -99,15 +89,16 @@ def _window_derivatives(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
             hess[..., :2, 2:] = block(c * z * sigma, x, ls)
             hess[..., 2:, :2] = np.swapaxes(hess[..., :2, 2:], -1, -2)
             hess[..., 2:, 2:] = block(w_ss, ls, ls)
+        value = value + ridge[rows] * np.sum(theta * theta, axis=-1)
         g = g / y.shape[-1] + 2.0 * ridge[rows][..., None] * theta
         hess /= y.shape[-1]
         hess[..., np.arange(4), np.arange(4)] += 2.0 * ridge[rows][..., None]
-        return g, hess
+        return value, g, hess
 
-    return derivatives
+    return evaluate
 
 
-def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptResult:
+def _fit_windows(xbar, s, y) -> OptResult:
     """Newton CRPS fits of (a0, a1, b0, b1) on the rows of (D, window)
     arrays, each started from its least-squares line and the log of its
     residual sd; one OptResult entry per window."""
@@ -119,19 +110,17 @@ def _fit_windows(xbar, s, y, settings: OptimizeSettings | None = None) -> OptRes
     a0 = y.mean(axis=1) - a1 * xbar.mean(axis=1)
     resid_sd = np.std(y - (a0[:, None] + a1[:, None] * xbar), axis=1, ddof=1)
     init = np.column_stack([a0, a1, np.log(np.maximum(resid_sd, 1e-6)), np.zeros_like(a0)])
-    return minimize_newton(_window_objective(xbar, log_s, y),
-                           _window_derivatives(xbar, log_s, y), init, settings or _WINDOW_SETTINGS)
+    return minimize_newton(_window_evaluate(xbar, log_s, y), init, _WINDOW_SETTINGS)
 
 
-def emos_fit(series: StationSeries, settings: OptimizeSettings | None = None) -> FittedModel:
+def emos_fit(series: StationSeries) -> FittedModel:
     """Fit the final training window.
 
     The stored coefficients describe the window ending at the training
     period's last day; prediction re-estimates them per date.
     """
     sl = slice(series.n_days - WINDOW_DAYS, series.n_days)
-    result = _fit_windows(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl],
-                          settings).problem(0)
+    result = _fit_windows(series.ens_mean[sl], series.ens_sd[sl], series.obs[sl]).problem(0)
     return FittedModel(
         kind="EMOS",
         loc=result.x[:2].copy(),

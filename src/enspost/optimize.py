@@ -1,12 +1,13 @@
 """Unconstrained quasi-Newton (BFGS) or exact Newton minimization of
 mean-score objectives.
 
-The minimizer is deliberately small: one callable that returns the
-objective and its analytic gradient at a point, so a caller runs its
-forward pass once per point, an Armijo backtracking line search, and a
-search direction from the standard inverse-Hessian BFGS update (with a
-curvature guard, and either a caller's starting inverse Hessian or
-Nocedal's scaling of the identity after the first step).  It only ever
+Both minimizers take one callable that returns the objective with its
+analytic derivatives at a point, so a caller runs its forward pass once
+per point, and both count its calls in ``n_evals``.  ``minimize`` is
+deliberately small: an Armijo backtracking line search, and a search
+direction from the standard inverse-Hessian BFGS update (with a curvature
+guard, and either a caller's starting inverse Hessian or Nocedal's
+scaling of the identity after the first step).  It only ever
 *accepts* points that decrease the objective, so the returned value is
 guaranteed <= the starting value, and it returns the best point seen so
 far even when the search breaks down.
@@ -16,13 +17,13 @@ their exact Hessians: each direction is the plain Newton step where that
 problem's Hessian has a well-conditioned Cholesky factor, else a modified
 Newton step from its eigendecomposition with negative eigenvalues made
 positive (Nocedal & Wright ch. 3.4), and steepest descent on any iteration
-where that Hessian is not finite.  Its trial points need only objective
-values; the gradients and Hessians come from one derivatives call at each
-start and each accepted point.  Every problem has its own Armijo search and
-convergence tests (a predicted decrease within rounding of the objective
-counts as converged); a problem that has converged or stopped drops out of
-the batch.  ``numeric_gradient`` and ``golden_section`` are kept as
-derivative-free oracles.
+where that Hessian is not finite.  Its callable returns values, gradients
+and Hessians together at every start and trial point; the derivatives are
+read at the starts and accepted points only.  Every problem has its own
+Armijo search and convergence tests (a predicted decrease within rounding
+of the objective counts as converged); a problem that has converged or
+stopped drops out of the batch.  ``numeric_gradient`` and
+``golden_section`` are kept as derivative-free oracles.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class OptimizeSettings:
 class OptResult:
     """Result of one minimization; ``minimize_newton`` fills every field
     with one entry per problem (``x`` is then (D, n)).  ``n_evals`` counts
-    objective values; each of ``minimize``'s came with its gradient."""
+    the calls of the solver's one callable at each problem's points."""
 
     x: np.ndarray
     value: float
@@ -258,19 +259,18 @@ def minimize(fun, init, settings: OptimizeSettings | None = None,
     )
 
 
-def minimize_newton(objective, derivatives, init,
-                    settings: OptimizeSettings | None = None) -> OptResult:
+def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) -> OptResult:
     """Modified Newton minimization of D independent problems at once.
 
-    Both callables take ``(x, rows)``: the (len(rows), n) points of the
-    problems numbered ``rows`` (an index array into 0..D-1).  ``objective``
-    returns their objectives (len(rows),), at the starts and trial points;
-    ``derivatives`` their gradients (len(rows), n) and Hessians (len(rows),
-    n, n), once at the starts and once per accepted point.  ``init`` is
-    (D, n).  Every problem runs the iteration of ``minimize`` on its own: a
-    modified Newton direction, an Armijo search that halves its step, and
-    the gradient and step tolerances; it leaves the batch once it has
-    converged or its search found no decrease.
+    ``evaluate`` takes ``(x, rows)``: the (len(rows), n) points of the
+    problems numbered ``rows`` (an index array into 0..D-1).  It returns
+    their objectives (len(rows),), gradients (len(rows), n) and Hessians
+    (len(rows), n, n), at the starts and at every trial point; the
+    derivatives are read at the starts and at accepted points only.
+    ``init`` is (D, n).  Every problem runs the iteration of ``minimize`` on
+    its own: a modified Newton direction, an Armijo search that halves its
+    step, and the gradient and step tolerances; it leaves the batch once it
+    has converged or its search found no decrease.
 
     Returns an OptResult with one entry per problem in every field.
 
@@ -279,24 +279,18 @@ def minimize_newton(objective, derivatives, init,
     InvalidStart
         If an objective is not finite at its starting point.
     NumericalFailure
-        If a gradient is not finite.
+        If a gradient that is read is not finite.
     """
     cfg = settings or OptimizeSettings()
     x = np.array(init, dtype=float)
     d = x.shape[0]
     active = np.arange(d)
-    fx = np.asarray(objective(x, active), dtype=float)
+    fx, g, hess = (np.asarray(v, dtype=float) for v in evaluate(x, active))
     if not np.all(np.isfinite(fx)):
         i = int(np.flatnonzero(~np.isfinite(fx))[0])
         where = f" of problem {i}" if d > 1 else ""
         raise InvalidStart(f"objective not finite at the starting point{where} ({fx[i]})")
-
-    def checked_derivatives(rows):
-        g_rows, h_rows = derivatives(x[rows], rows)
-        return (_checked_gradient(g_rows, rows if d > 1 else None),
-                np.asarray(h_rows, dtype=float))
-
-    g, hess = checked_derivatives(active)
+    g = _checked_gradient(g, active if d > 1 else None)
     evals = np.ones(d, dtype=int)
     iterations = np.zeros(d, dtype=int)
     converged = np.zeros(d, dtype=bool)
@@ -326,17 +320,19 @@ def minimize_newton(objective, derivatives, init,
         # shorten the step
         alpha = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        x_new, f_new = xa.copy(), fx[active]
+        x_new, f_new, g_new, h_new = xa.copy(), fx[active], g[active], hess[active]
         for _ in range(_MAX_BACKTRACKS):
             search = np.flatnonzero(~accepted)
             if search.size == 0:
                 break
             trial = xa[search] + alpha[search, None] * direction[search]
-            f_trial = np.asarray(objective(trial, active[search]), dtype=float)
+            f_trial, g_trial, h_trial = evaluate(trial, active[search])
+            f_trial = np.asarray(f_trial, dtype=float)
             evals[active[search]] += 1
             ok = np.isfinite(f_trial) & (
                 f_trial <= fx[active[search]] + _ARMIJO_C1 * alpha[search] * slope[search])
             x_new[search[ok]], f_new[search[ok]] = trial[ok], f_trial[ok]
+            g_new[search[ok]], h_new[search[ok]] = g_trial[ok], h_trial[ok]
             accepted[search[ok]] = True
             alpha[search[~ok]] *= _BACKTRACK_FACTOR
         # no acceptable decrease along its direction: the problem stops with
@@ -344,7 +340,8 @@ def minimize_newton(objective, derivatives, init,
         moved = active[accepted]
         step = x_new[accepted] - xa[accepted]
         x[moved], fx[moved] = x_new[accepted], f_new[accepted]
-        g[moved], hess[moved] = checked_derivatives(moved)
+        g[moved] = _checked_gradient(g_new[accepted], moved if d > 1 else None)
+        hess[moved] = h_new[accepted]
         small = np.max(np.abs(step), axis=1, initial=0.0) <= _STEP_TOLERANCE
         converged[moved[small]] = True
         active = moved[~small]

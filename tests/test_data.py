@@ -28,7 +28,7 @@ from enspost.errors import (
     ParseError,
 )
 from enspost.seasonal import SeasonalCoeffs
-from enspost.timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, garch_path
+from enspost.timeseries import ARCoeffs, GARCHCoeffs, ar_teacher_forced, garch_path, garch_start
 
 from conftest import make_series
 
@@ -601,6 +601,26 @@ def test_synthetic_garch_truth_follows_garch_path(seed):
     rho = (r - (truth.mu - truth.mu_seasonal)) / truth.sigma_seasonal
     expected = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho), sig_g2[0])
     np.testing.assert_allclose(sig_g2, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("garch", [GARCHCoeffs(0.1, 0.55, 0.35), GARCHCoeffs(0.1, 0.6, 0.3995),
+                                   GARCHCoeffs(0.0, 0.55, 0.35)],
+                         ids=["stationary", "persistence-0.9995", "omega0-zero"])
+def test_synthetic_garch_draw_starts_at_garch_start(monkeypatch, garch):
+    # the draw's variance path starts where the truth's and the models' do,
+    # also above persistence 0.999, where garch_start floors 1 - omega1 - omega2
+    drives = []
+    kernel = data.linear_recursion
+
+    def recording(coeffs, drive):
+        if np.ndim(coeffs) == 2:  # the GARCH variance, time-varying coefficients
+            drives.append(np.array(drive))
+        return kernel(coeffs, drive)
+
+    monkeypatch.setattr(data, "linear_recursion", recording)
+    generate_synthetic(SyntheticConfig(n_days=40, m=3, seed=4, garch=garch))
+    [drive] = drives
+    assert drive[0] == garch_start((garch.omega0, garch.omega1, garch.omega2))
 
 
 @pytest.mark.parametrize("world", [

@@ -18,7 +18,7 @@ from enspost.models import FittedModel
 from enspost.models import ar_emos
 from enspost.models.ar_emos import _adjusted_ensemble, _crps_weights, _estimate
 from enspost.models import emos, semos
-from enspost.models.emos import _RIDGE, _fit_windows, _window_derivatives, _window_objective
+from enspost.models.emos import _RIDGE, _fit_windows, _window_evaluate
 from enspost.models.semos import _objective, empirical_sd_by_day_of_year
 from enspost.models.semos import training_residuals
 from enspost import optimize
@@ -176,16 +176,33 @@ def test_emos_window_gradient_matches_finite_differences(rng, sd_spread, ridge):
     xbar = 10 + 3 * rng.standard_normal(n)
     log_s = np.log(1.3 + sd_spread * rng.random(n))
     y = xbar + rng.standard_normal(n)
-    objective = _window_objective(xbar, log_s, y)
-    derivatives = _window_derivatives(xbar, log_s, y)
+    evaluate = _window_evaluate(xbar, log_s, y)
     for _ in range(10):
         # |theta_i| >= 1 keeps the ridge part 2e-8 theta above the 5e-9 tolerance
         theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
         crps = np.mean(crps_normal_series(theta[0] + theta[1] * xbar,
                                           np.exp(theta[2] + theta[3] * log_s), y))
-        assert objective(theta) == pytest.approx(crps + ridge * theta @ theta, abs=1e-15)
-        numeric = numeric_gradient(objective, theta, 1e-6 * (1 + np.abs(theta)))
-        assert np.all(np.abs(derivatives(theta)[0] - numeric) <= 5e-9)
+        assert evaluate(theta)[0] == pytest.approx(crps + ridge * theta @ theta, abs=1e-15)
+        numeric = numeric_gradient(lambda t: evaluate(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
+        assert np.all(np.abs(evaluate(theta)[1] - numeric) <= 5e-9)
+
+
+@pytest.mark.parametrize("sd_spread, ridge", [(0.4, 0.0), (1e-6, _RIDGE)])
+def test_emos_window_value_is_the_mean_crps_plus_ridge_to_the_bit(rng, sd_spread, ridge):
+    # the value comes from the CRPS-partials pass; it must equal the
+    # value-only kernel's mean plus the ridge term exactly, in a batch too
+    n_windows = 6
+    xbar = 10 + 3 * rng.standard_normal((n_windows, 30))
+    log_s = np.log(1.3 + sd_spread * rng.random((n_windows, 30)))
+    y = xbar + rng.standard_normal((n_windows, 30))
+    theta = rng.choice([-1.0, 1.0], size=(n_windows, 4)) * rng.uniform(0.5, 2.0, (n_windows, 4))
+    rows = np.arange(n_windows)
+    crps = crps_normal_series(theta[:, :1] + theta[:, 1:2] * xbar,
+                              np.exp(theta[:, 2:3] + theta[:, 3:4] * log_s), y)
+    expected = np.mean(crps, -1) + ridge * np.sum(theta * theta, axis=-1)
+    assert np.array_equal(_window_evaluate(xbar, log_s, y)(theta, rows)[0], expected)
+    for k in range(n_windows):
+        assert _window_evaluate(xbar[k], log_s[k], y[k])(theta[k])[0] == expected[k]
 
 
 @pytest.mark.parametrize("sd_spread, ridge", [(0.4, 0.0), (1e-6, _RIDGE)])
@@ -194,19 +211,19 @@ def test_emos_window_hessian_matches_finite_differences(rng, sd_spread, ridge, m
     xbar = 10 + 3 * rng.standard_normal(n)
     log_s = np.log(1.3 + sd_spread * rng.random(n))
     y = xbar + rng.standard_normal(n)
-    derivatives = _window_derivatives(xbar, log_s, y)
+    evaluate = _window_evaluate(xbar, log_s, y)
     monkeypatch.setattr(emos, "_RIDGE", 0.0)
-    derivatives_no_ridge = _window_derivatives(xbar, log_s, y)
+    evaluate_no_ridge = _window_evaluate(xbar, log_s, y)
     for _ in range(10):
         theta = rng.choice([-1.0, 1.0], size=4) * rng.uniform(1.0, 2.0, size=4)
         steps = 1e-6 * (1 + np.abs(theta))
         numeric = np.column_stack([
-            numeric_gradient(lambda t: derivatives(t)[0][j], theta, steps) for j in range(4)])
-        exact = derivatives(theta)[1]
+            numeric_gradient(lambda t: evaluate(t)[1][j], theta, steps) for j in range(4)])
+        exact = evaluate(theta)[2]
         assert np.allclose(exact, exact.T, rtol=1e-12, atol=0.0)
         assert np.all(np.abs(exact - numeric) <= 1e-6 * (1 + np.abs(exact)))
         # the ridge's 2 ridge I is below that tolerance, so check it on its own
-        assert np.allclose(exact - derivatives_no_ridge(theta)[1], 2.0 * ridge * np.eye(4),
+        assert np.allclose(exact - evaluate_no_ridge(theta)[2], 2.0 * ridge * np.eye(4),
                            rtol=0.0, atol=1e-14)
 
 
@@ -221,18 +238,17 @@ def test_emos_rolling_newton_fits_match_bfgs(monkeypatch):
     model = models.fit("EMOS", series.window(end=dates[0] - 1))
     solves = []
 
-    def recording(objective, derivatives, init, settings=None):
-        solves.append((objective, derivatives, init,
-                       minimize_newton(objective, derivatives, init, settings)))
+    def recording(evaluate, init, settings=None):
+        solves.append((evaluate, init, minimize_newton(evaluate, init, settings)))
         return solves[-1][-1]
 
     monkeypatch.setattr(emos, "minimize_newton", recording)
     mu, sigma = models.predict(model, series, dates)
-    [(objective, derivatives, init, newton)] = solves
+    [(evaluate, init, newton)] = solves
     assert newton.x.shape == (dates.size, 4) and np.all(newton.converged)
     xbar, log_s = series.ens_mean[-366:], np.log(series.ens_sd[-366:])
     for k in range(dates.size):
-        bfgs = minimize(lambda t: (objective(t, k), derivatives(t, k)[0]), init[k],
+        bfgs = minimize(lambda t: evaluate(t, k)[:2], init[k],
                         OptimizeSettings(max_iterations=200))
         assert bfgs.converged
         assert newton.value[k] <= bfgs.value + 1e-12
@@ -241,13 +257,14 @@ def test_emos_rolling_newton_fits_match_bfgs(monkeypatch):
         assert sigma[k] == pytest.approx(np.exp(b0 + b1 * log_s[k]), rel=1e-4)
 
 
-def test_emos_fit_meta_records_the_optimizer_result(rng):
+def test_emos_fit_meta_records_the_optimizer_result(rng, monkeypatch):
     series = make_series(rng.normal(size=120), rng=rng)
     model = models.fit("EMOS", series)
     assert model.meta["converged"] is True
     assert model.meta["iterations"] >= 1 and model.meta["n_evals"] >= 1
     assert model.meta["grad_norm"] <= 1e-8
-    capped = models.fit("EMOS", series, settings=OptimizeSettings(max_iterations=1))
+    monkeypatch.setattr(emos, "_WINDOW_SETTINGS", OptimizeSettings(max_iterations=1))
+    capped = models.fit("EMOS", series)
     assert capped.meta["converged"] is False
     assert capped.meta["iterations"] == 1
     assert capped.meta["grad_norm"] > 1e-6
@@ -516,8 +533,8 @@ def _emos_per_date_reference(series, indices, k):
             ab = np.linalg.lstsq(np.column_stack([np.ones_like(xbar), xbar]), y, rcond=None)[0]
             coeffs = np.array([*ab, np.log(np.std(y - ab[0] - ab[1] * xbar, ddof=1)), 0.0])
         window = (xbar[None], log_s[None], y[None])
-        coeffs = minimize_newton(_window_objective(*window), _window_derivatives(*window),
-                                 coeffs[None], emos._WINDOW_SETTINGS).x[0]
+        coeffs = minimize_newton(_window_evaluate(*window), coeffs[None],
+                                 emos._WINDOW_SETTINGS).x[0]
         mu[out] = coeffs[0] + coeffs[1] * series.ens_mean[i]
         sigma[out] = np.exp(coeffs[2] + coeffs[3] * np.log(series.ens_sd[i]))
     return mu, sigma

@@ -191,8 +191,8 @@ def test_minimize_restarts_a_broken_direction_from_the_starting_matrix(monkeypat
 
 def _newton(objective, init, settings=None, grad=None, hess=None):
     """``minimize_newton`` on one problem given by single-point callables."""
-    return minimize_newton(lambda x, rows: np.array([objective(x[0])]),
-                           lambda x, rows: (np.asarray(grad(x[0]))[None],
+    return minimize_newton(lambda x, rows: (np.array([objective(x[0])]),
+                                            np.asarray(grad(x[0]))[None],
                                             np.asarray(hess(x[0]))[None]),
                            np.asarray(init, dtype=float)[None], settings).problem(0)
 
@@ -209,29 +209,25 @@ def test_newton_converges_in_one_step_on_convex_quadratic(rng):
     assert np.allclose(result.x, np.linalg.solve(h, -b), atol=1e-10)
 
 
-def _recording(objective):
-    """The objective, plus the list of every value it returned."""
-    values = []
-
-    def f(x):
-        values.append(objective(x))
-        return values[-1]
-
-    return f, values
-
-
 def test_newton_with_indefinite_hessian_still_descends():
     # the supplied matrix has a negative eigenvalue; the modified step uses
-    # its absolute eigenvalues, here the identity, so each step is -grad
+    # its absolute eigenvalues, here the identity, so each step is -grad.
+    # The callable also runs at rejected trials, so the accepted values are
+    # read from runs capped at 1..N-1 iterations
     c = np.array([1.0, -2.0])
-    f, values = _recording(lambda x: float(np.sum((x - c) ** 2)))
-    accepted = []
-    result = _newton(f, np.array([4.0, 3.0]), grad=lambda x: 2.0 * (x - c),
-                     hess=lambda x: (accepted.append(values[-1]), np.diag([1.0, -1.0]))[1])
+    start = np.array([4.0, 3.0])
+
+    def run(settings=None):
+        return _newton(lambda x: float(np.sum((x - c) ** 2)), start, settings,
+                       grad=lambda x: 2.0 * (x - c), hess=lambda x: np.diag([1.0, -1.0]))
+
+    result = run()
     assert result.converged
     assert np.allclose(result.x, c, atol=1e-6)
+    accepted = [float(np.sum((start - c) ** 2))] + [
+        run(OptimizeSettings(max_iterations=n)).value for n in range(1, result.iterations)]
     assert all(b < a for a, b in zip(accepted, accepted[1:]))
-    assert result.value <= f(np.array([4.0, 3.0]))
+    assert result.value <= accepted[-1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -269,17 +265,17 @@ def test_newton_batch_solves_each_problem_as_if_alone(rng):
 
     def problem(chosen):
         c, s = centre[chosen], scale[chosen]
-        return (lambda x, rows: np.sum(s[rows] * (x - c[rows]) ** 4 + (x - c[rows]) ** 2,
-                                       axis=-1),
-                lambda x, rows: (4 * s[rows] * (x - c[rows]) ** 3 + 2 * (x - c[rows]),
-                                 (12 * s[rows] * (x - c[rows]) ** 2 + 2)[..., None] * np.eye(3)))
+        return lambda x, rows: (
+            np.sum(s[rows] * (x - c[rows]) ** 4 + (x - c[rows]) ** 2, axis=-1),
+            4 * s[rows] * (x - c[rows]) ** 3 + 2 * (x - c[rows]),
+            (12 * s[rows] * (x - c[rows]) ** 2 + 2)[..., None] * np.eye(3))
 
     settings = OptimizeSettings(max_iterations=12, gradient_tolerance=1e-10)
-    batch = minimize_newton(*problem(np.arange(n_problems)), init, settings)
+    batch = minimize_newton(problem(np.arange(n_problems)), init, settings)
     assert 0 < np.sum(batch.converged) < n_problems
     assert len(set(batch.iterations.tolist())) > 1
     for i in range(n_problems):
-        alone = minimize_newton(*problem(np.array([i])), init[i:i + 1], settings).problem(0)
+        alone = minimize_newton(problem(np.array([i])), init[i:i + 1], settings).problem(0)
         got = batch.problem(i)
         assert np.array_equal(got.x, alone.x) and got.value == alone.value
         assert (got.iterations, got.n_evals, got.converged) == (
@@ -303,19 +299,17 @@ def test_newton_batch_mixing_indefinite_and_positive_definite_hessians_solves_ea
     def problem(chosen):
         c, h, s = centre[chosen], curvature[chosen], supplied[chosen]
 
-        def objective(x, rows):
+        def evaluate(x, rows):
             e = x - c[rows]
-            return 0.5 * np.einsum("di,dij,dj->d", e, h[rows], e)
-
-        def derivatives(x, rows):
-            return np.einsum("dij,dj->di", h[rows], x - c[rows]), s[rows]
-        return objective, derivatives
+            return (0.5 * np.einsum("di,dij,dj->d", e, h[rows], e),
+                    np.einsum("dij,dj->di", h[rows], e), s[rows])
+        return evaluate
 
     settings = OptimizeSettings(max_iterations=30, gradient_tolerance=1e-10)
-    batch = minimize_newton(*problem(np.arange(n_problems)), init, settings)
+    batch = minimize_newton(problem(np.arange(n_problems)), init, settings)
     assert batch.iterations[0] == 2 and batch.iterations[2] > 2
     for i in range(n_problems):
-        alone = minimize_newton(*problem(np.array([i])), init[i:i + 1], settings).problem(0)
+        alone = minimize_newton(problem(np.array([i])), init[i:i + 1], settings).problem(0)
         got = batch.problem(i)
         assert np.array_equal(got.x, alone.x) and got.value == alone.value
         assert (got.iterations, got.n_evals, got.converged) == (
@@ -326,54 +320,47 @@ def test_newton_stops_a_problem_whose_decrease_is_below_rounding():
     # the start is the optimum to rounding: its gradient 1e-9 is above the
     # tolerance, but the Newton step predicts a decrease of 5e-19, under one
     # ulp of f = 1, and every other point reads one ulp higher; a search
-    # would halve its step 40 times, making 41 objective calls in all
+    # would halve its step 40 times, making 41 calls in all
     start = np.array([[0.5]])
     calls = []
 
-    def objective(x, rows):
+    def evaluate(x, rows):
         calls.append(x.copy())
-        return 1.0 + np.spacing(1.0) * np.any(x != start, axis=1)
+        return (1.0 + np.spacing(1.0) * np.any(x != start, axis=1),
+                np.full((1, 1), 1e-9), np.ones((1, 1, 1)))
 
-    result = minimize_newton(objective, lambda x, rows: (np.full((1, 1), 1e-9), np.ones((1, 1, 1))),
-                             start, OptimizeSettings(gradient_tolerance=1e-12)).problem(0)
+    result = minimize_newton(evaluate, start,
+                             OptimizeSettings(gradient_tolerance=1e-12)).problem(0)
     assert len(calls) == result.n_evals == 1
     assert np.array_equal(result.x, start[0]) and result.value == 1.0
     assert result.converged and result.iterations == 1
 
 
-def test_newton_derivatives_once_at_the_start_and_per_accepted_step(rng):
-    # per problem, the first derivatives call is at its start and every
-    # later one at the trial point its search has just accepted, the last
-    # objective point; no point is differentiated twice and the result is
-    # the last differentiated point
+def test_newton_evaluates_each_point_once(rng):
+    # per problem, the first call is at its start, no point is evaluated
+    # twice, n_evals counts the points evaluated and the result is one of them
     n_problems = 5
     centre = rng.normal(size=(n_problems, 3))
     scale = rng.uniform(0.1, 10.0, size=(n_problems, 3))
     init = centre + rng.normal(scale=3.0, size=(n_problems, 3))
-    tried = [[] for _ in range(n_problems)]
-    differentiated = [[] for _ in range(n_problems)]
+    evaluated = [[] for _ in range(n_problems)]
 
-    def objective(x, rows):
+    def evaluate(x, rows):
         for row, point in zip(rows, x):
-            tried[row].append(point.copy())
-        return np.sum(scale[rows] * (x - centre[rows]) ** 4 + (x - centre[rows]) ** 2, axis=-1)
-
-    def derivatives(x, rows):
-        for row, point in zip(rows, x):
-            assert np.array_equal(point, tried[row][-1])
-            differentiated[row].append(point.copy())
+            evaluated[row].append(point.copy())
         e = x - centre[rows]
-        return (4 * scale[rows] * e ** 3 + 2 * e,
+        return (np.sum(scale[rows] * e ** 4 + e ** 2, axis=-1),
+                4 * scale[rows] * e ** 3 + 2 * e,
                 (12 * scale[rows] * e ** 2 + 2)[..., None] * np.eye(3))
 
-    result = minimize_newton(objective, derivatives, init,
+    result = minimize_newton(evaluate, init,
                              OptimizeSettings(max_iterations=12, gradient_tolerance=1e-10))
     for i in range(n_problems):
-        points = differentiated[i]
+        points = evaluated[i]
         assert np.array_equal(points[0], init[i])
         assert len({p.tobytes() for p in points}) == len(points) > 1
-        assert np.array_equal(points[-1], result.x[i])
-        assert len(points) <= result.iterations[i] + 1
+        assert len(points) == result.n_evals[i]
+        assert any(np.array_equal(p, result.x[i]) for p in points)
 
 
 @pytest.mark.parametrize("n_problems", [2, 3])
@@ -385,10 +372,10 @@ def test_newton_nonfinite_gradient_names_its_problem(n_problems):
     init[0] = 0.0
     bad = n_problems - 1
 
-    def derivatives(x, rows):
+    def evaluate(x, rows):
         g = 2.0 * x
         g[(rows == bad) & np.any(x != init[rows], axis=1), 1] = np.nan
-        return g, np.tile(2.0 * np.eye(2), (rows.size, 1, 1))
+        return np.sum(x * x, axis=1), g, np.tile(2.0 * np.eye(2), (rows.size, 1, 1))
 
     with pytest.raises(NumericalFailure, match=f"component 1 of problem {bad}$"):
-        minimize_newton(lambda x, rows: np.sum(x * x, axis=1), derivatives, init)
+        minimize_newton(evaluate, init)

@@ -48,6 +48,7 @@ def test_traced_fits_record_their_effort_and_repeat(monkeypatch):
         assert tracer.total("optimize.minimize", "garch", "calls") == 1
         assert tracer.total("optimize.minimize", "garch", "n_evals") == garch.n_evals > 0
         assert tracer.total("models.predict", "EMOS", "calls") == 1
-        assert tracer.total("scoring.crps_normal_series", "emos", "calls") > 0
+        # EMOS scores every window point through the CRPS partials only
+        assert tracer.total("scoring.crps_normal_series", "emos", "calls") == 0
         passes.append(tracer.exact_counts())
     assert tracing.count_mismatches(*passes) == []
