@@ -139,10 +139,15 @@ def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
         block, cols = slice(b, b + _BLOCK_DATES), slice(b * m, (b + _BLOCK_DATES) * m)
         rows = ends[block] - first - _TAIL + np.arange(_TAIL)[:, None]  # (35, dates) rows of x
         days = first + rows[k:]                                         # the weight window
-        adjusted = series.members[days] + ar_teacher_forced(
-            fits.columns(cols), x[rows].reshape(_TAIL, -1), k).reshape(WEIGHT_WINDOW, -1, m)
-        window[:, block] = np.stack([adjusted.mean(axis=2), adjusted.std(axis=2, ddof=1),
-                                     series.obs[days]]).transpose(0, 2, 1)
+        adjusted = ar_teacher_forced(fits.columns(cols), x[rows].reshape(_TAIL, -1),
+                                     k).reshape(WEIGHT_WINDOW, -1, m)
+        adjusted += series.members[days]
+        # the mean and sd of ``mean`` and ``std(ddof=1)``, in numpy's own order
+        mean, sd = window[0, block].T, window[1, block].T
+        np.divide(adjusted.sum(axis=2, out=mean), m, out=mean)
+        np.square(np.subtract(adjusted, mean[:, :, None], out=adjusted), out=adjusted)
+        np.sqrt(np.divide(adjusted.sum(axis=2, out=sd), m - 1, out=sd), out=sd)
+        window[2, block] = series.obs[days].T
     history = x[ends - first - k + np.arange(k)[:, None]].reshape(k, -1)
     return _Estimate(fits, history, np.sqrt(variance.reshape(-1, m).mean(axis=1)), window)
 

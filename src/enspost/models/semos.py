@@ -57,7 +57,7 @@ import numpy as np
 from ..data import StationSeries, day_of_year, time_index
 from ..errors import DegenerateSeries, InvalidInput, NumericalFailure
 from ..optimize import OptimizeSettings, minimize
-from ..scoring import crps_normal_partials, crps_normal_series
+from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
 from ..seasonal import N_COEFFS, seasonal_design
 from ..timeseries import (
     ARCoeffs,
@@ -73,7 +73,7 @@ from ..timeseries import (
     garch_start,
     is_stationary,
 )
-# ``ar_multistep`` stays importable here: perfbench's tracer wraps this name
+# ``crps_normal_series`` and ``ar_multistep`` stay importable here: perfbench's tracer wraps them
 from ..timeseries import ar_multistep  # noqa: F401
 from .base import SEASONAL_KINDS, FittedModel, PredictionContext
 
@@ -271,9 +271,10 @@ def _objective(kind: str, p: int, x_loc, x_scale, y):
     return fun
 
 
-def _curvature_start(mu, sigma, y, x_loc, x_scale, n_params: int) -> np.ndarray:
-    """Starting inverse Hessian of a seasonal fit: the inverse of a
-    Gauss-Newton matrix of the mean training CRPS at the start's (mu, sigma).
+def _curvature_start(mu, sigma, y, x_loc, x_scale, n_params: int) -> tuple[np.ndarray, float]:
+    """Starting inverse Hessian of a seasonal fit, the inverse of a
+    Gauss-Newton matrix of the mean training CRPS at the start's (mu, sigma),
+    and that mean CRPS, from the same CRPS pass.
 
     The CRPS second partials in (mu, sigma) are c (1, z; z, z^2), rank one,
     so through mu = X_loc a and sigma = exp(X_scale b) the seasonal block is
@@ -287,7 +288,7 @@ def _curvature_start(mu, sigma, y, x_loc, x_scale, n_params: int) -> np.ndarray:
     are floored at 1e-8 of the largest before the inverse.
     """
     start = y.size - mu.size
-    _, _, _, c, z = crps_normal_partials(mu, sigma, y[start:])
+    crps, _, _, c, z = crps_normal_partials(mu, sigma, y[start:])
     v = np.hstack([x_loc[start:], (z * sigma)[:, None] * x_scale[start:]])
     h = np.zeros((n_params, n_params))
     h[:2 * N_COEFFS, :2 * N_COEFFS] = v.T @ (c[:, None] * v) / mu.size
@@ -295,7 +296,7 @@ def _curvature_start(mu, sigma, y, x_loc, x_scale, n_params: int) -> np.ndarray:
     h[tail, tail] = np.mean(np.diag(h)[:2 * N_COEFFS])
     lam, q = np.linalg.eigh(h)
     lam = np.maximum(lam, 1e-8 * lam[-1])
-    return np.einsum("ik,k,jk->ij", q, 1.0 / lam, q)
+    return np.einsum("ik,k,jk->ij", q, 1.0 / lam, q), float(np.mean(crps))
 
 
 def _standardized(kind: str, theta: np.ndarray, p: int, x_loc, x_scale, y) -> np.ndarray:
@@ -350,11 +351,10 @@ def seasonal_fit(kind: str, series: StationSeries,
 
     p = 0 if ar0 is None else ar0.p
     theta0 = _pack(loc0, scale0, ar0, garch0)
-    mu0, sigma0, start, _ = _evaluate(kind, theta0, p, x_loc, x_scale, y)
+    mu0, sigma0, _, _ = _evaluate(kind, theta0, p, x_loc, x_scale, y)
+    inverse_hessian, init_crps = _curvature_start(mu0, sigma0, y, x_loc, x_scale, theta0.size)
     result = minimize(_objective(kind, p, x_loc, x_scale, y), theta0,
-                      settings or OptimizeSettings(),
-                      inverse_hessian=_curvature_start(mu0, sigma0, y, x_loc, x_scale,
-                                                       theta0.size))
+                      settings or OptimizeSettings(), inverse_hessian=inverse_hessian)
 
     loc, scale, ar, root_w = _unpack(result.x, p)
     return FittedModel(
@@ -366,7 +366,7 @@ def seasonal_fit(kind: str, series: StationSeries,
         meta={
             "converged": bool(result.converged),
             "train_crps": float(result.value),
-            "init_crps": float(np.mean(crps_normal_series(mu0, sigma0, y[start:]))),
+            "init_crps": init_crps,
             "iterations": int(result.iterations),
             "n_evals": int(result.n_evals),
             "grad_norm": float(result.grad_norm),

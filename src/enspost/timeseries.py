@@ -1,10 +1,10 @@
 """AR(p) estimation and prediction, GARCH(1,1) variance paths, ACF and Ljung-Box.
 
 AR fitting follows the classical Yule-Walker route: biased sample
-autocovariances, the Levinson-Durbin recursion for every order up to
-``max_order``, and AIC on the innovation-variance sequence to pick the
-order.  The process mean is handled explicitly (eta), so the AR equation
-reads  x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
+autocovariances and one Levinson-Durbin pass over the orders 0..max_order,
+each series keeping the fit of its first AIC minimum.  The process mean is
+handled explicitly (eta), so the AR equation reads
+x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
 
 The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
 ``ar_teacher_forced``, ``ar_multistep``) work on m series at once, given
@@ -36,7 +36,8 @@ its paths are the loop's to the bit while BLAS's length-1 ``ddot`` does
 not fuse its multiply into the subtraction (``trans=0`` and LAPACK
 ``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag sum is
 added in BLAS's order.  ``ar_multistep`` runs m columns on from given
-histories, each step the one-step formula of ``ar_teacher_forced``.
+histories, each step the one-step formula of ``ar_teacher_forced``, and
+``windowed_ar_fits`` takes its windows' edge errors from the same formula.
 
 ``ar_bridge`` and ``garch_sigma_factor`` are the one lead-time conditional
 of an AR(-GARCH) error process, which the seasonal models' predictor and
@@ -171,27 +172,6 @@ def acf(x, max_lag: int) -> np.ndarray:
     return gamma[1:, 0] / gamma[0, 0]
 
 
-def _levinson_durbin(gamma: np.ndarray):
-    """All-order Yule-Walker solutions from autocovariances gamma_0..gamma_p,
-    one column of ``gamma`` per series.
-
-    Returns (coeffs, variances): coeffs[k, :k] is the (k, m) array of
-    order-k tau vectors (zero beyond k), variances[k] the corresponding
-    innovation-variance estimates (variances[0] = gamma_0).
-    """
-    order = gamma.shape[0] - 1
-    coeffs = np.zeros((order + 1, order, gamma.shape[1]))
-    variances = np.empty_like(gamma)
-    variances[0] = v = gamma[0]
-    for k in range(1, order + 1):
-        phi = coeffs[k - 1, :k - 1]
-        kappa = (gamma[k] - np.einsum("jm,jm->m", phi, gamma[k - 1:0:-1])) / v
-        coeffs[k, :k - 1] = phi - kappa * phi[::-1]
-        coeffs[k, k - 1] = kappa
-        variances[k] = v = v * (1.0 - kappa * kappa)
-    return coeffs, variances
-
-
 def _autocovariances(cols: np.ndarray, max_order: int):
     """(gamma, eta, constant) of the (n, m) columns: the biased
     autocovariances gamma_0..gamma_max_order, one column per series, the
@@ -205,19 +185,30 @@ def _autocovariances(cols: np.ndarray, max_order: int):
 
 def _ar_fits(gamma: np.ndarray, n: int, eta: np.ndarray, degenerate: np.ndarray):
     """AR fits from the autocovariance columns gamma_0..gamma_K of series
-    of length n with means ``eta``: the Levinson-Durbin recursion, the AIC
-    order choice over 0..K and the tau layout.  Returns the ARFits and the
-    Levinson-Durbin innovation variance of each column at its order.  A
-    ``degenerate`` column gets the mean-only AR(0) fit; ``gamma`` is
-    overwritten there."""
+    of length n with means ``eta``: the Levinson-Durbin recursion order by
+    order, each column keeping the tau and the Levinson-Durbin innovation
+    variance of its first AIC minimum over orders 0..K (a later order wins
+    only when its AIC is strictly lower, so a NaN AIC never wins).  Returns
+    the ARFits and those variances.  A ``degenerate`` column gets the
+    mean-only AR(0) fit; ``gamma`` is overwritten there."""
     gamma[:, degenerate] = 0.0
     gamma[0, degenerate] = 1.0  # white noise: Levinson-Durbin picks order 0
-    coeffs, variances = _levinson_durbin(gamma)
-    aic = n * np.log(np.maximum(variances, 1e-300)) + 2.0 * np.arange(gamma.shape[0])[:, None]
-    p = np.argmin(aic, axis=0)
-    columns = np.arange(p.size)
-    tau = coeffs[p, :int(p.max()), columns]
-    return ARFits(p, eta, tau, degenerate), variances[p, columns]
+    phi, tau = np.zeros((2, gamma.shape[0] - 1, gamma.shape[1]))
+    variance = v = gamma[0]
+    best = n * np.log(np.maximum(v, 1e-300))
+    p = np.zeros(v.size, dtype=int)
+    for k in range(1, gamma.shape[0]):
+        kappa = (gamma[k] - np.einsum("jm,jm->m", phi[:k - 1], gamma[k - 1:0:-1])) / v
+        phi[:k - 1] -= kappa * phi[:k - 1][::-1]
+        phi[k - 1] = kappa
+        v = v * (1.0 - kappa * kappa)
+        aic = n * np.log(np.maximum(v, 1e-300)) + 2.0 * k
+        lower = aic < best
+        best = np.where(lower, aic, best)
+        p = np.where(lower, k, p)
+        variance = np.where(lower, v, variance)
+        np.copyto(tau, phi, where=lower)
+    return ARFits(p, eta, tau[:p.max()].T.copy(), degenerate), variance
 
 
 def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = False):
@@ -345,10 +336,10 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
     share the running sums of x - x[o] and of its lag products, taken
     outward from o (``_running_sums``).  A sum over rows [u, w) is the
     difference of two of them, so a window's autocovariances cost
-    O(max_order).  Its innovation variance costs O(p^2): the squared
-    one-step errors of the window padded with zeros sum to n v_p, with v_p
-    the Levinson-Durbin variance, and the p errors at either edge that
-    reach into the padding come from the window's first and last p rows.
+    O(max_order).  Its innovation variance costs O(max_order^2): the squared
+    one-step errors of the window padded with eta sum to n v_p, with v_p the
+    Levinson-Durbin variance, less the teacher-forced errors whose lags reach
+    into the padding, at the window's first p rows and the p rows after it.
     Every running sum a window reads starts at its anchor and stays inside
     the window, so its fit is the same to the bit whichever other windows
     are requested and wherever ``x`` starts.  Windows of (nearly) constant
@@ -397,26 +388,18 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
         gamma[:, [col]], eta[[col]], degenerate[[col]] = _autocovariances(window, max_order)
     fits, v_p = _ar_fits(gamma, n, eta, degenerate)
 
-    # one-step errors sum_j alpha_j c[t-j], alpha = (1, -tau), of the
-    # zero-padded window at its first max_order rows (the head) and at the
-    # max_order rows after it (the tail); lags beyond p have alpha = 0, and
-    # only the first p head rows reach into the padding.  ``padded`` holds
-    # K zeros, the first K and the last K rows of c = x - eta, K zeros.
-    p = fits.p.reshape(-1, m)
-    alpha = np.zeros((max_order + 1, *p.shape))
-    alpha[0] = 1.0
-    alpha[1:fits.max_p + 1] = -fits.tau.T.reshape(-1, *p.shape)
+    # one-step errors of the window padded with eta, from ``_teacher_forced``:
+    # at its first K rows (the head; only the first p reach into the padding)
+    # and at the K rows after it (the tail), run on its last K rows
     edge = np.arange(max_order)
-    padded = np.zeros((starts.size, 4 * max_order, m))
-    padded[:, max_order:3 * max_order] = x[starts[:, None] + np.concatenate(
-        [edge, n - max_order + edge])] - eta.reshape(p.shape)[:, None]
-    rows = np.concatenate([max_order + edge, 3 * max_order + edge])
-    errors = padded[:, rows]  # alpha_0 = 1; a lag at a time bounds the memory
-    for k in lags[1:]:
-        errors += padded[:, rows - k] * alpha[k][:, None]
-    errors[:, :max_order][edge[:, None] >= p[:, None]] = 0.0
-    squares = n * v_p.reshape(p.shape) - np.einsum("dem,dem->dm", errors, errors)
-    variance = (squares / (n - p)).ravel()
+    head, tail = (x[starts[:, None] + rows].transpose(1, 0, 2).reshape(max_order, -1)
+                  for rows in (edge, n - max_order + edge))
+    head -= _teacher_forced(fits, head, 0)
+    head[edge[:, None] >= fits.p] = 0.0
+    tail = eta - _teacher_forced(fits, np.concatenate([tail, np.broadcast_to(eta, tail.shape)]),
+                                 max_order)
+    variance = (n * v_p - np.einsum("ec,ec->c", head, head)
+                - np.einsum("ec,ec->c", tail, tail)) / (n - fits.p)
     for col, window in direct.items():
         variance[col] = ar_innovation_variance(window, fits.columns([col]))[0]
     return fits, variance

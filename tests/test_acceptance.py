@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-report.  The heavy criteria (3, 5, 6, 10) fit real models on multi-year
+report.  The heavy criteria (3, 5, 6, 10, 11) fit real models on multi-year
 synthetic data and take a few minutes together.
 """
 
+import dataclasses
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from enspost import models
+from enspost.cli import RunConfig, synthetic_config
 from enspost.cli import main as cli_main
 from enspost.data import StationSeries, SyntheticConfig, generate_synthetic
 from enspost.models import FittedModel
@@ -325,3 +327,60 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
            f"{n_files} output files byte-identical across two runs "
            f"(mismatches: {mismatches or 'none'}); one pipeline took {elapsed:.0f}s "
            f"for 3 stations x 2 leads x 6 models")
+
+
+# ---------------------------------------------------------------------------
+# 11. calibration at every lead time
+# ---------------------------------------------------------------------------
+
+# Thresholds from the seed spread of the calibrated cells, SEMOS at every
+# lead and the three seasonal AR kinds at 24 h: pooled over three seeds as
+# below, over the 10 disjoint seed triples of s = 1..30 in both worlds, their
+# PIT variance spanned 0.0781-0.0932 and their 90 % coverage 0.859-0.916.
+_PIT_VARIANCE_BAND = (1.0 / 12.0 - 0.012, 1.0 / 12.0 + 0.012)
+_COVERAGE_FLOOR = 0.85
+_LEADS = (24, 48, 72, 96, 120)
+
+_ITEM_1 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: past 24 h the seasonal AR kinds bridge the mean k + 1 steps "
+    "but keep the one-step sigma; at seeds 1-3 PIT variance 0.102-0.109, "
+    "coverage 0.79-0.83"))
+_ITEM_2 = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: AR-EMOS bridges to a mean eta 30-120 days stale and fits its "
+    "weight on one-step ensembles; at seeds 1-3 PIT variance 0.097 (24 h) to "
+    "0.148 (120 h), coverage 0.84 to 0.61"))
+
+
+def _criterion_11_cases():
+    for kind in ("SEMOS", "DAR-SEMOS", "SAR-SEMOS", "DAR-GARCH-SEMOS", "AR-EMOS"):
+        for lead in _LEADS:
+            marks = (_ITEM_2 if kind == "AR-EMOS" else
+                     _ITEM_1 if kind != "SEMOS" and lead > 24 else ())
+            yield pytest.param(kind, lead, marks=marks)
+
+
+@pytest.mark.parametrize("kind, lead", _criterion_11_cases())
+def test_criterion_11_calibration_at_every_lead(kind, lead):
+    # the CLI's sar and dar worlds, cell seed 7 s + lead, trained on
+    # 2015-2019 and validated on 2020; PIT and coverage pooled over s = 1..3
+    details, passed = [], True
+    for world in ("sar", "dar"):
+        pit, covered = [], []
+        for s in (1, 2, 3):
+            run = RunConfig(leads=[lead], n_days=2192, dgp=world)
+            cfg = dataclasses.replace(synthetic_config(run, 0, 0), seed=7 * s + lead)
+            series, _ = generate_synthetic(cfg)
+            valid = series.dates >= np.datetime64("2020-01-01")
+            model = models.fit(kind, series.window("2015-01-01", "2019-12-31"))
+            mu, sigma = models.predict(model, series, series.dates[valid])
+            sample = score_cases(mu, sigma, series.obs[valid], level=0.9)
+            pit.append(sample.pit)
+            covered.append(sample.covered)
+        variance = float(np.var(np.concatenate(pit)))
+        coverage = float(np.mean(np.concatenate(covered)))
+        passed &= (_PIT_VARIANCE_BAND[0] <= variance <= _PIT_VARIANCE_BAND[1]
+                   and coverage >= _COVERAGE_FLOOR)
+        details.append(f"{world}: PIT variance {variance:.4f}, coverage {coverage:.3f}")
+    report(11, passed,
+           f"{kind} at {lead} h, " + "; ".join(details) + f" (band {_PIT_VARIANCE_BAND[0]:.4f}-"
+           f"{_PIT_VARIANCE_BAND[1]:.4f}, floor {_COVERAGE_FLOOR})")

@@ -20,7 +20,12 @@ from enspost.timeseries import (
     ljung_box,
     windowed_ar_fits,
 )
-from enspost.timeseries import _garch_likelihood, ar_teacher_forced_adjoint
+from enspost.timeseries import (
+    _ar_fits,
+    _autocovariances,
+    _garch_likelihood,
+    ar_teacher_forced_adjoint,
+)
 from enspost.models.semos import _objective
 from enspost.seasonal import N_COEFFS
 from enspost.optimize import numeric_gradient
@@ -257,6 +262,80 @@ def test_windowed_yule_walker_fits_are_stationary(rng):
     assert fits.max_p > 0
     assert all(is_stationary(ar.tau) for ar in fits.members())
     assert np.all(variance > 0)
+
+
+def _all_order_levinson_fits(gamma, n, degenerate):
+    """(p, tau, variance) from every order's Levinson-Durbin solution and
+    np.argmin over the AIC of all orders: the order choice the one-pass
+    ``_ar_fits`` keeps, kept here as its oracle."""
+    gamma = gamma.copy()
+    gamma[:, degenerate] = 0.0
+    gamma[0, degenerate] = 1.0
+    order = gamma.shape[0] - 1
+    coeffs = np.zeros((order + 1, order, gamma.shape[1]))
+    variances = np.empty_like(gamma)
+    variances[0] = v = gamma[0]
+    for k in range(1, order + 1):
+        phi = coeffs[k - 1, :k - 1]
+        kappa = (gamma[k] - np.einsum("jm,jm->m", phi, gamma[k - 1:0:-1])) / v
+        coeffs[k, :k - 1] = phi - kappa * phi[::-1]
+        coeffs[k, k - 1] = kappa
+        variances[k] = v = v * (1.0 - kappa * kappa)
+    aic = n * np.log(np.maximum(variances, 1e-300)) + 2.0 * np.arange(order + 1)[:, None]
+    p = np.argmin(aic, axis=0)
+    columns = np.arange(p.size)
+    return p, coeffs[p, :int(p.max()), columns], variances[p, columns]
+
+
+def _fused_pass_columns(case, rng):
+    n = 90
+    if case == "random":
+        return np.column_stack([simulate_ar(rng.uniform(-0.45, 0.45, size=rng.integers(1, 6)),
+                                           n, rng) for _ in range(200)])
+    if case == "hard":
+        return _hard_columns(rng, n)
+    if case == "order_zero":
+        return rng.standard_normal((n, 200))
+    x = rng.standard_normal((n, 12))  # degenerate: constant columns among noise
+    x[:, ::3] = rng.normal(size=4) * 1e3
+    return x
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 5, 19])
+@pytest.mark.parametrize("case", ["random", "hard", "order_zero", "degenerate"])
+def test_one_levinson_pass_keeps_the_all_order_aic_choice_to_the_bit(case, max_order):
+    x = _fused_pass_columns(case, np.random.default_rng(301))
+    gamma, eta, degenerate = _autocovariances(x, max_order)
+    assert degenerate.any() == (case == "degenerate")
+    p, tau, variance = _all_order_levinson_fits(gamma, x.shape[0], degenerate)
+    fits, got_variance = _ar_fits(gamma, x.shape[0], eta, degenerate)
+    assert np.array_equal(fits.p, p) and np.array_equal(fits.tau, tau)
+    assert np.array_equal(got_variance, variance)
+    assert np.array_equal(fits.eta, eta) and np.array_equal(fits.degenerate, degenerate)
+    public = fit_ar_yule_walker(x, max_order, mean_fallback=True)
+    assert np.array_equal(public.p, p) and np.array_equal(public.tau, tau)
+    if case == "order_zero":
+        assert np.any(p == 0)
+    if case == "random":  # every order up to 5 is chosen somewhere
+        assert np.unique(p).size >= min(max_order + 1, 6)
+
+
+def test_windowed_variance_is_the_direct_variance_at_every_order():
+    # AR(k) columns, k = 0..5, with one strong lag at k: their windows'
+    # fits cover every order, and the edge errors of each must be right
+    rng = np.random.default_rng(302)
+    max_order, n = 5, 90
+    x = np.column_stack([simulate_ar(np.eye(k)[-1] * 0.7, 220, rng, eta=2.0) if k else
+                         rng.normal(2.0, 1.0, 220) for k in range(max_order + 1)
+                         for _ in range(3)])
+    starts = np.arange(0, 220 - n + 1, 5)
+    fits, variance = windowed_ar_fits(x, starts, n, max_order)
+    assert set(fits.p.tolist()) == set(range(max_order + 1))
+    m = x.shape[1]
+    for col in range(variance.size):
+        window = x[starts[col // m]:starts[col // m] + n, [col % m]]
+        expected = ar_innovation_variance(window, fits.columns([col]))
+        assert variance[col] == pytest.approx(expected[0], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
