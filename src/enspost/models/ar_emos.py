@@ -16,9 +16,9 @@ running sums of each member's errors and of their lag products give every
 in O(p^2), and one Levinson-Durbin and AIC pass fits them all.  Prediction
 fits each group of up to 85 dates that share an anchor of those sums in one
 call, or in equal parts of at most ``_PART_DATES`` dates to bound its memory,
-and bridges all of a part's (date, member) columns at once; the weight
-windows run in blocks of ``_BLOCK_DATES`` dates and one vectorised Newton
-solve picks every date's weight.  The training fit is the one-date case.
+and bridges all of a part's (date, member) columns at once; the weight windows
+run in blocks of ``_BLOCK_DATES`` dates and one ``minimize_newton`` call, bounded
+to [0, 1], picks every date's weight.  The training fit is the one-date case.
 Yule-Walker fits are stationary by construction, so the multi-step bridge
 needs no stationarity check.
 """
@@ -34,6 +34,7 @@ from ..data import StationSeries
 # ``golden_section``, ``crps_normal_series``, ``fit_ar_yule_walker`` and
 # ``ar_innovation_variance`` stay importable here: perfbench's tracer wraps
 # these names
+from ..optimize import OptimizeSettings, minimize_newton
 from ..optimize import golden_section  # noqa: F401
 from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
 from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, window_anchors, windowed_ar_fits
@@ -53,8 +54,7 @@ _SIGMA_FLOOR = 1e-8
 # is 1.8 MB (16-date fits: 2.06 MB); whole 85-date groups were no faster at 2.8 MB
 _BLOCK_DATES = 16
 _PART_DATES = 48
-_WEIGHT_TOLERANCE = 1e-10
-_WEIGHT_MAX_ITERATIONS = 60
+_WEIGHT_SETTINGS = OptimizeSettings(max_iterations=60, gradient_tolerance=1e-10)
 
 
 class _Estimate(NamedTuple):
@@ -86,43 +86,20 @@ def _crps_weights(sigma1, mu, sigma2, y):
     iterations).
 
     The mean CRPS is convex in w (d2 CRPS / d sigma2 = 2 phi(z) z^2 / sigma
-    >= 0 and sigma is affine in w), so its derivative is increasing.  Each
-    row takes projected Newton steps inside the bracket that the signs of
-    the derivatives seen so far leave, and bisects that bracket when a step
-    would leave it.  A row stops once its step is at most 1e-10, even onto an
-    end of the bracket, where rounding noise in g at the optimum can put it.
+    >= 0 and sigma is affine in w), so one Newton solve bounded to [0, 1]
+    from w = 0.5 finds every row's minimum.
     """
-    spread = sigma1[:, None] - sigma2  # d sigma / d w
-    w = np.full(y.shape[0], 0.5)
-    # lo/hi: nearest points known left/right of the optimum; -1 and 2 mean
-    # no point seen yet on that side
-    lo, hi = np.full_like(w, -1.0), np.full_like(w, 2.0)
-    converged = np.zeros(w.size, dtype=bool)
-    iterations = np.zeros(w.size, dtype=int)
-    rows = np.arange(w.size)
-    for it in range(1, _WEIGHT_MAX_ITERATIONS + 1):
-        iterations[rows] = it
-        wr = w[rows]
-        sigma = wr[:, None] * sigma1[rows, None] + (1.0 - wr[:, None]) * sigma2[rows]
-        d_sigma_d_w = np.where(sigma > _SIGMA_FLOOR, spread[rows], 0.0)
+    def evaluate(w, rows):
+        sigma = w * sigma1[rows, None] + (1.0 - w) * sigma2[rows]
+        d_sigma_d_w = np.where(sigma > _SIGMA_FLOOR, sigma1[rows, None] - sigma2[rows], 0.0)
         sigma = np.maximum(sigma, _SIGMA_FLOOR)
-        _, _, d_sigma, c, z = crps_normal_partials(mu[rows], sigma, y[rows])
-        g = np.mean(d_sigma * d_sigma_d_w, axis=1)
-        h = np.mean(c * np.square(z) * np.square(d_sigma_d_w), axis=1)
-        lo[rows] = np.where(g < 0, wr, lo[rows])
-        hi[rows] = np.where(g > 0, wr, hi[rows])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.clip(wr - np.where(g == 0, 0.0, g / h), 0.0, 1.0)
-        inside = (abs(newton - wr) <= _WEIGHT_TOLERANCE) | (newton > lo[rows]) & (newton < hi[rows])
-        new = np.where(inside, newton,
-                       0.5 * (np.maximum(lo[rows], 0.0) + np.minimum(hi[rows], 1.0)))
-        done = np.abs(new - wr) <= _WEIGHT_TOLERANCE
-        w[rows] = new
-        converged[rows[done]] = True
-        rows = rows[~done]
-        if rows.size == 0:
-            break
-    return w, converged, iterations
+        crps, _, d_sigma, c, z = crps_normal_partials(mu[rows], sigma, y[rows])
+        return (np.mean(crps, axis=1), np.mean(d_sigma * d_sigma_d_w, axis=1)[:, None],
+                np.mean(c * np.square(z) * np.square(d_sigma_d_w), axis=1)[:, None, None])
+
+    result = minimize_newton(evaluate, np.full((y.shape[0], 1), 0.5), _WEIGHT_SETTINGS,
+                             bounds=(0.0, 1.0))
+    return result.x[:, 0], result.converged, result.iterations
 
 
 def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:

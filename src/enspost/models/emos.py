@@ -14,6 +14,12 @@ Prediction fits every date's window in one batched solve
 (``optimize.minimize_newton``): the windows are the rows of (dates, 30)
 arrays, each starts from its own least-squares fit, and the training fit
 is the one-window case.
+
+EMOS is under-dispersed at every lead on the synthetic worlds: its window
+treats the errors as independent, but they follow an AR(1) with tau = 0.6
+around a drifting seasonal bias, missed by the in-window spread.  At 24 h,
+criterion 11's cell seed 31 (sar), validation E[(y - mu)^2] / E[sigma^2]
+is 1.42; 60- and 120-day windows leave 1.18 and 1.13.
 """
 
 from __future__ import annotations

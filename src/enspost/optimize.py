@@ -1,5 +1,5 @@
-"""Unconstrained quasi-Newton (BFGS) or exact Newton minimization of
-mean-score objectives.
+"""Quasi-Newton (BFGS) or exact Newton minimization of mean-score
+objectives, the Newton one optionally inside box bounds.
 
 Both minimizers take one callable that returns the objective with its
 analytic derivatives at a point, so a caller runs its forward pass once
@@ -17,13 +17,13 @@ their exact Hessians: each direction is the plain Newton step where that
 problem's Hessian has a well-conditioned Cholesky factor, else a modified
 Newton step from its eigendecomposition with negative eigenvalues made
 positive (Nocedal & Wright ch. 3.4), and steepest descent on any iteration
-where that Hessian is not finite.  Its callable returns values, gradients
-and Hessians together at every start and trial point; the derivatives are
-read at the starts and accepted points only.  Every problem has its own
-Armijo search and convergence tests (a predicted decrease within rounding
-of the objective counts as converged); a problem that has converged or
-stopped drops out of the batch.  ``numeric_gradient`` and
-``golden_section`` are kept as derivative-free oracles.
+where that Hessian is not finite; with box bounds, a projected Newton
+method (Bertsekas 1982).  Its callable returns values, gradients and
+Hessians at every start and trial point; the derivatives are read at the
+starts and accepted points only.  Every problem has its own Armijo search
+and convergence tests (a predicted decrease within rounding counts as
+converged); a problem that has converged or stopped drops out of the
+batch.  ``numeric_gradient`` and ``golden_section`` are derivative-free oracles.
 """
 
 from __future__ import annotations
@@ -259,7 +259,8 @@ def minimize(fun, init, settings: OptimizeSettings | None = None,
     )
 
 
-def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) -> OptResult:
+def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None,
+                    bounds=None) -> OptResult:
     """Modified Newton minimization of D independent problems at once.
 
     ``evaluate`` takes ``(x, rows)``: the (len(rows), n) points of the
@@ -272,6 +273,14 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
     step, and the gradient and step tolerances; it leaves the batch once it
     has converged or its search found no decrease.
 
+    ``bounds``, ``(lo, hi)`` as scalars or (n,) arrays, clips the start and
+    every trial point into one box for all problems.  A coordinate on a
+    bound whose gradient points out of the box keeps its bound (its gradient
+    entry and Hessian row and column become the identity's) while the free
+    block takes its Newton step; the Armijo decrease is g'(trial - x), and
+    the gradient test and ``grad_norm`` read the projected gradient
+    x - clip(x - g, lo, hi).
+
     Returns an OptResult with one entry per problem in every field.
 
     Raises
@@ -282,8 +291,9 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
         If a gradient that is read is not finite.
     """
     cfg = settings or OptimizeSettings()
-    x = np.array(init, dtype=float)
-    d = x.shape[0]
+    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    x = np.clip(np.array(init, dtype=float), lo, hi)
+    d, n = x.shape
     active = np.arange(d)
     fx, g, hess = (np.asarray(v, dtype=float) for v in evaluate(x, active))
     if not np.all(np.isfinite(fx)):
@@ -297,14 +307,18 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
 
     for it in range(1, cfg.max_iterations + 1):
         iterations[active] = it
-        flat = np.max(np.abs(g[active]), axis=1, initial=0.0) <= cfg.gradient_tolerance
+        projected = np.clip(g[active], x[active] - hi, x[active] - lo)
+        flat = np.max(np.abs(projected), axis=1, initial=0.0) <= cfg.gradient_tolerance
         converged[active[flat]] = True
         active = active[~flat]
         if active.size == 0:
             break
 
         xa, ga = x[active], g[active]
-        direction = _newton_directions(hess[active], ga)
+        binding = (xa <= lo) & (ga > 0.0) | (xa >= hi) & (ga < 0.0)
+        ga[binding] = 0.0
+        direction = _newton_directions(
+            np.where(binding[:, :, None] | binding[:, None, :], np.eye(n), hess[active]), ga)
         slope = np.einsum("di,di->d", direction, ga)
         broken = ~np.isfinite(slope) | (slope >= 0)
         direction[broken] = -ga[broken]
@@ -312,12 +326,12 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
         # a predicted decrease -slope / 2 of one ulp or less: converged to rounding
         seen = -slope > 2.0 * np.spacing(np.abs(fx[active]))
         converged[active[~seen]] = True
-        active, xa, direction, slope = active[seen], xa[seen], direction[seen], slope[seen]
+        active, xa, ga, direction = active[seen], xa[seen], ga[seen], direction[seen]
         if active.size == 0:
             break
 
-        # Armijo backtracking per problem; non-finite trial values just
-        # shorten the step
+        # Armijo backtracking per problem along the clipped step;
+        # non-finite trial values just shorten the step
         alpha = np.ones(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         x_new, f_new, g_new, h_new = xa.copy(), fx[active], g[active], hess[active]
@@ -325,12 +339,13 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
             search = np.flatnonzero(~accepted)
             if search.size == 0:
                 break
-            trial = xa[search] + alpha[search, None] * direction[search]
+            trial = np.clip(xa[search] + alpha[search, None] * direction[search], lo, hi)
             f_trial, g_trial, h_trial = evaluate(trial, active[search])
             f_trial = np.asarray(f_trial, dtype=float)
             evals[active[search]] += 1
-            ok = np.isfinite(f_trial) & (
-                f_trial <= fx[active[search]] + _ARMIJO_C1 * alpha[search] * slope[search])
+            # a clipped step can lead uphill to first order: accept no increase
+            decrease = np.minimum(np.einsum("di,di->d", trial - xa[search], ga[search]), 0)
+            ok = np.isfinite(f_trial) & (f_trial <= fx[active[search]] + _ARMIJO_C1 * decrease)
             x_new[search[ok]], f_new[search[ok]] = trial[ok], f_trial[ok]
             g_new[search[ok]], h_new[search[ok]] = g_trial[ok], h_trial[ok]
             accepted[search[ok]] = True
@@ -351,7 +366,7 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None) ->
     return OptResult(
         x=x,
         value=fx,
-        grad_norm=np.max(np.abs(g), axis=1, initial=0.0),
+        grad_norm=np.max(np.abs(np.clip(g, x - hi, x - lo)), axis=1, initial=0.0),
         iterations=iterations,
         converged=converged,
         n_evals=evals,

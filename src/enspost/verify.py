@@ -144,9 +144,9 @@ def dm_test(score_a, score_b, alternative: str = "two_sided") -> tuple[float, fl
     if alternative == "a_better":
         p = float(ndtr(stat))
     elif alternative == "b_better":
-        p = float(1.0 - ndtr(stat))
+        p = float(ndtr(-stat))
     else:
-        p = float(2.0 * (1.0 - ndtr(abs(stat))))
+        p = float(2.0 * ndtr(-abs(stat)))
     return stat, p
 
 

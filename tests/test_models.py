@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -451,7 +452,8 @@ def test_ar_emos_fit_meta_records_the_weight_solve(rng, monkeypatch):
     series = make_series(rng.normal(size=200), rng=rng)
     model = models.fit("AR-EMOS", series)
     assert model.meta["converged"] is True and model.meta["iterations"] >= 1
-    monkeypatch.setattr(ar_emos, "_WEIGHT_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(ar_emos, "_WEIGHT_SETTINGS",
+                        dataclasses.replace(ar_emos._WEIGHT_SETTINGS, max_iterations=1))
     capped = models.fit("AR-EMOS", series)
     assert capped.meta["converged"] is False and capped.meta["iterations"] == 1
 
@@ -493,19 +495,20 @@ def test_ar_emos_weight_solve_matches_golden_section(rng, case):
 
 
 def test_ar_emos_weight_solve_accepts_its_converged_newton_point(monkeypatch):
-    # the rolling benchmark's world at seed 12, 120 h, on 2020-03-15: the
-    # weight has converged at iteration 4, where the derivative is rounding
-    # noise and the Newton point is the iterate that has just become the
-    # bracket's end; bisecting from there took 33 iterations back to it
+    # the rolling benchmark's world at seed 12, 120 h, on 2020-03-15: by
+    # iteration 4 the derivative is rounding noise, and the solve must accept
+    # that Newton point (bisecting a bracket from there took 33 iterations
+    # back to it)
     cfg = cli.RunConfig(leads=[120], n_days=2192, m_members=50, seed=12, dgp="sar")
     series, _ = generate_synthetic(cli.synthetic_config(cfg, 0, 0))
     i = int(np.flatnonzero(series.dates == np.datetime64("2020-03-15"))[0])
     est = _estimate(series, np.array([i - lead_time_offset(120)]))
     weight, converged, iterations = _crps_weights(est.sigma1, *est.window)
-    monkeypatch.setattr(ar_emos, "_WEIGHT_MAX_ITERATIONS", 4)
+    monkeypatch.setattr(ar_emos, "_WEIGHT_SETTINGS",
+                        dataclasses.replace(ar_emos._WEIGHT_SETTINGS, max_iterations=4))
     fourth, _, _ = _crps_weights(est.sigma1, *est.window)
-    assert converged[0] and iterations[0] == 5
-    assert abs(weight[0] - fourth[0]) <= ar_emos._WEIGHT_TOLERANCE
+    assert converged[0] and iterations[0] <= 5
+    assert abs(weight[0] - fourth[0]) <= optimize._STEP_TOLERANCE
 
 
 def test_ar_emos_weight_solve_takes_few_iterations():

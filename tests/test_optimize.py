@@ -189,12 +189,13 @@ def test_minimize_restarts_a_broken_direction_from_the_starting_matrix(monkeypat
     assert result.converged and result.value < 1e-11
 
 
-def _newton(objective, init, settings=None, grad=None, hess=None):
+def _newton(objective, init, settings=None, grad=None, hess=None, bounds=None):
     """``minimize_newton`` on one problem given by single-point callables."""
     return minimize_newton(lambda x, rows: (np.array([objective(x[0])]),
                                             np.asarray(grad(x[0]))[None],
                                             np.asarray(hess(x[0]))[None]),
-                           np.asarray(init, dtype=float)[None], settings).problem(0)
+                           np.asarray(init, dtype=float)[None], settings,
+                           bounds=bounds).problem(0)
 
 
 def test_newton_converges_in_one_step_on_convex_quadratic(rng):
@@ -379,3 +380,42 @@ def test_newton_nonfinite_gradient_names_its_problem(n_problems):
 
     with pytest.raises(NumericalFailure, match=f"component 1 of problem {bad}$"):
         minimize_newton(evaluate, init)
+
+
+def test_bounded_newton_holds_a_binding_coordinate_and_solves_the_free_block():
+    # the unconstrained minimum c is outside [0, 1]^2; the first step clips
+    # onto (1, 0), where x0 binds and x1's own Newton step reaches the
+    # minimiser of the free block, c1 - h10 (1 - c0) / h11 = 0.6, and the
+    # third iteration's gradient test stops there.  The full Newton step at
+    # (1, 0) would push x1 back onto its bound
+    h = np.array([[2.0, 0.8], [0.8, 0.5]])
+    c = np.array([2.0, -1.0])
+    result = _newton(lambda x: float(0.5 * (x - c) @ h @ (x - c)), [0.5, 0.5],
+                     OptimizeSettings(gradient_tolerance=1e-10),
+                     grad=lambda x: h @ (x - c), hess=lambda x: h, bounds=(0.0, 1.0))
+    assert result.converged and (result.iterations, result.n_evals) == (3, 3)
+    assert result.x[0] == 1.0
+    assert result.x[1] == pytest.approx(c[1] - h[1, 0] * (1.0 - c[0]) / h[1, 1], abs=1e-12)
+    assert result.grad_norm <= 1e-10  # the projected gradient
+
+
+def test_bounded_newton_stops_at_once_on_a_bound_whose_gradient_points_out():
+    result = _newton(lambda x: float((x[0] - 2.0) ** 2), [1.0],
+                     grad=lambda x: 2.0 * (x - 2.0), hess=lambda x: 2.0 * np.eye(1),
+                     bounds=(0.0, 1.0))
+    assert result.converged and result.x[0] == 1.0
+    assert result.iterations == 1 and result.n_evals == 1
+
+
+def test_bounded_newton_with_an_interior_optimum_matches_the_unbounded_solve():
+    def solve(bounds):
+        return _newton(lambda x: float((x[0] - 0.3) ** 4 + (x[0] - 0.3) ** 2), [0.9],
+                       OptimizeSettings(gradient_tolerance=1e-10),
+                       grad=lambda x: 4.0 * (x - 0.3) ** 3 + 2.0 * (x - 0.3),
+                       hess=lambda x: (12.0 * (x - 0.3) ** 2 + 2.0)[None],
+                       bounds=bounds)
+
+    bounded, free = solve((0.0, 1.0)), solve(None)
+    assert bounded.converged and bounded.x[0] == pytest.approx(0.3, abs=1e-10)
+    assert np.array_equal(bounded.x, free.x) and bounded.value == free.value
+    assert (bounded.iterations, bounded.n_evals) == (free.iterations, free.n_evals)

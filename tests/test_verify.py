@@ -46,6 +46,20 @@ def test_dm_statistic_antisymmetric(rng):
     assert stat_ab == pytest.approx(-stat_ba, abs=1e-12)
 
 
+def test_dm_tail_p_values_keep_their_digits_far_out(rng):
+    # |stat| near 9, where 1 - ndtr(stat) cancels to 0: each one-sided
+    # p-value is the other's with the scores swapped, to the bit, and the
+    # two-sided p-value is twice the one-sided one
+    b = rng.normal(size=365)
+    a = b - 0.47 + rng.normal(size=365)
+    stat, p_a = dm_test(a, b, "a_better")
+    _, p_b = dm_test(b, a, "b_better")
+    _, p_two = dm_test(a, b)
+    assert 8.5 < abs(stat) < 9.5
+    assert 0.0 < p_a == p_b < 1e-17
+    assert p_two == 2.0 * p_a
+
+
 def test_dm_size_two_sided():
     rejections = 0
     n_seeds = 400
