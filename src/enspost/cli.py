@@ -438,12 +438,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     table = ScoreTable()
     raw_table = ScoreTable()
     pit_by_model = {kind: [] for kind in kinds}
-    series_cache = {}
+    # residual dependence needs refitted training residuals, keyed in kinds order
+    refit = bool(cfg.models_dir and cfg.train_start and cfg.train_end)
+    residuals = {kind: [] for kind in kinds if refit and kind in SEASONAL_KINDS}
+    # one cell at a time: scored, then its training residuals computed on a view window
     for station, lead in cells:
         if (station, lead) not in cases:
             raise DataError(f"no data file for predicted case ({station}, {lead}h)")
         series = _load_case(cases[(station, lead)], station, lead)
-        series_cache[(station, lead)] = series
         level = m_member_level(series.n_members)
         for kind in kinds:
             if (kind, station, lead) not in predictions:
@@ -468,6 +470,12 @@ def cmd_verify(cfg: RunConfig) -> int:
         raw_table.add_sample("raw-ensemble", station, lead, ScoreSample(
             crps=crps_ensemble(members, y), logs=None, se=np.square(series.ens_mean[idx] - y),
             pit=None, width=hi - lo, covered=(lo <= y) & (y <= hi)))
+        fits = [(kind, fitted) for kind in residuals
+                if (fitted := _load_fit(Path(cfg.models_dir), kind, station, lead)) is not None]
+        if fits:
+            train = series.window(cfg.train_start, cfg.train_end)
+            for kind, fitted in fits:
+                residuals[kind].append(training_residuals(fitted, train))
 
     matrix = significance_matrix(table, alpha=0.05)
     pit_rows = []
@@ -476,26 +484,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         counts, variance = pit_histogram(pit, bins=10)
         pit_rows.append([kind, pit.size, _FLOAT_FMT % variance] + list(counts))
 
-    # residual dependence needs refitted training residuals
+    residuals = {kind: per_cell for kind, per_cell in residuals.items() if per_cell}
     dependence = None
-    if cfg.models_dir and cfg.train_start and cfg.train_end:
-        residuals, trains = {}, {}
-        for kind in kinds:
-            if kind not in SEASONAL_KINDS:
-                continue
-            per_station = []
-            for station, lead in cells:
-                fitted = _load_fit(Path(cfg.models_dir), kind, station, lead)
-                if fitted is None:
-                    continue
-                if (station, lead) not in trains:  # one training window per cell
-                    trains[(station, lead)] = series_cache[(station, lead)].window(
-                        cfg.train_start, cfg.train_end)
-                per_station.append(training_residuals(fitted, trains[(station, lead)]))
-            if per_station:
-                residuals[kind] = per_station
-        if residuals:
-            dependence = residual_dependence_table(residuals, lags=(1, 5, 10), alpha=0.05)
+    if residuals:
+        dependence = residual_dependence_table(residuals, lags=(1, 5, 10), alpha=0.05)
 
     # every input read and scored: only now does --out appear
     out.mkdir(parents=True, exist_ok=True)

@@ -666,6 +666,29 @@ def test_verify_builds_one_training_window_per_cell(pipeline, tmp_path, monkeypa
             "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"}
 
 
+def test_residual_dependence_keeps_model_order_when_a_first_cell_lacks_a_fit(pipeline,
+                                                                             tmp_path):
+    # a second station S02 with S01's data, fits and predictions; SEMOS has no fit for
+    # the first cell, so SAR-SEMOS is the first kind whose residuals are computed
+    data = _copy_dir(pipeline / "data", tmp_path / "data")
+    (data / "station_S02_24h.csv").write_bytes(
+        (data / "station_S01_24h.csv").read_bytes().replace(b"\r\nS01,", b"\r\nS02,"))
+    fits = _copy_dir(pipeline / "fits", tmp_path / "fits")
+    for kind in ("SEMOS", "SAR-SEMOS"):
+        doc = json.loads((fits / f"fit_{kind}_S01_24h.json").read_text())
+        (fits / f"fit_{kind}_S02_24h.json").write_text(json.dumps(_for_station_s02(doc)))
+    (fits / "fit_SEMOS_S01_24h.json").unlink()
+    rows = _prediction_rows(pipeline)
+    preds = _write_predictions(tmp_path, rows + [[row[0], "S02", *row[2:]] for row in rows[1:]])
+    out = tmp_path / "ver"
+    assert run("verify", "--data", data, "--models-dir", fits, "--predictions", preds,
+               "--out", out, "--lead", "24",
+               "--train-start", "2015-01-01", "--train-end", "2017-06-30") == 0
+    with open(out / "residual_dependence.csv", newline="") as fh:
+        methods = [row["method"] for row in csv.DictReader(fh)]
+    assert list(dict.fromkeys(methods)) == ["SEMOS", "SAR-SEMOS"]
+
+
 @pytest.mark.parametrize("flags", [
     ("--start-date", "notadate"),
     ("--start-date", "NaT"),

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,11 +145,57 @@ def test_impute_series_round_trip(rng):
     mask = np.ones(20, dtype=bool)
     mask[7] = False
     assert np.array_equal(fixed.obs[mask], series.obs[mask])
+    assert not fixed.obs.flags.writeable and not np.shares_memory(fixed.obs, series.obs)
+    for name in ("dates", "members", "ens_mean", "ens_sd"):
+        assert getattr(fixed, name) is getattr(series, name), name
 
 
 # ---------------------------------------------------------------------------
 # series invariants and CSV round trip
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start, end", [
+    ("2015-02-11", "2015-05-30"), (None, "2015-03-01"), ("2015-06-01", None), (None, None),
+    ("2015-04-04", "2015-04-04"), ("2014-06-01", "2015-01-01"), ("2015-07-19", "2016-01-01"),
+], ids=["interior", "open_start", "open_end", "whole", "one_day", "first_day", "last_day"])
+def test_window_is_read_only_views_equal_to_a_build_of_its_rows(start, end):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=200, m=50, seed=5))
+    mask = np.ones(series.n_days, dtype=bool)
+    if start is not None:
+        mask &= series.dates >= np.datetime64(start)
+    if end is not None:
+        mask &= series.dates <= np.datetime64(end)
+    window = series.window(start, end)
+    rebuilt = StationSeries.build(series.station_id, series.lead_time_h, series.dates[mask],
+                                  series.obs[mask], series.members[mask])
+    assert (window.station_id, window.lead_time_h) == (series.station_id, series.lead_time_h)
+    for name in ("dates", "obs", "members", "ens_mean", "ens_sd"):
+        view = getattr(window, name)
+        assert not view.flags.writeable, name
+        assert np.shares_memory(view, getattr(series, name)), name
+        assert np.array_equal(view, getattr(rebuilt, name)), name
+
+
+@pytest.mark.parametrize("start, end", [
+    ("2015-07-20", None), (None, "2014-12-31"), ("2015-03-02", "2015-03-01"),
+    ("2016-01-01", "2014-01-01")], ids=["after", "before", "inverted", "inverted_outside"])
+def test_empty_or_inverted_window_raises_builds_parse_error(start, end):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=200, m=3, seed=5))
+    with pytest.raises(ParseError, match="^series has no rows$"):
+        series.window(start, end)
+
+
+def test_window_of_a_long_series_copies_no_rows():
+    series, _ = generate_synthetic(SyntheticConfig(n_days=2192, m=50, seed=1))
+    tracemalloc.start()
+    try:
+        window = series.window("2015-01-01", "2019-12-31")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert window.n_days == 1826
+    assert peak < 64 * 1024  # one copy of the window's members alone is 730 kB
 
 
 def test_build_rejects_date_gap():
@@ -419,32 +466,37 @@ def _csv_writer_bytes(series) -> bytes:
 
 @pytest.mark.parametrize("station_id", ['A,"B"', "50%s%%", "S01"])
 def test_write_matches_csv_writer_and_round_trips(tmp_path, rng, station_id):
-    obs = rng.normal(size=30) * 1e3
-    obs[[0, 17]] = np.nan
-    obs[5] = -0.0
-    series = make_series(obs, station_id=station_id, rng=rng, m=3)
-    path = tmp_path / "s.csv"
-    write_station_csv(series, path)
-    assert path.read_bytes() == _csv_writer_bytes(series)
-    back = load_station_csv(path)
-    assert back.station_id == station_id
-    assert np.array_equal(np.isnan(back.obs), np.isnan(series.obs))
-    assert np.allclose(back.obs, series.obs, atol=1e-9, equal_nan=True)
-    assert np.allclose(back.members, series.members, atol=1e-9)
+    block = data._BLOCK_ROWS
+    # one block, and three blocks with missing obs in the first two
+    for n_days, missing in [(30, [0, 17]), (2 * block + 3, [17, block, block + 1])]:
+        obs = rng.normal(size=n_days) * 1e3
+        obs[missing] = np.nan
+        obs[5] = -0.0
+        series = make_series(obs, station_id=station_id, rng=rng, m=3)
+        path = tmp_path / "s.csv"
+        write_station_csv(series, path)
+        assert path.read_bytes() == _csv_writer_bytes(series)
+        back = load_station_csv(path)
+        assert back.station_id == station_id
+        assert np.array_equal(np.isnan(back.obs), np.isnan(series.obs))
+        assert np.allclose(back.obs, series.obs, atol=1e-9, equal_nan=True)
+        assert np.allclose(back.members, series.members, atol=1e-9)
 
 
 def test_truth_writer_matches_csv_writer(tmp_path):
     garch = GARCHCoeffs(0.1, 0.5, 0.3)
-    series, truth = generate_synthetic(SyntheticConfig(n_days=40, m=3, seed=4, garch=garch))
-    path = tmp_path / "truth.csv"
-    write_truth_csv(series.dates, truth, path)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["date", "mu", "sigma", "mu_seasonal", "sigma_seasonal"])
-    for i in range(series.n_days):
-        writer.writerow([str(series.dates[i])] + ["%.9f" % v[i] for v in (
-            truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal)])
-    assert path.read_bytes() == buf.getvalue().encode()
+    for n_days in (40, 2 * data._BLOCK_ROWS + 3):  # one block, three blocks
+        series, truth = generate_synthetic(SyntheticConfig(n_days=n_days, m=3, seed=4,
+                                                           garch=garch))
+        path = tmp_path / "truth.csv"
+        write_truth_csv(series.dates, truth, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["date", "mu", "sigma", "mu_seasonal", "sigma_seasonal"])
+        for i in range(series.n_days):
+            writer.writerow([str(series.dates[i])] + ["%.9f" % v[i] for v in (
+                truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal)])
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_csv_round_trip(tmp_path, rng):
