@@ -36,8 +36,7 @@ from .seasonal import PERIOD_DAYS, SeasonalCoeffs, seasonal_design
 from .timeseries import (
     ARCoeffs,
     GARCHCoeffs,
-    ar_bridge,
-    garch_sigma_factor,
+    ar_forecast,
     garch_start,
     is_stationary,
     linear_recursion,
@@ -601,10 +600,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     y = mu_s + d * x_path[_BURN:]
     i = _BURN + np.arange(n)  # the truth forecasts x_path[i] from before i - k
     h = np.maximum(i - lead_time_offset(cfg.lead_time_h), 0)
-    sig_hat = 1.0 if cfg.garch is None else garch_sigma_factor(cfg.garch, cfg.ar, x_path,
-                                                                scale_path, h, i)
-    truth = SyntheticTruth(mu=mu_s + d * ar_bridge(cfg.ar, x_path, h, i),
-                           sigma=sigma_s * sig_hat, mu_seasonal=mu_s, sigma_seasonal=sigma_s)
+    x_hat, sig_hat = ar_forecast(cfg.ar, cfg.garch, x_path, scale_path, h, i)
+    truth = SyntheticTruth(mu=mu_s + d * x_hat, sigma=sigma_s * sig_hat,
+                           mu_seasonal=mu_s, sigma_seasonal=sigma_s)
 
     if not all(np.isfinite(v).all() for v in (y, truth.mu, truth.sigma)):
         raise InvalidConfig(f"ens_bias {cfg.ens_bias} and ens_dispersion {cfg.ens_dispersion} "

@@ -3,8 +3,8 @@
 All four share the seasonal location/log-scale predictors and a joint
 CRPS-minimizing BFGS fit on a static training period.  The three AR kinds
 stack one AR(p) on the errors x(t) = (y(t) - mu_S(t)) / d(t), with
-mu = mu_S + d * x_hat; they differ only in the divisor d and in GARCH
-(``_error_divisor``):
+mu = mu_S + d * x_hat; they differ only in the divisor d (``_error_divisor``)
+and in GARCH:
 
 * SEMOS: no AR.
 * DAR-SEMOS: d = 1, an AR on the deseasonalized (mean) errors.
@@ -38,8 +38,10 @@ stay put.
 
 During prediction, residuals of the k most recent days (lead-time offset)
 are unobservable, and all dates are bridged in one pass by the conditional
-the synthetic truth also uses: ``timeseries.ar_bridge`` (multi-step AR)
-and ``garch_sigma_factor`` (GARCH conditional-expectation update).  mu is
+the synthetic truth also uses, ``timeseries.ar_forecast`` (multi-step AR
+and GARCH conditional-expectation update).  At k = 0 (24 h) it runs the
+fit's own recursions, so predicting a training day gives the fit's forward
+pass to the bit.  mu is
 the (k+1)-step conditional mean; sigma stays the one-step sigma_S (times
 the bridged GARCH factor), and with GARCH the k >= 1 conditional is a
 scale mixture, which a Gaussian matches in moments at best.  The jointly
@@ -62,14 +64,13 @@ from ..seasonal import N_COEFFS, seasonal_design
 from ..timeseries import (
     ARCoeffs,
     GARCHCoeffs,
-    ar_bridge,
+    ar_forecast,
     ar_teacher_forced,
     ar_teacher_forced_adjoint,
     fit_ar_yule_walker,
     fit_garch,
     garch_path,
     garch_path_adjoint,
-    garch_sigma_factor,
     garch_start,
     is_stationary,
 )
@@ -151,16 +152,11 @@ def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     return out
 
 
-def _error_divisor(kind: str, sigma_s: np.ndarray) -> np.ndarray | None:
+def _error_divisor(kind: str, sigma_s: np.ndarray) -> np.ndarray:
     """d of an AR kind, whose AR runs on x = (y - mu_S) / d: sigma_S for
-    SAR-SEMOS (standardized errors); None for the DAR kinds, whose d = 1
-    (mean errors) takes no pass over the arrays."""
-    return sigma_s if kind == "SAR-SEMOS" else None
-
-
-def _errors(residual: np.ndarray, d: np.ndarray | None) -> np.ndarray:
-    """x = residual / d."""
-    return residual if d is None else residual / d
+    SAR-SEMOS (standardized errors), ones for the DAR kinds (mean errors),
+    which multiply and divide exactly."""
+    return sigma_s if kind == "SAR-SEMOS" else np.ones_like(sigma_s)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +213,17 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
         return np.concatenate([np.zeros(p), adj])
 
     d = _error_divisor(kind, sigma_s)
-    x = _errors(y - mu_s, d)
+    x = (y - mu_s) / d
     x_pred = ar_teacher_forced(ar, x, p)
-    mu = mu_s[p:] + (x_pred if d is None else d[p:] * x_pred)
+    mu = mu_s[p:] + d[p:] * x_pred
 
     def ar_pullback(d_mu, d_sigma_s, *tail):
         # mu = mu_s + d x_pred, x = (y - mu_s) / d; d_sigma_s covers days p..
-        d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, p,
-                                                      d_mu if d is None else d_mu * d[p:])
+        d_x, d_eta, d_tau = ar_teacher_forced_adjoint(ar, x, p, d_mu * d[p:])
         d_sigma_s = padded(d_sigma_s)
-        if d is not None:  # SAR-SEMOS: d moves with the scale coefficients too
+        if kind == "SAR-SEMOS":  # d moves with the scale coefficients too
             d_sigma_s = d_sigma_s + padded(d_mu * x_pred) - d_x * x / sigma_s
-        return seasonal_pullback(padded(d_mu) - _errors(d_x, d), d_sigma_s, [d_eta], d_tau,
-                                 *tail)
+        return seasonal_pullback(padded(d_mu) - d_x / d, d_sigma_s, [d_eta], d_tau, *tail)
 
     if kind != "DAR-GARCH-SEMOS":
         return mu, sigma_s[p:], p, ar_pullback
@@ -338,7 +332,7 @@ def seasonal_fit(kind: str, series: StationSeries,
     ar0 = garch0 = None
     if kind != "SEMOS":
         sigma_s0 = np.exp(x_scale @ scale0)
-        x0 = _errors(y - x_loc @ loc0, _error_divisor(kind, sigma_s0))
+        x0 = (y - x_loc @ loc0) / _error_divisor(kind, sigma_s0)
         ar0 = fit_ar_yule_walker(x0)
     if kind == "DAR-GARCH-SEMOS":
         eps0 = x0[ar0.p:] - ar_teacher_forced(ar0, x0, ar0.p)
@@ -391,11 +385,7 @@ def seasonal_predict(model: FittedModel, series: StationSeries, dates):
 
     if not is_stationary(model.ar.tau):
         warnings.warn("multi-step prediction with nonstationary AR coefficients", stacklevel=2)
-    h = ctx.history_end(i)
     d = _error_divisor(model.kind, sigma_s)
-    x = _errors(series.obs - mu_s, d)
-    x_hat = ar_bridge(model.ar, x, h, i)
-    mu = mu_s[i] + (x_hat if d is None else d[i] * x_hat)
-    if model.kind != "DAR-GARCH-SEMOS":
-        return mu, sigma_s[i]
-    return mu, sigma_s[i] * garch_sigma_factor(model.garch, model.ar, x, sigma_s, h, i)
+    x_hat, sigma_g = ar_forecast(model.ar, model.garch, (series.obs - mu_s) / d, sigma_s,
+                                 ctx.history_end(i), i)
+    return mu_s[i] + d[i] * x_hat, sigma_s[i] * sigma_g

@@ -39,9 +39,9 @@ added in BLAS's order.  ``ar_multistep`` runs m columns on from given
 histories, each step the one-step formula of ``ar_teacher_forced``, and
 ``windowed_ar_fits`` takes its windows' edge errors from the same formula.
 
-``ar_bridge`` and ``garch_sigma_factor`` are the one lead-time conditional
-of an AR(-GARCH) error process, which the seasonal models' predictor and
-the synthetic generator's truth share.
+``ar_forecast`` is the one lead-time conditional of an AR(-GARCH) error
+process, which the seasonal models' predictor and the synthetic
+generator's truth share; its GARCH variance is a ``garch_path``.
 """
 
 from __future__ import annotations
@@ -459,17 +459,40 @@ def ar_multistep(ar, history, steps: int) -> np.ndarray:
     return buf[p:, 0] if single else buf[p:]
 
 
-def ar_bridge(ar: ARCoeffs, x: np.ndarray, h: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """AR forecast of each x[i] from the history before h (exclusive), all at
-    once: column d runs i[d] - h[d] + 1 steps from the p values before h[d]
-    (eta where fewer exist), reading the fit's eta and tau broadcast."""
-    m = h.size
-    tau = np.broadcast_to(np.array(ar.tau, dtype=float), (m, ar.p))
-    fits = ARFits(np.full(m, ar.p), np.full(m, float(ar.eta)), tau, np.zeros(m, dtype=bool))
-    rows = h + np.arange(-ar.p, 0)[:, None]  # (p, dates)
+def ar_forecast(ar: ARCoeffs, garch: GARCHCoeffs | None, x: np.ndarray, scale: np.ndarray,
+                h: np.ndarray, i: np.ndarray):
+    """The lead-time conditional (x_hat, sigma_G) of each x[i] of an
+    AR(-GARCH) error series from the history before h (exclusive), all
+    dates at once.
+
+    x_hat is the multi-step AR forecast (Box & Jenkins): column d runs
+    i[d] - h[d] + 1 steps from the p values before h[d] (eta where fewer
+    exist).  sigma_G is 1 without GARCH.  With GARCH, running on rho = (x -
+    one-step AR) / scale, one ``garch_path`` from ``garch_start`` runs over
+    the observable innovations and one step past the last of them.  Each
+    date takes the path's value one step after its last observable
+    innovation (the start value when it has none) and is bridged over the
+    remaining days by the conditional-expectation update (Bollerslev 1986),
+    which replaces rho^2 by sigma_G^2.
+    """
+    m, p = h.size, ar.p
+    tau = np.broadcast_to(np.array(ar.tau, dtype=float), (m, p))
+    fits = ARFits(np.full(m, p), np.full(m, float(ar.eta)), tau, np.zeros(m, dtype=bool))
+    rows = h + np.arange(-p, 0)[:, None]  # (p, dates)
     history = np.where(rows >= 0, x[np.maximum(rows, 0)], ar.eta)
     paths = ar_multistep(fits, history, int((i - h).max(initial=0)) + 1)
-    return paths[i - h, np.arange(m)]
+    x_hat = paths[i - h, np.arange(m)]
+    if garch is None:
+        return x_hat, 1.0
+    w = np.array([garch.omega0, garch.omega1, garch.omega2])
+    n = max(int(h.max(initial=0)), p)
+    rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / scale[p:n])
+    seen = np.maximum(h - p, 0)  # path index one step past each date's last observable day
+    var = garch_path(w, np.append(rho_sq, 0.0), garch_start(w))[seen]
+    steps_left = np.maximum(i - p, 0) - seen
+    for step in range(int(steps_left.max(initial=0))):
+        var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
+    return x_hat, np.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +507,8 @@ def garch_path(w, rho_sq, init: float) -> np.ndarray:
         out[0] = init
         out[i] = omega0 + omega1 * out[i-1] + omega2 * rho_sq[i-1]
 
-    so the last rho_sq does not enter the path.
+    so the last rho_sq does not enter the path: appending one gives the
+    one-step variance past the last innovation, ``ar_forecast``'s start.
     """
     drive = np.empty(rho_sq.size)
     drive[0] = init
@@ -498,34 +522,6 @@ def garch_start(w) -> float:
     across the stationarity boundary); 1 unless positive."""
     init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
     return init if init > 0 else 1.0
-
-
-def garch_sigma_factor(g: GARCHCoeffs, ar: ARCoeffs, x: np.ndarray, scale: np.ndarray,
-                       h: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """sigma_G of each index i of the AR error series ``x`` from the history
-    before h (exclusive), the GARCH running on rho = (x - one-step AR) / scale.
-
-    One GARCH path from ``garch_start`` runs over the observable series.
-    Each date starts one step after its last observable innovation (at the
-    start value when it has none) and is bridged over the remaining days by
-    the conditional-expectation update, which replaces rho^2 by sigma_G^2.
-    """
-    w = np.array([g.omega0, g.omega1, g.omega2])
-    p, start = ar.p, garch_start(w)
-    var = np.full(h.size, start)
-    steps_left = np.maximum(i - p, 0)
-    n = int(h.max(initial=0))
-    if n > p:
-        rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / scale[p:n])
-        path = garch_path(w, rho_sq, start)
-        seen = h > p
-        last = h[seen] - 1 - p  # path index of each date's last observable day
-        # one step ahead still sees the last observable rho^2
-        var[seen] = w[0] + w[1] * path[last] + w[2] * rho_sq[last]
-        steps_left[seen] = (i - h)[seen]
-    for step in range(int(steps_left.max(initial=0))):
-        var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
-    return np.sqrt(var)
 
 
 def garch_path_adjoint(w, rho_sq, path, d_path):

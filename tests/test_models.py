@@ -946,7 +946,7 @@ def _per_date_reference(model, series, dates):
                     var = (w0 + w2 * rho_sq) + w1 * var
                 eps = (x[day] - one_step(x[:day])) / sigma_s[day]
                 rho_sq = eps * eps
-            var = w0 + w1 * var + w2 * rho_sq
+            var = (w0 + w2 * rho_sq) + w1 * var  # one more path step
             steps = i - h
         for _ in range(steps):
             var = w0 + (w1 + w2) * var
@@ -964,6 +964,27 @@ def test_one_pass_prediction_matches_per_date_reference(kind, p, lead, semos_clo
     mu, sigma = models.predict(model, series, dates)
     ref_mu, ref_sigma = _per_date_reference(model, series, dates)
     assert np.array_equal(mu, ref_mu) and np.array_equal(sigma, ref_sigma)
+
+
+@pytest.fixture(scope="module")
+def garch_world():
+    series, _ = generate_synthetic(SyntheticConfig(n_days=1000, m=10, seed=5,
+                                                   garch=GARCHCoeffs(0.1, 0.55, 0.35)))
+    return series
+
+
+@pytest.mark.parametrize("kind", ["DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
+def test_24h_prediction_of_training_days_is_the_fit_forward_pass(kind, garch_world):
+    # one forecast kernel: predicting the training days p..n-1 at 24 h runs
+    # the same AR and GARCH recursions as the fit, to the bit
+    model = models.fit(kind, garch_world)
+    p = model.ar.p
+    x_loc, x_scale = semos._designs(garch_world, model.meta["origin"])
+    theta = semos._pack(model.loc, model.scale, model.ar, model.garch)
+    fit_mu, fit_sigma, start, _ = semos._evaluate(kind, theta, p, x_loc, x_scale, garch_world.obs)
+    assert start == p
+    mu, sigma = models.predict(model, garch_world, garch_world.dates[p:])
+    assert np.array_equal(mu, fit_mu) and np.array_equal(sigma, fit_sigma)
 
 
 @pytest.mark.parametrize("kind", ["DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
