@@ -331,6 +331,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             crps = fitted.meta.get("train_crps")
             crps_text = "" if crps is None else f" train CRPS {crps:.4f}"
             print(f"fit: {kind} ({station}, {lead}h) converged={converged}{crps_text}")
+        del series, train  # one cell's member array alive at a time
     # every case fitted: only now does --out appear
     out.mkdir(parents=True, exist_ok=True)
     for target, fitted in fits:
@@ -364,6 +365,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                                 f"{_fit_path(models_dir, kind, station, lead)}")
             mu, sigma = model_api.predict(fitted, series, dates)
             blocks[(kind, station, lead)] = (date_texts, mu.tolist(), sigma.tolist())
+        del series  # one cell's member array alive at a time
     out.mkdir(parents=True, exist_ok=True)
     target = out / "predictions.csv"
     with open(target, "w", newline="") as fh:
@@ -472,10 +474,10 @@ def cmd_verify(cfg: RunConfig) -> int:
             pit=None, width=hi - lo, covered=(lo <= y) & (y <= hi)))
         fits = [(kind, fitted) for kind in residuals
                 if (fitted := _load_fit(Path(cfg.models_dir), kind, station, lead)) is not None]
-        if fits:
-            train = series.window(cfg.train_start, cfg.train_end)
-            for kind, fitted in fits:
-                residuals[kind].append(training_residuals(fitted, train))
+        train = series.window(cfg.train_start, cfg.train_end) if fits else None
+        for kind, fitted in fits:
+            residuals[kind].append(training_residuals(fitted, train))
+        del series, members, train  # one cell's member array alive at a time
 
     matrix = significance_matrix(table, alpha=0.05)
     pit_rows = []

@@ -70,13 +70,27 @@ def day_of_year(dates) -> np.ndarray:
     return ((dates - years) / _DAY).astype(int) + 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _member_stats(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ensemble mean and sd (ddof 1): numpy's ``mean`` and ``std``, the same
+    bits, ``_BLOCK_ROWS`` rows at a time, so no temporary is larger than a block."""
+    mean, sd = np.empty(members.shape[0]), np.empty(members.shape[0])
+    for lo in range(0, members.shape[0], _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        members[rows].mean(axis=1, out=mean[rows])
+        members[rows].std(axis=1, ddof=1, out=sd[rows])
+    return mean, sd
+
+
 @dataclass(frozen=True)
 class StationSeries:
     """Daily (station, lead time) series of observations and ensemble forecasts.
 
-    ``build`` copies the arrays it is handed and freezes the copies.  A
-    series derived from another (``window``, ``impute_series``) shares its
-    parent's frozen arrays, or views of them, instead of copying them.
+    ``build`` copies the arrays it is handed and freezes the copies; the
+    loader and the generator hand their own fresh arrays over (``_own``),
+    so each series holds one member array.  A series derived from another
+    (``window``, ``impute_series``) shares its parent's frozen arrays, or
+    views of them, instead of copying them.
     """
 
     station_id: str
@@ -89,10 +103,15 @@ class StationSeries:
 
     @classmethod
     def build(cls, station_id: str, lead_time_h: int, dates, obs, members) -> "StationSeries":
-        """Validate invariants, derive ensemble statistics and freeze arrays."""
-        dates = np.asarray(dates, dtype="datetime64[D]")
-        obs = np.array(obs, dtype=float)
-        members = np.array(members, dtype=float)
+        """Validate invariants, derive ensemble statistics and freeze arrays:
+        copies of ``dates``, ``obs`` and ``members``, so the caller's stay its own."""
+        return cls._own(station_id, lead_time_h, np.array(dates, dtype="datetime64[D]"),
+                        np.array(obs, dtype=float), np.array(members, dtype=float))
+
+    @classmethod
+    def _own(cls, station_id, lead_time_h, dates, obs, members, stats=None) -> "StationSeries":
+        """``build`` on arrays handed over, frozen without a copy; ``stats`` is
+        ``_member_stats(members)`` when the caller has it, else computed here."""
         n = dates.size
         if n == 0:
             raise ParseError("series has no rows")
@@ -108,9 +127,7 @@ class StationSeries:
                 kind = "duplicated or non-monotone" if deltas[i] <= np.timedelta64(0, "D") else "gapped"
                 # i + 3: second date of the offending pair, counting the header row
                 raise ParseError(f"{kind} dates at row {i + 3}: {dates[i]} -> {dates[i + 1]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            ens_mean = members.mean(axis=1)
-            ens_sd = members.std(axis=1, ddof=1)
+        ens_mean, ens_sd = _member_stats(members) if stats is None else stats
         finite = np.isfinite(ens_mean) & np.isfinite(ens_sd)  # a non-finite member included
         if not finite.all():
             raise InvalidEnsemble("ensemble members, mean or sd not finite on "
@@ -118,15 +135,7 @@ class StationSeries:
         if np.any(ens_sd <= 0):
             i = int(np.argmax(ens_sd <= 0))
             raise InvalidEnsemble(f"degenerate ensemble (sd=0) on {dates[i]}")
-        series = cls(
-            station_id=str(station_id),
-            lead_time_h=int(lead_time_h),
-            dates=dates,
-            obs=obs,
-            members=members,
-            ens_mean=ens_mean,
-            ens_sd=ens_sd,
-        )
+        series = cls(str(station_id), int(lead_time_h), dates, obs, members, ens_mean, ens_sd)
         for arr in (dates, obs, members, ens_mean, ens_sd):
             arr.setflags(write=False)
         return series
@@ -341,7 +350,7 @@ def _convert_rows(fh, m: int, station_id, lead_time_h):
     if not dates:
         raise ParseError(f"no rows match station_id={station_id!r}, lead_time_h={lead_time_h!r}")
     key, = keys
-    return key, np.array(dates, dtype="datetime64[D]"), obs, members
+    return key, np.array(dates, dtype="datetime64[D]"), np.array(obs), np.array(members)
 
 
 def _csv_alike(lines) -> bool:
@@ -371,7 +380,10 @@ def _convert_blocks(fh, m: int, station_id, lead_time_h):
                      + [("members", float, (m,))])
     want_lead = None if lead_time_h is None else int(lead_time_h)
     keys = set()
-    dates, obs, members = [], [], []
+    dates, obs, n_kept = [], [], 0
+    members = np.empty((sum(1 for _ in fh), m))  # a row per line at most
+    fh.seek(0)
+    next(fh)  # the header: one line, as _member_count accepted it
     for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
         if not _csv_alike(lines):
             raise ValueError("lines that csv or float may read otherwise")
@@ -397,9 +409,11 @@ def _convert_blocks(fh, m: int, station_id, lead_time_h):
         obs.append(np.array([text or "nan" for text in obs_texts], dtype=float))
         if not (np.isfinite(obs[-1][~missing]).all() and np.isfinite(rows["members"]).all()):
             raise ValueError("non-finite value")
-        members.append(rows["members"])
+        members[n_kept:n_kept + len(rows)] = rows["members"]
+        n_kept += len(rows)
     key, = keys  # a ValueError unless exactly one (station, lead) pair was kept
-    return key, np.concatenate(dates), np.concatenate(obs), np.concatenate(members)
+    members.resize((n_kept, m), refcheck=False)  # in place: no view of it is left
+    return key, np.concatenate(dates), np.concatenate(obs), members
 
 
 def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
@@ -413,7 +427,7 @@ def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     try:
-        return StationSeries.build(sid, lead, dates, obs, members)
+        return StationSeries._own(sid, lead, dates, obs, members)
     except DataError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -429,12 +443,13 @@ def load_station_csv(path, station_id: str | None = None,
     fields become NaN and are left for imputation.
 
     numpy's C tokenizer (``np.loadtxt``) splits the records and converts
-    the members a block at a time.  A file that does not convert so is read
-    again one cell at a time (``csv.reader`` and ``float``), which raises a
-    ParseError naming the first offending row, column and value (rows
-    filtered out are checked only for their field count and lead time).  A
-    file that cannot be opened, decoded or split into CSV records is a
-    DataError.
+    the members a block at a time into one array, sized by the file's line
+    count and trimmed in place to the rows kept; the series owns it.  A
+    file that does not convert so is read again one cell at a time
+    (``csv.reader`` and ``float``), which raises a ParseError naming the
+    first offending row, column and value (rows filtered out are checked
+    only for their field count and lead time).  A file that cannot be
+    opened, decoded or split into CSV records is a DataError.
     """
     try:
         return _read_station_csv(path, _convert_blocks, station_id, lead_time_h)
@@ -550,8 +565,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     Bit-reproducible for a fixed seed.  See SyntheticConfig for the model.
     The weather AR, the error AR around eta and the GARCH variance each
     run over burn-in and series as one ``linear_recursion``, the kernel of
-    the models' GARCH path.  A draw that overflows (an ensemble distortion
-    near the float range) raises InvalidConfig.
+    the models' GARCH path.  The series owns the members drawn, and the
+    ensemble mean and sd that drive the observations, without a copy.  A draw
+    that overflows (an ensemble distortion near the float range) raises
+    InvalidConfig.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -572,10 +589,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     members += (center + cfg.ens_bias)[:, None]
 
     # observation process driven by the distortion-corrected realized statistics
-    xbar_eff = members.mean(axis=1) - cfg.ens_bias
-    s_eff = members.std(axis=1, ddof=1) / cfg.ens_dispersion
-    mu_s = seasonal_design(t, xbar_eff) @ cfg.loc.as_vector()
-    sigma_s = np.exp(seasonal_design(t, s_eff) @ cfg.scale.as_vector())
+    xbar, s = _member_stats(members)
+    mu_s = seasonal_design(t, xbar - cfg.ens_bias) @ cfg.loc.as_vector()
+    sigma_s = np.exp(seasonal_design(t, s / cfg.ens_dispersion) @ cfg.scale.as_vector())
     z = rng.standard_normal(n + _BURN)
 
     # one AR on x = (y - mu_S) / d with innovations innov_scale * sigma_G * z
@@ -607,7 +623,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     if not all(np.isfinite(v).all() for v in (y, truth.mu, truth.sigma)):
         raise InvalidConfig(f"ens_bias {cfg.ens_bias} and ens_dispersion {cfg.ens_dispersion} "
                             "give a draw that is not finite")
-    series = StationSeries.build(cfg.station_id, cfg.lead_time_h, dates, y, members)
+    series = StationSeries._own(cfg.station_id, cfg.lead_time_h, dates, y, members, (xbar, s))
     for arr in (truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal):
         arr.setflags(write=False)
     return series, truth

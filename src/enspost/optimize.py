@@ -316,9 +316,11 @@ def minimize_newton(evaluate, init, settings: OptimizeSettings | None = None,
 
         xa, ga = x[active], g[active]
         binding = (xa <= lo) & (ga > 0.0) | (xa >= hi) & (ga < 0.0)
-        ga[binding] = 0.0
-        direction = _newton_directions(
-            np.where(binding[:, :, None] | binding[:, None, :], np.eye(n), hess[active]), ga)
+        ha = hess[active]
+        if binding.any():
+            ga[binding] = 0.0
+            ha = np.where(binding[:, :, None] | binding[:, None, :], np.eye(n), ha)
+        direction = _newton_directions(ha, ga)
         slope = np.einsum("di,di->d", direction, ga)
         broken = ~np.isfinite(slope) | (slope >= 0)
         direction[broken] = -ga[broken]

@@ -88,6 +88,31 @@ def test_ensemble_stats_rejects_small_or_nonfinite():
         _ensemble_stats([1e308, 1.7e308])
 
 
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 2192])
+def test_member_stats_are_numpys_mean_and_sd_to_the_bit(n):
+    members = np.random.default_rng(n).normal(10.0, 3.0, size=(n, 50))
+    mean, sd = data._member_stats(members)
+    assert np.array_equal(mean, members.mean(axis=1))
+    assert np.array_equal(sd, members.std(axis=1, ddof=1))
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.inf, "ensemble members, mean or sd not finite on 2016-08-23"),
+    (np.nan, "ensemble members, mean or sd not finite on 2016-08-23"),
+    (None, r"degenerate ensemble \(sd=0\) on 2016-08-23"),
+], ids=["inf", "nan", "zero_sd"])
+def test_a_bad_row_in_a_later_block_is_named_by_its_date(value, message):
+    # row 600 lies in the third _BLOCK_ROWS block of the statistics
+    members = np.random.default_rng(3).normal(size=(700, 5))
+    if value is None:
+        members[600] = 1.5
+    else:
+        members[600, 2] = value
+    dates = np.datetime64("2015-01-01") + np.arange(700)
+    with pytest.raises(InvalidEnsemble, match=f"^{message}$"):
+        StationSeries.build("X", 24, dates, np.zeros(700), members)
+
+
 # ---------------------------------------------------------------------------
 # imputation
 # ---------------------------------------------------------------------------
@@ -198,6 +223,31 @@ def test_window_of_a_long_series_copies_no_rows():
     assert peak < 64 * 1024  # one copy of the window's members alone is 730 kB
 
 
+def test_loading_a_long_station_file_peaks_below_two_member_arrays(tmp_path):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=2192, m=50, seed=1))
+    path = tmp_path / "s.csv"
+    write_station_csv(series, path)
+    del series
+    tracemalloc.start()
+    try:
+        loaded = load_station_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.members.shape == (2192, 50)
+    assert peak < 2 * loaded.members.nbytes  # 0.84 MiB each; a tripled array peaked at 2.68
+
+
+def test_a_synthetic_draw_peaks_below_two_member_arrays():
+    tracemalloc.start()
+    try:
+        series, _ = generate_synthetic(SyntheticConfig(n_days=2192, m=50, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * series.members.nbytes  # a tripled array peaked at 3.01 MiB
+
+
 def test_build_rejects_date_gap():
     dates = np.array(["2015-01-01", "2015-01-02", "2015-01-04"], dtype="datetime64[D]")
     with pytest.raises(ParseError, match="gapped"):
@@ -215,6 +265,20 @@ def test_series_arrays_read_only(rng):
     series = make_series(rng.normal(size=5), rng=rng)
     with pytest.raises(ValueError):
         series.obs[0] = 1.0
+
+
+def test_build_copies_what_it_is_handed_and_freezes_the_copies(rng):
+    dates = np.datetime64("2015-01-01") + np.arange(5)
+    obs, members = rng.normal(size=5), rng.normal(size=(5, 4))
+    series = StationSeries.build("X", 24, dates, obs, members)
+    kept = {name: getattr(series, name).copy() for name in ("dates", "obs", "members")}
+    dates += 1
+    obs[:] = 99.0
+    members[:] = 99.0
+    for name in ("dates", "obs", "members", "ens_mean", "ens_sd"):
+        assert not getattr(series, name).flags.writeable, name
+    for name, before in kept.items():
+        assert np.array_equal(getattr(series, name), before), name
 
 
 def test_load_smoke_three_rows(tmp_path):
@@ -270,6 +334,21 @@ def test_load_filters_mixed_file(tmp_path):
     assert series.n_days == 2
     with pytest.raises(ParseError, match="filters"):
         load_station_csv(path)
+
+
+def test_a_filtered_read_holds_only_its_own_rows(tmp_path):
+    paths = []
+    for k, sid in enumerate("ABC"):
+        series, _ = generate_synthetic(SyntheticConfig(n_days=300, m=7, seed=k, station_id=sid))
+        paths.append(tmp_path / f"{sid}.csv")
+        write_station_csv(series, paths[-1])
+    header, *rows = zip(*(path.read_text().splitlines(keepends=True) for path in paths))
+    path = tmp_path / "mixed.csv"
+    path.write_text(header[0] + "".join(line for date_rows in rows for line in date_rows))
+    loaded = load_station_csv(path, station_id="B")
+    assert np.array_equal(loaded.members, load_station_csv(paths[1]).members)
+    assert loaded.members.base is None
+    assert loaded.members.nbytes == 300 * 7 * 8
 
 
 _HEADER = "station_id,date,lead_time_h,obs,m1,m2\n"
