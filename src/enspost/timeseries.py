@@ -29,15 +29,24 @@ lag vector with ``is_stationary``.
 drive[i] + sum_j coeffs[j-1] * out[i-j], with constant or time-varying
 coefficients.  ``garch_path`` and its adjoint (shared by the seasonal
 models and ``fit_garch``) and the generator's AR and GARCH draws run on
-it.  The kernel is one BLAS ``dtbsv`` solve in its transposed form
-(``trans=1``), each step a length-p dot product and one subtraction.  For
-p <= 1 that rounds as the plain loop ``drive[i] + coeff * prev`` does, so
+it.  The kernel is one banded triangular solve, ``cblas_dtbsv`` in its
+transposed form, each step a length-p dot product and one subtraction.
+It is the OpenBLAS that numpy already loaded, bound once at import
+through ``ctypes``, so the runtime loads no ``scipy.linalg`` (43
+modules, about 6 MB of resident memory and 60-100 ms of import).  For
+p <= 1 it rounds as the plain loop ``drive[i] + coeff * prev`` does, so
 its paths are the loop's to the bit while BLAS's length-1 ``ddot`` does
-not fuse its multiply into the subtraction (``trans=0`` and LAPACK
-``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag sum is
-added in BLAS's order.  ``ar_multistep`` runs m columns on from given
-histories, each step the one-step formula of ``ar_teacher_forced``, and
-``windowed_ar_fits`` takes its windows' edge errors from the same formula.
+not fuse its multiply into the subtraction (the untransposed solve and
+LAPACK ``dtbtrs`` do, and differ in the last digit); for p >= 2 the lag
+sum is added in BLAS's order.  Where numpy exports no such symbol
+(another BLAS, numpy 1.x, Windows) the kernel is that plain loop in
+Python, chosen once at import: bit-equal at p <= 1 and about 6 times
+slower (180 against 30 us for 1,826 steps on a 2-core Xeon).  A blocked
+scan (Blelloch 1990) was no alternative, as it is not bit-equal.
+
+``ar_multistep`` runs m columns on from given histories, each step the
+one-step formula of ``ar_teacher_forced``, and ``windowed_ar_fits`` takes
+its windows' edge errors from the same formula.
 
 ``ar_forecast`` is the one lead-time conditional of an AR(-GARCH) error
 process, which the seasonal models' predictor and the synthetic
@@ -46,12 +55,12 @@ generator's truth share; its GARCH variance is a ``garch_path``.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 from scipy.special import gammaincc
 
 from .errors import (
@@ -425,17 +434,86 @@ def is_stationary(tau) -> bool:
     return bool(np.all(np.abs(np.linalg.eigvals(companion)) < 1.0))
 
 
+def _bind_cblas_dtbsv():
+    """numpy's ``cblas_dtbsv`` (scipy-openblas, 64-bit integers), looked up
+    through a BLAS-linked numpy extension; None where it exports none."""
+    from numpy.linalg import _umath_linalg
+    try:
+        solve = ctypes.CDLL(_umath_linalg.__file__).scipy_cblas_dtbsv64_
+    except (OSError, AttributeError, TypeError):
+        return None
+    i32, i64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    solve.argtypes = (i32, i32, i32, i32, i64, i64, ptr, i64, ptr, i64)
+    solve.restype = None
+    return solve
+
+
+_CBLAS_DTBSV = _bind_cblas_dtbsv()
+
+
+def _blas_band_solve(band: np.ndarray, x: np.ndarray) -> None:
+    """x <- A^-T x in place, A the unit upper band matrix whose p + 1 rows
+    ``band`` holds in Fortran order (LAPACK band storage, lda = p + 1).
+    BLAS reads and writes through the pointers unchecked, so the layout is
+    checked first."""
+    p = band.shape[0] - 1
+    if not (band.dtype == x.dtype == np.float64 and x.ndim == 1
+            and band.shape == (p + 1, x.size) and band.flags.f_contiguous
+            and x.flags.c_contiguous and x.flags.writeable):
+        raise InvalidInput("dtbsv needs a Fortran-ordered float64 (p + 1, n) band "
+                           "and a writable contiguous float64 (n,) vector")
+    _CBLAS_DTBSV(102, 121, 112, 132,  # column-major, upper, transposed, unit
+                 x.size, p, band.ctypes.data, p + 1, x.ctypes.data, 1)
+
+
+def _loop_band_solve(band: np.ndarray, x: np.ndarray) -> None:
+    """The same solve as a Python loop, step i adding coeffs[j-1, i] *
+    out[i-j] for j = 1..p in turn to drive[i]."""
+    p = band.shape[0] - 1
+    coeffs = (-band[:p][::-1]).tolist()  # row j-1: coeffs[j-1], negated exactly
+    out = x.tolist()
+    if p == 1 and out:  # every GARCH path: one term, without the inner loop
+        prev = out[0]
+        path = [prev]
+        for drive, coeff in zip(out[1:], coeffs[0][1:]):
+            prev = drive + coeff * prev
+            path.append(prev)
+        x[:] = path
+        return
+    for i in range(1, len(out)):
+        acc = out[i]
+        for j in range(1, min(i, p) + 1):
+            acc += coeffs[j - 1][i] * out[i - j]
+        out[i] = acc
+    x[:] = out
+
+
+# chosen once, from what the loaded numpy exports
+_band_solve = _loop_band_solve if _CBLAS_DTBSV is None else _blas_band_solve
+
+
 def linear_recursion(coeffs, drive) -> np.ndarray:
     """out[i] = drive[i] + sum_{j<=p} coeffs[j-1] * out[i-j], with the terms
     before out[0] left out; ``coeffs`` is (p,) or a (p, n) band whose column
-    i holds step i's coefficients.  One transposed ``dtbsv`` solve with the
-    upper unit band whose j-th superdiagonal is -coeffs[j-1] (its diagonal
-    row is never read); ``drive`` is not overwritten."""
+    i holds step i's coefficients ((p, 1) holds them for every step).  One
+    transposed unit band solve (``dtbsv``) with the upper band whose j-th
+    superdiagonal is -coeffs[j-1] (its diagonal row is never read), on a
+    copy of ``drive``; see the module docstring for the two kernels.  The
+    shapes are checked here, before a pointer reaches BLAS."""
     coeffs = np.asarray(coeffs, dtype=float)
     drive = np.asarray(drive, dtype=float)
-    band = np.empty((coeffs.shape[0] + 1, drive.size))
-    band[-2::-1] = -(coeffs[:, None] if coeffs.ndim == 1 else coeffs)  # row p-j: -coeffs[j-1]
-    return dtbsv(coeffs.shape[0], band, drive, lower=0, trans=1, diag=1)
+    if drive.ndim != 1:
+        raise InvalidInput(f"the drive of a linear recursion must be 1-D, got shape {drive.shape}")
+    if coeffs.ndim == 1:
+        coeffs = coeffs[:, None]
+    if coeffs.ndim != 2 or coeffs.shape[1] not in (1, drive.size):
+        raise InvalidInput(f"coefficients of shape {coeffs.shape} do not fit a drive of "
+                           f"{drive.size} steps: (p,), (p, 1) or (p, {drive.size}) expected")
+    band = np.empty((coeffs.shape[0] + 1, drive.size), order="F")
+    band[-2::-1] = -coeffs  # row p-j: -coeffs[j-1]
+    out = np.array(drive, order="C")
+    _band_solve(band, out)
+    return out
 
 
 def ar_multistep(ar, history, steps: int) -> np.ndarray:

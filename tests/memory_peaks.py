@@ -7,8 +7,10 @@ validated on 2020).  Run it from the repository root with
 
     PYTHONPATH=src python tests/memory_peaks.py WORLD SEED
 
-where WORLD is a ``simulate --dgp`` world (sar, dar, dar-garch).  Two
-passes run, each into its own temporary directory.  The first is untraced
+where WORLD is a ``simulate --dgp`` world (sar, dar, dar-garch).  The
+first row, ``imports``, is the RSS right after ``import enspost.cli``, the
+share of every later high-water mark that the imports hold.  Two passes
+run, each into its own temporary directory.  The first is untraced
 and gives ``max_rss_mb``, the process's RSS high-water mark
 (``ru_maxrss / 1024``, as the benchmark's ``peak_rss_mb``) after each step:
 a cumulative mark, so a step shows only when it raises it.  The second
@@ -29,6 +31,12 @@ from pathlib import Path
 
 from enspost import cli
 
+
+def _max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+IMPORT_RSS_MB = _max_rss_mb()
 STEPS = ("simulate", "fit", "predict", "verify")
 
 
@@ -58,9 +66,10 @@ def _run(argv: list[str]) -> None:
 
 def measure(world: str, seed: int, n_days: int = 2192, models: str = "all",
             train=("2015-01-01", "2019-12-31"),
-            valid=("2020-01-01", "2020-12-31")) -> dict[str, tuple[float, float]]:
-    """{step: (traced_peak_mib, max_rss_mb)} of the four steps on one world;
-    the defaults are the benchmark's ``pipeline`` run."""
+            valid=("2020-01-01", "2020-12-31")) -> dict[str, tuple[float | None, float]]:
+    """{row: (traced_peak_mib, max_rss_mb)}: first ``imports`` (not traced),
+    then the four steps on one world; the defaults are the benchmark's
+    ``pipeline`` run."""
     def argvs(root):
         return zip(STEPS, _argvs(Path(root), world, seed, n_days, models, train, valid))
 
@@ -68,7 +77,7 @@ def measure(world: str, seed: int, n_days: int = 2192, models: str = "all",
     with tempfile.TemporaryDirectory() as root:
         for step, argv in argvs(root):
             _run(argv)
-            rss[step] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            rss[step] = _max_rss_mb()
     traced = {}
     with tempfile.TemporaryDirectory() as root:
         tracemalloc.start()
@@ -79,7 +88,8 @@ def measure(world: str, seed: int, n_days: int = 2192, models: str = "all",
                 traced[step] = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-    return {step: (traced[step], rss[step]) for step in STEPS}
+    return {"imports": (None, IMPORT_RSS_MB),
+            **{step: (traced[step], rss[step]) for step in STEPS}}
 
 
 def main(argv: list[str]) -> int:
@@ -88,8 +98,8 @@ def main(argv: list[str]) -> int:
         return 2
     world, seed = argv[0], int(argv[1])
     print(f"{'step':<10}{'traced_peak_mib':>16}{'max_rss_mb':>12}")
-    for step, (traced, rss) in measure(world, seed).items():
-        print(f"{step:<10}{traced:>16.3f}{rss:>12.2f}")
+    for row, (traced, rss) in measure(world, seed).items():
+        print(f"{row:<10}{'-' if traced is None else f'{traced:.3f}':>16}{rss:>12.2f}")
     return 0
 
 

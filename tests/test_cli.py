@@ -43,14 +43,27 @@ def pipeline(tmp_path_factory):
 
 
 def test_cli_import_leaves_the_heavy_scipy_subpackages_unloaded():
-    # cold start: the runtime needs numpy, scipy.special and scipy.linalg only
-    heavy = ["scipy.signal", "scipy.integrate", "scipy.stats", "scipy.interpolate"]
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import enspost.cli; "
-            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    # cold start and one recursion: the runtime needs numpy and scipy.special
+    # only, and runs linear_recursion on numpy's own BLAS where numpy's is
+    # scipy-openblas (the Python loop there costs about 0.1 s a pipeline pass)
+    heavy = ["scipy.signal", "scipy.integrate", "scipy.stats", "scipy.interpolate",
+             "scipy.linalg"]
+    code = "\n".join([
+        "import sys; sys.path.insert(0, sys.argv[1]); import enspost.cli",
+        "from enspost import timeseries; timeseries.linear_recursion([0.5], [1.0, 2.0])",
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules)))",
+        "import numpy as np",
+        "try: blas = np.show_config(mode='dicts')['Build Dependencies']['blas'].get('name')",
+        "except TypeError: blas = None  # numpy < 1.26 has no mode",
+        "print(blas == 'scipy-openblas', timeseries._band_solve.__name__)",
+    ])
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-c", code, str(src), *heavy],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    loaded, kernel = done.stdout.splitlines()
+    assert loaded == "[]"
+    if kernel.startswith("True"):
+        assert kernel == "True _blas_band_solve"
 
 
 def test_simulate_file_counts(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from enspost.errors import DegenerateSeries, HistoryTooShort, InvalidStart
+from enspost import timeseries
+from enspost.errors import DegenerateSeries, HistoryTooShort, InvalidInput, InvalidStart
 from enspost.timeseries import (
     ARCoeffs,
     ARFits,
@@ -565,7 +566,18 @@ def _recursion_draws(count, orders, scale, edges=()):
         yield coeffs, rng.normal(size=n) * rng.uniform(0.1, 10.0)
 
 
-def test_linear_recursion_is_the_scalar_loop_to_the_bit():
+@pytest.fixture(params=[
+    pytest.param("_blas_band_solve", id="blas", marks=pytest.mark.skipif(
+        timeseries._CBLAS_DTBSV is None, reason="the loaded numpy exports no cblas_dtbsv")),
+    pytest.param("_loop_band_solve", id="loop"),
+])
+def recursion_kernel(request, monkeypatch):
+    # runs the test on numpy's BLAS binding and on the Python fallback
+    monkeypatch.setattr(timeseries, "_band_solve", getattr(timeseries, request.param))
+    return request.param
+
+
+def test_linear_recursion_is_the_scalar_loop_to_the_bit(recursion_kernel):
     for coeffs, drive in _recursion_draws(150, (0, 1), 1.0, edges=(0.0, 1.0, 1.3, -1.0)):
         given = drive.copy()
         out = linear_recursion(coeffs, drive)
@@ -573,12 +585,48 @@ def test_linear_recursion_is_the_scalar_loop_to_the_bit():
         assert np.array_equal(drive, given)  # the drive is not overwritten
 
 
-def test_linear_recursion_higher_orders_match_the_loop():
+def test_linear_recursion_higher_orders_match_the_loop(recursion_kernel):
     # BLAS adds the p lag terms in its own order: equal to rtol 1e-13 of the
     # terms' magnitudes, which bounds the rounding where the sum cancels
     for coeffs, drive in _recursion_draws(150, (2, 3), 0.3):
         expected, size = _scalar_recursion(coeffs, drive)
         assert np.all(np.abs(linear_recursion(coeffs, drive) - expected) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("coeffs, drive", [
+    pytest.param([0.5], np.ones((4, 2)), id="2-D drive"),
+    pytest.param(np.full((1, 3), 0.5), np.ones(4), id="3 columns for 4 steps"),
+    pytest.param(np.full((2, 5), 0.5), np.ones(4), id="5 columns for 4 steps"),
+    pytest.param(np.full((1, 4, 1), 0.5), np.ones(4), id="3-D coefficients"),
+    pytest.param(0.5, np.ones(4), id="scalar coefficient"),
+])
+def test_linear_recursion_checks_shapes_before_the_kernel(monkeypatch, coeffs, drive):
+    def tripwire(band, x):
+        raise AssertionError("the kernel was reached")
+    monkeypatch.setattr(timeseries, "_band_solve", tripwire)
+    with pytest.raises(InvalidInput):
+        linear_recursion(coeffs, drive)
+
+
+@pytest.mark.skipif(timeseries._CBLAS_DTBSV is None,
+                    reason="the loaded numpy exports no cblas_dtbsv")
+@pytest.mark.parametrize("band, x", [
+    pytest.param(np.zeros((2, 3), order="F"), np.zeros(4), id="3 band columns for 4 steps"),
+    pytest.param(np.zeros((2, 4)), np.zeros(4), id="C-ordered band"),
+    pytest.param(np.zeros((2, 4), dtype=np.float32, order="F"), np.zeros(4), id="float32 band"),
+    pytest.param(np.zeros((2, 4), order="F"), np.zeros(8)[::2], id="strided vector"),
+    pytest.param(np.zeros((2, 4), order="F"), np.zeros((4, 1)), id="2-D vector"),
+])
+def test_blas_band_solve_checks_the_layout_before_the_foreign_call(band, x):
+    with pytest.raises(InvalidInput):
+        timeseries._blas_band_solve(band, x)
+
+
+def test_linear_recursion_takes_one_column_for_every_step(recursion_kernel):
+    drive = np.random.default_rng(3).normal(size=50)
+    out = linear_recursion([0.6, -0.2], drive)
+    assert np.array_equal(linear_recursion([[0.6], [-0.2]], drive), out)
+    assert np.array_equal(linear_recursion(np.repeat([[0.6], [-0.2]], 50, axis=1), drive), out)
 
 
 def test_linear_recursion_runs_an_ar_process_around_its_mean():
