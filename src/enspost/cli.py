@@ -32,7 +32,7 @@ from .data import (
     impute_series,
     load_station_csv,
     parse_iso_dates,
-    row_template,
+    write_csv_rows,
     write_station_csv,
     write_truth_csv,
 )
@@ -59,7 +59,7 @@ from .verify import (
 _CANONICAL_KINDS = {kind.lower(): kind for kind in MODEL_KINDS}
 _DGP_KINDS = ("sar", "dar", "dar-garch")
 
-_FLOAT_FMT = "%.6f"
+_DECIMALS = 6  # of the values in predictions.csv and verify's own tables
 _PREDICTIONS_HEADER = ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]
 
 
@@ -368,19 +368,15 @@ def cmd_predict(cfg: RunConfig) -> int:
         for station, lead, path in discover_cases(cfg):
             series = _load_case(path, station, lead)
             dates = _validation_dates(cfg, series)
-            date_texts = dates.astype(str).tolist()
             for kind in cfg.models:
                 fitted = _load_fit(models_dir, kind, station, lead)
                 if fitted is None:
                     raise DataError("missing fitted model "
                                     f"{_fit_path(models_dir, kind, station, lead)}")
                 mu, sigma = model_api.predict(fitted, series, dates)
-                template = row_template([kind, station.replace("%", "%%"), lead, "%s",
-                                         _FLOAT_FMT, _FLOAT_FMT])
                 with open(stage / f"{kind}.part", "a", newline="") as fh:
-                    fh.writelines(template % row
-                                  for row in zip(date_texts, mu.tolist(), sigma.tolist()))
-                n_rows += len(date_texts)
+                    write_csv_rows(fh, [kind, station, lead], dates, [], (mu, sigma), _DECIMALS)
+                n_rows += dates.size
             del series  # one cell's member array alive at a time
         with open(stage / "predictions.csv", "w", newline="") as fh:
             csv.writer(fh).writerow(_PREDICTIONS_HEADER)
@@ -497,7 +493,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     for kind in kinds:
         pit = np.concatenate(pit_by_model[kind])
         counts, variance = pit_histogram(pit, bins=10)
-        pit_rows.append([kind, pit.size, _FLOAT_FMT % variance] + list(counts))
+        pit_rows.append([kind, pit.size, f"{variance:.{_DECIMALS}f}"] + list(counts))
 
     residuals = {kind: per_cell for kind, per_cell in residuals.items() if per_cell}
     dependence = None
@@ -517,8 +513,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(["method", "lag", "pct_plain", "pct_squared"])
                 for kind in dependence:
-                    for lag, (pct_plain, pct_sq) in sorted(dependence[kind].items()):
-                        writer.writerow([kind, lag, _FLOAT_FMT % pct_plain, _FLOAT_FMT % pct_sq])
+                    for lag, pcts in sorted(dependence[kind].items()):
+                        writer.writerow([kind, lag] + [f"{v:.{_DECIMALS}f}" for v in pcts])
 
     print(f"verify: wrote scores, DM matrix and PIT summary to {out}")
     return 0

@@ -43,7 +43,7 @@ from .timeseries import (
 )
 
 _DAY = np.timedelta64(1, "D")
-_FLOAT_FMT = "%.9f"
+_DECIMALS = 9  # station and truth files: a write/read round trip keeps values to 1e-9
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _BLOCK_ROWS = 256  # lines per np.loadtxt call or writer block: bounds the text held at once
 
@@ -244,37 +244,100 @@ def impute_series(series: StationSeries) -> StationSeries:
 # ---------------------------------------------------------------------------
 
 
-def row_template(cells) -> str:
-    """``csv.writer``'s line for ``cells``: text with its ``%`` doubled, value
-    slots as ``%`` formats.  One ``%`` on it writes ``csv.writer``'s row for
-    values that need no quoting."""
+def _product_error(a, b):
+    """The e with a * b = fl(a * b) + e exactly: Dekker 1971's two-product."""
+    a_hi, b_hi = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))  # split by 2^27 + 1
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - a * b) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def fixed_point(values, decimals: int) -> np.ndarray:
+    """``'%.{decimals}f' % v`` (decimals >= 1) of each value v, NaN as an empty text:
+    uint8 texts right-aligned after 0 bytes, shaped ``values.shape + (width,)``.
+
+    ``rint`` of p = fl(|v| 10^d) is |v| 10^d rounded half to even, as ``%`` rounds,
+    but where p - n = +-1/2 and the product's exact error lies beyond that half.  The
+    digits go a column at a time into a (width, values) matrix, ``-`` one column
+    before the first (so -0.0 keeps it, as ``%`` does), transposed once.  +-inf, and
+    |v| 10^d >= 2^52 where p need not be exact in units, go through ``%``."""
+    flat = np.asarray(values, dtype=float).ravel()
+    p = np.abs(flat) * 10.0 ** decimals
+    exact = p < 2.0 ** 52  # NaN and +-inf not
+    n = np.where(exact, np.rint(p), 0.0)
+    p -= n  # exact: what rint dropped
+    half = np.flatnonzero(np.abs(p) == 0.5)
+    n[half] += 2 * p[half] * (p[half] * _product_error(np.abs(flat[half]), 10.0 ** decimals) > 0)
+    del p
+    n = n.astype(np.int64)
+    n_int = len(str(n.max(initial=0) // 10 ** decimals))  # integer digits at most
+    slow = np.flatnonzero(~exact & ~np.isnan(flat))
+    texts = ["%.*f" % (decimals, v) for v in flat[slow].tolist()]
+    width = max([n_int + decimals + 2, *map(len, texts)])
+    out = np.zeros((width, flat.size), np.uint8)
+    point = width - decimals - 1
+    for col in [*range(width - 1, point, -1), point - 1]:  # the decimals and the units
+        rest = n // 10
+        n -= rest * 10
+        out[col], n = n, rest
+    out[point - 1:] += ord("0")
+    out[point] = ord(".")
+    sign = np.signbit(flat)  # a "-" still to write
+    for col in range(point - 2, point - 2 - n_int, -1):  # the tens leftwards
+        digit = n > 0  # masks by arithmetic, not branches: the pattern is random
+        rest = n // 10
+        n -= rest * 10
+        out[col] = (n.astype(np.uint8) + ord("0")) * digit + (sign & ~digit) * np.uint8(ord("-"))
+        sign &= digit
+        n = rest
+    out[:, ~exact] = 0
+    for i, text in zip(slow.tolist(), texts):
+        out[width - len(text):, i] = np.frombuffer(text.encode(), np.uint8)
+    return out.T.reshape(*np.shape(values), width)
+
+
+def _csv_fields(cells) -> str:
+    """``csv.writer``'s text of ``cells``, each followed by a comma."""
     layout = io.StringIO()
-    csv.writer(layout).writerow(cells)
-    return layout.getvalue()
+    csv.writer(layout).writerow([*cells, ""])
+    return layout.getvalue()[:-2] if cells else ""  # without the line end
+
+
+def write_csv_rows(fh, before, dates, after, columns, decimals: int) -> None:
+    """Write to the text file ``fh`` a row per datetime64 date, as ``csv.writer``
+    writes the text cells ``before``, the date, the text cells ``after`` and the date's
+    values in ``columns`` (arrays, a row per date), each ``'%.{decimals}f' % v`` but NaN
+    empty: ``_BLOCK_ROWS`` rows of ``fixed_point`` cells a time, pad bytes masked out."""
+    head, tail = (text.encode(fh.encoding)
+                  for text in (_csv_fields(before), "," + _csv_fields(after)))
+    fh.flush()  # the rows go to the byte buffer beneath fh, after its text
+    for lo in range(0, dates.size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        cells = fixed_point(np.column_stack([column[rows] for column in columns]), decimals)
+        n, k, width = cells.shape
+        text = np.char.add(np.char.add(head, dates[rows].astype("S")), tail)  # 0-padded
+        text = text.view(np.uint8).reshape(n, -1)
+        lines = np.empty((n, text.shape[1] + k * (width + 1) + 1), np.uint8)
+        lines[:, :text.shape[1]], lines[:, -2:] = text, np.frombuffer(b"\r\n", np.uint8)
+        body = lines[:, text.shape[1]:-1].reshape(n, k, width + 1)  # a view: an axis split
+        body[:, :, :width], body[:, :-1, width] = cells, ord(",")
+        del cells, body  # the cells' matrix, before the mask's
+        keep = lines != 0
+        keep[:, :len(head)] = True  # csv.writer writes a NUL in text as it is
+        fh.buffer.write(lines[keep])
+        del lines, keep  # before the next block's cells
 
 
 def write_station_csv(series: StationSeries, path) -> None:
-    """Write one series in the canonical CSV schema.
-
-    Header ``station_id,date,lead_time_h,obs,m1,...,m{M}``; empty obs field
-    marks a missing observation.  Nine decimals, so a write/read round
-    trip preserves values to 1e-9.  The bytes are those ``csv.writer``
-    writes row by row (``\\r\\n`` line ends, a station id quoted where it
-    holds a comma, quote or line break); each row is one ``%`` on a
-    ``row_template``, formatted ``_BLOCK_ROWS`` rows at a time.
-    """
-    m = series.n_members
-    template = row_template([series.station_id.replace("%", "%%"), "%s",
-                             series.lead_time_h, "%s"] + [_FLOAT_FMT] * m)
+    """Write one series in the canonical CSV schema by ``write_csv_rows``: header
+    ``station_id,date,lead_time_h,obs,m1,...,m{M}``, then a row per date with every
+    value exactly as ``'%.9f'`` writes it (``-0.000000000`` kept), so a write/read
+    round trip keeps values to 1e-9; an empty obs field marks a missing one."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "date", "lead_time_h", "obs"]
-                        + [f"m{i + 1}" for i in range(m)])
-        for lo in range(0, series.n_days, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            obs = ["" if np.isnan(v) else _FLOAT_FMT % v for v in series.obs[rows].tolist()]
-            fh.writelines(template % (date, obs_text, *row) for date, obs_text, row in zip(
-                series.dates[rows].astype(str).tolist(), obs, series.members[rows].tolist()))
+        fh.write("".join(["station_id,date,lead_time_h,obs"]
+                         + [f",m{i + 1}" for i in range(series.n_members)] + ["\r\n"]))
+        write_csv_rows(fh, [series.station_id], series.dates, [series.lead_time_h],
+                       (series.obs, series.members), _DECIMALS)
 
 
 def parse_iso_dates(texts) -> np.ndarray:
@@ -354,66 +417,54 @@ def _convert_rows(fh, m: int, station_id, lead_time_h):
 
 
 def _csv_alike(lines) -> bool:
-    """Whether numpy's tokenizer reads ``lines`` as ``csv.reader`` and
-    ``float`` do: no line past csv's field size limit or ending inside
-    quotes (a field spanning lines, which only the row path checks against
-    that limit), and no \\x1c-\\x1f, which numpy's float parser strips as
-    space around a number and ``float`` rejects."""
-    text = "".join(lines)
+    """Whether numpy's tokenizer reads the byte ``lines`` as ``csv.reader`` and ``float``
+    read their text: no line past csv's field size limit or ending inside quotes (a field
+    spanning lines, checked against that limit by the row path only), and no \\x1c-\\x1f,
+    which numpy strips around a number and ``float`` rejects.  (A \\r that is a line end
+    to csv within a byte line is one to numpy too, or numpy's ValueError.)"""
+    text = b"".join(lines)
     return not (max(map(len, lines)) > csv.field_size_limit()
-                or ('"' in text and any(line.count('"') % 2 for line in lines))
-                or any(char in text for char in "\x1c\x1d\x1e\x1f"))
+                or (b'"' in text and any(line.count(b'"') % 2 for line in lines))
+                or any(char in text for char in b"\x1c\x1d\x1e\x1f"))
 
 
 def _convert_blocks(fh, m: int, station_id, lead_time_h):
-    """``_convert_rows`` through numpy's C tokenizer, ``_BLOCK_ROWS`` lines at
-    a time.
-
-    ``np.loadtxt`` splits a block whose lines are ``_csv_alike`` as
-    ``csv.reader`` does (``"`` quotes, empty lines skipped, no comments)
-    into four text columns and the float members; the text columns then get
-    ``_convert_rows``'s checks.  Raises ValueError wherever
-    ``_convert_rows`` would raise, without naming the row: the caller then
-    re-reads the file with ``_convert_rows``, whose message does.
-    """
-    dtype = np.dtype([(name, object) for name in ("station_id", "date", "lead_time_h", "obs")]
-                     + [("members", float, (m,))])
-    want_lead = None if lead_time_h is None else int(lead_time_h)
-    keys = set()
-    dates, obs, n_kept = [], [], 0
-    members = np.empty((sum(1 for _ in fh), m))  # a row per line at most
+    """``_convert_rows`` through numpy's C tokenizer, ``_BLOCK_ROWS`` byte lines
+    at a time from beneath ``fh``: ``np.loadtxt`` splits a block whose lines are
+    ``_csv_alike`` as ``csv.reader`` does (``"`` quotes, empty lines skipped, no
+    comments); the rows kept get ``_convert_rows``'s checks, and their members go
+    onto one array grown in place.  Raises ValueError wherever ``_convert_rows``
+    would, without naming the row: the caller then re-reads the file with
+    ``_convert_rows``, whose message does."""
+    dtype = np.dtype([("station_id", object), ("date", object), ("lead_time_h", float),
+                      ("obs", object), ("members", float, (m,))])
     fh.seek(0)
-    next(fh)  # the header: one line, as _member_count accepted it
-    for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+    if b"\r" in fh.buffer.readline().rstrip(b"\r\n"):  # a lone \r ends the header to csv
+        raise ValueError("a header line that csv reads otherwise")
+    keys, dates, obs, members = set(), [], [], np.empty((0, m))
+    for lines in iter(lambda: list(islice(fh.buffer, _BLOCK_ROWS)), []):
         if not _csv_alike(lines):
             raise ValueError("lines that csv or float may read otherwise")
         with warnings.catch_warnings():  # loadtxt warns on a block of blank lines only
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             block = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                               ndmin=1)
-        lead_values = np.array(block["lead_time_h"].tolist(), dtype=float)
-        if not np.isfinite(lead_values).all():
-            raise ValueError("non-finite lead time")
-        leads = list(map(int, lead_values.tolist()))
-        if leads != lead_values.tolist():  # Python ints, compared exactly as _convert_rows does
-            raise ValueError("non-integral lead time")
-        sids = block["station_id"].tolist()
-        kept = [i for i, (sid, lead) in enumerate(zip(sids, leads))
-                if (station_id is None or sid == station_id)
-                and (want_lead is None or lead == want_lead)]
-        keys.update((sids[i], leads[i]) for i in kept)
-        rows = block[kept]
+                               ndmin=1, encoding=fh.encoding)
+        lead = block["lead_time_h"]
+        if not (np.isfinite(lead) & (lead == np.trunc(lead))).all():
+            raise ValueError("lead time that is not an integer")
+        kept = (block["station_id"] == station_id) | (station_id is None)
+        kept &= (lead == lead_time_h) | (lead_time_h is None)
+        rows = block if kept.all() else block[kept]
+        keys.update(zip(rows["station_id"].tolist(), rows["lead_time_h"].tolist()))
         dates.append(parse_iso_dates(rows["date"].tolist()))
-        obs_texts = rows["obs"].tolist()
-        missing = np.array([text == "" for text in obs_texts], dtype=bool)
-        obs.append(np.array([text or "nan" for text in obs_texts], dtype=float))
+        missing = rows["obs"] == ""
+        obs.append(np.where(missing, "nan", rows["obs"]).astype(float))
         if not (np.isfinite(obs[-1][~missing]).all() and np.isfinite(rows["members"]).all()):
             raise ValueError("non-finite value")
-        members[n_kept:n_kept + len(rows)] = rows["members"]
-        n_kept += len(rows)
-    key, = keys  # a ValueError unless exactly one (station, lead) pair was kept
-    members.resize((n_kept, m), refcheck=False)  # in place: no view of it is left
-    return key, np.concatenate(dates), np.concatenate(obs), members
+        members.resize((len(members) + rows.size, m), refcheck=False)  # no view of it is left
+        members[-rows.size:] = rows["members"]
+    (sid, lead), = keys  # a ValueError unless one (station, lead time) was kept
+    return (sid, int(lead)), np.concatenate(dates), np.concatenate(obs), members
 
 
 def _read_station_csv(path, convert, station_id, lead_time_h) -> StationSeries:
@@ -442,14 +493,13 @@ def load_station_csv(path, station_id: str | None = None,
     dates written ``YYYY-MM-DD``, and a constant member count.  Missing obs
     fields become NaN and are left for imputation.
 
-    numpy's C tokenizer (``np.loadtxt``) splits the records and converts
-    the members a block at a time into one array, sized by the file's line
-    count and trimmed in place to the rows kept; the series owns it.  A
-    file that does not convert so is read again one cell at a time
-    (``csv.reader`` and ``float``), which raises a ParseError naming the
-    first offending row, column and value (rows filtered out are checked
-    only for their field count and lead time).  A file that cannot be
-    opened, decoded or split into CSV records is a DataError.
+    numpy's C tokenizer (``np.loadtxt``) splits the records a block of lines
+    at a time, in one pass, and the members kept go onto one array grown in
+    place, which the series owns.  A file that does not convert so is read
+    again one cell at a time (``csv.reader`` and ``float``), raising a
+    ParseError that names the first offending row, column and value (rows
+    filtered out are checked only for their field count and lead time); one
+    that cannot be opened, decoded or split into records is a DataError.
     """
     try:
         return _read_station_csv(path, _convert_blocks, station_id, lead_time_h)
@@ -630,15 +680,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
 
 
 def write_truth_csv(dates, truth: SyntheticTruth, path) -> None:
-    """Sidecar with the truth (``SyntheticTruth``), one row per date: the bytes
-    of ``csv.writer``, each row one ``%`` on a ``row_template``, formatted
-    ``_BLOCK_ROWS`` rows at a time."""
-    template = row_template(["%s"] + [_FLOAT_FMT] * 4)
-    dates = np.asarray(dates, dtype="datetime64[D]")
-    columns = (truth.mu, truth.sigma, truth.mu_seasonal, truth.sigma_seasonal)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["date", "mu", "sigma", "mu_seasonal", "sigma_seasonal"])
-        for lo in range(0, dates.size, _BLOCK_ROWS):
-            rows = slice(lo, lo + _BLOCK_ROWS)
-            fh.writelines(template % row for row in zip(
-                dates[rows].astype(str).tolist(), *(column[rows].tolist() for column in columns)))
+    """Sidecar with the truth (``SyntheticTruth``) by ``write_csv_rows``, a row per date
+    under ``date,mu,sigma,mu_seasonal,sigma_seasonal``, each value as ``'%.9f'`` writes it."""
+    with open(path, "w", newline="") as fh:  # a column per field, in field order
+        fh.write(",".join(["date", *vars(truth)]) + "\r\n")
+        write_csv_rows(fh, [], np.asarray(dates, "M8[D]"), [], vars(truth).values(), _DECIMALS)

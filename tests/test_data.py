@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -586,6 +587,86 @@ def test_csv_round_trip(tmp_path, rng):
     assert np.array_equal(back.dates, series.dates)
     assert np.allclose(back.obs, series.obs, atol=1e-9)
     assert np.allclose(back.members, series.members, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_days", [256, 257])
+@pytest.mark.parametrize("line_end", ["no_final_line_end", "lf"])
+def test_bulk_reader_across_block_edges_with_other_line_ends(tmp_path, n_days, line_end):
+    # 256 data rows fill one block exactly; a 257th opens a block of its own
+    series, _ = generate_synthetic(SyntheticConfig(n_days=n_days, m=4, seed=n_days))
+    path = tmp_path / "s.csv"
+    write_station_csv(series, path)
+    text = path.read_bytes()
+    path.write_bytes(text[:-2] if line_end == "no_final_line_end" else text.replace(b"\r\n", b"\n"))
+    _assert_same_outcome(path)
+    bulk = data._read_station_csv(path, data._convert_blocks, None, None)  # no fallback taken
+    assert bulk.n_days == n_days
+    assert np.allclose(bulk.members, series.members, atol=1e-9)
+
+
+def test_writing_a_long_station_file_peaks_below_one_member_array(tmp_path):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=2192, m=50, seed=1))
+    tracemalloc.start()
+    try:
+        write_station_csv(series, tmp_path / "s.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < series.members.nbytes  # 0.84 MiB; the text is formatted a block at a time
+
+
+def _hard_values(decimals):
+    """Doubles where a fixed-point formatter can slip at ``decimals``."""
+    scale, edge = 10.0 ** decimals, 2.0 ** 52 / 10.0 ** decimals  # past edge: formatted by %
+    near_tie = st.integers(-10 ** 12, 10 ** 12).map(lambda k: (k + 0.5) / scale)
+    return st.one_of(
+        st.floats(allow_nan=False),  # subnormals and +-inf included
+        st.integers(-2 ** 40, 2 ** 40).map(lambda j: (2 * j + 1) / 2.0 ** (decimals + 1)),  # ties
+        near_tie,
+        near_tie.flatmap(lambda v: st.sampled_from([np.nextafter(v, np.inf),
+                                                    np.nextafter(v, -np.inf)])),
+        st.floats(-0.5 / scale, 0.5 / scale),  # +-0.0 and the negatives that round to 0
+        st.sampled_from([edge, -edge]).flatmap(lambda v: st.sampled_from(
+            [v, np.nextafter(v, 0.0), np.nextafter(v, 2 * v)])),
+        st.floats(edge / 2, edge * 2) | st.floats(-edge * 2, -edge / 2),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([6, 9]).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(_hard_values(d), min_size=1, max_size=30))))
+def test_fixed_point_is_percent_formatting(case):
+    decimals, values = case
+    cells = data.fixed_point(np.array(values).reshape(-1, 1), decimals)
+    assert cells.shape[:2] == (len(values), 1)
+    texts = [bytes(cell[cell != 0]).decode() for cell in cells[:, 0]]
+    assert texts == ["%.*f" % (decimals, v) for v in values]
+
+
+def test_fixed_point_writes_nan_as_an_empty_text():
+    cells = data.fixed_point([[np.nan, -np.nan, 1.5]], 6)
+    assert [bytes(cell[cell != 0]) for cell in cells[0]] == [b"", b"", b"1.500000"]
+
+
+@given(st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150), st.sampled_from([1e6, 1e9]))
+def test_product_error_is_the_exact_rest_of_the_product(a, b):
+    assert Fraction(a) * Fraction(b) == Fraction(a * b) + Fraction(data._product_error(a, b))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_hard_values(9) | st.just(np.nan),
+                          *[_hard_values(9).filter(lambda v: abs(v) < 1e150)] * 2),
+                min_size=1, max_size=20),
+       st.sampled_from(["S01", 'A,"B"']))
+def test_station_writer_is_csv_writer_on_hard_values(tmp_path, rows, station_id):
+    obs, first, second = (np.array(column) for column in zip(*rows))
+    members = np.column_stack([first, second, np.zeros(len(rows)), np.ones(len(rows))])  # sd > 0
+    series = make_series(np.where(np.isinf(obs), np.nan, obs), members=members,
+                         station_id=station_id)
+    path = tmp_path / "s.csv"
+    write_station_csv(series, path)
+    assert path.read_bytes() == _csv_writer_bytes(series)  # NaN obs an empty field
 
 
 # ---------------------------------------------------------------------------
