@@ -27,6 +27,7 @@ import numpy as np
 
 from . import models as model_api
 from .data import (
+    TABLE_DECIMALS,
     SyntheticConfig,
     generate_synthetic,
     impute_series,
@@ -59,7 +60,6 @@ from .verify import (
 _CANONICAL_KINDS = {kind.lower(): kind for kind in MODEL_KINDS}
 _DGP_KINDS = ("sar", "dar", "dar-garch")
 
-_DECIMALS = 6  # of the values in predictions.csv and verify's own tables
 _PREDICTIONS_HEADER = ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]
 
 
@@ -374,12 +374,12 @@ def cmd_predict(cfg: RunConfig) -> int:
                     raise DataError("missing fitted model "
                                     f"{_fit_path(models_dir, kind, station, lead)}")
                 mu, sigma = model_api.predict(fitted, series, dates)
-                with open(stage / f"{kind}.part", "a", newline="") as fh:
-                    write_csv_rows(fh, [kind, station, lead], dates, [], (mu, sigma), _DECIMALS)
+                write_csv_rows(stage / f"{kind}.part", None,
+                               [kind, station, lead, dates, mu, sigma], TABLE_DECIMALS, "a")
                 n_rows += dates.size
             del series  # one cell's member array alive at a time
-        with open(stage / "predictions.csv", "w", newline="") as fh:
-            csv.writer(fh).writerow(_PREDICTIONS_HEADER)
+        write_csv_rows(stage / "predictions.csv", _PREDICTIONS_HEADER, [], TABLE_DECIMALS)
+        with open(stage / "predictions.csv", "a", newline="") as fh:
             for kind in sorted(cfg.models):  # rows in (kind, station, lead, date) order
                 with open(stage / f"{kind}.part", newline="") as part:
                     fh.writelines(part)
@@ -489,11 +489,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         del series, members, train  # one cell's member array alive at a time
 
     matrix = significance_matrix(table, alpha=0.05)
-    pit_rows = []
-    for kind in kinds:
-        pit = np.concatenate(pit_by_model[kind])
-        counts, variance = pit_histogram(pit, bins=10)
-        pit_rows.append([kind, pit.size, f"{variance:.{_DECIMALS}f}"] + list(counts))
+    pits = [np.concatenate(pit_by_model[kind]) for kind in kinds]
+    counts, variances = zip(*(pit_histogram(pit, bins=10) for pit in pits))
 
     residuals = {kind: per_cell for kind, per_cell in residuals.items() if per_cell}
     dependence = None
@@ -504,17 +501,16 @@ def cmd_verify(cfg: RunConfig) -> int:
         table.to_csv(stage / "scores.csv")
         raw_table.to_csv(stage / "scores_raw_ensemble.csv")
         matrix.to_csv(stage / "dm_matrix.csv")
-        with open(stage / "pit_summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "n", "pit_variance"] + [f"bin{i + 1}" for i in range(10)])
-            writer.writerows(pit_rows)
-        if dependence is not None:
-            with open(stage / "residual_dependence.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["method", "lag", "pct_plain", "pct_squared"])
-                for kind in dependence:
-                    for lag, pcts in sorted(dependence[kind].items()):
-                        writer.writerow([kind, lag] + [f"{v:.{_DECIMALS}f}" for v in pcts])
+        write_csv_rows(stage / "pit_summary.csv",
+                       ["method", "n", "pit_variance", *(f"bin{i + 1}" for i in range(10))],
+                       [kinds, [pit.size for pit in pits], np.array(variances),
+                        *np.transpose(counts)], TABLE_DECIMALS)
+        if dependence is not None:  # a row per (method, lag)
+            kind_of, lag_of, pcts = zip(*[(kind, lag, pcts) for kind, by_lag in dependence.items()
+                                          for lag, pcts in sorted(by_lag.items())])
+            write_csv_rows(stage / "residual_dependence.csv",
+                           ["method", "lag", "pct_plain", "pct_squared"],
+                           [kind_of, lag_of, np.array(pcts)], TABLE_DECIMALS)
 
     print(f"verify: wrote scores, DM matrix and PIT summary to {out}")
     return 0

@@ -20,7 +20,7 @@ import io
 import re
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import accumulate, groupby, islice
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .timeseries import (
 )
 
 _DAY = np.timedelta64(1, "D")
-_DECIMALS = 9  # station and truth files: a write/read round trip keeps values to 1e-9
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _BLOCK_ROWS = 256  # lines per np.loadtxt call or writer block: bounds the text held at once
 
@@ -195,37 +194,26 @@ def impute_missing(obs, half_window: int = 4, decay: float = 0.5, max_gap: int =
         raise ImputationFailure(f"decay must lie in (0, 1), got {decay}")
     if half_window < 1:
         raise ImputationFailure(f"half_window must be >= 1, got {half_window}")
-    missing = np.nonzero(np.isnan(obs))[0]
-    if missing.size == 0:
-        return out
-    # reject gaps longer than the station-selection rule allows
-    run = 1
-    for prev, cur in zip(missing[:-1], missing[1:]):
-        run = run + 1 if cur == prev + 1 else 1
-        if run > max_gap:
-            raise ImputationFailure(f"gap longer than {max_gap} days ending at index {cur}")
-    n = obs.size
-    for i in missing:
-        wsum = 0.0
-        vsum = 0.0
-        seen_left = seen_right = False
-        for d in range(1, half_window + 1):
-            if i - d >= 0 and np.isfinite(obs[i - d]):
-                w = decay ** d
-                wsum += w
-                vsum += w * obs[i - d]
-                seen_left = True
-            if i + d < n and np.isfinite(obs[i + d]):
-                w = decay ** d
-                wsum += w
-                vsum += w * obs[i + d]
-                seen_right = True
-        if not (seen_left and seen_right):
-            raise ImputationFailure(
-                f"no observed value within {half_window} days on "
-                f"{'the left' if not seen_left else 'the right'} of index {i}"
-            )
-        out[i] = vsum / wsum
+    missing = np.flatnonzero(np.isnan(obs))
+    index = np.arange(obs.size)
+    run = index - np.maximum.accumulate(np.where(np.isnan(obs), -1, index))  # NaNs ending at i
+    if (long := missing[1:][run[missing[1:]] > max_gap]).size:  # past station selection's rule
+        raise ImputationFailure(f"gap longer than {max_gap} days ending at index {long[0]}")
+    padded = np.pad(obs, half_window, constant_values=np.nan)  # no value beyond the ends
+    wsum, vsum = np.zeros((2, missing.size))
+    seen = np.zeros((2, missing.size), bool)  # an observed value on the left, on the right
+    for d in range(1, half_window + 1):  # the left term, then the right, at each distance
+        for side, near in enumerate(padded[[missing + half_window - d, missing + half_window + d]]):
+            kept = np.isfinite(near)
+            wsum[kept] += decay ** d
+            vsum[kept] += decay ** d * near[kept]
+            seen[side] |= kept
+    if not seen.all():
+        k = np.argmin(seen.all(axis=0))
+        side = "the right" if seen[0, k] else "the left"
+        raise ImputationFailure(f"no observed value within {half_window} days on {side} "
+                                f"of index {missing[k]}")
+    out[missing] = vsum / wsum
     return out
 
 
@@ -296,36 +284,80 @@ def fixed_point(values, decimals: int) -> np.ndarray:
     return out.T.reshape(*np.shape(values), width)
 
 
-def _csv_fields(cells) -> str:
-    """``csv.writer``'s text of ``cells``, each followed by a comma."""
-    layout = io.StringIO()
-    csv.writer(layout).writerow([*cells, ""])
-    return layout.getvalue()[:-2] if cells else ""  # without the line end
+def _kind(column) -> str:
+    """How ``write_csv_rows`` writes a column: "floats" through ``fixed_point``, "typed" ints
+    or days through numpy's ``astype`` (their texts need no quotes and hold no NUL), and
+    other texts through ``csv.writer``, a "constant" or a "text" per row."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuM":
+        return "floats" if column.dtype.kind == "f" else "typed"
+    return "text" if np.ndim(column) else "constant"
 
 
-def write_csv_rows(fh, before, dates, after, columns, decimals: int) -> None:
-    """Write to the text file ``fh`` a row per datetime64 date, as ``csv.writer``
-    writes the text cells ``before``, the date, the text cells ``after`` and the date's
-    values in ``columns`` (arrays, a row per date), each ``'%.{decimals}f' % v`` but NaN
-    empty: ``_BLOCK_ROWS`` rows of ``fixed_point`` cells a time, pad bytes masked out."""
-    head, tail = (text.encode(fh.encoding)
-                  for text in (_csv_fields(before), "," + _csv_fields(after)))
-    fh.flush()  # the rows go to the byte buffer beneath fh, after its text
-    for lo in range(0, dates.size, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        cells = fixed_point(np.column_stack([column[rows] for column in columns]), decimals)
-        n, k, width = cells.shape
-        text = np.char.add(np.char.add(head, dates[rows].astype("S")), tail)  # 0-padded
-        text = text.view(np.uint8).reshape(n, -1)
-        lines = np.empty((n, text.shape[1] + k * (width + 1) + 1), np.uint8)
-        lines[:, :text.shape[1]], lines[:, -2:] = text, np.frombuffer(b"\r\n", np.uint8)
-        body = lines[:, text.shape[1]:-1].reshape(n, k, width + 1)  # a view: an axis split
-        body[:, :, :width], body[:, :-1, width] = cells, ord(",")
-        del cells, body  # the cells' matrix, before the mask's
-        keep = lines != 0
-        keep[:, :len(head)] = True  # csv.writer writes a NUL in text as it is
-        fh.buffer.write(lines[keep])
-        del lines, keep  # before the next block's cells
+def _text_cells(rows, encoding: str):
+    """The cells of ``rows``, a "typed" column or an iterable of rows of values, each
+    written as ``csv.writer`` writes a row less its line end: 0-padded to (rows, 1,
+    width) as ``fixed_point``'s, and, where a text holds a NUL, the (rows, width) mask
+    that tells its bytes from the padding (else None)."""
+    mask = None
+    if isinstance(rows, np.ndarray):
+        texts = rows.astype("S")
+    else:
+        writer = csv.writer(layout := io.StringIO())  # each row with a last "", then cut
+        ends = [*accumulate(writer.writerow([*row, ""]) for row in rows)]
+        text = layout.getvalue()
+        texts = [text[lo:hi - 3].encode(encoding) for lo, hi in zip([0, *ends], ends)]
+        if any(b"\0" in text for text in texts):
+            lengths = np.array([*map(len, texts)])
+            mask = np.arange(lengths.max()) < lengths[:, None]
+        texts = np.array(texts, "S")
+    return texts.view(np.uint8).reshape(-1, 1, texts.itemsize), mask
+
+
+STATION_DECIMALS = 9  # station and truth files: a write/read round trip keeps values to 1e-9
+TABLE_DECIMALS = 6  # predictions.csv and the verify tables
+
+
+def write_csv_rows(path, header, columns, decimals: int, mode: str = "w") -> None:
+    """Write to ``path``, opened with ``mode``, the ``header`` row (unless None) and a row
+    per value of ``columns``, as ``csv.writer`` writes them but for float arrays (a field
+    per column of a 2-D one), whose values go through ``fixed_point`` (NaN: an empty field).
+    Other columns are texts, one value per row or a constant.  Rows have two fields or more
+    and go ``_BLOCK_ROWS`` at a time, each run of float columns through one ``fixed_point``."""
+    n = next((len(column) for column in columns if np.ndim(column)), 0)
+    with open(path, mode, newline="") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        fh.flush()  # the rows go to the byte buffer beneath fh, after its text
+        runs = []  # (a run of float columns, None, None) or (None, a text's cells, mask)
+        for kind, group in groupby(columns, _kind):
+            group = [*group]
+            if kind == "floats":
+                runs.append((group, None, None))
+            elif kind == "constant":  # adjacent constants are one cell, commas inside
+                runs.append((None, *_text_cells([group], fh.encoding)))
+            else:
+                runs += [(None, *_text_cells(column if kind == "typed" else zip(column),
+                                             fh.encoding)) for column in group]
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            block = lambda text: text if len(text) < n else text[rows]  # a constant broadcasts
+            cells = [block(text) if floats is None else  # each (rows, fields, width)
+                     fixed_point(np.column_stack([c[rows] for c in floats]), decimals)
+                     for floats, text, _ in runs]
+            ends = [*accumulate([k * (width + 1) for _, k, width in map(np.shape, cells)],
+                                initial=0)]  # of each run's slots
+            lines = np.empty((min(n - lo, _BLOCK_ROWS), ends[-1] + 1), np.uint8)
+            for field, start, end in zip(cells, ends, ends[1:]):
+                slot = lines[:, start:end].reshape(len(lines), field.shape[1], -1)  # a view
+                slot[:, :, :-1], slot[:, :, -1] = field, ord(",")
+            lines[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # over the last comma
+            del cells, field, slot  # the formatted numbers, before the mask
+            keep = lines != 0
+            for (_, _, mask), start in zip(runs, ends):
+                if mask is not None:  # a NUL in a text is no padding
+                    keep[:, start:start + mask.shape[1]] = block(mask)
+            fh.buffer.write(lines[keep])
+            del lines, keep  # before the next block's numbers
 
 
 def write_station_csv(series: StationSeries, path) -> None:
@@ -333,11 +365,10 @@ def write_station_csv(series: StationSeries, path) -> None:
     ``station_id,date,lead_time_h,obs,m1,...,m{M}``, then a row per date with every
     value exactly as ``'%.9f'`` writes it (``-0.000000000`` kept), so a write/read
     round trip keeps values to 1e-9; an empty obs field marks a missing one."""
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(["station_id,date,lead_time_h,obs"]
-                         + [f",m{i + 1}" for i in range(series.n_members)] + ["\r\n"]))
-        write_csv_rows(fh, [series.station_id], series.dates, [series.lead_time_h],
-                       (series.obs, series.members), _DECIMALS)
+    write_csv_rows(path, ["station_id", "date", "lead_time_h", "obs",
+                          *(f"m{i + 1}" for i in range(series.n_members))],
+                   [series.station_id, series.dates, series.lead_time_h, series.obs,
+                    series.members], STATION_DECIMALS)
 
 
 def parse_iso_dates(texts) -> np.ndarray:
@@ -682,6 +713,5 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
 def write_truth_csv(dates, truth: SyntheticTruth, path) -> None:
     """Sidecar with the truth (``SyntheticTruth``) by ``write_csv_rows``, a row per date
     under ``date,mu,sigma,mu_seasonal,sigma_seasonal``, each value as ``'%.9f'`` writes it."""
-    with open(path, "w", newline="") as fh:  # a column per field, in field order
-        fh.write(",".join(["date", *vars(truth)]) + "\r\n")
-        write_csv_rows(fh, [], np.asarray(dates, "M8[D]"), [], vars(truth).values(), _DECIMALS)
+    write_csv_rows(path, ["date", *vars(truth)], [np.asarray(dates, "M8[D]"),
+                                                  *vars(truth).values()], STATION_DECIMALS)

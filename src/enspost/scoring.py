@@ -26,10 +26,6 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _ENSEMBLE_CHUNK = 16  # crps_ensemble rows per (rows, m, m) temporary: bounds its memory
 
 
-def _norm_pdf(z):
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Parameters (mu, sigma) of one Gaussian predictive distribution."""
@@ -59,29 +55,23 @@ def check_gaussian_params(mu, sigma) -> None:
 
 
 def crps_normal_series(mu, sigma, y):
-    """Vectorized closed-form CRPS of N(mu, sigma^2) forecasts at observations y.
-
-    CRPS = sigma * (z * (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)), z = (y-mu)/sigma.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = (y - mu) / sigma
-    return sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _norm_pdf(z) - _INV_SQRT_PI)
+    """Vectorized closed-form CRPS of N(mu, sigma^2) forecasts at observations y:
+    ``crps_normal_partials``' first value."""
+    return crps_normal_partials(mu, sigma, y)[0]
 
 
 def crps_normal_partials(mu, sigma, y):
-    """``crps_normal_series`` with its partials in (mu, sigma), from one pass
-    over z, Phi(z) and phi(z): (crps, d_mu, d_sigma, curvature, z).
+    """The closed-form CRPS with its partials in (mu, sigma), from one pass over
+    z = (y - mu) / sigma, Phi(z) and phi(z): (crps, d_mu, d_sigma, curvature, z).
 
-    d_mu = 1 - 2 Phi(z) and d_sigma = 2 phi(z) - 1/sqrt(pi).  The second
-    partials (d2/dmu2, d2/dmu dsigma, d2/dsigma2) are curvature * (1, z, z^2),
-    curvature = 2 phi(z) / sigma, so the Hessian in (mu, sigma) has rank one.
-    ``crps`` is ``crps_normal_series``'s value to the bit.
+    CRPS = sigma * (z * (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi)), d_mu = 1 - 2 Phi(z)
+    and d_sigma = 2 phi(z) - 1/sqrt(pi).  The second partials (d2/dmu2, d2/dmu dsigma,
+    d2/dsigma2) are curvature * (1, z, z^2), curvature = 2 phi(z) / sigma, so the
+    Hessian in (mu, sigma) has rank one.
     """
     sigma = np.asarray(sigma, dtype=float)
     z = (np.asarray(y, dtype=float) - np.asarray(mu, dtype=float)) / sigma
-    cdf, pdf = ndtr(z), _norm_pdf(z)
+    cdf, pdf = ndtr(z), _INV_SQRT_2PI * np.exp(-0.5 * np.square(z))
     crps = sigma * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - _INV_SQRT_PI)
     return crps, 1.0 - 2.0 * cdf, 2.0 * pdf - _INV_SQRT_PI, 2.0 * pdf / sigma, z
 

@@ -3,12 +3,12 @@ Benjamini-Hochberg control, residual-dependence tables and PIT binning."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
+from .data import TABLE_DECIMALS, write_csv_rows
 from .errors import (
     AlignmentError,
     DegenerateDifferential,
@@ -89,19 +89,14 @@ class ScoreTable:
         }
 
     def to_csv(self, path) -> None:
-        """Column order: method, station_id, lead_time_h, n, mean_crps,
-        mean_logs, rmse, mean_width, coverage_pct."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "station_id", "lead_time_h", "n", "mean_crps",
-                             "mean_logs", "rmse", "mean_width", "coverage_pct"])
-            for r in self.rows:
-                writer.writerow([
-                    r.method, r.station_id, r.lead_time_h, r.n,
-                    f"{r.mean_crps:.6f}",
-                    "" if r.mean_logs is None else f"{r.mean_logs:.6f}",
-                    f"{r.rmse:.6f}", f"{r.mean_width:.6f}", f"{r.coverage_pct:.6f}",
-                ])
+        """A row per cell by ``data.write_csv_rows``, under ``method, station_id,
+        lead_time_h, n, mean_crps, mean_logs, rmse, mean_width, coverage_pct``: the
+        scores to ``TABLE_DECIMALS`` decimals, an empty mean_logs where there is none."""
+        names = ["method", "station_id", "lead_time_h", "n", "mean_crps", "mean_logs", "rmse",
+                 "mean_width", "coverage_pct"]
+        write_csv_rows(path, names, [[getattr(r, name) for r in self.rows] for name in names[:4]]
+                       + [np.array([getattr(r, name) for r in self.rows], float)  # None: NaN
+                          for name in names[4:]], TABLE_DECIMALS)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +180,11 @@ class SignificanceMatrix:
     percent: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method"] + self.methods)
-            for i, name in enumerate(self.methods):
-                writer.writerow([name] + [f"{v:.6f}" for v in self.percent[i]])
+        """Row i, under ``method`` and the method names, is method i's name and its
+        percents against each method, to ``TABLE_DECIMALS`` decimals, by
+        ``data.write_csv_rows``."""
+        write_csv_rows(path, ["method", *self.methods], [self.methods, self.percent],
+                       TABLE_DECIMALS)
 
 
 def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceMatrix:

@@ -162,6 +162,48 @@ def test_impute_idempotent(rng):
     assert np.array_equal(once, twice)
 
 
+def _impute_by_loop(obs, half_window, decay, max_gap):
+    """impute_missing one missing value at a time: the reference for its array passes."""
+    out = obs.copy()
+    missing = np.flatnonzero(np.isnan(obs))
+    run = 1
+    for prev, cur in zip(missing[:-1], missing[1:]):
+        run = run + 1 if cur == prev + 1 else 1
+        if run > max_gap:
+            raise ImputationFailure(f"gap longer than {max_gap} days ending at index {cur}")
+    for i in missing:
+        wsum = vsum = 0.0
+        seen = [False, False]
+        for d in range(1, half_window + 1):
+            for side, j in enumerate((i - d, i + d)):  # the left term, then the right
+                if 0 <= j < obs.size and np.isfinite(obs[j]):
+                    wsum += decay ** d
+                    vsum += decay ** d * obs[j]
+                    seen[side] = True
+        if not all(seen):
+            side = "the right" if seen[0] else "the left"
+            raise ImputationFailure(f"no observed value within {half_window} days on {side} "
+                                    f"of index {i}")
+        out[i] = vsum / wsum
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3) | st.just(np.nan) | st.just(np.inf), min_size=1,
+                max_size=25),
+       st.integers(1, 5), st.floats(0.05, 0.95), st.integers(-1, 4))
+def test_impute_array_passes_are_the_loop_to_the_bit(values, half_window, decay, max_gap):
+    obs = np.array(values)
+    try:
+        expected = _impute_by_loop(obs, half_window, decay, max_gap)
+    except ImputationFailure as exc:
+        with pytest.raises(ImputationFailure) as caught:
+            impute_missing(obs, half_window, decay, max_gap)
+        assert str(caught.value) == str(exc)
+    else:
+        assert impute_missing(obs, half_window, decay, max_gap).tobytes() == expected.tobytes()
+
+
 def test_impute_series_round_trip(rng):
     obs = rng.normal(size=20)
     obs[7] = np.nan
@@ -667,6 +709,69 @@ def test_station_writer_is_csv_writer_on_hard_values(tmp_path, rows, station_id)
     path = tmp_path / "s.csv"
     write_station_csv(series, path)
     assert path.read_bytes() == _csv_writer_bytes(series)  # NaN obs an empty field
+
+
+_TEXT = st.text(st.sampled_from([*',"\r\n \x00', "a", "Z", "9", "-"]), max_size=5)  # csv's specials
+
+
+def _table_column(n, decimals):
+    """A column of an n-row table for ``write_csv_rows``: floats (one field or a 2-D
+    block), or text, one value per row or a constant, of str, Python or numpy ints, days."""
+    value = _hard_values(decimals) | st.just(np.nan)
+    ints = st.integers(-2 ** 31, 2 ** 31 - 1)
+    return st.one_of(
+        st.lists(value, min_size=n, max_size=n).map(np.array),
+        st.lists(st.lists(value, min_size=2, max_size=2), min_size=n, max_size=n).map(
+            lambda rows: np.array(rows).reshape(n, 2)),
+        st.lists(_TEXT, min_size=n, max_size=n),
+        st.lists(ints, min_size=n, max_size=n),
+        st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, np.int64)),
+        st.lists(st.integers(0, 40000), min_size=n, max_size=n).map(
+            lambda days: np.datetime64("1970-01-01") + np.array(days, "m8[D]")),
+        _TEXT, ints, ints.map(np.int32),
+    )
+
+
+def _cells(column, row, decimals):
+    """The cells ``csv.writer`` is handed for ``row`` of ``column``: floats as
+    ``'%.{decimals}f' % v``, NaN empty; text as it is."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return ["" if np.isnan(v) else "%.*f" % (decimals, v) for v in np.atleast_1d(column[row])]
+    return [column] if np.ndim(column) == 0 else [column[row]]
+
+
+def _assert_writes_as_csv_writer(tmp_path, header, columns, n, decimals):
+    path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    data.write_csv_rows(path, header, columns, decimals)
+    with open(reference, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [[cell for column in columns
+                                              for cell in _cells(column, i, decimals)]
+                                             for i in range(n)])
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([6, 9]), st.sampled_from([0, 1, 2, 5]), st.data())
+def test_table_writer_is_csv_writer_of_the_cells(tmp_path, decimals, n, draw):
+    # n = 0: a header-only table; n = 1: a one-row table; columns in any order
+    columns = draw.draw(st.lists(_table_column(n, decimals), min_size=2, max_size=6).filter(
+        lambda columns: any(np.ndim(column) for column in columns)))  # a column gives n
+    header = draw.draw(st.lists(_TEXT, min_size=1, max_size=4))
+    _assert_writes_as_csv_writer(tmp_path, header, columns, n, decimals)
+
+
+@pytest.mark.parametrize("decimals", [6, 9])
+def test_table_writer_writes_texts_after_floats_across_blocks(tmp_path, decimals):
+    # pit_summary.csv's layout (text, int, float, ints) over three blocks, with the
+    # texts csv quotes, a NUL, -0.0, a tie and a value past 2^52 / 10^d
+    n = 2 * data._BLOCK_ROWS + 3
+    names = [["S01", 'a,"b"', " lead", "x\r\ny", "n\x00l", ""][i % 6] for i in range(n)]
+    floats = np.resize([-0.0, 0.5 * 10.0 ** -decimals, 2.0 ** 53 / 10 ** decimals, np.nan, 1 / 3],
+                       n)
+    counts = np.arange(3 * n).reshape(3, n) - n
+    _assert_writes_as_csv_writer(tmp_path, ["method", "n", "v", "c1", "c2", "c3"],
+                                 [names, list(range(n)), floats, "k", *counts], n, decimals)
 
 
 # ---------------------------------------------------------------------------
