@@ -44,6 +44,7 @@ from .errors import (
     EnspostError,
     InvalidInput,
     NumericError,
+    ParseError,
 )
 from .models import MODEL_KINDS, SEASONAL_KINDS, FittedModel, training_residuals
 from .optimize import OptimizeSettings
@@ -321,17 +322,23 @@ def _load_fit(models_dir: Path, kind: str, station: str, lead: int) -> FittedMod
     return fitted
 
 
+def _in_range(series, name: str, start: str, end: str):
+    """``series.window(start, end)``; a range without rows is a DataError
+    naming the ``name`` range and the cell."""
+    try:
+        return series.window(start, end)
+    except ParseError:
+        raise DataError(f"{name} range [{start}, {end}] contains no data for "
+                        f"({series.station_id}, {series.lead_time_h}h)") from None
+
+
 def cmd_fit(cfg: RunConfig) -> int:
     settings = cfg.settings()
     warning_count = 0
     with _staged(Path(cfg.out)) as stage:
         for station, lead, path in discover_cases(cfg):
             series = _load_case(path, station, lead)
-            in_range = ((series.dates >= np.datetime64(cfg.train_start, "D"))
-                        & (series.dates <= np.datetime64(cfg.train_end, "D")))
-            if not in_range.any():
-                raise DataError(f"training range contains no data for ({station}, {lead}h)")
-            train = series.window(cfg.train_start, cfg.train_end)
+            train = _in_range(series, "training", cfg.train_start, cfg.train_end)
             for kind in cfg.models:
                 if kind in SEASONAL_KINDS:
                     fitted = model_api.fit(kind, train, settings=settings)
@@ -352,22 +359,13 @@ def cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _validation_dates(cfg: RunConfig, series) -> np.ndarray:
-    mask = ((series.dates >= np.datetime64(cfg.valid_start, "D"))
-            & (series.dates <= np.datetime64(cfg.valid_end, "D")))
-    dates = series.dates[mask]
-    if dates.size == 0:
-        raise DataError(f"no validation dates in [{cfg.valid_start}, {cfg.valid_end}]")
-    return dates
-
-
 def cmd_predict(cfg: RunConfig) -> int:
     models_dir = Path(cfg.models_dir)
     n_rows = 0
     with _staged(Path(cfg.out)) as stage:
         for station, lead, path in discover_cases(cfg):
             series = _load_case(path, station, lead)
-            dates = _validation_dates(cfg, series)
+            dates = _in_range(series, "validation", cfg.valid_start, cfg.valid_end).dates
             for kind in cfg.models:
                 fitted = _load_fit(models_dir, kind, station, lead)
                 if fitted is None:
@@ -462,10 +460,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             if (kind, station, lead) not in predictions:
                 raise AlignmentError(f"method {kind} missing cell ({station}, {lead}h)")
             dates, mu, sigma = predictions[(kind, station, lead)]
-            idx = np.searchsorted(series.dates, dates)
-            if np.any(idx >= series.n_days) or not np.array_equal(series.dates[idx], dates):
-                raise AlignmentError(f"predicted dates missing from data for ({station}, {lead}h)")
-            y = series.obs[idx]
+            y = series.obs[series.rows(dates)]
             try:
                 sample = score_cases(mu, sigma, y, level)
             except InvalidInput as exc:
@@ -473,8 +468,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             table.add_sample(kind, station, lead, sample, dates=dates)
             pit_by_model[kind].append(sample.pit)
         # raw-ensemble reference row on the same dates
-        dates = predictions[(kinds[0], station, lead)][0]
-        idx = np.searchsorted(series.dates, dates)
+        idx = series.rows(predictions[(kinds[0], station, lead)][0])
         members = series.members[idx]
         y = series.obs[idx]
         lo, hi = members.min(axis=1), members.max(axis=1)
@@ -483,7 +477,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             pit=None, width=hi - lo, covered=(lo <= y) & (y <= hi)))
         fits = [(kind, fitted) for kind in residuals
                 if (fitted := _load_fit(Path(cfg.models_dir), kind, station, lead)) is not None]
-        train = series.window(cfg.train_start, cfg.train_end) if fits else None
+        train = _in_range(series, "training", cfg.train_start, cfg.train_end) if fits else None
         for kind, fitted in fits:
             residuals[kind].append(training_residuals(fitted, train))
         del series, members, train  # one cell's member array alive at a time

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DataError,
     ImputationFailure,
+    InsufficientHistory,
     InvalidConfig,
     InvalidEnsemble,
     InvalidInput,
@@ -168,6 +169,46 @@ class StationSeries:
                        members=self.members[rows], ens_mean=self.ens_mean[rows],
                        ens_sd=self.ens_sd[rows])
 
+    def rows(self, dates) -> np.ndarray:
+        """Positions of ``dates`` in this series, in the order given; the
+        first date not in it raises InvalidInput naming it and the cell."""
+        dates = np.asarray(dates, dtype="datetime64[D]")
+        rows = np.searchsorted(self.dates, dates)
+        absent = self.dates[np.minimum(rows, self.n_days - 1)] != dates  # past the end: row n
+        if np.any(absent):
+            raise InvalidInput(f"date {dates[np.argmax(absent)]} is not in the series of "
+                               f"({self.station_id}, {self.lead_time_h}h)")
+        return rows
+
+    def history_end(self, i):
+        """Exclusive end of the observations a forecast for row ``i`` may read.
+
+        At the series lead time the k = ``lead_time_offset`` most recent days
+        are not yet observed at issuance, so the forecast for row i reads rows
+        before i - k only; ``i`` may be an array of rows.
+        """
+        return np.maximum(i - lead_time_offset(self.lead_time_h), 0)
+
+    def window_ends(self, i, length: int) -> np.ndarray:
+        """History ends of the rows ``i``, once every row has a window of
+        ``length`` observable days before it, all observed.
+
+        Raises InsufficientHistory, else InvalidInput, naming the earliest
+        date whose window is short or has a missing observation.
+        """
+        ends = self.history_end(i)
+        short = ends < length
+        if np.any(short):
+            first = int(i[short].min())
+            raise InsufficientHistory(f"date {self.dates[first]} has only "
+                                      f"{self.history_end(first)} observable days, needs {length}")
+        missing = np.concatenate([[0], np.cumsum(~np.isfinite(self.obs))])
+        gappy = missing[ends] > missing[ends - length]
+        if np.any(gappy):
+            raise InvalidInput(f"window before {self.dates[i[gappy].min()]} "
+                               "contains missing observations")
+        return ends
+
 
 # ---------------------------------------------------------------------------
 # imputation
@@ -197,7 +238,7 @@ def impute_missing(obs, half_window: int = 4, decay: float = 0.5, max_gap: int =
     missing = np.flatnonzero(np.isnan(obs))
     index = np.arange(obs.size)
     run = index - np.maximum.accumulate(np.where(np.isnan(obs), -1, index))  # NaNs ending at i
-    if (long := missing[1:][run[missing[1:]] > max_gap]).size:  # past station selection's rule
+    if (long := missing[run[missing] > max_gap]).size:  # past station selection's rule
         raise ImputationFailure(f"gap longer than {max_gap} days ending at index {long[0]}")
     padded = np.pad(obs, half_window, constant_values=np.nan)  # no value beyond the ends
     wsum, vsum = np.zeros((2, missing.size))

@@ -2,8 +2,9 @@
 
 ``_KINDS`` maps each model kind, in ``MODEL_KINDS`` order, to its fitter,
 its predictor and the training days it needs.  ``fit`` checks the training
-series and writes the training record for every kind; ``predict`` returns
-only finite mu and finite, positive sigma.
+series and writes the training record for every kind; ``predict`` checks
+the fit against the series, hands its predictor the rows of the requested
+dates and returns only finite mu and finite, positive sigma.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 from ..data import StationSeries
 from ..errors import InsufficientHistory, InvalidInput, NumericalFailure
 from . import ar_emos, emos, semos
-from .base import MODEL_KINDS, SEASONAL_KINDS, FittedModel, PredictionContext
+from .base import MODEL_KINDS, SEASONAL_KINDS, FittedModel
 from .semos import empirical_sd_by_day_of_year, training_residuals
 
-__all__ = ["MODEL_KINDS", "SEASONAL_KINDS", "FittedModel", "PredictionContext", "fit",
-           "predict", "empirical_sd_by_day_of_year", "training_residuals"]
+__all__ = ["MODEL_KINDS", "SEASONAL_KINDS", "FittedModel", "fit", "predict",
+           "empirical_sd_by_day_of_year", "training_residuals"]
 
 
 class _Kind(NamedTuple):
@@ -60,16 +61,24 @@ def predict(model: FittedModel, series: StationSeries, dates) -> tuple[np.ndarra
     """Per-date Gaussian parameters (mu, sigma) for the requested dates.
 
     ``series`` must contain the prediction dates and enough history before
-    them; observations after each date's availability horizon are never
-    read.  A non-finite mu, or a sigma that is not finite and positive,
-    raises NumericalFailure naming the earliest such date.
+    them; observations past each date's ``history_end`` are never read.  A
+    date missing from the series, or a fit without an origin or of another
+    lead time, raises InvalidInput.  A non-finite mu, or a sigma that is not
+    finite and positive, raises NumericalFailure naming the earliest such
+    date.
     """
+    if model.meta.get("origin") is None:
+        raise InvalidInput("fitted model lacks an origin date in meta")
+    lead = model.meta.get("lead_time_h", series.lead_time_h)
+    if int(lead) != series.lead_time_h:
+        raise InvalidInput(
+            f"model fitted for lead {lead}h applied to a {series.lead_time_h}h series")
+    rows = series.rows(dates)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, sigma = _KINDS[model.kind].predict(model, series, dates)
+        mu, sigma = _KINDS[model.kind].predict(model, series, rows)
     bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))
     if np.any(bad):
-        dates = np.asarray(dates, dtype="datetime64[D]")
-        i = np.flatnonzero(bad)[np.argmin(dates[bad])]
+        i = np.flatnonzero(bad)[np.argmin(rows[bad])]
         raise NumericalFailure(f"{model.kind} on ({series.station_id}, {series.lead_time_h}h) "
-                               f"gives mu {mu[i]}, sigma {sigma[i]} on {dates[i]}")
+                               f"gives mu {mu[i]}, sigma {sigma[i]} on {series.dates[rows[i]]}")
     return mu, sigma

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data import StationSeries
+from ..data import StationSeries, lead_time_offset
 # ``golden_section``, ``crps_normal_series``, ``fit_ar_yule_walker`` and
 # ``ar_innovation_variance`` stay importable here: perfbench's tracer wraps
 # these names
@@ -39,7 +39,7 @@ from ..optimize import golden_section  # noqa: F401
 from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
 from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, window_anchors, windowed_ar_fits
 from ..timeseries import ar_innovation_variance, fit_ar_yule_walker  # noqa: F401
-from .base import FittedModel, PredictionContext
+from .base import FittedModel
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ def ar_emos_fit(series: StationSeries) -> FittedModel:
     )
 
 
-def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
+def ar_emos_predict(model: FittedModel, series: StationSeries, rows: np.ndarray):
     """Rolling AR-EMOS prediction on AR_WINDOW and WEIGHT_WINDOW, whatever
     window lengths the fit file records, batched over parts of the dates.
 
@@ -167,8 +167,7 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
     AR fits start from a row of its own AR window, so its (mu, sigma) are
     the same to the bit whichever other dates are requested.
     """
-    ctx = PredictionContext.build(model, series, dates)
-    ends = ctx.window_ends(_SPAN)
+    ends = series.window_ends(rows, _SPAN)
     mu, sigma1, sigma2 = np.empty((3, ends.size))
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
     order = np.argsort(ends, kind="stable")
@@ -177,8 +176,8 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, dates):
         for part in np.array_split(group, -(-group.size // _PART_DATES)):
             est = _estimate(series, ends[part])
             # h >= 120 > k, so every date is k + 1 steps past its history end
-            adjusted = _adjusted_ensemble(series, est.fits, est.errors, ctx.indices[part],
-                                          ctx.k + 1)
+            adjusted = _adjusted_ensemble(series, est.fits, est.errors, rows[part],
+                                          lead_time_offset(series.lead_time_h) + 1)
             mu[part], sigma2[part] = adjusted.mean(axis=1), adjusted.std(axis=1, ddof=1)
             sigma1[part], window[:, part] = est.sigma1, est.window
             del est, adjusted  # before the next part's fits

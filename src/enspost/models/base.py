@@ -1,12 +1,10 @@
-"""Shared model pieces: the kind names, the fitted-model container with its
-serialization, and the prediction context.
+"""Shared model pieces: the kind names and the fitted-model container with
+its serialization.
 
 Every model fits on a training StationSeries and then produces per-date
-Gaussian parameters (mu, sigma) for requested dates of a longer series.
-Prediction honors the lead-time availability rule: for a lead-time offset
-of k unobservable days, the forecast for date t may use observations up to
-t - k - 1 only.  Dispatch by kind lives in the package's ``fit`` and
-``predict``.
+Gaussian parameters (mu, sigma) for requested rows of a longer series,
+reading only the observations ``StationSeries.history_end`` allows.
+Dispatch by kind lives in the package's ``fit`` and ``predict``.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data import StationSeries, lead_time_offset
-from ..errors import InsufficientHistory, InvalidInput
+from ..errors import InvalidInput
 from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
 
@@ -128,62 +125,3 @@ class FittedModel:
             raise InvalidInput(f"malformed fitted model {path}: "
                                f"{type(exc).__name__}: {exc}") from exc
         return model
-
-
-@dataclass(frozen=True)
-class PredictionContext:
-    """Per-date inputs plus the observation-availability rule for one series.
-
-    For prediction index i, observations with index > i - k - 1 are not yet
-    observable at issuance (k unobservable days at the series lead time),
-    so residual histories stop there.
-    """
-
-    series: StationSeries
-    k: int                 # unobservable days implied by the lead time
-    indices: np.ndarray    # positions of the prediction dates in the series
-
-    @classmethod
-    def build(cls, model: FittedModel, series: StationSeries, dates) -> "PredictionContext":
-        if model.meta.get("origin") is None:
-            raise InvalidInput("fitted model lacks an origin date in meta")
-        lead = model.meta.get("lead_time_h", series.lead_time_h)
-        if int(lead) != int(series.lead_time_h):
-            raise InvalidInput(
-                f"model fitted for lead {lead}h applied to a {series.lead_time_h}h series")
-        dates = np.asarray(dates, dtype="datetime64[D]")
-        indices = np.searchsorted(series.dates, dates)
-        bad = (indices >= series.n_days) | (series.dates[np.minimum(indices, series.n_days - 1)] != dates)
-        if np.any(bad):
-            raise InvalidInput(f"prediction date {dates[np.argmax(bad)]} not present in the series")
-        return cls(
-            series=series,
-            k=lead_time_offset(series.lead_time_h),
-            indices=indices.astype(int),
-        )
-
-    def history_end(self, i):
-        """Index of the last observation observable when forecasting index i
-        (exclusive slice end); ``i`` may be an array of indices."""
-        return np.maximum(i - self.k, 0)
-
-    def window_ends(self, length: int) -> np.ndarray:
-        """History ends of the prediction dates, once every date has a
-        window of ``length`` observable days before it, all observed.
-
-        Raises InsufficientHistory, else InvalidInput, naming the earliest
-        date whose window is short or has a missing observation.
-        """
-        ends = self.history_end(self.indices)
-        dates = self.series.dates
-        short = ends < length
-        if np.any(short):
-            i = int(self.indices[short].min())
-            raise InsufficientHistory(f"date {dates[i]} has only {self.history_end(i)} "
-                                      f"observable days, needs {length}")
-        missing = np.concatenate([[0], np.cumsum(~np.isfinite(self.series.obs))])
-        gappy = missing[ends] > missing[ends - length]
-        if np.any(gappy):
-            raise InvalidInput(f"window before {dates[self.indices[gappy].min()]} "
-                               "contains missing observations")
-        return ends

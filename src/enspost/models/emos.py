@@ -32,7 +32,7 @@ from ..data import StationSeries
 # tracer wraps these names
 from ..optimize import OptimizeSettings, OptResult, minimize, minimize_newton  # noqa: F401
 from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
-from .base import FittedModel, PredictionContext
+from .base import FittedModel
 
 WINDOW_DAYS = 30
 _RIDGE = 1e-8
@@ -141,21 +141,18 @@ def emos_fit(series: StationSeries) -> FittedModel:
     )
 
 
-def emos_predict(model: FittedModel, series: StationSeries, dates):
+def emos_predict(model: FittedModel, series: StationSeries, rows: np.ndarray):
     """Prediction with rolling window re-estimation, one batched solve.
 
-    Each date's window covers the ``WINDOW_DAYS`` most recent observable
-    days (ending k + 1 days before the date for lead-time offset k),
-    whatever window length the fit file records.  Every window is fitted
-    on its own, from its own start, so a date's coefficients do not depend
-    on which other dates are requested.
+    Each date's window covers the ``WINDOW_DAYS`` days before its
+    ``history_end``, whatever window length the fit file records.  Every
+    window is fitted on its own, from its own start, so a date's
+    coefficients do not depend on which other dates are requested.
     """
-    ctx = PredictionContext.build(model, series, dates)
-    starts = ctx.window_ends(WINDOW_DAYS) - WINDOW_DAYS
+    starts = series.window_ends(rows, WINDOW_DAYS) - WINDOW_DAYS
     xbar, s, y = (sliding_window_view(v, WINDOW_DAYS)[starts]
                   for v in (series.ens_mean, series.ens_sd, series.obs))
     coeffs = _fit_windows(xbar, s, y).x
-    i = ctx.indices
-    mu = coeffs[:, 0] + coeffs[:, 1] * series.ens_mean[i]
-    sigma = np.exp(coeffs[:, 2] + coeffs[:, 3] * np.log(np.maximum(series.ens_sd[i], 1e-12)))
+    mu = coeffs[:, 0] + coeffs[:, 1] * series.ens_mean[rows]
+    sigma = np.exp(coeffs[:, 2] + coeffs[:, 3] * np.log(np.maximum(series.ens_sd[rows], 1e-12)))
     return mu, sigma

@@ -36,8 +36,8 @@ same.  Fits can therefore end anywhere along that line, and their b0 and
 omega0 move between runs that change the optimizer while the forecasts
 stay put.
 
-During prediction, residuals of the k most recent days (lead-time offset)
-are unobservable, and all dates are bridged in one pass by the conditional
+During prediction, the k residuals from each date's ``history_end`` to the
+date are unobservable, and all dates are bridged in one pass by the conditional
 the synthetic truth also uses, ``timeseries.ar_forecast`` (multi-step AR
 and GARCH conditional-expectation update).  At k = 0 (24 h) it runs the
 fit's own recursions, so predicting a training day gives the fit's forward
@@ -76,7 +76,7 @@ from ..timeseries import (
 )
 # ``crps_normal_series`` and ``ar_multistep`` stay importable here: perfbench's tracer wraps them
 from ..timeseries import ar_multistep  # noqa: F401
-from .base import SEASONAL_KINDS, FittedModel, PredictionContext
+from .base import SEASONAL_KINDS, FittedModel
 
 logger = logging.getLogger(__name__)
 
@@ -374,18 +374,16 @@ def seasonal_fit(kind: str, series: StationSeries,
 # ---------------------------------------------------------------------------
 
 
-def seasonal_predict(model: FittedModel, series: StationSeries, dates):
-    """Per-date (mu, sigma) of a seasonal fit, all dates in one pass."""
-    ctx = PredictionContext.build(model, series, dates)
+def seasonal_predict(model: FittedModel, series: StationSeries, rows: np.ndarray):
+    """Per-row (mu, sigma) of a seasonal fit, all rows in one pass."""
     x_loc, x_scale = _designs(series, model.meta["origin"])
     mu_s, sigma_s = x_loc @ model.loc, np.exp(x_scale @ model.scale)
-    i = ctx.indices
     if model.kind == "SEMOS":
-        return mu_s[i], sigma_s[i]
+        return mu_s[rows], sigma_s[rows]
 
     if not is_stationary(model.ar.tau):
         warnings.warn("multi-step prediction with nonstationary AR coefficients", stacklevel=2)
     d = _error_divisor(model.kind, sigma_s)
     x_hat, sigma_g = ar_forecast(model.ar, model.garch, (series.obs - mu_s) / d, sigma_s,
-                                 ctx.history_end(i), i)
-    return mu_s[i] + d[i] * x_hat, sigma_s[i] * sigma_g
+                                 series.history_end(rows), rows)
+    return mu_s[rows] + d[rows] * x_hat, sigma_s[rows] * sigma_g

@@ -1275,3 +1275,49 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, fuzz_d
     if code:
         assert [line.startswith("error[") for line in err.splitlines()].count(True) == 1, \
             (argv, err)
+
+
+def _earlier_out(tmp_path):
+    """An existing ``--out`` holding one earlier file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_bytes(b"earlier\n")
+    return out
+
+
+@pytest.mark.parametrize("command, name, start, end", [
+    ("fit", "training", "2010-01-01", "2010-12-31"),
+    ("predict", "validation", "2030-01-01", "2030-01-31"),
+    ("verify", "training", "2010-01-01", "2010-12-31"),
+])
+def test_a_range_without_data_is_one_data_error_naming_it_and_the_cell(
+        pipeline, tmp_path, capsys, command, name, start, end):
+    data, fits = pipeline / "data", pipeline / "fits"
+    args = {
+        "fit": ("fit", "--data", data, "--models", "semos"),
+        "predict": ("predict", "--data", data, "--models-dir", fits, "--models", "semos"),
+        "verify": ("verify", "--data", data, "--models-dir", fits,
+                   "--predictions", pipeline / "preds" / "predictions.csv"),
+    }[command]
+    flag = "valid" if name == "validation" else "train"
+    out = _earlier_out(tmp_path)
+    capsys.readouterr()
+    assert run(*args, "--out", out, "--lead", 24, f"--{flag}-start", start,
+               f"--{flag}-end", end) == 3
+    assert capsys.readouterr().err == (
+        f"error[data]: {name} range [{start}, {end}] contains no data for (S01, 24h)\n")
+    assert _files(out) == {"earlier.txt": b"earlier\n"}
+    assert not list(tmp_path.rglob(".out.*"))
+
+
+def test_a_predicted_date_missing_from_the_station_file_is_one_data_error(
+        pipeline, tmp_path, capsys):
+    preds = _edited_predictions(pipeline, tmp_path, "date", "2030-01-01")
+    out = _earlier_out(tmp_path)
+    capsys.readouterr()
+    assert run("verify", "--data", pipeline / "data", "--predictions", preds,
+               "--out", out, "--lead", 24) == 3
+    assert capsys.readouterr().err == (
+        "error[data]: date 2030-01-01 is not in the series of (S01, 24h)\n")
+    assert _files(out) == {"earlier.txt": b"earlier\n"}
+    assert not list(tmp_path.rglob(".out.*"))

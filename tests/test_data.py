@@ -162,13 +162,20 @@ def test_impute_idempotent(rng):
     assert np.array_equal(once, twice)
 
 
+@pytest.mark.parametrize("max_gap", [0, -1])
+def test_impute_below_one_day_gaps_rejects_a_single_missing_value(max_gap):
+    x = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+    with pytest.raises(ImputationFailure,
+                       match=f"^gap longer than {max_gap} days ending at index 2$"):
+        impute_missing(x, max_gap=max_gap)
+
+
 def _impute_by_loop(obs, half_window, decay, max_gap):
     """impute_missing one missing value at a time: the reference for its array passes."""
     out = obs.copy()
     missing = np.flatnonzero(np.isnan(obs))
-    run = 1
-    for prev, cur in zip(missing[:-1], missing[1:]):
-        run = run + 1 if cur == prev + 1 else 1
+    for j, cur in enumerate(missing):
+        run = run + 1 if j and cur == missing[j - 1] + 1 else 1
         if run > max_gap:
             raise ImputationFailure(f"gap longer than {max_gap} days ending at index {cur}")
     for i in missing:
@@ -252,6 +259,26 @@ def test_empty_or_inverted_window_raises_builds_parse_error(start, end):
     series, _ = generate_synthetic(SyntheticConfig(n_days=200, m=3, seed=5))
     with pytest.raises(ParseError, match="^series has no rows$"):
         series.window(start, end)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 199), max_size=30))
+def test_rows_are_the_searchsorted_positions_in_any_requested_order(picks):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=200, m=3, seed=5))
+    dates = series.dates[picks]
+    rows = series.rows(dates)
+    assert np.array_equal(rows, np.searchsorted(series.dates, dates))
+    assert np.array_equal(series.dates[rows], dates)
+
+
+@pytest.mark.parametrize("date", ["2014-12-31", "2015-07-20"], ids=["before", "after"])
+def test_rows_of_a_date_outside_the_series_name_it_and_the_cell(date):
+    series, _ = generate_synthetic(SyntheticConfig(n_days=200, m=3, seed=5,
+                                                   station_id="S07", lead_time_h=48))
+    dates = np.array([series.dates[3], date, series.dates[0]], dtype="datetime64[D]")
+    with pytest.raises(InvalidInput) as caught:
+        series.rows(dates)
+    assert str(caught.value) == f"date {date} is not in the series of (S07, 48h)"
 
 
 def test_window_of_a_long_series_copies_no_rows():

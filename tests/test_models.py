@@ -1302,8 +1302,8 @@ def test_dar_garch_semos_scale_intercept_and_omega0_lie_on_a_ridge(dar_world):
     value_moved = fun(semos._pack(moved.loc, moved.scale, moved.ar, moved.garch))[0]
     assert value_moved == pytest.approx(value, rel=1e-13)
     dates = series.dates[900:1000]
-    mu, sigma = semos.seasonal_predict(model, series, dates)
-    mu_moved, sigma_moved = semos.seasonal_predict(moved, series, dates)
+    mu, sigma = models.predict(model, series, dates)
+    mu_moved, sigma_moved = models.predict(moved, series, dates)
     np.testing.assert_array_equal(mu_moved, mu)
     np.testing.assert_allclose(sigma_moved, sigma, rtol=1e-13)
 
