@@ -23,7 +23,6 @@ from .errors import (
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_ENSEMBLE_CHUNK = 16  # crps_ensemble rows per (rows, m, m) temporary: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,12 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
 
 
 def crps_ensemble(members, y):
-    """CRPS of the empirical ensemble CDF in its energy form.
+    """CRPS of the empirical ensemble CDF, from one sort per row.
 
-    (1/m) sum |x_i - y|  -  (1/(2 m^2)) sum_ij |x_i - x_j|; equals the
-    integral form applied to the step CDF of the members.  (m,) members
-    with a float ``y`` give a float; (n, m) members with (n,) ``y`` give
+    (1/m) sum |x_i - y|  -  (1/m^2) sum_k k (m - k) g_k, g_k = x_(k+1) - x_(k): the
+    energy form, its pair term (1/(2 m^2)) sum_ij |x_i - x_j| summed gap by gap,
+    so no term is < 0 and equal members score 0 at their value.  (m,)
+    members with a float ``y`` give a float; (n, m) members with (n,) ``y`` give
     the n scores, each its row's to the bit.
     """
     x, y = np.asarray(members, dtype=float), np.asarray(y, dtype=float)
@@ -152,12 +152,9 @@ def crps_ensemble(members, y):
         raise InvalidInput("ensemble must be m >= 1 members with a float observation, "
                            "or (n, m) members with n observations")
     m = x.shape[1]
-    scores = np.empty(len(x))
-    for lo in range(0, len(x), _ENSEMBLE_CHUNK):
-        rows, obs = x[lo:lo + _ENSEMBLE_CHUNK], y[lo:lo + _ENSEMBLE_CHUNK, None]
-        spread = np.abs(rows[:, :, None] - rows[:, None, :]).reshape(-1, m * m).sum(axis=1)
-        scores[lo:lo + len(rows)] = np.mean(np.abs(rows - obs), axis=1) - spread / (2.0 * m * m)
-    return scores
+    k = np.arange(1, m)
+    spread = (np.diff(np.sort(x, axis=1), axis=1) * (k * (m - k))).sum(axis=1)
+    return np.mean(np.abs(x - y[:, None]), axis=1) - spread / (m * m)
 
 
 def logs_normal_series(mu, sigma, y):

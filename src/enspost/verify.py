@@ -188,8 +188,10 @@ class SignificanceMatrix:
 
 
 def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceMatrix:
-    """Pairwise one-sided DM tests per cell, BH-corrected within each
-    ordered method pair across cells."""
+    """One-sided DM tests per cell, BH-corrected within each ordered method pair
+    across cells.  One ``dm_test`` per unordered pair and cell gives s for
+    d = crps_i - crps_j: i beats j with p = Phi(s), j beats i with p = Phi(-s)
+    (swapping the pair negates d), and both are 1.0 for a degenerate d."""
     series = {}
     for row in table.rows:  # a repeated key keeps its first row
         series.setdefault((row.method, row.station_id, row.lead_time_h), row)
@@ -203,10 +205,8 @@ def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceM
                 raise AlignmentError(f"method {method} missing cell ({station}, {lead})")
     percent = np.zeros((len(methods), len(methods)))
     for i, mi in enumerate(methods):
-        for j, mj in enumerate(methods):
-            if i == j:
-                continue
-            p_values = []
+        for j, mj in enumerate(methods[i + 1:], start=i + 1):
+            p_values = []  # (i over j, j over i) per cell
             for station, lead in cells:
                 ra = series[(mi, station, lead)]
                 rb = series[(mj, station, lead)]
@@ -217,12 +217,12 @@ def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceM
                         and not np.array_equal(ra.dates, rb.dates)):
                     raise AlignmentError(f"dates mismatch in cell ({station}, {lead})")
                 try:
-                    _, p = dm_test(ra.case_crps, rb.case_crps, "a_better")
+                    stat, p = dm_test(ra.case_crps, rb.case_crps, "a_better")
+                    p_values.append((p, float(ndtr(-stat))))
                 except DegenerateDifferential:
-                    p = 1.0
-                p_values.append(p)
-            flags = benjamini_hochberg(np.array(p_values), alpha)
-            percent[i, j] = 100.0 * float(np.mean(flags))
+                    p_values.append((1.0, 1.0))
+            for (a, b), p in zip(((i, j), (j, i)), np.array(p_values).T):
+                percent[a, b] = 100.0 * float(np.mean(benjamini_hochberg(p, alpha)))
     return SignificanceMatrix(methods=methods, percent=percent)
 
 
@@ -243,9 +243,10 @@ def residual_dependence_table(residuals_by_model: dict, lags, alpha: float = 0.0
     out = {}
     for model, residual_list in residuals_by_model.items():
         out[model] = {}
+        squares = [np.square(r) for r in residual_list]
         for lag in lags:
             p_plain = [ljung_box(r, lag)[1] for r in residual_list]
-            p_sq = [ljung_box(np.square(r), lag)[1] for r in residual_list]
+            p_sq = [ljung_box(r2, lag)[1] for r2 in squares]
             pct_plain = 100.0 * float(np.mean(benjamini_hochberg(np.array(p_plain), alpha)))
             pct_sq = 100.0 * float(np.mean(benjamini_hochberg(np.array(p_sq), alpha)))
             out[model][lag] = (pct_plain, pct_sq)

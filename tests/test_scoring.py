@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import chisquare, kstest
 
@@ -127,17 +128,49 @@ def test_crps_ensemble_nonnegative_zero_iff_perfect(rng):
         assert (val == 0) == bool(np.all(members == y))
 
 
+def _energy_form(x, y):
+    """The ensemble CRPS from all m^2 member pairs, as the definition writes it."""
+    m = x.size
+    return np.mean(np.abs(x - y)) - np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * m)
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (16, 5), (37, 50)])
 def test_crps_ensemble_rows_are_the_energy_form_of_each_row_to_the_bit(rng, n, m):
-    # 37 rows: two full chunks of 16 and a short one
+    # the sorted-gap sum rounds differently from the pair sum; a row alone is its
+    # batch value to the bit
     members = rng.normal(size=(n, m)) * 3.0
     y = rng.normal(size=n)
-    energy = [np.mean(np.abs(x - v)) - np.abs(x[:, None] - x[None, :]).sum() / (2.0 * m * m)
-              for x, v in zip(members, y)]
     rows = crps_ensemble(members, y)
-    assert rows.shape == (n,) and np.array_equal(rows, energy)
+    assert rows.shape == (n,)
+    np.testing.assert_allclose(rows, [_energy_form(x, v) for x, v in zip(members, y)],
+                               rtol=0, atol=1e-12)
     assert np.array_equal(rows, [crps_ensemble(x, v) for x, v in zip(members, y)])
     assert all(type(crps_ensemble(x, v)) is float for x, v in zip(members, y))
+
+
+# values on a 0.01 grid, half of them from six: ties are common, and no two members
+# lie an ulp apart, where the quadrature oracle fails
+_TIED_VALUES = (st.sampled_from([-3.25, -1.0, 0.0, 0.1, 2.5, 13.7])
+                | st.integers(-4000, 4000).map(lambda k: k / 100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 50]).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(_TIED_VALUES, min_size=m, max_size=m), min_size=1, max_size=4),
+    st.lists(_TIED_VALUES, min_size=4, max_size=4))))
+@example(([[13.7] * 50], [13.7] * 4))  # a pair-free sum of (2i - m - 1) x_(i) gives < 0 here
+def test_crps_ensemble_is_the_energy_form_and_the_step_cdf_integral_with_ties(case):
+    # members drawn from a few values tie often; y may sit on a member
+    members, y = np.array(case[0]), np.array(case[1][:len(case[0])])
+    rows = crps_ensemble(members, y)
+    for x, v, row in zip(members, y, rows):
+        assert row >= 0.0 and row == crps_ensemble(x, v)
+        assert row == pytest.approx(_energy_form(x, v), rel=0, abs=1e-12)
+        if np.all(x == v):
+            assert row == 0.0
+        step_cdf = lambda z, s=np.sort(x): np.searchsorted(s, z, side="right") / s.size
+        assert row == pytest.approx(crps_integral(step_cdf, v, tol=1e-9, breakpoints=list(x)),
+                                    abs=1e-7)
 
 
 @pytest.mark.parametrize("members, y", [

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtr
 
 from enspost.errors import (
     AlignmentError,
@@ -173,6 +176,64 @@ def test_significance_matrix_misaligned_rejected(rng):
     table.add_sample("B", "S99", 24, sample)
     with pytest.raises(AlignmentError):
         significance_matrix(table)
+
+
+def _ordered_pair_matrix(table, alpha):
+    """The matrix from one DM test per ordered pair and cell, as its definition reads."""
+    methods = list(dict.fromkeys(r.method for r in table.rows))
+    crps = {(r.method, r.station_id, r.lead_time_h): r.case_crps for r in table.rows}
+    cells = list(dict.fromkeys((r.station_id, r.lead_time_h) for r in table.rows))
+    percent = np.zeros((len(methods), len(methods)))
+    for i, mi in enumerate(methods):
+        for j, mj in enumerate(methods):
+            if i == j:
+                continue
+            p_values = []
+            for cell in cells:
+                try:
+                    p_values.append(dm_test(crps[(mi, *cell)], crps[(mj, *cell)], "a_better")[1])
+                except DegenerateDifferential:
+                    p_values.append(1.0)
+            percent[i, j] = 100.0 * np.mean(benjamini_hochberg(np.array(p_values), alpha))
+    return methods, percent
+
+
+def _dated_table(rng, n=150, shift_dates_of=None):
+    """Three cells of four methods; D repeats A's scores, so A against D is degenerate.
+    The S02 dates of ``shift_dates_of`` run a day late."""
+    dates = np.datetime64("2020-01-01") + np.arange(n)
+    table = ScoreTable()
+    for station in ("S01", "S02", "S03"):
+        base = rng.uniform(0.5, 1.5, size=n)
+        cell = {"A": base + rng.normal(0, 0.2, n), "B": base + rng.normal(0.05, 0.2, n),
+                "C": base + rng.normal(rng.uniform(-0.1, 0.1), 0.3, n)}
+        cell["D"] = cell["A"].copy()
+        for method, crps in cell.items():
+            sample = score_cases(np.zeros(n), np.ones(n), np.zeros(n), level=0.9)
+            sample.crps = crps
+            late = method == shift_dates_of and station == "S02"
+            table.add_sample(method, station, 24, sample, dates + np.timedelta64(late, "D"))
+    return table
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_significance_matrix_is_one_dm_test_per_ordered_pair_to_the_bit(seed, alpha):
+    table = _dated_table(np.random.default_rng(seed))
+    matrix = significance_matrix(table, alpha)
+    methods, percent = _ordered_pair_matrix(table, alpha)
+    assert matrix.methods == methods
+    assert np.array_equal(matrix.percent, percent)
+    assert matrix.percent[0, 3] == matrix.percent[3, 0] == 0.0  # A against its copy D
+    # swapping a pair negates the statistic to the bit, so one test gives both p-values
+    for ra, rb in itertools.combinations(table.rows[:3], 2):
+        stat = dm_test(ra.case_crps, rb.case_crps)[0]
+        assert dm_test(rb.case_crps, ra.case_crps, "a_better") == (-stat, ndtr(-stat))
+
+
+def test_significance_matrix_names_the_cell_whose_dates_differ(rng):
+    with pytest.raises(AlignmentError, match=r"^dates mismatch in cell \(S02, 24\)$"):
+        significance_matrix(_dated_table(rng, shift_dates_of="C"))
 
 
 def test_significance_matrix_repeated_row_keeps_the_first(rng):
