@@ -10,6 +10,11 @@ failure.  Errors print a single machine-parsable line
 Each output file is written when computed, into a stage ``.<out>.*`` in the
 first existing one of ``--out`` and its ancestors, and moved into ``--out`` on
 success only: a failure removes the stage, and an I/O error is a data error.
+
+Every table goes through ``data.write_csv_rows``.  This module lays out all but
+the station and truth files, which ``data`` also reads: ``predictions.csv`` and
+verify's ``scores.csv``, ``scores_raw_ensemble.csv``, ``dm_matrix.csv``,
+``pit_summary.csv`` and ``residual_dependence.csv``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ _CANONICAL_KINDS = {kind.lower(): kind for kind in MODEL_KINDS}
 _DGP_KINDS = ("sar", "dar", "dar-garch")
 
 _PREDICTIONS_HEADER = ["model", "station_id", "lead_time_h", "date", "mu", "sigma"]
+_SCORES_HEADER = ["method", "station_id", "lead_time_h", "n", "mean_crps", "mean_logs", "rmse",
+                  "mean_width", "coverage_pct"]  # ScoreRow fields, each a column
 
 
 @dataclass
@@ -492,9 +499,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         dependence = residual_dependence_table(residuals, lags=(1, 5, 10), alpha=0.05)
 
     with _staged(out) as stage:
-        table.to_csv(stage / "scores.csv")
-        raw_table.to_csv(stage / "scores_raw_ensemble.csv")
-        matrix.to_csv(stage / "dm_matrix.csv")
+        for name, rows in [("scores.csv", table.rows),
+                           ("scores_raw_ensemble.csv", raw_table.rows)]:
+            write_csv_rows(stage / name, _SCORES_HEADER,
+                           [[getattr(r, f) for r in rows] for f in _SCORES_HEADER[:4]]
+                           + [np.array([getattr(r, f) for r in rows], float)  # None: NaN, empty
+                              for f in _SCORES_HEADER[4:]], TABLE_DECIMALS)
+        write_csv_rows(stage / "dm_matrix.csv", ["method", *matrix.methods],
+                       [matrix.methods, matrix.percent], TABLE_DECIMALS)
         write_csv_rows(stage / "pit_summary.csv",
                        ["method", "n", "pit_variance", *(f"bin{i + 1}" for i in range(10))],
                        [kinds, [pit.size for pit in pits], np.array(variances),

@@ -71,7 +71,7 @@ def day_of_year(dates) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _member_stats(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def member_stats(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's ensemble mean and sd (ddof 1): numpy's ``mean`` and ``std``, the same
     bits, ``_BLOCK_ROWS`` rows at a time, so no temporary is larger than a block."""
     mean, sd = np.empty(members.shape[0]), np.empty(members.shape[0])
@@ -111,7 +111,7 @@ class StationSeries:
     @classmethod
     def _own(cls, station_id, lead_time_h, dates, obs, members, stats=None) -> "StationSeries":
         """``build`` on arrays handed over, frozen without a copy; ``stats`` is
-        ``_member_stats(members)`` when the caller has it, else computed here."""
+        ``member_stats(members)`` when the caller has it, else computed here."""
         n = dates.size
         if n == 0:
             raise ParseError("series has no rows")
@@ -127,7 +127,7 @@ class StationSeries:
                 kind = "duplicated or non-monotone" if deltas[i] <= np.timedelta64(0, "D") else "gapped"
                 # i + 3: second date of the offending pair, counting the header row
                 raise ParseError(f"{kind} dates at row {i + 3}: {dates[i]} -> {dates[i + 1]}")
-        ens_mean, ens_sd = _member_stats(members) if stats is None else stats
+        ens_mean, ens_sd = member_stats(members) if stats is None else stats
         finite = np.isfinite(ens_mean) & np.isfinite(ens_sd)  # a non-finite member included
         if not finite.all():
             raise InvalidEnsemble("ensemble members, mean or sd not finite on "
@@ -711,7 +711,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[StationSeries, SyntheticTr
     members += (center + cfg.ens_bias)[:, None]
 
     # observation process driven by the distortion-corrected realized statistics
-    xbar, s = _member_stats(members)
+    xbar, s = member_stats(members)
     mu_s = seasonal_design(t, xbar - cfg.ens_bias) @ cfg.loc.as_vector()
     sigma_s = np.exp(seasonal_design(t, s / cfg.ens_dispersion) @ cfg.scale.as_vector())
     z = rng.standard_normal(n + _BURN)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data import StationSeries, lead_time_offset
+from ..data import StationSeries, lead_time_offset, member_stats
 # ``golden_section``, ``crps_normal_series``, ``fit_ar_yule_walker`` and
 # ``ar_innovation_variance`` stay importable here: perfbench's tracer wraps
 # these names
@@ -119,11 +119,8 @@ def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
         adjusted = ar_teacher_forced(fits.columns(cols), x[rows].reshape(_TAIL, -1),
                                      k).reshape(WEIGHT_WINDOW, -1, m)
         adjusted += series.members[days]
-        # the mean and sd of ``mean`` and ``std(ddof=1)``, in numpy's own order
-        mean, sd = window[0, block].T, window[1, block].T
-        np.divide(adjusted.sum(axis=2, out=mean), m, out=mean)
-        np.square(np.subtract(adjusted, mean[:, :, None], out=adjusted), out=adjusted)
-        np.sqrt(np.divide(adjusted.sum(axis=2, out=sd), m - 1, out=sd), out=sd)
+        window[:2, block] = np.reshape(member_stats(adjusted.reshape(-1, m)),
+                                       (2, WEIGHT_WINDOW, -1)).transpose(0, 2, 1)
         window[2, block] = series.obs[days].T
     history = x[ends - first - k + np.arange(k)[:, None]].reshape(k, -1)
     return _Estimate(fits, history, np.sqrt(variance.reshape(-1, m).mean(axis=1)), window)
@@ -178,7 +175,7 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, rows: np.ndarray)
             # h >= 120 > k, so every date is k + 1 steps past its history end
             adjusted = _adjusted_ensemble(series, est.fits, est.errors, rows[part],
                                           lead_time_offset(series.lead_time_h) + 1)
-            mu[part], sigma2[part] = adjusted.mean(axis=1), adjusted.std(axis=1, ddof=1)
+            mu[part], sigma2[part] = member_stats(adjusted)
             sigma1[part], window[:, part] = est.sigma1, est.window
             del est, adjusted  # before the next part's fits
     weight, _, _ = _crps_weights(sigma1, *window)

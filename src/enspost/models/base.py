@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..data import parse_iso_dates
 from ..errors import InvalidInput
 from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
@@ -107,13 +108,12 @@ class FittedModel:
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        """Read a fit file; an unreadable, truncated or malformed one raises
-        InvalidInput naming the file."""
+        """Read a fit file; an unreadable, truncated or malformed one, say one whose
+        ``meta.origin`` is not a YYYY-MM-DD date, raises InvalidInput naming the file."""
         try:
             with open(path) as fh:
                 model = cls.from_dict(json.load(fh))
-            if "origin" not in model.meta:
-                raise ValueError("meta lacks the origin date")
+            parse_iso_dates([str(model.meta["origin"])])  # the first training day, YYYY-MM-DD
             if model.kind in SEASONAL_KINDS and not (
                     np.shape(model.loc) == np.shape(model.scale) == (N_COEFFS,)):
                 raise ValueError(f"seasonal loc and scale need {N_COEFFS} coefficients each")

@@ -96,9 +96,10 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
         Observation.
     tol : float
         Absolute tolerance of the quadrature.
-    breakpoints : sequence of float, optional
+    breakpoints : array_like of float, optional
         Known discontinuities or kinks of ``cdf`` (e.g. the members of an
-        empirical step CDF); the integration is split there.
+        empirical step CDF); the integration is split there, and a finite
+        piece narrower than its share of ``tol`` is skipped.
 
     Raises
     ------
@@ -113,7 +114,8 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
     def above(z):
         return np.square(cdf(z) - 1.0)
 
-    pts = sorted(set([float(y)] + [float(b) for b in (breakpoints or [])]))
+    pts = sorted({float(y), *np.asarray([] if breakpoints is None else breakpoints,
+                                        dtype=float).ravel().tolist()})
     total = 0.0
     err = 0.0
     segments = []
@@ -123,10 +125,12 @@ def crps_integral(cdf, y: float, tol: float = 1e-8, breakpoints=None) -> float:
         segments.append((below if b <= y else above, a, b))
     segments.append((above if pts[-1] >= y else below, pts[-1], np.inf))
 
+    share = tol / (2 * len(segments))
     with np.errstate(all="ignore"):
         for fn, a, b in segments:
-            out = integrate.quad(fn, a, b, epsabs=tol / (2 * len(segments)),
-                                 limit=200, full_output=1)
+            if b - a < share:  # the integrand lies in [0, 1]: less than its share
+                continue
+            out = integrate.quad(fn, a, b, epsabs=share, limit=200, full_output=1)
             if len(out) > 3:  # scipy attached a warning message
                 raise NumericalFailure(f"CRPS quadrature did not converge: {out[3]}")
             total += out[0]

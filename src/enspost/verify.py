@@ -1,5 +1,8 @@
 """Comparative evaluation: score tables, Diebold-Mariano tests with
-Benjamini-Hochberg control, residual-dependence tables and PIT binning."""
+Benjamini-Hochberg control, residual-dependence tables and PIT binning.
+
+This module computes the tables and writes no files: ``cli`` lays out those
+the ``verify`` subcommand writes."""
 
 from __future__ import annotations
 
@@ -8,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .data import TABLE_DECIMALS, write_csv_rows
 from .errors import (
     AlignmentError,
     DegenerateDifferential,
@@ -87,16 +89,6 @@ class ScoreTable:
             "mean_width": float(w @ [r.mean_width for r in rows]),
             "coverage_pct": float(w @ [r.coverage_pct for r in rows]),
         }
-
-    def to_csv(self, path) -> None:
-        """A row per cell by ``data.write_csv_rows``, under ``method, station_id,
-        lead_time_h, n, mean_crps, mean_logs, rmse, mean_width, coverage_pct``: the
-        scores to ``TABLE_DECIMALS`` decimals, an empty mean_logs where there is none."""
-        names = ["method", "station_id", "lead_time_h", "n", "mean_crps", "mean_logs", "rmse",
-                 "mean_width", "coverage_pct"]
-        write_csv_rows(path, names, [[getattr(r, name) for r in self.rows] for name in names[:4]]
-                       + [np.array([getattr(r, name) for r in self.rows], float)  # None: NaN
-                          for name in names[4:]], TABLE_DECIMALS)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +170,6 @@ class SignificanceMatrix:
 
     methods: list[str]
     percent: np.ndarray
-
-    def to_csv(self, path) -> None:
-        """Row i, under ``method`` and the method names, is method i's name and its
-        percents against each method, to ``TABLE_DECIMALS`` decimals, by
-        ``data.write_csv_rows``."""
-        write_csv_rows(path, ["method", *self.methods], [self.methods, self.percent],
-                       TABLE_DECIMALS)
 
 
 def significance_matrix(table: ScoreTable, alpha: float = 0.05) -> SignificanceMatrix:

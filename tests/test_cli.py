@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -235,12 +236,12 @@ def test_verify_outputs(pipeline):
     assert scores[0] == ("method,station_id,lead_time_h,n,mean_crps,mean_logs,"
                          "rmse,mean_width,coverage_pct")
     assert len(scores) == 4  # three models, one cell
+    assert (ver / "scores_raw_ensemble.csv").read_text().splitlines()[0] == scores[0]
     dm = [line.split(",") for line in (ver / "dm_matrix.csv").read_text().splitlines()]
-    methods = dm[0][1:]
+    assert dm[0] == ["method", "EMOS", "SEMOS", "SAR-SEMOS"] and len(dm) == 4
     for i, row in enumerate(dm[1:]):
         assert float(row[1 + i]) == 0.0  # self-comparison diagonal
     assert (ver / "pit_summary.csv").exists()
-    assert (ver / "scores_raw_ensemble.csv").exists()
     assert (ver / "residual_dependence.csv").exists()
     # postprocessed models beat the raw ensemble on this world
     raw_crps = float((ver / "scores_raw_ensemble.csv").read_text()
@@ -260,7 +261,7 @@ def test_raw_ensemble_row_is_the_member_scores_on_the_predicted_dates(pipeline):
         (row,) = list(csv.DictReader(fh))
     assert (row["method"], row["station_id"], row["lead_time_h"]) == ("raw-ensemble", "S01", "24")
     assert int(row["n"]) == len(dates) == 88
-    assert row["mean_logs"] == ""
+    assert row["mean_logs"] == ""  # the members have no density
     expected = {
         "mean_crps": np.mean([scoring.crps_ensemble(m, o) for m, o in zip(members, y)]),
         "rmse": np.sqrt(np.mean((members.mean(axis=1) - y) ** 2)),
@@ -268,7 +269,18 @@ def test_raw_ensemble_row_is_the_member_scores_on_the_predicted_dates(pipeline):
         "coverage_pct": 100.0 * np.mean((lo <= y) & (y <= hi)),
     }
     for field, value in expected.items():
+        assert re.fullmatch(r"\d+\.\d{6}", row[field]), field
         assert float(row[field]) == pytest.approx(value, abs=1e-6), field
+
+
+def test_readme_cli_table_and_config_keys_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| `([^`]*)` \|$", readme, re.M)
+    assert {name: (flags.split(), required.split()) for name, flags, required in rows} == {
+        name: ([f"--{f}" for f in command.flags], [f"--{f}" for f in command.required])
+        for name, command in cli._COMMANDS.items()}
+    keys = re.search(r"for `--lead`\): `([^`]*)`", readme)[1]
+    assert re.split(r",\s+", keys) == [f.name for f in dataclasses.fields(cli.RunConfig)]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -571,9 +583,22 @@ def _make_a_directory(path):
     path.mkdir()
 
 
+def _origin(value):
+    """A damage that sets the fit file's origin, which must be a YYYY-MM-DD text."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        doc["meta"]["origin"] = value
+        path.write_text(json.dumps(doc))
+    return damage
+
+
 @pytest.mark.parametrize("command, damage", [
     ("predict", _truncate), ("verify", _truncate), ("verify", _drop_origin),
-    ("predict", _make_a_directory), ("verify", _make_a_directory)])
+    ("predict", _make_a_directory), ("verify", _make_a_directory),
+    *(pytest.param(command, _origin(value), id=f"{command}-origin-{name}")
+      for command in ("predict", "verify")
+      for name, value in [("garbage", "garbage"), ("list", ["2015-01-01"]), ("int", 5),
+                          ("hour", "2015-01-01T12")])])
 def test_malformed_fit_file_is_data_error(pipeline, tmp_path, capsys, command, damage):
     fits = tmp_path / "fits"
     fits.mkdir()

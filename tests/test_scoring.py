@@ -98,6 +98,21 @@ def test_crps_integral_reports_nonconvergence():
         crps_integral(wild, 0.0, tol=1e-10)
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("y", [-1.0, 0.0, 1.0, 2.0])
+def test_crps_integral_takes_array_breakpoints_one_ulp_apart(y, as_array):
+    # the middle piece is one ulp wide: it is skipped, not integrated
+    members = np.array([1.0, np.nextafter(1.0, 2.0)])
+    assert members[1] == 1.0 + 2.2e-16
+
+    def step_cdf(z):
+        return np.searchsorted(members, np.asarray(z, dtype=float), side="right") / 2.0
+
+    quad = crps_integral(step_cdf, y, tol=1e-9,
+                         breakpoints=members if as_array else list(members))
+    assert quad == pytest.approx(crps_ensemble(members, y), abs=1e-8)
+
+
 def test_crps_ensemble_single_member():
     assert crps_ensemble([2.0], 5.0) == pytest.approx(3.0)
 
@@ -148,8 +163,7 @@ def test_crps_ensemble_rows_are_the_energy_form_of_each_row_to_the_bit(rng, n, m
     assert all(type(crps_ensemble(x, v)) is float for x, v in zip(members, y))
 
 
-# values on a 0.01 grid, half of them from six: ties are common, and no two members
-# lie an ulp apart, where the quadrature oracle fails
+# values on a 0.01 grid, half of them from six: ties are common
 _TIED_VALUES = (st.sampled_from([-3.25, -1.0, 0.0, 0.1, 2.5, 13.7])
                 | st.integers(-4000, 4000).map(lambda k: k / 100))
 

@@ -343,35 +343,14 @@ def test_add_sample_empty_rejected():
     assert table.rows == []
 
 
-def test_add_sample_without_logs_has_no_mean_logs(tmp_path):
+def test_add_sample_without_logs_has_no_mean_logs():
     sample = ScoreSample(
         crps=np.array([0.1, 0.3]), logs=None, se=np.array([1.0, 9.0]), pit=None,
         width=np.array([1.0, 2.0]), covered=np.array([True, False]))
-    table = ScoreTable()
-    assert table.add_sample("raw-ensemble", "S01", 24, sample).mean_logs is None
-    table.to_csv(tmp_path / "scores.csv")
-    assert (tmp_path / "scores.csv").read_text().splitlines()[1] == (
-        "raw-ensemble,S01,24,2,0.200000,,2.236068,1.500000,50.000000")
-
-
-def test_score_table_csv_schema(tmp_path, rng):
-    table = _table_from_crps({"A": [rng.uniform(1, 2, 50)]})
-    path = tmp_path / "scores.csv"
-    table.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == ("method,station_id,lead_time_h,n,mean_crps,mean_logs,"
-                      "rmse,mean_width,coverage_pct")
-
-
-def test_significance_matrix_csv(tmp_path, rng):
-    crps = [rng.uniform(0.5, 1.5, size=60)]
-    table = _table_from_crps({"A": crps, "B": [crps[0] + 0.5 + rng.normal(0, 0.2, 60)]})
-    matrix = significance_matrix(table)
-    path = tmp_path / "dm.csv"
-    matrix.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "method,A,B"
-    assert len(lines) == 3
+    row = ScoreTable().add_sample("raw-ensemble", "S01", 24, sample)
+    assert row.mean_logs is None
+    assert (row.n, row.mean_crps, row.mean_width, row.coverage_pct) == (2, 0.2, 1.5, 50.0)
+    assert row.rmse == pytest.approx(np.sqrt(5.0), abs=1e-15)
 
 
 def test_table_aggregate(rng):
