@@ -58,6 +58,7 @@ from .seasonal import SeasonalCoeffs
 from .timeseries import ARCoeffs, GARCHCoeffs
 from .verify import (
     ScoreTable,
+    SignificanceMatrix,
     pit_histogram,
     residual_dependence_table,
     significance_matrix,
@@ -438,6 +439,21 @@ def load_predictions(path) -> dict:
     return out
 
 
+def _write_score_table(path: Path, table: ScoreTable) -> None:
+    """A ``ScoreTable`` as ``scores.csv`` lays it out: a row per cell, a None field empty."""
+    rows = table.rows
+    write_csv_rows(path, _SCORES_HEADER,
+                   [[getattr(r, f) for r in rows] for f in _SCORES_HEADER[:4]]
+                   + [np.array([getattr(r, f) for r in rows], float)  # None: NaN, empty
+                      for f in _SCORES_HEADER[4:]], TABLE_DECIMALS)
+
+
+def _write_dm_matrix(path: Path, matrix: SignificanceMatrix) -> None:
+    """A ``SignificanceMatrix`` as ``dm_matrix.csv``: a row and a column per method."""
+    write_csv_rows(path, ["method", *matrix.methods], [matrix.methods, matrix.percent],
+                   TABLE_DECIMALS)
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     predictions = load_predictions(cfg.predictions)
@@ -499,14 +515,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         dependence = residual_dependence_table(residuals, lags=(1, 5, 10), alpha=0.05)
 
     with _staged(out) as stage:
-        for name, rows in [("scores.csv", table.rows),
-                           ("scores_raw_ensemble.csv", raw_table.rows)]:
-            write_csv_rows(stage / name, _SCORES_HEADER,
-                           [[getattr(r, f) for r in rows] for f in _SCORES_HEADER[:4]]
-                           + [np.array([getattr(r, f) for r in rows], float)  # None: NaN, empty
-                              for f in _SCORES_HEADER[4:]], TABLE_DECIMALS)
-        write_csv_rows(stage / "dm_matrix.csv", ["method", *matrix.methods],
-                       [matrix.methods, matrix.percent], TABLE_DECIMALS)
+        _write_score_table(stage / "scores.csv", table)
+        _write_score_table(stage / "scores_raw_ensemble.csv", raw_table)
+        _write_dm_matrix(stage / "dm_matrix.csv", matrix)
         write_csv_rows(stage / "pit_summary.csv",
                        ["method", "n", "pit_variance", *(f"bin{i + 1}" for i in range(10))],
                        [kinds, [pit.size for pit in pits], np.array(variances),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
+from enspost.cli import _write_dm_matrix, _write_score_table
 from enspost.errors import (
     AlignmentError,
     DegenerateDifferential,
@@ -351,6 +352,26 @@ def test_add_sample_without_logs_has_no_mean_logs():
     assert row.mean_logs is None
     assert (row.n, row.mean_crps, row.mean_width, row.coverage_pct) == (2, 0.2, 1.5, 50.0)
     assert row.rmse == pytest.approx(np.sqrt(5.0), abs=1e-15)
+
+
+def test_score_table_csv_schema(tmp_path, rng):
+    table = _table_from_crps({"A": [rng.uniform(1, 2, 50)]})
+    path = tmp_path / "scores.csv"
+    _write_score_table(path, table)
+    header = path.read_text().splitlines()[0]
+    assert header == ("method,station_id,lead_time_h,n,mean_crps,mean_logs,"
+                      "rmse,mean_width,coverage_pct")
+
+
+def test_significance_matrix_csv(tmp_path, rng):
+    crps = [rng.uniform(0.5, 1.5, size=60)]
+    table = _table_from_crps({"A": crps, "B": [crps[0] + 0.5 + rng.normal(0, 0.2, 60)]})
+    matrix = significance_matrix(table)
+    path = tmp_path / "dm.csv"
+    _write_dm_matrix(path, matrix)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "method,A,B"
+    assert len(lines) == 3
 
 
 def test_table_aggregate(rng):
