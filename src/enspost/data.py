@@ -72,13 +72,18 @@ def day_of_year(dates) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def member_stats(members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ensemble mean and sd (ddof 1): numpy's ``mean`` and ``std``, the same
-    bits, ``_BLOCK_ROWS`` rows at a time, so no temporary is larger than a block."""
-    mean, sd = np.empty(members.shape[0]), np.empty(members.shape[0])
-    for lo in range(0, members.shape[0], _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        members[rows].mean(axis=1, out=mean[rows])
-        members[rows].std(axis=1, ddof=1, out=sd[rows])
+    """Each row's ensemble mean and sd (ddof 1), the bits of numpy's ``mean`` and
+    ``std``: their sum, divide, subtract, square, sum, divide and sqrt, taken in
+    place ``_BLOCK_ROWS`` rows at a time on one block-sized scratch array, so
+    ``members`` is only read and no temporary is larger than a block."""
+    n, m = members.shape
+    mean, sd, scratch = np.empty(n), np.empty(n), np.empty((min(n, _BLOCK_ROWS), m))
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = members[lo:lo + _BLOCK_ROWS]
+        rows, centred = slice(lo, lo + len(block)), scratch[:len(block)]
+        np.divide(block.sum(axis=1, out=mean[rows]), m, out=mean[rows])
+        np.square(np.subtract(block, mean[rows, None], out=centred), out=centred)
+        np.sqrt(np.divide(centred.sum(axis=1, out=sd[rows]), m - 1, out=sd[rows]), out=sd[rows])
     return mean, sd
 
 

@@ -62,13 +62,12 @@ def predict(model: FittedModel, series: StationSeries, dates) -> tuple[np.ndarra
 
     ``series`` must contain the prediction dates and enough history before
     them; observations past each date's ``history_end`` are never read.  A
-    date missing from the series, or a fit without an origin or of another
-    lead time, raises InvalidInput.  A non-finite mu, or a sigma that is not
-    finite and positive, raises NumericalFailure naming the earliest such
-    date.
+    date missing from the series, or a fit of another lead time or whose
+    ``FittedModel.origin`` is not a YYYY-MM-DD date, raises InvalidInput.  A
+    non-finite mu, or a sigma that is not finite and positive, raises
+    NumericalFailure naming the earliest such date.
     """
-    if model.meta.get("origin") is None:
-        raise InvalidInput("fitted model lacks an origin date in meta")
+    model.origin  # every fit names its first training day
     lead = model.meta.get("lead_time_h", series.lead_time_h)
     if int(lead) != series.lead_time_h:
         raise InvalidInput(

@@ -14,11 +14,11 @@ and innovation variances come from window sums (``timeseries.windowed_ar_fits``)
 running sums of each member's errors and of their lag products give every
 (date, member) window's autocovariances in O(lags) and its innovation variance
 in O(p^2), and one Levinson-Durbin and AIC pass fits them all.  Prediction
-fits each group of up to 85 dates that share an anchor of those sums in one
-call, or in equal parts of at most ``_PART_DATES`` dates to bound its memory,
-and bridges all of a part's (date, member) columns at once; the weight windows
-run in blocks of ``_BLOCK_DATES`` dates and one ``minimize_newton`` call, bounded
-to [0, 1], picks every date's weight.  The training fit is the one-date case.
+takes the dates in history-end order, in equal parts of at most ``_PART_DATES``
+dates to bound its memory, fits each part in one call and bridges all of its
+(date, member) columns at once; the weight windows run in blocks of
+``_BLOCK_DATES`` dates and one ``minimize_newton`` call, bounded to [0, 1],
+picks every date's weight.  The training fit is the one-date case.
 Yule-Walker fits are stationary by construction, so the multi-step bridge
 needs no stationarity check.
 """
@@ -37,7 +37,7 @@ from ..data import StationSeries, lead_time_offset, member_stats
 from ..optimize import OptimizeSettings, minimize_newton
 from ..optimize import golden_section  # noqa: F401
 from ..scoring import crps_normal_partials, crps_normal_series  # noqa: F401
-from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, window_anchors, windowed_ar_fits
+from ..timeseries import ARFits, ar_multistep, ar_teacher_forced, windowed_ar_fits
 from ..timeseries import ar_innovation_variance, fit_ar_yule_walker  # noqa: F401
 from .base import FittedModel
 
@@ -51,7 +51,7 @@ _TAIL = MAX_MEMBER_AR_ORDER + WEIGHT_WINDOW  # error rows the weight window read
 _SIGMA_FLOOR = 1e-8
 # dates per weight-window block (its largest arrays are 0.2 MB at 50 members)
 # and per member-fit part: with 48-date parts a 366-date predict's traced peak
-# is 1.8 MB (16-date fits: 2.06 MB); whole 85-date groups were no faster at 2.8 MB
+# is 1.75 MiB at 50 members, under EMOS predict's 1.96 MiB on the same dates
 _BLOCK_DATES = 16
 _PART_DATES = 48
 _WEIGHT_SETTINGS = OptimizeSettings(max_iterations=60, gradient_tolerance=1e-10)
@@ -161,22 +161,20 @@ def ar_emos_predict(model: FittedModel, series: StationSeries, rows: np.ndarray)
     window lengths the fit file records, batched over parts of the dates.
 
     Every date is estimated on its own windows, and the window sums of its
-    AR fits start from a row of its own AR window, so its (mu, sigma) are
-    the same to the bit whichever other dates are requested.
+    AR fits start from its own anchor row, whichever part it falls in, so
+    its (mu, sigma) are the same to the bit whichever other dates are requested.
     """
     ends = series.window_ends(rows, _SPAN)
     mu, sigma1, sigma2 = np.empty((3, ends.size))
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
     order = np.argsort(ends, kind="stable")
-    anchors = window_anchors(ends[order] - _SPAN, AR_WINDOW, MAX_MEMBER_AR_ORDER)
-    for group in np.split(order, np.flatnonzero(np.diff(anchors)) + 1):
-        for part in np.array_split(group, -(-group.size // _PART_DATES)):
-            est = _estimate(series, ends[part])
-            # h >= 120 > k, so every date is k + 1 steps past its history end
-            adjusted = _adjusted_ensemble(series, est.fits, est.errors, rows[part],
-                                          lead_time_offset(series.lead_time_h) + 1)
-            mu[part], sigma2[part] = member_stats(adjusted)
-            sigma1[part], window[:, part] = est.sigma1, est.window
-            del est, adjusted  # before the next part's fits
+    for part in np.array_split(order, -(-order.size // _PART_DATES)):
+        est = _estimate(series, ends[part])
+        # h >= 120 > k, so every date is k + 1 steps past its history end
+        adjusted = _adjusted_ensemble(series, est.fits, est.errors, rows[part],
+                                      lead_time_offset(series.lead_time_h) + 1)
+        mu[part], sigma2[part] = member_stats(adjusted)
+        sigma1[part], window[:, part] = est.sigma1, est.window
+        del est, adjusted  # before the next part's fits
     weight, _, _ = _crps_weights(sigma1, *window)
     return mu, np.maximum(weight * sigma1 + (1.0 - weight) * sigma2, _SIGMA_FLOOR)

@@ -10,7 +10,8 @@ Dispatch by kind lives in the package's ``fit`` and ``predict``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +24,14 @@ MODEL_KINDS = ("EMOS", "AR-EMOS", "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-
 
 #: SEMOS-family kinds share the static seasonal machinery
 SEASONAL_KINDS = ("SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
+_AR_KINDS = ("DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
+
+
+def _json_fields(items) -> dict:
+    """``asdict``'s dict factory: arrays as lists of floats, ``members_ar`` only when set."""
+    return {name: value.astype(float).tolist() if isinstance(value, np.ndarray) else value
+            for name, value in items
+            if name != "train_residuals" and (name != "members_ar" or value is not None)}
 
 
 @dataclass
@@ -34,7 +43,9 @@ class FittedModel:
     models store the coefficients estimated at the training-period end
     (they re-estimate inside predict).  ``train_residuals`` are the
     standardized one-step training innovations (y - mu_hat) / sigma_hat of
-    static fits, kept out of the JSON document.
+    static fits, kept out of the JSON document.  A record in memory obeys a
+    loaded one's rules: its blocks are checked when it is made, its
+    ``origin`` when it is read, and a broken rule raises InvalidInput.
     """
 
     kind: str
@@ -42,64 +53,51 @@ class FittedModel:
     scale: np.ndarray | None = None
     ar: ARCoeffs | None = None
     garch: GARCHCoeffs | None = None
-    members_ar: list[ARCoeffs] | None = None
     weight: float | None = None
     meta: dict = field(default_factory=dict)
-    train_residuals: np.ndarray | None = None
+    members_ar: list[ARCoeffs] | None = None  # stored only when present, after meta
+    train_residuals: np.ndarray | None = None  # not stored
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidInput(f"unknown model kind {self.kind!r}")
         if self.weight is not None and not (0.0 <= self.weight <= 1.0):
             raise InvalidInput(f"AR-EMOS weight must lie in [0, 1], got {self.weight}")
+        if self.kind in SEASONAL_KINDS and not (
+                np.shape(self.loc) == np.shape(self.scale) == (N_COEFFS,)):
+            raise InvalidInput(f"{self.kind} loc and scale need {N_COEFFS} coefficients each")
+        if self.kind in _AR_KINDS and self.ar is None:
+            raise InvalidInput(f"{self.kind} needs an ar block")
+        if self.kind == "DAR-GARCH-SEMOS" and self.garch is None:
+            raise InvalidInput(f"{self.kind} needs a garch block")
+
+    @property
+    def origin(self) -> np.datetime64:
+        """The first training day, ``meta["origin"]``, from which the seasonal
+        time index counts; InvalidInput unless it is a YYYY-MM-DD text."""
+        value = self.meta.get("origin")
+        try:
+            return parse_iso_dates([value])[0]
+        except (TypeError, ValueError):
+            raise InvalidInput(f"fit origin {value!r} is not a YYYY-MM-DD date") from None
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        def ar_block(ar: ARCoeffs | None):
-            if ar is None:
-                return None
-            return {"p": ar.p, "eta": ar.eta, "tau": list(ar.tau)}
-
-        doc = {
-            "kind": self.kind,
-            "loc": None if self.loc is None else [float(v) for v in self.loc],
-            "scale": None if self.scale is None else [float(v) for v in self.scale],
-            "ar": ar_block(self.ar),
-            "garch": None if self.garch is None else {
-                "omega0": self.garch.omega0,
-                "omega1": self.garch.omega1,
-                "omega2": self.garch.omega2,
-            },
-            "weight": self.weight,
-            "meta": dict(self.meta),
-        }
-        if self.members_ar is not None:
-            doc["members_ar"] = [ar_block(ar) for ar in self.members_ar]
-        return doc
+        return asdict(self, dict_factory=_json_fields)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedModel":
-        def parse_ar(block):
-            if block is None:
-                return None
-            return ARCoeffs(p=int(block["p"]), eta=float(block["eta"]),
-                            tau=tuple(float(v) for v in block["tau"]))
+        def ar(block):
+            return ARCoeffs(int(block["p"]), float(block["eta"]), tuple(map(float, block["tau"])))
 
-        garch = doc.get("garch")
-        return cls(
-            kind=doc["kind"],
-            loc=None if doc.get("loc") is None else np.asarray(doc["loc"], dtype=float),
-            scale=None if doc.get("scale") is None else np.asarray(doc["scale"], dtype=float),
-            ar=parse_ar(doc.get("ar")),
-            garch=None if garch is None else GARCHCoeffs(
-                omega0=float(garch["omega0"]), omega1=float(garch["omega1"]),
-                omega2=float(garch["omega2"])),
-            members_ar=(None if doc.get("members_ar") is None
-                        else [parse_ar(b) for b in doc["members_ar"]]),
-            weight=None if doc.get("weight") is None else float(doc["weight"]),
-            meta=dict(doc.get("meta", {})),
-        )
+        floats = partial(np.asarray, dtype=float)
+        read = {"loc": floats, "scale": floats, "ar": ar, "weight": float, "meta": dict,
+                "garch": lambda block: GARCHCoeffs(**{k: float(v) for k, v in block.items()}),
+                "members_ar": lambda blocks: [ar(block) for block in blocks]}
+        # an absent or null field takes its default
+        return cls(kind=doc["kind"], **{name: read[name](doc[name]) for name in read
+                                        if doc.get(name) is not None})
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -108,19 +106,13 @@ class FittedModel:
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        """Read a fit file; an unreadable, truncated or malformed one, say one whose
-        ``meta.origin`` is not a YYYY-MM-DD date, raises InvalidInput naming the file."""
+        """Read a fit file; an unreadable, truncated or malformed one, say one
+        that breaks a record rule or whose origin is not a YYYY-MM-DD date,
+        raises InvalidInput naming the file."""
         try:
             with open(path) as fh:
                 model = cls.from_dict(json.load(fh))
-            parse_iso_dates([str(model.meta["origin"])])  # the first training day, YYYY-MM-DD
-            if model.kind in SEASONAL_KINDS and not (
-                    np.shape(model.loc) == np.shape(model.scale) == (N_COEFFS,)):
-                raise ValueError(f"seasonal loc and scale need {N_COEFFS} coefficients each")
-            if model.kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS") and model.ar is None:
-                raise ValueError(f"{model.kind} needs an ar block")
-            if model.kind == "DAR-GARCH-SEMOS" and model.garch is None:
-                raise ValueError(f"{model.kind} needs a garch block")
+            model.origin  # a fit file names its first training day
         except (OSError, InvalidInput, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise InvalidInput(f"malformed fitted model {path}: "
                                f"{type(exc).__name__}: {exc}") from exc

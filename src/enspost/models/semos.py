@@ -304,7 +304,7 @@ def training_residuals(model: FittedModel, series: StationSeries) -> np.ndarray:
     seasonal fit on ``series``, recomputed from its stored coefficients."""
     if model.kind not in SEASONAL_KINDS:
         raise InvalidInput(f"{model.kind} does not expose training residuals")
-    x_loc, x_scale = _designs(series, model.meta["origin"])
+    x_loc, x_scale = _designs(series, model.origin)
     p = 0 if model.ar is None else model.ar.p
     theta = _pack(model.loc, model.scale, model.ar, model.garch)
     return _standardized(model.kind, theta, p, x_loc, x_scale, series.obs)
@@ -376,7 +376,7 @@ def seasonal_fit(kind: str, series: StationSeries,
 
 def seasonal_predict(model: FittedModel, series: StationSeries, rows: np.ndarray):
     """Per-row (mu, sigma) of a seasonal fit, all rows in one pass."""
-    x_loc, x_scale = _designs(series, model.meta["origin"])
+    x_loc, x_scale = _designs(series, model.origin)
     mu_s, sigma_s = x_loc @ model.loc, np.exp(x_scale @ model.scale)
     if model.kind == "SEMOS":
         return mu_s[rows], sigma_s[rows]

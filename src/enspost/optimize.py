@@ -116,8 +116,13 @@ def _newton_directions(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     is indefinite (steepest descent there can need hundreds of steps on an
     ill-conditioned problem).  A row whose Cholesky pivots all exceed 1e-10
     of its largest diagonal entry needs no eigendecomposition: its step is
-    the plain Newton step, solved directly.  Each row's step is its own.
+    the plain Newton step, solved directly.  Each row's step is its own.  A
+    1 x 1 h is its own eigenvalue, so its step needs no LAPACK call.
     """
+    if h.shape[1] == 1:  # -g/|h|, or -g where h is 0 or not finite
+        usable = np.isfinite(h[:, 0]) & (h[:, 0] != 0)
+        with np.errstate(over="ignore"):
+            return np.divide(-g, np.abs(h[:, 0]), out=-g, where=usable)
     direction = -g
     finite = np.flatnonzero(np.all(np.isfinite(h), axis=(1, 2)))
     floor = 1e-10 * np.max(np.diagonal(h[finite], axis1=1, axis2=2), axis=1, keepdims=True)

@@ -89,9 +89,10 @@ def test_ensemble_stats_rejects_small_or_nonfinite():
         _ensemble_stats([1e308, 1.7e308])
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 2192])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 366, 480, 1200, 2192])
 def test_member_stats_are_numpys_mean_and_sd_to_the_bit(n):
     members = np.random.default_rng(n).normal(10.0, 3.0, size=(n, 50))
+    members.setflags(write=False)  # the statistics only read the members
     mean, sd = data.member_stats(members)
     assert np.array_equal(mean, members.mean(axis=1))
     assert np.array_equal(sd, members.std(axis=1, ddof=1))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -650,6 +651,24 @@ def test_ar_emos_prediction_of_a_date_does_not_depend_on_the_other_dates():
 
 
 @pytest.mark.parametrize("lead", [24, 120])
+def test_ar_emos_predict_holds_less_memory_than_emos_predict(lead):
+    # AR-EMOS's parts may span anchors of the window sums; over a year of
+    # dates its traced peak still stays below EMOS predict's on the same cell
+    series = _rolling_world(5013, lead, n_days=2192)
+    train, dates = series.window(end="2019-12-31"), series.dates[-366:]
+    peaks = {}
+    for kind in ("EMOS", "AR-EMOS"):
+        model = models.fit(kind, train)
+        tracemalloc.start()
+        try:
+            models.predict(model, series, dates)
+            peaks[kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["AR-EMOS"] < peaks["EMOS"]
+
+
+@pytest.mark.parametrize("lead", [24, 120])
 @pytest.mark.parametrize("kind", ["EMOS", "AR-EMOS"])
 def test_batched_rolling_prediction_reads_no_later_observations(kind, lead):
     series = _rolling_world(12, lead)
@@ -1069,6 +1088,56 @@ def test_ar_emos_serialization_has_member_block(tmp_path, rng):
     assert 0.0 <= doc["weight"] <= 1.0
     back = FittedModel.load(path)
     assert back.members_ar == model.members_ar
+
+
+def _semos_record(kind="SEMOS", loc=np.zeros(10), origin="2015-01-01", **blocks):
+    meta = {} if origin is None else {"origin": origin}
+    return FittedModel(kind=kind, loc=loc, scale=np.zeros(10), meta=meta, **blocks)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: _semos_record(origin=5), "^fit origin 5 is not a YYYY-MM-DD date$"),
+    (lambda: _semos_record(origin="2015-01-01T12"),
+     "^fit origin '2015-01-01T12' is not a YYYY-MM-DD date$"),
+    (lambda: _semos_record(origin="garbage"), "^fit origin 'garbage' is not a YYYY-MM-DD date$"),
+    (lambda: _semos_record(origin=["2015-01-01"]),
+     r"^fit origin \['2015-01-01'\] is not a YYYY-MM-DD date$"),
+    (lambda: _semos_record(origin=None), "^fit origin None is not a YYYY-MM-DD date$"),
+    (lambda: _semos_record(loc=np.zeros(5)), "^SEMOS loc and scale need 10 coefficients each$"),
+    (lambda: _semos_record("DAR-SEMOS"), "^DAR-SEMOS needs an ar block$"),
+    (lambda: _semos_record("DAR-GARCH-SEMOS", ar=ARCoeffs(1, 0.0, (0.5,))),
+     "^DAR-GARCH-SEMOS needs a garch block$"),
+], ids=["origin-int", "origin-hour", "origin-garbage", "origin-list", "origin-missing",
+        "five-loc", "dar-without-ar", "garch-without-garch"])
+def test_an_in_memory_record_obeys_the_fit_file_rules(make, message, dar_world):
+    # what FittedModel.load rejects in a file, an in-memory record raises
+    # too, as one InvalidInput: when it is made or when predict reads it
+    _, series, _ = dar_world
+    with pytest.raises(InvalidInput, match=message):
+        models.predict(make(), series, series.dates[800:810])
+
+
+def test_a_valid_in_memory_record_predicts_from_its_origin(dar_world):
+    _, series, _ = dar_world
+    record = _semos_record()
+    assert record.origin == np.datetime64("2015-01-01")
+    mu, sigma = models.predict(record, series, series.dates[800:810])
+    assert np.array_equal(mu, np.zeros(10)) and np.array_equal(sigma, np.ones(10))
+
+
+def test_every_kinds_fit_file_loads_and_saves_to_its_own_bytes(tmp_path, dar_world):
+    _, series, _ = dar_world
+    for kind in models.MODEL_KINDS:
+        model = models.fit(kind, series)
+        first, second = tmp_path / f"{kind}.json", tmp_path / f"{kind}.again.json"
+        model.save(first)
+        FittedModel.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes(), kind
+        back = FittedModel.from_dict(model.to_dict())
+        blocks = back.members_ar or ([] if back.ar is None else [back.ar])
+        assert bool(blocks) == (kind not in ("EMOS", "SEMOS")), kind
+        for ar in blocks:
+            assert type(ar.tau) is tuple and all(type(v) is float for v in ar.tau), kind
 
 
 # ---------------------------------------------------------------------------

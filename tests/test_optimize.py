@@ -249,6 +249,24 @@ def test_newton_with_non_finite_hessian_takes_steepest_descent(bad):
     assert not result.converged
 
 
+def test_one_coordinate_newton_steps_are_the_solve_and_eigh_branch_bits():
+    # a (D, 1, 1) stack takes -g/|h| without LAPACK: the solve's step where
+    # h > 0, the eigh branch's -g/|h| where h < 0, and -g where h is 0 or
+    # not finite
+    rng = np.random.default_rng(7)
+    h = np.concatenate([rng.lognormal(0.0, 3.0, size=50), -rng.lognormal(0.0, 3.0, size=50),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-310, -1e-310]])
+    g = rng.normal(size=(h.size, 1))
+    direction = optimize._newton_directions(h[:, None, None], g)
+    positive, negative = np.isfinite(h) & (h > 0), np.isfinite(h) & (h < 0)
+    assert np.array_equal(direction[positive],
+                          -np.linalg.solve(h[positive, None, None], g[positive, :, None])[..., 0])
+    with np.errstate(over="ignore"):  # -g / 1e-310
+        assert np.array_equal(direction[negative], -g[negative] / np.abs(h[negative, None]))
+    other = ~(positive | negative)
+    assert other.sum() == 5 and np.array_equal(direction[other], -g[other])
+
+
 def test_newton_keeps_nonfinite_gradient_failure():
     with pytest.raises(NumericalFailure, match="component 1"):
         _newton(lambda x: float(x @ x), np.ones(2),
