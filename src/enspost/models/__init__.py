@@ -63,9 +63,9 @@ def predict(model: FittedModel, series: StationSeries, dates) -> tuple[np.ndarra
     ``series`` must contain the prediction dates and enough history before
     them; observations past each date's ``history_end`` are never read.  A
     date missing from the series, or a fit of another lead time or whose
-    ``FittedModel.origin`` is not a YYYY-MM-DD date, raises InvalidInput.  A
-    non-finite mu, or a sigma that is not finite and positive, raises
-    NumericalFailure naming the earliest such date.
+    ``FittedModel.origin`` is not a YYYY-MM-DD date, raises InvalidInput; no
+    dates give two empty arrays.  A non-finite mu, or a sigma that is not
+    finite and positive, raises NumericalFailure naming the earliest such date.
     """
     model.origin  # every fit names its first training day
     lead = model.meta.get("lead_time_h", series.lead_time_h)
@@ -73,6 +73,8 @@ def predict(model: FittedModel, series: StationSeries, dates) -> tuple[np.ndarra
         raise InvalidInput(
             f"model fitted for lead {lead}h applied to a {series.lead_time_h}h series")
     rows = series.rows(dates)
+    if rows.size == 0:
+        return np.empty(0), np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
         mu, sigma = _KINDS[model.kind].predict(model, series, rows)
     bad = ~(np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0))

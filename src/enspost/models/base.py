@@ -20,11 +20,14 @@ from ..errors import InvalidInput
 from ..seasonal import N_COEFFS
 from ..timeseries import ARCoeffs, GARCHCoeffs
 
-MODEL_KINDS = ("EMOS", "AR-EMOS", "SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
+#: the blocks a record of each kind may carry; the seasonal kinds need all of theirs
+_BLOCKS = {"EMOS": ("loc", "scale"), "AR-EMOS": ("members_ar", "weight"),
+           "SEMOS": ("loc", "scale"), "DAR-SEMOS": ("loc", "scale", "ar"),
+           "DAR-GARCH-SEMOS": ("loc", "scale", "ar", "garch"), "SAR-SEMOS": ("loc", "scale", "ar")}
+MODEL_KINDS = tuple(_BLOCKS)
 
 #: SEMOS-family kinds share the static seasonal machinery
 SEASONAL_KINDS = ("SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
-_AR_KINDS = ("DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS")
 
 
 def _json_fields(items) -> dict:
@@ -61,14 +64,17 @@ class FittedModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidInput(f"unknown model kind {self.kind!r}")
+        if extra := [name for name in ("loc", "scale", "ar", "garch", "weight", "members_ar")
+                     if getattr(self, name) is not None and name not in _BLOCKS[self.kind]]:
+            raise InvalidInput(f"{self.kind} records carry no {' or '.join(extra)} block")
         if self.weight is not None and not (0.0 <= self.weight <= 1.0):
             raise InvalidInput(f"AR-EMOS weight must lie in [0, 1], got {self.weight}")
         if self.kind in SEASONAL_KINDS and not (
                 np.shape(self.loc) == np.shape(self.scale) == (N_COEFFS,)):
             raise InvalidInput(f"{self.kind} loc and scale need {N_COEFFS} coefficients each")
-        if self.kind in _AR_KINDS and self.ar is None:
+        if "ar" in _BLOCKS[self.kind] and self.ar is None:
             raise InvalidInput(f"{self.kind} needs an ar block")
-        if self.kind == "DAR-GARCH-SEMOS" and self.garch is None:
+        if "garch" in _BLOCKS[self.kind] and self.garch is None:
             raise InvalidInput(f"{self.kind} needs a garch block")
 
     @property

@@ -6,6 +6,11 @@ each series keeping the fit of its first AIC minimum.  The process mean is
 handled explicitly (eta), so the AR equation reads
 x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
 
+``autocovariances`` is the one autocovariance kernel (centring, lag
+products, the relative constant-series floor), read by ``acf``,
+``fit_ar_yule_walker``, the near-constant windows of ``windowed_ar_fits``
+and the Diebold-Mariano long-run variance of ``verify.dm_test``.
+
 The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
 ``ar_teacher_forced``, ``ar_multistep``) work on m series at once, given
 as the columns of an (n, m) array with time running down the rows, and on
@@ -151,18 +156,20 @@ def _as_columns(ar, x):
     return ar, x, False
 
 
-def _centered_columns(x: np.ndarray):
-    """Column-centred copy of an (n, m) array and the mask of its constant
-    columns."""
-    if x.shape[0] < 2:
+def autocovariances(cols: np.ndarray, max_order: int):
+    """(gamma, eta, constant) of the (n, m) columns: biased autocovariances
+    gamma_0..gamma_max_order (a column per series), the means and the mask of
+    the constant columns.  Non-finite values raise InvalidInput, n < 2 DegenerateSeries."""
+    n = cols.shape[0]
+    if n < 2:
         raise DegenerateSeries("need at least 2 observations")
-    mean = x.mean(axis=0)
-    c = x - mean
-    if not np.all(np.isfinite(c)):
+    if not np.all(np.isfinite(cols)):
         raise InvalidInput("series contains non-finite values")
+    eta = cols.mean(axis=0)
+    c = cols - eta
+    products = np.array([np.einsum("ij,ij->j", c[k:], c[:n - k]) for k in range(max_order + 1)])
     # relative floor catches constant series despite summation rounding
-    floor = x.shape[0] * (1e-12 * (1.0 + np.abs(mean))) ** 2
-    return c, np.einsum("ij,ij->j", c, c) <= floor
+    return products / n, eta, products[0] <= n * (1e-12 * (1.0 + np.abs(eta))) ** 2
 
 
 def acf(x, max_lag: int) -> np.ndarray:
@@ -173,23 +180,12 @@ def acf(x, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     n = x.shape[0]
-    gamma, _, constant = _autocovariances(x, min(max_lag, n))  # range checked below
+    gamma, _, constant = autocovariances(x, min(max(max_lag, 0), n))  # range checked below
     if constant[0]:
         raise DegenerateSeries("constant series has no autocorrelation structure")
     if not (1 <= max_lag < n):
         raise InvalidInput(f"max_lag must be in [1, n-1], got {max_lag} for n={n}")
     return gamma[1:, 0] / gamma[0, 0]
-
-
-def _autocovariances(cols: np.ndarray, max_order: int):
-    """(gamma, eta, constant) of the (n, m) columns: the biased
-    autocovariances gamma_0..gamma_max_order, one column per series, the
-    means and the mask of the constant columns."""
-    c, constant = _centered_columns(cols)
-    n = cols.shape[0]
-    gamma = np.array([np.einsum("ij,ij->j", c[k:], c[:n - k])
-                      for k in range(max_order + 1)]) / n
-    return gamma, cols.mean(axis=0), constant
 
 
 def _ar_fits(gamma: np.ndarray, n: int, eta: np.ndarray, degenerate: np.ndarray):
@@ -241,7 +237,7 @@ def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = Fa
     max_order = max(0, min(max_order, n - 2))
     if n <= max_order + 1:
         raise InvalidInput(f"series of length {n} too short for max_order {max_order}")
-    gamma, eta, degenerate = _autocovariances(cols, max_order)
+    gamma, eta, degenerate = autocovariances(cols, max_order)
     if degenerate.any() and not mean_fallback:
         where = "" if single else f" (columns {np.flatnonzero(degenerate).tolist()})"
         raise DegenerateSeries(f"constant series has no autocorrelation structure{where}")
@@ -394,7 +390,7 @@ def windowed_ar_fits(x, starts, length: int, max_order: int, first_row: int = 0)
     direct = {col: x[starts[col // m]:starts[col // m] + n, [col % m]] for col in
               np.flatnonzero(gamma[0] <= _WINDOW_SUMS_FLOOR * np.square(1.0 + np.abs(eta)))}
     for col, window in direct.items():
-        gamma[:, [col]], eta[[col]], degenerate[[col]] = _autocovariances(window, max_order)
+        gamma[:, [col]], eta[[col]], degenerate[[col]] = autocovariances(window, max_order)
     fits, v_p = _ar_fits(gamma, n, eta, degenerate)
 
     # one-step errors of the window padded with eta, from ``_teacher_forced``:

@@ -19,7 +19,7 @@ from .errors import (
     InvalidPIT,
 )
 from .scoring import ScoreSample
-from .timeseries import ljung_box
+from .timeseries import autocovariances, ljung_box
 
 DM_ALTERNATIVES = ("a_better", "b_better", "two_sided")
 
@@ -99,12 +99,14 @@ class ScoreTable:
 def dm_test(score_a, score_b, alternative: str = "two_sided") -> tuple[float, float]:
     """Diebold-Mariano test on the loss differential d = score_a - score_b.
 
-    The long-run variance uses a Bartlett-kernel HAC estimate with lag
-    floor(n^(1/3)); the statistic mean(d) / sqrt(lrv/n) is referred to the
-    standard normal.  ``a_better`` tests for score_a smaller (left tail).
+    The statistic mean(d) / sqrt(lrv/n) is referred to the standard normal;
+    lrv = gamma_0 + 2 sum_{l<=L} (1 - l/(L+1)) gamma_l is the Bartlett HAC
+    variance at lag L = floor(n^(1/3)), from ``timeseries.autocovariances``
+    of d.  ``a_better`` tests for score_a smaller (left tail).
 
-    Raises DegenerateDifferential when the differential has zero long-run
-    variance (identical or perfectly offset score series).
+    Raises DegenerateDifferential when that kernel finds d constant
+    (identical or perfectly offset scores) or lrv <= 0, and InvalidInput
+    when a score is not finite.
     """
     if alternative not in DM_ALTERNATIVES:
         raise InvalidInput(f"alternative must be one of {DM_ALTERNATIVES}")
@@ -115,19 +117,13 @@ def dm_test(score_a, score_b, alternative: str = "two_sided") -> tuple[float, fl
     n = a.size
     if n < 10:
         raise InvalidInput(f"need n >= 10 aligned cases, got {n}")
-    d = a - b
-    d_centered = d - d.mean()
     lag = int(np.floor(n ** (1.0 / 3.0)))
-    gamma0 = float(d_centered @ d_centered) / n
-    # relative floor: constant differentials leave only rounding noise
-    floor = (1e-12 * (1.0 + abs(float(d.mean())))) ** 2
-    lrv = gamma0
-    for l in range(1, lag + 1):
-        cov = float(d_centered[l:] @ d_centered[:-l]) / n
-        lrv += 2.0 * (1.0 - l / (lag + 1.0)) * cov
-    if lrv <= floor or gamma0 <= floor:
+    gamma, mean, constant = autocovariances((a - b)[:, None], lag)
+    bartlett = 1.0 - np.arange(1, lag + 1) / (lag + 1.0)
+    lrv = float(gamma[0, 0] + 2.0 * (bartlett @ gamma[1:, 0]))
+    if constant[0] or lrv <= 0.0:
         raise DegenerateDifferential("loss differential has zero long-run variance")
-    stat = float(d.mean() / np.sqrt(lrv / n))
+    stat = float(mean[0] / np.sqrt(lrv / n))
     if alternative == "a_better":
         p = float(ndtr(stat))
     elif alternative == "b_better":
@@ -225,16 +221,15 @@ def residual_dependence_table(residuals_by_model: dict, lags, alpha: float = 0.0
     residual arrays.  Returns {model: {lag: (pct_plain, pct_squared)}}.
     """
     lags = [int(k) for k in lags]
+
+    def percent(series, lag):
+        p = np.array([ljung_box(r, lag)[1] for r in series])
+        return 100.0 * float(np.mean(benjamini_hochberg(p, alpha)))
+
     out = {}
     for model, residual_list in residuals_by_model.items():
-        out[model] = {}
         squares = [np.square(r) for r in residual_list]
-        for lag in lags:
-            p_plain = [ljung_box(r, lag)[1] for r in residual_list]
-            p_sq = [ljung_box(r2, lag)[1] for r2 in squares]
-            pct_plain = 100.0 * float(np.mean(benjamini_hochberg(np.array(p_plain), alpha)))
-            pct_sq = 100.0 * float(np.mean(benjamini_hochberg(np.array(p_sq), alpha)))
-            out[model][lag] = (pct_plain, pct_sq)
+        out[model] = {lag: (percent(residual_list, lag), percent(squares, lag)) for lag in lags}
     return out
 
 

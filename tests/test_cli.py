@@ -592,9 +592,17 @@ def _origin(value):
     return damage
 
 
+def _add_garch_block(path):
+    """A damage that gives the SEMOS fit file a block its kind does not use."""
+    doc = json.loads(path.read_text())
+    doc["garch"] = {"omega0": 0.1, "omega1": 0.7, "omega2": 0.1}
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("command, damage", [
     ("predict", _truncate), ("verify", _truncate), ("verify", _drop_origin),
     ("predict", _make_a_directory), ("verify", _make_a_directory),
+    ("predict", _add_garch_block), ("verify", _add_garch_block),
     *(pytest.param(command, _origin(value), id=f"{command}-origin-{name}")
       for command in ("predict", "verify")
       for name, value in [("garbage", "garbage"), ("list", ["2015-01-01"]), ("int", 5),
@@ -696,9 +704,9 @@ def test_verify_builds_one_training_window_per_cell(pipeline, tmp_path, monkeypa
     # the SAR-SEMOS fit relabelled as the other AR kinds: four seasonal fits of one cell
     fits = _copy_dir(pipeline / "fits", tmp_path / "fits")
     doc = json.loads((pipeline / "fits" / "fit_SAR-SEMOS_S01_24h.json").read_text())
-    doc["garch"] = {"omega0": 0.1, "omega1": 0.5, "omega2": 0.3}
-    for kind in ("DAR-SEMOS", "DAR-GARCH-SEMOS"):
-        (fits / f"fit_{kind}_S01_24h.json").write_text(json.dumps({**doc, "kind": kind}))
+    garch = {"omega0": 0.1, "omega1": 0.5, "omega2": 0.3}
+    for kind, blocks in (("DAR-SEMOS", {}), ("DAR-GARCH-SEMOS", {"garch": garch})):
+        (fits / f"fit_{kind}_S01_24h.json").write_text(json.dumps({**doc, "kind": kind, **blocks}))
     rows = _prediction_rows(pipeline)
     seasonal = [row for row in rows[1:] if row[0] in ("SEMOS", "SAR-SEMOS")]
     preds = _write_predictions(tmp_path, [rows[0]] + seasonal + [

@@ -911,13 +911,14 @@ _FIXED_GARCH = GARCHCoeffs(0.2, 0.6, 0.25)
 
 
 def _fixed_model(semos_clones, kind, p, lead):
-    """(model, series) for a seasonal AR kind with fixed coefficients at a
-    lead time; loc/scale come from the SEMOS fit of the clones."""
+    """(model, series) for a seasonal kind with fixed coefficients at a lead
+    time (an AR block for all but SEMOS); loc/scale come from the SEMOS fit
+    of the clones."""
     series, base, _ = semos_clones
     series = StationSeries.build(series.station_id, lead, series.dates, series.obs,
                                  series.members)
     model = FittedModel(kind=kind, loc=base.loc.copy(), scale=base.scale.copy(),
-                        ar=_FIXED_AR[p],
+                        ar=None if kind == "SEMOS" else _FIXED_AR[p],
                         garch=_FIXED_GARCH if kind == "DAR-GARCH-SEMOS" else None,
                         meta={**base.meta, "lead_time_h": lead})
     return model, series
@@ -1035,8 +1036,6 @@ def test_nonstationary_ar_warns_once_per_predict(kind, lead, semos_clones):
 @pytest.mark.parametrize("kind", ["SEMOS", "DAR-SEMOS", "DAR-GARCH-SEMOS", "SAR-SEMOS"])
 def test_stationary_seasonal_predict_emits_no_warning(kind, lead, semos_clones):
     model, series = _fixed_model(semos_clones, kind, 3, lead)
-    if kind == "SEMOS":
-        model.ar = None
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         models.predict(model, series, series.dates[730:740])
@@ -1107,8 +1106,18 @@ def _semos_record(kind="SEMOS", loc=np.zeros(10), origin="2015-01-01", **blocks)
     (lambda: _semos_record("DAR-SEMOS"), "^DAR-SEMOS needs an ar block$"),
     (lambda: _semos_record("DAR-GARCH-SEMOS", ar=ARCoeffs(1, 0.0, (0.5,))),
      "^DAR-GARCH-SEMOS needs a garch block$"),
+    *((lambda kind=kind: _semos_record(kind, ar=ARCoeffs(1, 0.0, (0.5,)),
+                                       garch=GARCHCoeffs(0.1, 0.7, 0.1)),
+       f"^{kind} records carry no garch block$") for kind in ("DAR-SEMOS", "SAR-SEMOS")),
+    (lambda: _semos_record(ar=ARCoeffs(0, 0.0)), "^SEMOS records carry no ar block$"),
+    (lambda: _semos_record(weight=0.5, members_ar=[ARCoeffs(0, 0.0)]),
+     "^SEMOS records carry no weight or members_ar block$"),
+    (lambda: FittedModel(kind="AR-EMOS", loc=np.zeros(2), weight=0.5,
+                         meta={"origin": "2015-01-01"}),
+     "^AR-EMOS records carry no loc block$"),
 ], ids=["origin-int", "origin-hour", "origin-garbage", "origin-list", "origin-missing",
-        "five-loc", "dar-without-ar", "garch-without-garch"])
+        "five-loc", "dar-without-ar", "garch-without-garch", "dar-with-garch",
+        "sar-with-garch", "semos-with-ar", "semos-with-members", "ar-emos-with-loc"])
 def test_an_in_memory_record_obeys_the_fit_file_rules(make, message, dar_world):
     # what FittedModel.load rejects in a file, an in-memory record raises
     # too, as one InvalidInput: when it is made or when predict reads it
@@ -1138,6 +1147,18 @@ def test_every_kinds_fit_file_loads_and_saves_to_its_own_bytes(tmp_path, dar_wor
         assert bool(blocks) == (kind not in ("EMOS", "SEMOS")), kind
         for ar in blocks:
             assert type(ar.tau) is tuple and all(type(v) is float for v in ar.tau), kind
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_no_requested_dates_predict_two_empty_arrays(kind, dar_world):
+    _, series, _ = dar_world
+    model = models.fit(kind, series.window(end=series.dates[799]))
+    for mu, sigma in (models.predict(model, series, series.dates[:0]),
+                      models.predict(model, series, [])):
+        assert mu.shape == sigma.shape == (0,) and mu.dtype == sigma.dtype == float
+    # the fit's checks come first
+    with pytest.raises(InvalidInput, match="lead"):
+        models.predict(model, dataclasses.replace(series, lead_time_h=48), series.dates[:0])
 
 
 # ---------------------------------------------------------------------------

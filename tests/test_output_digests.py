@@ -2,7 +2,8 @@
 
 Each run is ``simulate -> fit -> predict -> verify`` on one world: 1
 station, leads 24 and 72 h, all six models, trained on 2015-2019 and
-validated on 2020.  The test reruns them in-process and compares every
+validated on 2020.  The test reruns them in-process, with the loaded
+recursion kernel and again with the pure-Python one, and compares every
 file's digest with ``output_digests.json``, so an output that changes its
 bytes fails here until the manifest is regenerated, from the repository
 root, with
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 import scipy
 
+from enspost import timeseries
 from enspost.cli import main
 
 MANIFEST = Path(__file__).with_name("output_digests.json")
@@ -65,8 +67,14 @@ def run_world(root: Path, dgp: str, seed: int) -> dict:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("dgp", list(WORLDS))
-def test_cli_outputs_match_the_recorded_digests(dgp, tmp_path):
+@pytest.mark.parametrize("dgp, band_solve", [
+    *(pytest.param(dgp, None, id=dgp) for dgp in WORLDS),
+    *(pytest.param(dgp, timeseries._loop_band_solve, id=f"{dgp}-loop") for dgp in WORLDS)])
+def test_cli_outputs_match_the_recorded_digests(dgp, band_solve, tmp_path, monkeypatch):
+    # the "-loop" runs put the pure-Python recursion kernel, the one taken
+    # where numpy exports no cblas_dtbsv, in place of the loaded one
+    if band_solve is not None:
+        monkeypatch.setattr(timeseries, "_band_solve", band_solve)
     manifest = json.loads(MANIFEST.read_text())
     assert manifest["versions"] == versions(), (
         f"{MANIFEST.name} was recorded with {manifest['versions']}, this run has "

@@ -11,6 +11,7 @@ from enspost.timeseries import (
     ar_innovation_variance,
     ar_multistep,
     ar_teacher_forced,
+    autocovariances,
     chi2_sf,
     fit_ar_yule_walker,
     fit_garch,
@@ -23,7 +24,6 @@ from enspost.timeseries import (
 )
 from enspost.timeseries import (
     _ar_fits,
-    _autocovariances,
     _garch_likelihood,
     ar_teacher_forced_adjoint,
 )
@@ -68,6 +68,12 @@ def test_acf_ar1_simulation(rng):
 def test_acf_constant_series_rejected():
     with pytest.raises(DegenerateSeries):
         acf(np.full(100, 3.2), 2)
+
+
+@pytest.mark.parametrize("max_lag", [-3, 0, 100, 120])
+def test_acf_lag_out_of_range_is_invalid_input(rng, max_lag):
+    with pytest.raises(InvalidInput, match=r"^max_lag must be in \[1, n-1\]"):
+        acf(rng.normal(size=100), max_lag)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,7 @@ def _fused_pass_columns(case, rng):
 @pytest.mark.parametrize("case", ["random", "hard", "order_zero", "degenerate"])
 def test_one_levinson_pass_keeps_the_all_order_aic_choice_to_the_bit(case, max_order):
     x = _fused_pass_columns(case, np.random.default_rng(301))
-    gamma, eta, degenerate = _autocovariances(x, max_order)
+    gamma, eta, degenerate = autocovariances(x, max_order)
     assert degenerate.any() == (case == "degenerate")
     p, tau, variance = _all_order_levinson_fits(gamma, x.shape[0], degenerate)
     fits, got_variance = _ar_fits(gamma, x.shape[0], eta, degenerate)

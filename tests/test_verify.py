@@ -85,6 +85,44 @@ def test_dm_power_one_sided():
     assert hits > 90
 
 
+def _bartlett_dm_statistic(d):
+    """mean(d) / sqrt(lrv / n) with the Bartlett long-run variance at lag
+    floor(n^(1/3)), from the centred d and one dot product per lag."""
+    n = d.size
+    lag = int(np.floor(n ** (1.0 / 3.0)))
+    c = d - d.mean()
+    lrv = c @ c / n
+    for l in range(1, lag + 1):
+        lrv += 2.0 * (1.0 - l / (lag + 1.0)) * (c[l:] @ c[:-l]) / n
+    return d.mean() / np.sqrt(lrv / n)
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.85])
+@pytest.mark.parametrize("n", [100, 366])
+def test_dm_statistic_is_the_bartlett_reference(phi, n):
+    rng = np.random.default_rng(int(100 * phi) + n)
+    for _ in range(20):
+        d = np.empty(n)
+        d[0] = rng.normal()
+        for t in range(1, n):  # AR(1) differential, mean 0.1
+            d[t] = phi * d[t - 1] + rng.normal()
+        d += 0.1
+        b = rng.gamma(2.0, size=n)
+        stat, p = dm_test(b + d, b)
+        reference = _bartlett_dm_statistic((b + d) - b)
+        assert stat == pytest.approx(reference, rel=1e-13, abs=0)
+        assert p == 2.0 * ndtr(-abs(stat))
+
+
+@pytest.mark.parametrize("where", ["a", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dm_non_finite_score_is_invalid_input(rng, where, value):
+    a, b = rng.normal(size=(2, 100))
+    (a if where == "a" else b)[17] = value
+    with pytest.raises(InvalidInput, match="non-finite"):
+        dm_test(a, b)
+
+
 def test_dm_alternative_validation(rng):
     with pytest.raises(InvalidInput):
         dm_test(rng.normal(size=50), rng.normal(size=50), "better")
