@@ -98,9 +98,6 @@ class RunConfig:
     ens_bias: float = 1.5
     ens_dispersion: float = 0.6
 
-    def settings(self) -> OptimizeSettings:
-        return OptimizeSettings(max_iterations=self.max_iter)
-
 
 def parse_config_file(path) -> dict:
     """Flat key = value format; blank lines and # comments ignored."""
@@ -341,7 +338,7 @@ def _in_range(series, name: str, start: str, end: str):
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    settings = cfg.settings()
+    settings = OptimizeSettings(max_iterations=cfg.max_iter)
     warning_count = 0
     with _staged(Path(cfg.out)) as stage:
         for station, lead, path in discover_cases(cfg):

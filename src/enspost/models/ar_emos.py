@@ -67,19 +67,6 @@ class _Estimate(NamedTuple):
     window: np.ndarray  # (3, dates, 30): adjusted mean and spread, observations
 
 
-def _fit_members(x: np.ndarray, starts: np.ndarray, m: int,
-                 first_row: int) -> tuple[ARFits, np.ndarray]:
-    """AR fits and innovation variances of the member error columns of
-    ``x``, whose row 0 is day ``first_row``, on the AR windows starting
-    on the days ``starts``; a constant window gets the mean-only
-    adjustment."""
-    fits, variance = windowed_ar_fits(x, starts, AR_WINDOW, MAX_MEMBER_AR_ORDER, first_row)
-    for column in np.flatnonzero(fits.degenerate):
-        logger.warning("member %d error series degenerate; using mean-only adjustment",
-                       column % m + 1)
-    return fits, variance
-
-
 def _crps_weights(sigma1, mu, sigma2, y):
     """Weights w in [0, 1] that minimize each row's mean CRPS of
     N(mu, (w sigma1 + (1 - w) sigma2)^2) at y; (weights, converged,
@@ -106,11 +93,15 @@ def _estimate(series: StationSeries, ends: np.ndarray) -> _Estimate:
     """Member AR fits for each history end h in ``ends`` (exclusive) on the
     AR window [h-120, h-30), in one call, and the teacher-forced adjusted
     ensemble on the weight window [h-30, h), in blocks of ``_BLOCK_DATES``
-    dates; the caller has checked those observations."""
+    dates; the caller has checked those observations.  A constant member
+    error window gets the mean-only adjustment and a warning."""
     m, k = series.n_members, MAX_MEMBER_AR_ORDER
     first = int(ends.min()) - _SPAN
     x = series.obs[first:ends.max(), None] - series.members[first:ends.max()]
-    fits, variance = _fit_members(x, ends - _SPAN, m, first)
+    fits, variance = windowed_ar_fits(x, ends - _SPAN, AR_WINDOW, k, first)
+    for column in np.flatnonzero(fits.degenerate):
+        logger.warning("member %d error series degenerate; using mean-only adjustment",
+                       column % m + 1)
     window = np.empty((3, ends.size, WEIGHT_WINDOW))
     for b in range(0, ends.size, _BLOCK_DATES):
         block, cols = slice(b, b + _BLOCK_DATES), slice(b * m, (b + _BLOCK_DATES) * m)

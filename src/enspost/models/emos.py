@@ -43,10 +43,6 @@ _NEAR_CONSTANT_SD = 1e-3
 _WINDOW_SETTINGS = OptimizeSettings(max_iterations=200, gradient_tolerance=1e-8)
 
 
-def _ridge(log_s: np.ndarray) -> np.ndarray:
-    return np.where(np.std(log_s, axis=-1) < _NEAR_CONSTANT_SD, _RIDGE, 0.0)
-
-
 def _sums(weight: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Window sums of weight * (1, a), (..., 2)."""
     return np.stack([weight.sum(axis=-1), (weight * a).sum(axis=-1)], axis=-1)
@@ -75,7 +71,7 @@ def _window_evaluate(xbar: np.ndarray, log_s: np.ndarray, y: np.ndarray):
     b1).  The ridge adds ridge theta'theta to the value and 2 ridge I to
     the Hessian.
     """
-    ridge = _ridge(log_s)
+    ridge = np.where(np.std(log_s, axis=-1) < _NEAR_CONSTANT_SD, _RIDGE, 0.0)
 
     def block(weight, a, b):
         """Window sums of weight * (1, a)(1, b)', (..., 2, 2)."""

@@ -108,12 +108,6 @@ def _ols(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _scale_identity_init() -> np.ndarray:
-    init = np.zeros(N_COEFFS)
-    init[1] = 1.0  # b1 = 1, everything else 0
-    return init
-
-
 def empirical_sd_by_day_of_year(dates, obs, half_width: int = 15) -> np.ndarray:
     """Per-date empirical sd of the observations falling in a symmetric
     day-of-year window (half-width in days, pooled across years).
@@ -326,7 +320,7 @@ def seasonal_fit(kind: str, series: StationSeries,
     loc0 = _ols(x_loc, y)
 
     if kind in ("SEMOS", "DAR-SEMOS"):
-        scale0 = _scale_identity_init()
+        scale0 = np.eye(N_COEFFS)[1]  # b1 = 1, everything else 0
     else:
         scale0 = _ols(x_scale, np.log(empirical_sd_by_day_of_year(series.dates, y)))
     ar0 = garch0 = None

@@ -9,7 +9,9 @@ x(t) = eta + sum_j tau_j (x(t-j) - eta) + innovation.
 ``autocovariances`` is the one autocovariance kernel (centring, lag
 products, the relative constant-series floor), read by ``acf``,
 ``fit_ar_yule_walker``, the near-constant windows of ``windowed_ar_fits``
-and the Diebold-Mariano long-run variance of ``verify.dm_test``.
+and the Diebold-Mariano long-run variance of ``verify.dm_test``.  It
+checks the order it is given, so its readers do not: an order outside
+[0, n-1] is an InvalidInput, fewer than 2 values a DegenerateSeries.
 
 The AR kernels (``fit_ar_yule_walker``, ``ar_innovation_variance``,
 ``ar_teacher_forced``, ``ar_multistep``) work on m series at once, given
@@ -159,10 +161,13 @@ def _as_columns(ar, x):
 def autocovariances(cols: np.ndarray, max_order: int):
     """(gamma, eta, constant) of the (n, m) columns: biased autocovariances
     gamma_0..gamma_max_order (a column per series), the means and the mask of
-    the constant columns.  Non-finite values raise InvalidInput, n < 2 DegenerateSeries."""
+    the constant columns.  n < 2 raises DegenerateSeries; a max_order outside
+    [0, n-1] or a non-finite value raises InvalidInput."""
     n = cols.shape[0]
     if n < 2:
         raise DegenerateSeries("need at least 2 observations")
+    if not 0 <= max_order < n:
+        raise InvalidInput(f"max_order must be in [0, n-1], got {max_order} for n={n}")
     if not np.all(np.isfinite(cols)):
         raise InvalidInput("series contains non-finite values")
     eta = cols.mean(axis=0)
@@ -180,7 +185,7 @@ def acf(x, max_lag: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     n = x.shape[0]
-    gamma, _, constant = autocovariances(x, min(max(max_lag, 0), n))  # range checked below
+    gamma, _, constant = autocovariances(x, min(max(max_lag, 0), n - 1))  # range checked below
     if constant[0]:
         raise DegenerateSeries("constant series has no autocorrelation structure")
     if not (1 <= max_lag < n):
@@ -222,7 +227,8 @@ def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = Fa
     ``x`` is one series (returns an ARCoeffs) or the columns of an (n, m)
     array (returns an ARFits).  eta is the sample mean; tau comes from the
     Levinson-Durbin recursion at the selected order.  Default max_order =
-    min(20, floor(10 log10 n)), additionally capped at n - 2.
+    min(20, floor(10 log10 n)); any max_order is capped at n - 2 and
+    raised to 0, so fewer than 2 values raise DegenerateSeries.
 
     A constant series raises DegenerateSeries, unless ``mean_fallback``
     is set: then it gets the AR(0) fit at its mean and is flagged in
@@ -235,8 +241,6 @@ def fit_ar_yule_walker(x, max_order: int | None = None, mean_fallback: bool = Fa
     if max_order is None:
         max_order = min(20, int(np.floor(10.0 * np.log10(max(n, 2)))))
     max_order = max(0, min(max_order, n - 2))
-    if n <= max_order + 1:
-        raise InvalidInput(f"series of length {n} too short for max_order {max_order}")
     gamma, eta, degenerate = autocovariances(cols, max_order)
     if degenerate.any() and not mean_fallback:
         where = "" if single else f" (columns {np.flatnonzero(degenerate).tolist()})"
@@ -682,8 +686,6 @@ def ljung_box(x, lag: int) -> tuple[float, float]:
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
-    if not (1 <= lag < n):
-        raise InvalidInput(f"lag must be in [1, n-1], got {lag} for n={n}")
     rho = acf(x, lag)
     q = n * (n + 2.0) * float(np.sum(np.square(rho) / (n - np.arange(1, lag + 1))))
     return q, chi2_sf(q, lag)

@@ -344,12 +344,11 @@ def _member_error_columns(case, rng, n=300):
 
 
 @pytest.mark.parametrize("case", ["plain", "offset", "constant"])
-def test_windowed_member_fits_match_per_window_fits(rng, caplog, case):
+def test_windowed_member_fits_match_per_window_fits(rng, case):
     x = _member_error_columns(case, rng)
     n, max_order = ar_emos.AR_WINDOW, ar_emos.MAX_MEMBER_AR_ORDER
     starts = np.arange(x.shape[0] - n + 1)  # the first window starts at the first row
-    with caplog.at_level("WARNING"):
-        fits, variance = ar_emos._fit_members(x, starts, 2, 0)
+    fits, variance = timeseries.windowed_ar_fits(x, starts, n, max_order)
     for d, s in enumerate(starts):
         window = x[s:s + n]
         ref = fit_ar_yule_walker(window, max_order, mean_fallback=True)
@@ -369,14 +368,8 @@ def test_windowed_member_fits_match_per_window_fits(rng, caplog, case):
         assert np.sqrt(variance[cols].mean()) == pytest.approx(np.sqrt(expected.mean()),
                                                                rel=1e-12)
     assert fits.max_p == max_order
-    if case == "constant":
-        # each window fitted as constant is named once
-        assert np.flatnonzero(fits.degenerate).tolist() == [2 * 40, 2 * 150 + 1]
-        assert caplog.text.count("degenerate") == 2
-        assert "member 1 error series degenerate" in caplog.text
-        assert "member 2 error series degenerate" in caplog.text
-    else:
-        assert not fits.degenerate.any() and "degenerate" not in caplog.text
+    expected = [2 * 40, 2 * 150 + 1] if case == "constant" else []
+    assert np.flatnonzero(fits.degenerate).tolist() == expected
     # a window's fit does not depend on which other windows are requested,
     # nor on where the rows passed start, nor on rows outside the windows
     some = np.array([starts[-1], 3, 97, 150])
@@ -389,6 +382,20 @@ def test_windowed_member_fits_match_per_window_fits(rng, caplog, case):
     assert np.array_equal(alone.p, fits.p[cols]) and np.array_equal(alone.eta, fits.eta[cols])
     assert np.array_equal(alone.tau, fits.tau[cols, :alone.max_p])
     assert np.array_equal(alone_variance, variance[cols])
+
+
+@pytest.mark.parametrize("case", ["plain", "constant"])
+def test_estimate_names_each_degenerate_member_window_once(rng, caplog, case):
+    x = _member_error_columns(case, rng)
+    series = make_series(np.zeros(x.shape[0]), members=-x)  # member errors are x
+    ends = np.arange(ar_emos._SPAN, x.shape[0] + 1)         # AR windows start on rows 0..
+    with caplog.at_level("WARNING"):
+        fits = _estimate(series, ends).fits
+    expected = [2 * 40, 2 * 150 + 1] if case == "constant" else []
+    assert np.flatnonzero(fits.degenerate).tolist() == expected
+    assert caplog.text.count("degenerate") == len(expected)
+    for column in expected:
+        assert f"member {column % 2 + 1} error series degenerate" in caplog.text
 
 
 def test_ar_emos_short_history_padded_with_eta(rng):

@@ -76,6 +76,20 @@ def test_acf_lag_out_of_range_is_invalid_input(rng, max_lag):
         acf(rng.normal(size=100), max_lag)
 
 
+@pytest.mark.parametrize("columns", [1, 2])
+@pytest.mark.parametrize("max_order", [-1, 50, 60])
+def test_autocovariances_order_out_of_range_is_invalid_input(rng, columns, max_order):
+    with pytest.raises(InvalidInput, match=r"^max_order must be in \[0, n-1\], got -?\d+ for n=50$"):
+        autocovariances(rng.normal(size=(50, columns)), max_order)
+
+
+def test_autocovariances_order_n_minus_1_is_the_last_lag(rng):
+    x = rng.normal(size=(50, 2))
+    gamma, eta, _ = autocovariances(x, 49)
+    assert gamma.shape == (50, 2)
+    assert np.allclose(gamma[49], (x[49] - eta) * (x[0] - eta) / 50, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Yule-Walker fits
 # ---------------------------------------------------------------------------
@@ -129,6 +143,13 @@ def test_levinson_durbin_ar1_equals_rho1(rng):
 def test_fit_ar_degenerate_rejected():
     with pytest.raises(DegenerateSeries):
         fit_ar_yule_walker(np.ones(500))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("max_order", [None, 0, 3])
+def test_fit_ar_on_fewer_than_two_values_is_degenerate(n, max_order):
+    with pytest.raises(DegenerateSeries, match="need at least 2 observations"):
+        fit_ar_yule_walker(np.ones(n), max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +755,14 @@ def test_ljung_box_power_ar1(rng):
 def test_ljung_box_degenerate():
     with pytest.raises(DegenerateSeries):
         ljung_box(np.full(50, 2.0), 3)
+
+
+@pytest.mark.parametrize("lag", [0, 50])
+def test_ljung_box_lag_out_of_range_is_invalid_input(rng, lag):
+    with pytest.raises(InvalidInput, match=r"^max_lag must be in \[1, n-1\]"):
+        ljung_box(rng.normal(size=50), lag)
+    with pytest.raises(DegenerateSeries):  # a constant series is named first
+        ljung_box(np.full(50, 2.0), lag)
 
 
 def _gammq_reference(a: float, x: float) -> float:
