@@ -366,27 +366,24 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     models_dir = Path(cfg.models_dir)
-    n_rows = 0
+    cells = {kind: [] for kind in cfg.models}  # each cell's (station, lead, dates, mu, sigma)
     with _staged(Path(cfg.out)) as stage:
         for station, lead, path in discover_cases(cfg):
             series = _load_case(path, station, lead)
-            dates = _in_range(series, "validation", cfg.valid_start, cfg.valid_end).dates
+            dates = _in_range(series, "validation", cfg.valid_start, cfg.valid_end).dates.copy()
             for kind in cfg.models:
                 fitted = _load_fit(models_dir, kind, station, lead)
                 if fitted is None:
                     raise DataError("missing fitted model "
                                     f"{_fit_path(models_dir, kind, station, lead)}")
-                mu, sigma = model_api.predict(fitted, series, dates)
-                write_csv_rows(stage / f"{kind}.part", None,
-                               [kind, station, lead, dates, mu, sigma], TABLE_DECIMALS, "a")
-                n_rows += dates.size
+                cells[kind].append((station, lead, dates,
+                                    *model_api.predict(fitted, series, dates)))
             del series  # one cell's member array alive at a time
         write_csv_rows(stage / "predictions.csv", _PREDICTIONS_HEADER, [], TABLE_DECIMALS)
-        with open(stage / "predictions.csv", "a", newline="") as fh:
-            for kind in sorted(cfg.models):  # rows in (kind, station, lead, date) order
-                with open(stage / f"{kind}.part", newline="") as part:
-                    fh.writelines(part)
-                (stage / f"{kind}.part").unlink()
+        for kind in sorted(cfg.models):  # rows in (kind, station, lead, date) order
+            for cell in cells[kind]:
+                write_csv_rows(stage / "predictions.csv", None, [kind, *cell], TABLE_DECIMALS, "a")
+    n_rows = sum(cell[2].size for kind_cells in cells.values() for cell in kind_cells)
     print(f"predict: wrote {n_rows} rows to {Path(cfg.out) / 'predictions.csv'}")
     return 0
 

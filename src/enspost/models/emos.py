@@ -37,6 +37,7 @@ from .base import FittedModel
 WINDOW_DAYS = 30
 _RIDGE = 1e-8
 _NEAR_CONSTANT_SD = 1e-3
+_SPREAD_FLOOR = 1e-12  # ensemble sd floor before the log
 # Newton converges quadratically, so a gradient tolerance below minimize's
 # 1e-6 costs well under one extra step per window.  At 1e-6 a window whose
 # Hessian has an eigenvalue near 1e-3 can stop ~1e-11 above the optimum.
@@ -105,7 +106,7 @@ def _fit_windows(xbar, s, y) -> OptResult:
     arrays, each started from its least-squares line and the log of its
     residual sd; one OptResult entry per window."""
     xbar, y = np.atleast_2d(xbar, y)
-    log_s = np.log(np.maximum(np.atleast_2d(s), 1e-12))
+    log_s = np.log(np.maximum(np.atleast_2d(s), _SPREAD_FLOOR))
     xc = xbar - xbar.mean(axis=1, keepdims=True)
     sxx = np.einsum("dw,dw->d", xc, xc)
     a1 = np.einsum("dw,dw->d", xc, y) / np.where(sxx > 0, sxx, 1.0)
@@ -148,7 +149,6 @@ def emos_predict(model: FittedModel, series: StationSeries, rows: np.ndarray):
     starts = series.window_ends(rows, WINDOW_DAYS) - WINDOW_DAYS
     xbar, s, y = (sliding_window_view(v, WINDOW_DAYS)[starts]
                   for v in (series.ens_mean, series.ens_sd, series.obs))
-    coeffs = _fit_windows(xbar, s, y).x
-    mu = coeffs[:, 0] + coeffs[:, 1] * series.ens_mean[rows]
-    sigma = np.exp(coeffs[:, 2] + coeffs[:, 3] * np.log(np.maximum(series.ens_sd[rows], 1e-12)))
-    return mu, sigma
+    mu, sigma = _predictors(_fit_windows(xbar, s, y).x, series.ens_mean[rows, None],
+                            np.log(np.maximum(series.ens_sd[rows, None], _SPREAD_FLOOR)))
+    return mu[:, 0], sigma[:, 0]

@@ -71,7 +71,6 @@ from ..timeseries import (
     fit_garch,
     garch_path,
     garch_path_adjoint,
-    garch_start,
     is_stationary,
 )
 # ``crps_normal_series`` and ``ar_multistep`` stay importable here: perfbench's tracer wraps them
@@ -225,19 +224,14 @@ def _evaluate(kind: str, theta: np.ndarray, p: int, x_loc: np.ndarray,
     w = np.square(root_w)
     eps = x[p:] - x_pred
     rho_sq = np.square(eps / sigma_s[p:])
-    sig_g2 = garch_path(w, rho_sq, garch_start(w))
+    sig_g2 = garch_path(w, rho_sq)
     sig_g = np.sqrt(sig_g2)
 
     def garch_pullback(d_mu, d_sigma):
         # sigma = sigma_s sig_g; sig_g^2 is driven by rho^2 = eps^2 / sigma_s^2,
         # where eps = y - mu; w = root_w^2
-        d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, sig_g2,
-                                                   d_sigma * sigma_s[p:] / (2.0 * sig_g))
-        denom = 1.0 - w[1] - w[2]
-        if w[0] > 0:  # sig_g2[0] = garch_start(w) = omega0 / max(denom, 1e-3), else 1.0
-            d_w[0] += d_init / max(denom, 1e-3)
-            if denom > 1e-3:
-                d_w[1:] += d_init * sig_g2[0] / denom
+        d_w, d_rho_sq = garch_path_adjoint(w, rho_sq, sig_g2,
+                                           d_sigma * sigma_s[p:] / (2.0 * sig_g))
         d_eps = 2.0 * d_rho_sq * eps / np.square(sigma_s[p:])
         return ar_pullback(d_mu - d_eps, d_sigma * sig_g - 2.0 * d_rho_sq * rho_sq / sigma_s[p:],
                            2.0 * root_w * d_w)
@@ -378,6 +372,6 @@ def seasonal_predict(model: FittedModel, series: StationSeries, rows: np.ndarray
     if not is_stationary(model.ar.tau):
         warnings.warn("multi-step prediction with nonstationary AR coefficients", stacklevel=2)
     d = _error_divisor(model.kind, sigma_s)
-    x_hat, sigma_g = ar_forecast(model.ar, model.garch, (series.obs - mu_s) / d, sigma_s,
+    x_hat, sigma_g = ar_forecast(model.ar, model.garch, (series.obs - mu_s) / d, sigma_s / d,
                                  series.history_end(rows), rows)
     return mu_s[rows] + d[rows] * x_hat, sigma_s[rows] * sigma_g

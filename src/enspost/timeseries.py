@@ -57,7 +57,8 @@ its windows' edge errors from the same formula.
 
 ``ar_forecast`` is the one lead-time conditional of an AR(-GARCH) error
 process, which the seasonal models' predictor and the synthetic
-generator's truth share; its GARCH variance is a ``garch_path``.
+generator's truth share; its GARCH variance is a ``garch_path``.  Every
+GARCH(1,1) path, ``fit_garch``'s too, starts at ``garch_start``.
 """
 
 from __future__ import annotations
@@ -545,8 +546,9 @@ def ar_forecast(ar: ARCoeffs, garch: GARCHCoeffs | None, x: np.ndarray, scale: n
 
     x_hat is the multi-step AR forecast (Box & Jenkins): column d runs
     i[d] - h[d] + 1 steps from the p values before h[d] (eta where fewer
-    exist).  sigma_G is 1 without GARCH.  With GARCH, running on rho = (x -
-    one-step AR) / scale, one ``garch_path`` from ``garch_start`` runs over
+    exist).  ``scale`` is the innovations' scale in x units, sigma_S / d for
+    the AR on x = (y - mu_S) / d.  sigma_G is 1 without GARCH.  With GARCH,
+    running on rho = (x - one-step AR) / scale, one ``garch_path`` runs over
     the observable innovations and one step past the last of them.  Each
     date takes the path's value one step after its last observable
     innovation (the start value when it has none) and is bridged over the
@@ -566,7 +568,7 @@ def ar_forecast(ar: ARCoeffs, garch: GARCHCoeffs | None, x: np.ndarray, scale: n
     n = max(int(h.max(initial=0)), p)
     rho_sq = np.square((x[p:n] - ar_teacher_forced(ar, x[:n], p)) / scale[p:n])
     seen = np.maximum(h - p, 0)  # path index one step past each date's last observable day
-    var = garch_path(w, np.append(rho_sq, 0.0), garch_start(w))[seen]
+    var = garch_path(w, np.append(rho_sq, 0.0))[seen]
     steps_left = np.maximum(i - p, 0) - seen
     for step in range(int(steps_left.max(initial=0))):
         var = np.where(step < steps_left, w[0] + (w[1] + w[2]) * var, var)
@@ -578,37 +580,37 @@ def ar_forecast(ar: ARCoeffs, garch: GARCHCoeffs | None, x: np.ndarray, scale: n
 # ---------------------------------------------------------------------------
 
 
-def garch_path(w, rho_sq, init: float) -> np.ndarray:
-    """GARCH(1,1) variance path aligned with ``rho_sq``, w = (omega0,
-    omega1, omega2):
-
-        out[0] = init
-        out[i] = omega0 + omega1 * out[i-1] + omega2 * rho_sq[i-1]
-
-    so the last rho_sq does not enter the path: appending one gives the
-    one-step variance past the last innovation, ``ar_forecast``'s start.
-    """
-    drive = np.empty(rho_sq.size)
-    drive[0] = init
-    drive[1:] = w[0] + w[2] * rho_sq[:-1]
-    return linear_recursion([w[1]], drive)
-
-
 def garch_start(w) -> float:
-    """Start of the seasonal models' GARCH paths: omega0 / (1 - omega1 - omega2),
+    """Start of every GARCH(1,1) variance path: omega0 / (1 - omega1 - omega2),
     the denominator floored at 1e-3 (a fit's objective stays continuous
     across the stationarity boundary); 1 unless positive."""
     init = w[0] / max(1.0 - w[1] - w[2], 1e-3)
     return init if init > 0 else 1.0
 
 
+def garch_path(w, rho_sq) -> np.ndarray:
+    """GARCH(1,1) variance path aligned with ``rho_sq``, w = (omega0,
+    omega1, omega2):
+
+        out[0] = garch_start(w)
+        out[i] = omega0 + omega1 * out[i-1] + omega2 * rho_sq[i-1]
+
+    so the last rho_sq does not enter the path: appending one gives the
+    one-step variance past the last innovation, ``ar_forecast``'s start.
+    """
+    drive = np.empty(rho_sq.size)
+    drive[0] = garch_start(w)
+    drive[1:] = w[0] + w[2] * rho_sq[:-1]
+    return linear_recursion([w[1]], drive)
+
+
 def garch_path_adjoint(w, rho_sq, path, d_path):
     """Reverse-mode derivative of ``garch_path``: from the adjoint ``d_path``
-    of its output ``path``, the adjoints (d_w, d_rho_sq, d_init).
+    of its output ``path``, the adjoints (d_w, d_rho_sq) of its inputs.
 
     The adjoint of the recursion is the same recursion run backwards in
     time: lam[i] = d_path[i] + omega1 * lam[i+1] is the total derivative by
-    path[i].
+    path[i].  d_w takes in lam[0] times the derivative of ``garch_start``.
     """
     # Solved in reversed time and kept as a reversed view: numpy sums
     # ahead.sum() and the dot products in memory order, so a forward-contiguous
@@ -616,24 +618,28 @@ def garch_path_adjoint(w, rho_sq, path, d_path):
     lam = linear_recursion([w[1]], d_path[::-1])[::-1]
     ahead = lam[1:]
     d_w = np.array([ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]])
+    denom = 1.0 - w[1] - w[2]
+    if w[0] > 0:  # path[0] = omega0 / max(denom, 1e-3), else the constant 1.0
+        d_w[0] += lam[0] / max(denom, 1e-3)
+        if denom > 1e-3:
+            d_w[1:] += lam[0] * path[0] / denom
     d_rho_sq = np.zeros(rho_sq.size)
     d_rho_sq[:-1] = w[2] * ahead
-    return d_w, d_rho_sq, float(lam[0])
+    return d_w, d_rho_sq
 
 
-def _garch_likelihood(rho_sq: np.ndarray, var: float):
-    """Gaussian negative log-likelihood of a GARCH(1,1) variance path started
-    at ``var``, in theta = sqrt(omega), with its exact gradient from the
-    same path: fun(theta) -> (nll, gradient), (inf, None) where the path is
-    not positive and finite."""
+def _garch_likelihood(rho_sq: np.ndarray):
+    """Gaussian negative log-likelihood of ``garch_path``, in theta =
+    sqrt(omega), with its exact gradient from the same path: fun(theta) ->
+    (nll, gradient), (inf, None) where the path is not positive and finite."""
 
     def fun(theta):
         w = np.square(theta)
-        sig2 = garch_path(w, rho_sq, var)
+        sig2 = garch_path(w, rho_sq)
         if sig2.min() <= 0 or not np.all(np.isfinite(sig2)):
             return np.inf, None
         nll = 0.5 * float(np.sum(np.log(sig2) + rho_sq / sig2))
-        d_w, _, _ = garch_path_adjoint(w, rho_sq, sig2, 0.5 * (1.0 - rho_sq / sig2) / sig2)
+        d_w, _ = garch_path_adjoint(w, rho_sq, sig2, 0.5 * (1.0 - rho_sq / sig2) / sig2)
         return nll, 2.0 * theta * d_w
 
     return fun
@@ -643,9 +649,9 @@ def fit_garch(rho) -> GARCHCoeffs:
     """GARCH(1,1) fit by Gaussian quasi-maximum-likelihood.
 
     Coefficients are carried as unconstrained square roots during the
-    optimization to keep them non-negative.  The recursion is started at
-    the sample variance of ``rho``.  The BFGS fit uses the exact gradient,
-    the reverse-time adjoint of the variance recursion.
+    optimization to keep them non-negative.  The likelihood runs the models'
+    ``garch_path`` (the sample variance of ``rho`` only screens flat series
+    and scales omega0's start); BFGS uses its exact ``garch_path_adjoint``.
 
     Raises
     ------
@@ -659,10 +665,9 @@ def fit_garch(rho) -> GARCHCoeffs:
     if rho.size < 20 or var <= 1e-12:
         raise DegenerateSeries("series too short or too flat for a GARCH fit")
     theta0 = np.sqrt([0.1 * var, 0.7, 0.15])
-    result = minimize(_garch_likelihood(np.square(rho), var), theta0,
+    result = minimize(_garch_likelihood(np.square(rho)), theta0,
                       OptimizeSettings(max_iterations=200))
-    w0, w1, w2 = np.square(result.x)
-    return GARCHCoeffs(omega0=float(w0), omega1=float(w1), omega2=float(w2))
+    return GARCHCoeffs(*np.square(result.x).tolist())
 
 
 # ---------------------------------------------------------------------------

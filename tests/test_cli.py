@@ -121,7 +121,7 @@ def test_each_world_is_its_documented_process(dgp, standardized, garch):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 (sub-seeds): synthetic_config seeds cell (station i, lead index j) "
+    "ROADMAP item 17 (sub-seeds): synthetic_config seeds cell (station i, lead index j) "
     "with seed + 1000 i + j, so run seed s's second lead draws run seed s + 1's first"))
 def test_consecutive_run_seeds_draw_different_worlds():
     def draw(run_seed, lead_index):

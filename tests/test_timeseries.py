@@ -451,18 +451,22 @@ def test_is_stationary():
 # ---------------------------------------------------------------------------
 
 
-# garch_path(w, rho_sq, init)[i] is the variance after seeing rho_sq[i - 1]
+# garch_path(w, rho_sq)[i] is the variance after seeing rho_sq[i - 1]; the
+# path starts at garch_start(w) = omega0 / max(1 - omega1 - omega2, 1e-3)
 
 
 def test_garch_filter_direct_substitution():
-    out = garch_path((0.1, 0.5, 0.3), np.array([1.0, 0.0]), 1.0)
-    assert out[1] == pytest.approx(0.9)
+    # start 0.1 / 0.2 = 0.5, then 0.1 + 0.5 * 0.5 + 0.3 * 2.0
+    out = garch_path((0.1, 0.5, 0.3), np.array([2.0, 0.0]))
+    assert out[0] == pytest.approx(0.5)
+    assert out[1] == pytest.approx(0.95)
 
 
 def test_garch_filter_no_persistence():
+    # omega1 = omega2 = 0: the start and every step are omega0
     rho_sq = np.abs(np.random.default_rng(0).normal(size=50))
-    out = garch_path((0.7, 0.0, 0.0), np.append(rho_sq, 0.0), 2.0)
-    assert np.allclose(out[1:], 0.7)
+    out = garch_path((0.7, 0.0, 0.0), np.append(rho_sq, 0.0))
+    assert np.allclose(out, 0.7)
 
 
 def test_garch_filter_long_run_mean(rng):
@@ -476,20 +480,27 @@ def test_garch_filter_long_run_mean(rng):
     for t in range(1, n):
         sig2[t] = g.omega0 + g.omega1 * sig2[t - 1] + g.omega2 * rho[t - 1] ** 2
         rho[t] = np.sqrt(sig2[t]) * z[t]
-    filtered = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho), sig2[0])[1:]
+    filtered = garch_path((g.omega0, g.omega1, g.omega2), np.square(rho))
     assert np.mean(filtered) == pytest.approx(2.0, rel=0.10)
-    assert np.allclose(filtered, sig2[1:], atol=1e-10)
+    assert np.allclose(filtered, sig2, atol=1e-10)
 
 
 def test_garch_filter_positivity(rng):
+    # start 0.05 / 0.1 = 0.5
     rho_sq = np.square(rng.normal(size=500))
-    out = garch_path((0.05, 0.6, 0.3), np.append(rho_sq, 0.0), 0.5)
-    assert np.all(out[1:] > 0)
+    out = garch_path((0.05, 0.6, 0.3), np.append(rho_sq, 0.0))
+    assert np.all(out > 0)
 
 
-def _scalar_garch_path(w, rho_sq, init):
+def test_garch_start_branches():
+    assert timeseries.garch_start((0.1, 0.5, 0.3)) == 0.1 / (1.0 - 0.5 - 0.3)
+    assert timeseries.garch_start((0.1, 0.6, 0.4)) == 0.1 / 1e-3  # the floored denominator
+    assert timeseries.garch_start((0.0, 0.5, 0.3)) == 1.0
+
+
+def _scalar_garch_path(w, rho_sq):
     # one step at a time, rounding as out[i] = drive[i-1] + omega1 * out[i-1]
-    out = [init]
+    out = [timeseries.garch_start(w)]
     for r in rho_sq[:-1].tolist():
         out.append((w[0] + w[2] * r) + w[1] * out[-1])
     return np.array(out)
@@ -504,32 +515,56 @@ def _scalar_garch_lam(w, d_path):
 
 
 def _garch_kernel_draws(count):
+    # omega1 = 1 and 1.3 put the start's denominator on its floor, and
+    # omega0 = 0 gives the constant start 1.0
     rng = np.random.default_rng(11)
     lengths = np.r_[1, 2, 3, 2200, rng.integers(1, 2201, size=count - 4)]
     omega1 = np.r_[0.0, 1.0, 1.3, rng.uniform(0.0, 1.0, size=count - 3)]
-    for n, w1 in zip(lengths, rng.permutation(omega1)):
-        w = (rng.uniform(0.01, 1.0), float(w1), rng.uniform(0.0, 0.5))
-        yield w, np.square(rng.normal(size=n)), rng.uniform(0.1, 3.0), rng.normal(size=n)
+    omega0 = np.r_[0.0, 0.0, rng.uniform(0.01, 1.0, size=count - 2)]
+    for n, w0, w1 in zip(lengths, rng.permutation(omega0), rng.permutation(omega1)):
+        w = (float(w0), float(w1), rng.uniform(0.0, 0.5))
+        yield w, np.square(rng.normal(size=n)), rng.normal(size=n)
 
 
 def test_garch_path_is_the_scalar_recursion_to_the_bit():
-    for w, rho_sq, init, _ in _garch_kernel_draws(150):
-        assert np.array_equal(garch_path(w, rho_sq, init), _scalar_garch_path(w, rho_sq, init))
+    for w, rho_sq, _ in _garch_kernel_draws(150):
+        assert np.array_equal(garch_path(w, rho_sq), _scalar_garch_path(w, rho_sq))
 
 
 def test_garch_path_adjoint_is_the_scalar_recursion_to_the_bit():
-    for w, rho_sq, init, d_path in _garch_kernel_draws(150):
-        path = garch_path(w, rho_sq, init)
-        d_w, d_rho_sq, d_init = garch_path_adjoint(w, rho_sq, path, d_path)
+    for w, rho_sq, d_path in _garch_kernel_draws(150):
+        path = garch_path(w, rho_sq)
+        d_w, d_rho_sq = garch_path_adjoint(w, rho_sq, path, d_path)
         backward = _scalar_garch_lam(w, d_path)
-        assert d_init == backward[-1]
         expected = np.zeros(rho_sq.size)
         expected[:-1] = [w[2] * v for v in backward[-2::-1]]
         assert np.array_equal(d_rho_sq, expected)
-        # lam laid out in reversed time, as the reductions read it
+        # lam laid out in reversed time, as the reductions read it, then the
+        # start's terms: lam[0] times the derivative of omega0 / max(denom, 1e-3)
         ahead = np.array(backward)[::-1][1:]
-        reductions = [ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]]
+        reductions = np.array([ahead.sum(), ahead @ path[:-1], ahead @ rho_sq[:-1]])
+        denom = 1.0 - w[1] - w[2]
+        if w[0] > 0:
+            reductions[0] += backward[-1] / max(denom, 1e-3)
+            if denom > 1e-3:
+                reductions[1:] += backward[-1] * path[0] / denom
         assert np.array_equal(d_w, reductions, equal_nan=True)
+
+
+@pytest.mark.parametrize("w, free", [
+    ((0.2, 0.5, 0.3), [0, 1, 2]),   # 1 - omega1 - omega2 = 0.2, above the floor
+    ((0.2, 0.7, 0.35), [0, 1, 2]),  # 1 - omega1 - omega2 < 0, on the 1e-3 floor
+    # omega0 = 0: the start is the constant 1.0, and it jumps to omega0 / denom
+    # for omega0 > 0, so only omega1 and omega2 have a two-sided derivative
+    ((0.0, 0.5, 0.3), [1, 2]),
+], ids=["above-floor", "on-floor", "omega0-zero"])
+def test_garch_path_adjoint_matches_central_differences(w, free):
+    rng = np.random.default_rng(8)
+    rho_sq = np.square(rng.normal(size=300))
+    d_path = rng.normal(size=300)
+    d_w, _ = garch_path_adjoint(np.array(w), rho_sq, garch_path(w, rho_sq), d_path)
+    numeric = numeric_gradient(lambda v: float(d_path @ garch_path(v, rho_sq)), np.array(w), 1e-7)
+    np.testing.assert_allclose(d_w[free], numeric[free], rtol=1e-6, atol=1e-8)
 
 
 def test_garch_path_stays_inf_after_an_infinite_rho_sq():
@@ -538,10 +573,10 @@ def test_garch_path_stays_inf_after_an_infinite_rho_sq():
     w = (0.1, 0.55, 0.35)
     rho_sq = np.square(np.random.default_rng(3).normal(size=200))
     rho_sq[120] = np.inf
-    path = garch_path(w, rho_sq, 1.0)
+    path = garch_path(w, rho_sq)
     assert np.isposinf(path[121:]).all()
-    assert np.array_equal(path, _scalar_garch_path(w, rho_sq, 1.0))
-    assert _garch_likelihood(rho_sq, 1.0)(np.sqrt(w))[0] == np.inf
+    assert np.array_equal(path, _scalar_garch_path(w, rho_sq))
+    assert _garch_likelihood(rho_sq)(np.sqrt(w))[0] == np.inf
 
 
 def test_dar_garch_semos_objective_is_not_finite_after_an_infinite_rho_sq():
@@ -698,11 +733,29 @@ def test_fit_garch_infinite_sample_variance_is_an_invalid_start():
 
 def test_fit_garch_likelihood_gradient_matches_finite_differences(rng):
     rho = rng.standard_normal(800) * np.sqrt(rng.uniform(0.5, 2.0, size=800))
-    fun = _garch_likelihood(np.square(rho), float(np.var(rho)))
+    fun = _garch_likelihood(np.square(rho))
     for _ in range(5):
         theta = np.sqrt(rng.uniform([0.05, 0.2, 0.05], [0.5, 0.7, 0.3]))
         numeric = numeric_gradient(lambda t: fun(t)[0], theta, 1e-6 * (1 + np.abs(theta)))
         np.testing.assert_allclose(fun(theta)[1], numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_fit_garch_likelihood_path_starts_at_garch_start(rng, monkeypatch):
+    # the pre-fit scores the path the seasonal models run, from
+    # garch_start(omega), not from the sample variance of its series
+    starts = []
+    kernel = timeseries.garch_path
+
+    def recording(w, *args):
+        path = kernel(w, *args)
+        starts.append((path[0], timeseries.garch_start(w)))
+        return path
+
+    monkeypatch.setattr(timeseries, "garch_path", recording)
+    fit_garch(rng.standard_normal(500) * np.sqrt(rng.uniform(0.5, 2.0, size=500)))
+    assert len(starts) > 1
+    for first, start in starts:
+        assert first == start
 
 
 def test_ar_teacher_forced_adjoint_is_the_transpose(rng):
